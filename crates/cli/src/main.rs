@@ -168,7 +168,7 @@ use liquid_simd::{experiments, Machine, MachineConfig, RunReport};
 use liquid_simd_isa::{asm, object, Program};
 use liquid_simd_perfhist as perfhist;
 use liquid_simd_serve as serve;
-use liquid_simd_trace::{export, TraceConfig, Tracer};
+use liquid_simd_trace::{export, Histogram, Json, TraceConfig, Tracer};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -593,19 +593,6 @@ fn cmd_tables(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders experiment rows to the exact text a user would see, so serial
 /// and parallel sweeps can be compared byte for byte.
 fn render_rows<T: std::fmt::Display>(rows: &[T]) -> String {
@@ -677,7 +664,7 @@ fn width_anomaly_entries(
     rows: &[perfhist::WorkloadRow],
     workloads: &[liquid_simd::Workload],
     backend: liquid_simd::BackendKind,
-) -> Result<Vec<String>, String> {
+) -> Result<Vec<Json>, String> {
     let mut out = Vec::new();
     for row in rows {
         for pair in row.cycles_by_width.windows(2) {
@@ -703,33 +690,31 @@ fn width_anomaly_entries(
                 .filter(|c| c.delta != 0)
                 .take(3)
                 .map(|c| {
+                    Json::obj([
+                        ("category", (&c.name).into()),
+                        ("narrow_cycles", c.a_cycles.into()),
+                        ("wide_cycles", c.b_cycles.into()),
+                        ("delta", c.delta.into()),
+                    ])
+                });
+            out.push(Json::obj([
+                ("workload", (&row.name).into()),
+                ("narrow_width", narrow.into()),
+                ("narrow_cycles", narrow_cycles.into()),
+                ("wide_width", wide.into()),
+                ("wide_cycles", wide_cycles.into()),
+                ("dominant_category", d.dominant_category.as_deref().into()),
+                ("top_buckets", Json::arr(buckets)),
+                (
+                    "message",
                     format!(
-                        "{{\"category\": \"{}\", \"narrow_cycles\": {}, \"wide_cycles\": {}, \
-                         \"delta\": {}}}",
-                        json_escape(&c.name),
-                        c.a_cycles,
-                        c.b_cycles,
-                        c.delta
+                        "{}: width {wide} took {wide_cycles} cycles, more than width \
+                         {narrow}'s {narrow_cycles}",
+                        row.name
                     )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push(format!(
-                "{{\"workload\": \"{}\", \"narrow_width\": {narrow}, \
-                 \"narrow_cycles\": {narrow_cycles}, \"wide_width\": {wide}, \
-                 \"wide_cycles\": {wide_cycles}, \"dominant_category\": {}, \
-                 \"top_buckets\": [{buckets}], \"message\": \"{}\"}}",
-                json_escape(&row.name),
-                match &d.dominant_category {
-                    Some(c) => format!("\"{}\"", json_escape(c)),
-                    None => "null".to_string(),
-                },
-                json_escape(&format!(
-                    "{}: width {wide} took {wide_cycles} cycles, more than width \
-                     {narrow}'s {narrow_cycles}",
-                    row.name
-                )),
-            ));
+                    .into(),
+                ),
+            ]));
         }
     }
     Ok(out)
@@ -783,7 +768,7 @@ fn diff_snapshot(
     let rec = records
         .iter()
         .rev()
-        .find(|r| r.get("schema").and_then(perfhist::Json::as_str) == Some("perfhist-v1"))
+        .find(|r| r.get("schema").and_then(Json::as_str) == Some("perfhist-v1"))
         .ok_or_else(|| format!("{spec}: no perfhist-v1 record"))?;
     Ok(record_snapshot(rec, spec))
 }
@@ -793,21 +778,15 @@ fn diff_snapshot(
 /// regions (with the per-category split when the record was written under
 /// `bench --ledger`), and every other deterministic counter rides along as
 /// corroborating evidence.
-fn record_snapshot(rec: &perfhist::Json, label: &str) -> liquid_simd::ledger::Snapshot {
+fn record_snapshot(rec: &Json, label: &str) -> liquid_simd::ledger::Snapshot {
     use liquid_simd::ledger::{RegionSnap, Snapshot};
-    let commit = rec
-        .get("commit")
-        .and_then(perfhist::Json::as_str)
-        .unwrap_or("?");
-    let backend = rec
-        .get("backend")
-        .and_then(perfhist::Json::as_str)
-        .unwrap_or("?");
+    let commit = rec.get("commit").and_then(Json::as_str).unwrap_or("?");
+    let backend = rec.get("backend").and_then(Json::as_str).unwrap_or("?");
     let mut snap = Snapshot {
         label: format!("{label} ({commit}, {backend})"),
         ..Snapshot::default()
     };
-    if let Some(pairs) = rec.get("counters").and_then(perfhist::Json::as_obj) {
+    if let Some(pairs) = rec.get("counters").and_then(Json::as_obj) {
         for (k, v) in pairs {
             let Some(v) = v.as_u64() else { continue };
             if let Some(rest) = k.strip_prefix("ledger.") {
@@ -821,17 +800,14 @@ fn record_snapshot(rec: &perfhist::Json, label: &str) -> liquid_simd::ledger::Sn
             }
         }
     }
-    if let Some(rows) = rec.get("workloads").and_then(perfhist::Json::as_arr) {
+    if let Some(rows) = rec.get("workloads").and_then(Json::as_arr) {
         for row in rows {
             let name = row
                 .get("name")
-                .and_then(perfhist::Json::as_str)
+                .and_then(Json::as_str)
                 .unwrap_or("?")
                 .to_string();
-            let cycles = row
-                .get("sim_cycles")
-                .and_then(perfhist::Json::as_u64)
-                .unwrap_or(0);
+            let cycles = row.get("sim_cycles").and_then(Json::as_u64).unwrap_or(0);
             snap.total_cycles += cycles;
             let mut r = RegionSnap {
                 cycles,
@@ -840,14 +816,12 @@ fn record_snapshot(rec: &perfhist::Json, label: &str) -> liquid_simd::ledger::Sn
             if let Some(cats) = row
                 .get("ledger")
                 .and_then(|l| l.get("categories"))
-                .and_then(perfhist::Json::as_obj)
+                .and_then(Json::as_obj)
             {
                 for (cat, b) in cats {
                     r.by_category.insert(
                         cat.clone(),
-                        b.get("cycles")
-                            .and_then(perfhist::Json::as_u64)
-                            .unwrap_or(0),
+                        b.get("cycles").and_then(Json::as_u64).unwrap_or(0),
                     );
                 }
             }
@@ -869,9 +843,9 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
         0 => {
             let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
             let records = perfhist::store::load(std::path::Path::new(history_path))?;
-            let mut v1: Vec<&perfhist::Json> = records
+            let mut v1: Vec<&Json> = records
                 .iter()
-                .filter(|r| r.get("schema").and_then(perfhist::Json::as_str) == Some("perfhist-v1"))
+                .filter(|r| r.get("schema").and_then(Json::as_str) == Some("perfhist-v1"))
                 .collect();
             if v1.len() < 2 {
                 return Err(format!(
@@ -986,7 +960,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                 let led = out.report.ledger.clone().unwrap_or_default();
                 let names = ledger_region_labels(&b.program, &led);
                 let snap = liquid_simd::ledger::Snapshot::from_ledger(&w.name, &led, &names);
-                row.ledger = perfhist::Json::parse(&snap.to_json()).ok();
+                row.ledger = Some(snap.json());
             }
             row.cycles_by_width.push((width, out.report.cycles));
         }
@@ -1071,75 +1045,55 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         );
     }
 
-    let mut json = String::from("{\n  \"schema\": \"liquid-simd-bench-v1\",\n");
-    json.push_str(&format!("  \"backend\": \"{backend}\",\n"));
-    json.push_str(&format!("  \"jobs\": {jobs},\n"));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"widths\": {widths:?},\n"));
-    json.push_str("  \"workloads\": [\n");
-    for (i, row) in rows.iter().enumerate() {
+    let workload_rows = rows.iter().map(|row| {
         let by_width = row
             .cycles_by_width
             .iter()
-            .map(|(w, c)| format!("\"{w}\": {c}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"baseline_cycles\": {}, \"sim_cycles\": {}, \
-             \"cycles_by_width\": {{{by_width}}}, \"wall_s\": {:.6}, \
-             \"sim_cycles_per_sec\": {:.0}}}{}\n",
-            json_escape(&row.name),
-            row.baseline_cycles,
-            row.sim_cycles,
-            row.wall_s,
-            row.cycles_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    if anomaly_entries.is_empty() {
-        json.push_str("  \"width_anomalies\": [],\n");
-    } else {
-        json.push_str("  \"width_anomalies\": [\n");
-        for (i, e) in anomaly_entries.iter().enumerate() {
-            json.push_str(&format!(
-                "    {e}{}\n",
-                if i + 1 < anomaly_entries.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        json.push_str("  ],\n");
-    }
-    json.push_str(&format!(
-        "  \"figure6_sweep\": {{\"serial_s\": {serial_s:.6}, \"parallel_s\": {parallel_s:.6}, \
-         \"speedup\": {speedup:.3}, \"deterministic\": {deterministic}, \
-         \"speedup_warning\": {speedup_warning}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"figure6_workers\": [{}],\n",
-        worker_busy_s
-            .iter()
-            .enumerate()
-            .map(|(w, s)| format!("{{\"worker\": {w}, \"busy_s\": {s:.6}}}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str("  \"figure6_tasks\": [\n");
-    for (i, t) in timings.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"index\": {}, \"worker\": {}, \"start_s\": {:.6}, \"wall_s\": {:.6}}}{}\n",
-            t.index,
-            t.worker,
-            t.start_s,
-            t.wall_s,
-            if i + 1 < timings.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    fs::write(out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
+            .map(|(w, c)| (w.to_string(), (*c).into()));
+        Json::obj([
+            ("name", (&row.name).into()),
+            ("baseline_cycles", row.baseline_cycles.into()),
+            ("sim_cycles", row.sim_cycles.into()),
+            ("cycles_by_width", Json::obj(by_width)),
+            ("wall_s", Json::fixed(row.wall_s, 6)),
+            ("sim_cycles_per_sec", Json::fixed(row.cycles_per_sec, 0)),
+        ])
+    });
+    let workers = worker_busy_s
+        .iter()
+        .enumerate()
+        .map(|(w, &s)| Json::obj([("worker", w.into()), ("busy_s", Json::fixed(s, 6))]));
+    let tasks = timings.iter().map(|t| {
+        Json::obj([
+            ("index", t.index.into()),
+            ("worker", t.worker.into()),
+            ("start_s", Json::fixed(t.start_s, 6)),
+            ("wall_s", Json::fixed(t.wall_s, 6)),
+        ])
+    });
+    let json = Json::obj([
+        ("schema", "liquid-simd-bench-v1".into()),
+        ("backend", backend.to_string().into()),
+        ("jobs", jobs.into()),
+        ("smoke", smoke.into()),
+        ("widths", Json::arr(widths.iter().copied())),
+        ("workloads", Json::arr(workload_rows)),
+        ("width_anomalies", Json::Arr(anomaly_entries)),
+        (
+            "figure6_sweep",
+            Json::obj([
+                ("serial_s", Json::fixed(serial_s, 6)),
+                ("parallel_s", Json::fixed(parallel_s, 6)),
+                ("speedup", Json::fixed(speedup, 3)),
+                ("deterministic", deterministic.into()),
+                ("speedup_warning", speedup_warning.into()),
+            ]),
+        ),
+        ("figure6_workers", Json::arr(workers)),
+        ("figure6_tasks", Json::arr(tasks)),
+    ])
+    .write_rows();
+    fs::write(out_path, json).map_err(|e| format!("{out_path}: {e}"))?;
     println!("{out_path}: written");
 
     // Append one perfhist-v1 record to the history. The record carries no
@@ -1260,26 +1214,29 @@ fn cmd_gen_check(args: &[String]) -> Result<(), String> {
     let passed = outcomes.iter().filter(|o| o.passed).count();
     let failed = outcomes.len() - passed;
 
-    let mut json = String::from("{\n  \"schema\": \"gen-check-v1\",\n");
-    json.push_str(&format!("  \"variants\": {},\n", outcomes.len()));
-    json.push_str(&format!(
-        "  \"summary\": {{\"passed\": {passed}, \"failed\": {failed}, \"ok\": {}}},\n",
-        failed == 0 && coverage.uncovered.is_empty()
-    ));
-    json.push_str("  \"failures\": [\n");
     let fails: Vec<&liquid_simd_conform::oracle::CaseOutcome> =
         outcomes.iter().filter(|o| !o.passed).collect();
-    for (i, f) in fails.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"detail\": \"{}\"}}{}\n",
-            json_escape(&f.name),
-            json_escape(&f.detail),
-            if i + 1 < fails.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&liquid_simd_conform::coverage_to_json(&coverage, "  "));
-    json.push_str("}\n");
+    let failures = fails
+        .iter()
+        .map(|f| Json::obj([("name", (&f.name).into()), ("detail", (&f.detail).into())]));
+    let json = Json::obj([
+        ("schema", "gen-check-v1".into()),
+        ("variants", outcomes.len().into()),
+        (
+            "summary",
+            Json::obj([
+                ("passed", passed.into()),
+                ("failed", failed.into()),
+                ("ok", (failed == 0 && coverage.uncovered.is_empty()).into()),
+            ]),
+        ),
+        ("failures", Json::arr(failures)),
+        (
+            "abort_coverage",
+            liquid_simd_conform::coverage_json(&coverage),
+        ),
+    ])
+    .write_rows();
 
     if let Some(path) = option_value(args, "--out")? {
         fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
@@ -1417,9 +1374,9 @@ fn cmd_bench_families(args: &[String]) -> Result<(), String> {
         fam_rows.push(perfhist::FamilyRow {
             family: family.clone(),
             variants: acc.variants,
-            speedup_p10: perfhist::record::nearest_rank(&acc.speedups, 10.0),
-            speedup_p50: perfhist::record::nearest_rank(&acc.speedups, 50.0),
-            speedup_p90: perfhist::record::nearest_rank(&acc.speedups, 90.0),
+            speedup_p10: liquid_simd_trace::nearest_rank(&acc.speedups, 10.0),
+            speedup_p50: liquid_simd_trace::nearest_rank(&acc.speedups, 50.0),
+            speedup_p90: liquid_simd_trace::nearest_rank(&acc.speedups, 90.0),
             aborts: acc.aborts.iter().map(|(t, &n)| (t.clone(), n)).collect(),
         });
     }
@@ -1447,40 +1404,27 @@ fn cmd_bench_families(args: &[String]) -> Result<(), String> {
 
     // The snapshot: schema'd, sorted, and free of wall-clock and host
     // facts — rerunning must reproduce it byte for byte.
-    let mut json = String::from("{\n  \"schema\": \"liquid-simd-bench-families-v1\",\n");
-    json.push_str(&format!("  \"backend\": \"{backend}\",\n"));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"widths\": {widths:?},\n"));
-    json.push_str(&format!("  \"variants\": {},\n", variants.len()));
-    json.push_str("  \"families\": [\n");
-    for (i, f) in fam_rows.iter().enumerate() {
-        let aborts = f
-            .aborts
-            .iter()
-            .map(|(t, n)| format!("\"{}\": {n}", json_escape(t)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        json.push_str(&format!(
-            "    {{\"family\": \"{}\", \"variants\": {}, \"speedup_p10\": {:.4}, \
-             \"speedup_p50\": {:.4}, \"speedup_p90\": {:.4}, \"aborts\": {{{aborts}}}}}{}\n",
-            json_escape(&f.family),
-            f.variants,
-            f.speedup_p10,
-            f.speedup_p50,
-            f.speedup_p90,
-            if i + 1 < fam_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"width_anomalies\": [{}]\n",
-        anomalies
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str("}\n");
+    let families = fam_rows.iter().map(|f| {
+        let aborts = f.aborts.iter().map(|(t, n)| (t.clone(), (*n).into()));
+        Json::obj([
+            ("family", (&f.family).into()),
+            ("variants", f.variants.into()),
+            ("speedup_p10", Json::fixed(f.speedup_p10, 4)),
+            ("speedup_p50", Json::fixed(f.speedup_p50, 4)),
+            ("speedup_p90", Json::fixed(f.speedup_p90, 4)),
+            ("aborts", Json::obj(aborts)),
+        ])
+    });
+    let json = Json::obj([
+        ("schema", "liquid-simd-bench-families-v1".into()),
+        ("backend", backend.to_string().into()),
+        ("smoke", smoke.into()),
+        ("widths", Json::arr(widths.iter().copied())),
+        ("variants", variants.len().into()),
+        ("families", Json::arr(families)),
+        ("width_anomalies", Json::arr(&anomalies)),
+    ])
+    .write_rows();
     fs::write(out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
     println!(
         "{out_path}: written ({} variants, {} families, {:.3}s)",
@@ -1594,39 +1538,18 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
 }
 
 /// Records one line in the bench snapshot's `notes` array (replacing any
-/// previous notes), preserving the rest of the hand-formatted file so
-/// `bench` diffs stay readable. The note lands right after the `schema`
-/// line; a missing snapshot gets a minimal one.
+/// previous notes) and rewrites the snapshot in its rows layout; a missing
+/// snapshot gets a minimal one.
 fn record_bench_note(path: &str, note: &str) -> Result<(), String> {
-    let entry = format!("  \"notes\": [\"{}\"],", json_escape(note));
-    let Ok(text) = fs::read_to_string(path) else {
-        let doc = format!(
-            "{{\n  \"schema\": \"liquid-simd-bench-v1\",\n{}\n}}\n",
-            entry.trim_end_matches(',')
-        );
-        return fs::write(path, doc).map_err(|e| format!("{path}: {e}"));
+    let mut doc = match fs::read_to_string(path) {
+        Ok(text) => Json::parse(&text).map_err(|e| format!("{path}: {e}"))?,
+        Err(_) => Json::obj([("schema", "liquid-simd-bench-v1".into())]),
     };
-    let mut out = String::with_capacity(text.len() + entry.len() + 1);
-    let mut inserted = false;
-    for line in text.lines() {
-        if line.trim_start().starts_with("\"notes\":") {
-            continue; // replaced below
-        }
-        out.push_str(line);
-        out.push('\n');
-        if !inserted && line.contains("\"schema\":") {
-            out.push_str(&entry);
-            out.push('\n');
-            inserted = true;
-        }
+    if doc.as_obj().is_none() {
+        return Err(format!("{path}: the bench snapshot is not a JSON object"));
     }
-    if !inserted {
-        return Err(format!("{path}: no \"schema\" line to anchor the note on"));
-    }
-    // If the note ended up as the last member (minimal snapshot), drop the
-    // trailing comma so the document stays valid JSON.
-    let out = out.replace("],\n}", "]\n}");
-    fs::write(path, out).map_err(|e| format!("{path}: {e}"))
+    doc.set("notes", Json::arr([note]));
+    fs::write(path, doc.write_rows()).map_err(|e| format!("{path}: {e}"))
 }
 
 /// `liquid-simd serve`: bind the daemon and block until a `shutdown`
@@ -1665,8 +1588,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let handle = serve::spawn(opts)?;
     println!(
         "liquid-simd serve: listening on {} ({shards} shards) — line-delimited JSON, \
-         {{\"op\":\"shutdown\"}} to stop",
-        handle.addr
+         {} to stop",
+        handle.addr,
+        Json::obj([("op", "shutdown".into())]).write()
     );
     let summary = handle.join()?;
     println!(
@@ -1685,7 +1609,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// Sends one line-JSON request to a running daemon and parses the single
 /// response line. `inspect` and `top` are pure observers, so a blocking
 /// round-trip per poll is plenty.
-fn serve_request(addr: &str, line: &str) -> Result<perfhist::Json, String> {
+fn serve_request(addr: &str, line: &str) -> Result<Json, String> {
     use std::io::{BufRead, BufReader, Write};
     let mut stream = std::net::TcpStream::connect(addr)
         .map_err(|e| format!("connect {addr}: {e} (is `liquid-simd serve` running?)"))?;
@@ -1706,12 +1630,12 @@ fn serve_request(addr: &str, line: &str) -> Result<perfhist::Json, String> {
             "{addr}: daemon closed the connection without answering"
         ));
     }
-    perfhist::Json::parse(resp.trim_end()).map_err(|e| format!("{addr}: bad response: {e}"))
+    Json::parse(resp.trim_end()).map_err(|e| format!("{addr}: bad response: {e}"))
 }
 
 /// Fetches one `metrics-v1` document from a daemon's `inspect` op.
-fn fetch_metrics(addr: &str) -> Result<perfhist::Json, String> {
-    let resp = serve_request(addr, "{\"op\":\"inspect\"}")?;
+fn fetch_metrics(addr: &str) -> Result<Json, String> {
+    let resp = serve_request(addr, &Json::obj([("op", "inspect".into())]).write())?;
     match resp.get("metrics") {
         Some(m) => Ok(m.clone()),
         None => Err(format!(
@@ -1722,7 +1646,7 @@ fn fetch_metrics(addr: &str) -> Result<perfhist::Json, String> {
 }
 
 /// Walks a dotted path through nested JSON objects; absent → 0.
-fn path_u64(doc: &perfhist::Json, path: &[&str]) -> u64 {
+fn path_u64(doc: &Json, path: &[&str]) -> u64 {
     let mut cur = doc;
     for key in path {
         match cur.get(key) {
@@ -1733,7 +1657,7 @@ fn path_u64(doc: &perfhist::Json, path: &[&str]) -> u64 {
     cur.as_u64().unwrap_or(0)
 }
 
-fn path_f64(doc: &perfhist::Json, path: &[&str]) -> f64 {
+fn path_f64(doc: &Json, path: &[&str]) -> f64 {
     let mut cur = doc;
     for key in path {
         match cur.get(key) {
@@ -1750,15 +1674,12 @@ fn path_f64(doc: &perfhist::Json, path: &[&str]) -> f64 {
 fn render_metrics_frame(
     out: &mut String,
     addr: &str,
-    m: &perfhist::Json,
+    m: &Json,
     throughput: Option<f64>,
     counters_table: bool,
 ) {
     use std::fmt::Write;
-    let backend = m
-        .get("backend")
-        .and_then(perfhist::Json::as_str)
-        .unwrap_or("?");
+    let backend = m.get("backend").and_then(Json::as_str).unwrap_or("?");
     let _ = writeln!(
         out,
         "liquid-simd @ {addr} — backend {backend}, {} shards, up {:.1}s",
@@ -1768,7 +1689,7 @@ fn render_metrics_frame(
     let by_op = m
         .get("requests")
         .and_then(|r| r.get("by_op"))
-        .and_then(perfhist::Json::as_obj)
+        .and_then(Json::as_obj)
         .map(|pairs| {
             pairs
                 .iter()
@@ -1794,18 +1715,22 @@ fn render_metrics_frame(
         ("latency", "wall.latency_us", "us"),
         ("cycles", "request.cycles", ""),
     ] {
-        let Some(h) = m.get("histograms").and_then(|hs| hs.get(name)) else {
+        let Some(h) = m
+            .get("histograms")
+            .and_then(|hs| hs.get(name))
+            .and_then(Histogram::from_json)
+        else {
             continue;
         };
         let _ = writeln!(
             out,
             "{label:<10} p50 <={}{unit}  p95 <={}{unit}  p99 <={}{unit}  max {}{unit}  \
              ({} samples)",
-            serve::inspect::percentile_json(h, 50.0),
-            serve::inspect::percentile_json(h, 95.0),
-            serve::inspect::percentile_json(h, 99.0),
-            path_u64(h, &["max"]),
-            path_u64(h, &["count"])
+            h.percentile(50.0),
+            h.percentile(95.0),
+            h.percentile(99.0),
+            h.max(),
+            h.count()
         );
     }
     let cap = path_u64(m, &["cache", "translations", "capacity"]);
@@ -1839,7 +1764,7 @@ fn render_metrics_frame(
     // fell back to scalar execution.
     let aborts = m
         .get("counters")
-        .and_then(perfhist::Json::as_obj)
+        .and_then(Json::as_obj)
         .map(|pairs| {
             pairs
                 .iter()
@@ -1861,7 +1786,7 @@ fn render_metrics_frame(
     // the simulated work, and how much of it.
     let mut backends: std::collections::BTreeMap<String, (u64, u64)> =
         std::collections::BTreeMap::new();
-    if let Some(pairs) = m.get("counters").and_then(perfhist::Json::as_obj) {
+    if let Some(pairs) = m.get("counters").and_then(Json::as_obj) {
         for (k, v) in pairs {
             let Some(rest) = k.strip_prefix("sim.backend.") else {
                 continue;
@@ -1889,7 +1814,7 @@ fn render_metrics_frame(
     // count because the shards sum.
     let ledger = m
         .get("counters")
-        .and_then(perfhist::Json::as_obj)
+        .and_then(Json::as_obj)
         .map(|pairs| {
             pairs
                 .iter()
@@ -1909,7 +1834,7 @@ fn render_metrics_frame(
         if ledger.is_empty() { "none" } else { &ledger }
     );
     if counters_table {
-        if let Some(pairs) = m.get("counters").and_then(perfhist::Json::as_obj) {
+        if let Some(pairs) = m.get("counters").and_then(Json::as_obj) {
             let table: std::collections::BTreeMap<String, u64> = pairs
                 .iter()
                 .map(|(k, v)| (k.clone(), v.as_u64().unwrap_or(0)))
@@ -2026,7 +1951,7 @@ fn cmd_sentinel(args: &[String]) -> Result<(), String> {
         let status = verdict
             .json
             .get("status")
-            .and_then(perfhist::Json::as_str)
+            .and_then(Json::as_str)
             .unwrap_or("fail");
         return Err(match status {
             "no-history" => {
@@ -2055,7 +1980,6 @@ fn cmd_sentinel_cross(args: &[String], history_path: &str) -> Result<(), String>
     if flag(args, "--json") {
         println!("{}", verdict.json.write());
     } else {
-        use perfhist::Json;
         let get_str = |k: &str| verdict.json.get(k).and_then(Json::as_str).unwrap_or("?");
         println!(
             "sentinel --cross-backend: {} (interp {}, superblock {}, {} workloads checked)",
@@ -2088,7 +2012,7 @@ fn cmd_sentinel_cross(args: &[String], history_path: &str) -> Result<(), String>
             match verdict
                 .json
                 .get("status")
-                .and_then(perfhist::Json::as_str)
+                .and_then(Json::as_str)
                 .unwrap_or("fail")
             {
                 "no-pair" => "sentinel --cross-backend: need one bench record from each backend — \
@@ -2108,8 +2032,7 @@ fn cmd_sentinel_cross(args: &[String], history_path: &str) -> Result<(), String>
 }
 
 /// Human rendering of a `sentinel-v1` verdict document.
-fn render_verdict(v: &perfhist::Json) {
-    use perfhist::Json;
+fn render_verdict(v: &Json) {
     let get_str = |k: &str| v.get(k).and_then(Json::as_str).unwrap_or("?");
     let get_arr = |k: &str| {
         v.get(k)
@@ -2225,7 +2148,7 @@ fn cmd_dashboard(args: &[String]) -> Result<(), String> {
         None => None,
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(perfhist::Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?)
+            Some(Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?)
         }
     };
     let html = perfhist::dashboard::render_extended(&history, &folded, &dumps, snapshot.as_ref());
@@ -2335,13 +2258,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
-    }
-
-    #[test]
     fn width_anomaly_detection_flags_slower_wider_widths() {
         let row = |name: &str, by_width: &[(usize, u64)]| perfhist::WorkloadRow {
             name: name.to_string(),
@@ -2384,7 +2300,7 @@ mod tests {
         let path = dir.join("history.jsonl");
         let _ = std::fs::remove_file(&path);
         let rec = |cycles: u64| {
-            perfhist::Json::parse(&format!(
+            Json::parse(&format!(
                 r#"{{"schema":"perfhist-v1","commit":"c","timestamp":1,"host":"h","config_hash":"cafe","smoke":true,"widths":[2,8],"workloads":[{{"name":"FIR","baseline_cycles":1000,"sim_cycles":{cycles},"cycles_by_width":{{"8":{cycles}}},"wall_s":0.5,"sim_cycles_per_sec":100.0}}],"counters":{{}},"wall":{{}}}}"#
             ))
             .unwrap()
@@ -2419,7 +2335,7 @@ mod tests {
         // Push one real request through so the histograms have samples.
         let resp = serve_request(&addr, r#"{"op":"run","workload":"fir","id":"t1"}"#).unwrap();
         assert_eq!(
-            resp.get("schema").and_then(perfhist::Json::as_str),
+            resp.get("schema").and_then(Json::as_str),
             Some("serve-v1"),
             "{}",
             resp.write()
@@ -2468,19 +2384,19 @@ mod tests {
         record_bench_note(p, "overhead +1.0% wall").unwrap();
         // Replacing an existing note must not duplicate the key.
         record_bench_note(p, "overhead +2.0% wall").unwrap();
-        let doc = perfhist::Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let notes = doc.get("notes").and_then(perfhist::Json::as_arr).unwrap();
+        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let notes = doc.get("notes").and_then(Json::as_arr).unwrap();
         assert_eq!(notes.len(), 1);
         assert_eq!(notes[0].as_str(), Some("overhead +2.0% wall"));
-        assert_eq!(doc.get("jobs").and_then(perfhist::Json::as_u64), Some(4));
+        assert_eq!(doc.get("jobs").and_then(Json::as_u64), Some(4));
         // A missing snapshot gets a minimal, parseable one.
         let fresh = dir.join("fresh.json");
         record_bench_note(fresh.to_str().unwrap(), "n").unwrap();
-        let doc = perfhist::Json::parse(&std::fs::read_to_string(&fresh).unwrap()).unwrap();
+        let doc = Json::parse(&std::fs::read_to_string(&fresh).unwrap()).unwrap();
         assert!(doc.get("notes").is_some());
         // And re-noting the minimal file stays valid (no trailing comma).
         record_bench_note(fresh.to_str().unwrap(), "n2").unwrap();
-        perfhist::Json::parse(&std::fs::read_to_string(&fresh).unwrap()).unwrap();
+        Json::parse(&std::fs::read_to_string(&fresh).unwrap()).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -40,6 +40,7 @@ pub mod shrink;
 use std::collections::BTreeMap;
 
 use liquid_simd::run_tasks;
+use liquid_simd::trace::Json;
 use liquid_simd::translator::ABORT_TAGS;
 
 use abort::SweepOutcome;
@@ -243,131 +244,78 @@ pub fn run_conform(opts: &ConformOptions) -> ConformReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the report as `conform-v1` JSON. Deliberately free of timing,
 /// job counts, and machine details: the same seed must produce
 /// byte-identical output on any host at any parallelism.
 #[must_use]
 pub fn report_to_json(report: &ConformReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"conform-v1\",\n");
-    s.push_str(&format!("  \"seed\": {},\n", report.seed));
-    s.push_str(&format!("  \"cases\": {},\n", report.cases.len()));
-    s.push_str("  \"widths\": [2, 4, 8, 16],\n");
     let (passed, failed) = report.tally();
     let translated = report.cases.iter().filter(|c| c.translated).count();
-    s.push_str(&format!(
-        "  \"summary\": {{\"passed\": {passed}, \"failed\": {failed}, \"translated\": {translated}, \"ok\": {}}},\n",
-        report.passed()
-    ));
-
-    s.push_str("  \"case_results\": [\n");
-    for (i, c) in report.cases.iter().enumerate() {
-        let comma = if i + 1 < report.cases.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"kind\": \"{}\", \"family\": \"{}\", \"passed\": {}, \"translated\": {}, \"detail\": \"{}\"}}{comma}\n",
-            json_escape(&c.name),
-            c.kind,
-            json_escape(&c.family),
-            c.passed,
-            c.translated,
-            json_escape(&c.detail)
-        ));
-    }
-    s.push_str("  ],\n");
-
-    s.push_str("  \"failures\": [\n");
-    for (i, f) in report.failures.iter().enumerate() {
-        let comma = if i + 1 < report.failures.len() {
-            ","
-        } else {
-            ""
-        };
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"detail\": \"{}\", \"corpus\": \"{}\"}}{comma}\n",
-            json_escape(&f.outcome.name),
-            json_escape(&f.outcome.detail),
-            json_escape(&f.corpus_text)
-        ));
-    }
-    s.push_str("  ],\n");
-
-    s.push_str("  \"abort_sweep\": [\n");
-    for (i, sw) in report.sweeps.iter().enumerate() {
-        let comma = if i + 1 < report.sweeps.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"lanes\": {}, \"points\": {}, \"passed\": {}, \"detail\": \"{}\"}}{comma}\n",
-            json_escape(&sw.name),
-            sw.lanes,
-            sw.points,
-            sw.passed,
-            json_escape(&sw.detail)
-        ));
-    }
-    s.push_str("  ],\n");
-
-    s.push_str(&coverage_to_json(&report.coverage, "  "));
-    s.push_str("}\n");
-    s
+    let cases = report.cases.iter().map(|c| {
+        Json::obj([
+            ("name", (&c.name).into()),
+            ("kind", c.kind.into()),
+            ("family", (&c.family).into()),
+            ("passed", c.passed.into()),
+            ("translated", c.translated.into()),
+            ("detail", (&c.detail).into()),
+        ])
+    });
+    let failures = report.failures.iter().map(|f| {
+        Json::obj([
+            ("name", (&f.outcome.name).into()),
+            ("detail", (&f.outcome.detail).into()),
+            ("corpus", (&f.corpus_text).into()),
+        ])
+    });
+    let sweeps = report.sweeps.iter().map(|sw| {
+        Json::obj([
+            ("name", (&sw.name).into()),
+            ("lanes", sw.lanes.into()),
+            ("points", sw.points.into()),
+            ("passed", sw.passed.into()),
+            ("detail", (&sw.detail).into()),
+        ])
+    });
+    Json::obj([
+        ("schema", "conform-v1".into()),
+        ("seed", report.seed.into()),
+        ("cases", report.cases.len().into()),
+        ("widths", Json::arr([2u64, 4, 8, 16])),
+        (
+            "summary",
+            Json::obj([
+                ("passed", passed.into()),
+                ("failed", failed.into()),
+                ("translated", translated.into()),
+                ("ok", report.passed().into()),
+            ]),
+        ),
+        ("case_results", Json::arr(cases)),
+        ("failures", Json::arr(failures)),
+        ("abort_sweep", Json::arr(sweeps)),
+        ("abort_coverage", coverage_json(&report.coverage)),
+    ])
+    .write_rows()
 }
 
-/// Renders an [`AbortCoverage`] as the `abort_coverage` JSON member
-/// (shared between `conform --json` and `gen --check --json`).
+/// An [`AbortCoverage`] as the `abort_coverage` JSON member (shared
+/// between `conform --json` and `gen --check --json`).
 #[must_use]
-pub fn coverage_to_json(cov: &AbortCoverage, indent: &str) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("{indent}\"abort_coverage\": {{\n"));
-    s.push_str(&format!("{indent}  \"by_family\": {{\n"));
-    for (i, (family, tags)) in cov.by_family.iter().enumerate() {
-        let comma = if i + 1 < cov.by_family.len() { "," } else { "" };
-        let inner: Vec<String> = tags
-            .iter()
-            .map(|(t, n)| format!("\"{}\": {n}", json_escape(t)))
-            .collect();
-        s.push_str(&format!(
-            "{indent}    \"{}\": {{{}}}{comma}\n",
-            json_escape(family),
-            inner.join(", ")
-        ));
-    }
-    s.push_str(&format!("{indent}  }},\n"));
-    let uncov: Vec<String> = cov
-        .uncovered
+pub fn coverage_json(cov: &AbortCoverage) -> Json {
+    let by_family = cov.by_family.iter().map(|(family, tags)| {
+        let tags = tags.iter().map(|(t, &n)| (t.clone(), n.into()));
+        (family.clone(), Json::obj(tags))
+    });
+    let exempt = cov
+        .exempt
         .iter()
-        .map(|t| format!("\"{}\"", json_escape(t)))
-        .collect();
-    s.push_str(&format!(
-        "{indent}  \"uncovered\": [{}],\n",
-        uncov.join(", ")
-    ));
-    s.push_str(&format!("{indent}  \"exempt\": [\n"));
-    for (i, (tag, why)) in cov.exempt.iter().enumerate() {
-        let comma = if i + 1 < cov.exempt.len() { "," } else { "" };
-        s.push_str(&format!(
-            "{indent}    {{\"tag\": \"{}\", \"why\": \"{}\"}}{comma}\n",
-            json_escape(tag),
-            json_escape(why)
-        ));
-    }
-    s.push_str(&format!("{indent}  ]\n"));
-    s.push_str(&format!("{indent}}}\n"));
-    s
+        .map(|(tag, why)| Json::obj([("tag", tag.into()), ("why", why.into())]));
+    Json::obj([
+        ("by_family", Json::obj(by_family)),
+        ("uncovered", Json::arr(&cov.uncovered)),
+        ("exempt", Json::arr(exempt)),
+    ])
 }
 
 #[cfg(test)]
@@ -433,11 +381,5 @@ mod tests {
             .map(|(t, _)| t.as_str())
             .collect();
         assert_eq!(exempt, ["iteration-mismatch"]);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

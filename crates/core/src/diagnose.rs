@@ -17,7 +17,7 @@
 //!    per-microcode-cache-entry statistics including evictor identity.
 //!
 //! Both reports render to aligned human text ([`render_explain`] /
-//! [`render_profile`]) and to hand-rolled JSON ([`explain_json`] /
+//! [`render_profile`]) and to rows-layout JSON ([`explain_json`] /
 //! [`profile_json`]) for scripting; the CLI's `explain` and `profile`
 //! commands are thin wrappers over this module.
 
@@ -30,7 +30,7 @@ use liquid_simd_sim::{
     BackendKind, BlockStats, MachineConfig, McacheEntryStats, McacheStats, PhaseBreakdown,
     SimError, TargetProfile,
 };
-use liquid_simd_trace::{span, SpanAgg, SpanRecord, TraceRecord, Tracer};
+use liquid_simd_trace::{span, Json, SpanAgg, SpanRecord, TraceRecord, Tracer};
 use liquid_simd_translator::{AbortRecord, RegClass, TranslatorStats};
 
 /// Knobs for an [`explain`] sweep.
@@ -324,25 +324,6 @@ pub fn profile(program: &Program, name: &str, lanes: usize) -> Result<ProfileRep
     })
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_opt_label(label: Option<&str>) -> String {
-    label.map_or_else(|| "null".to_string(), |l| format!("\"{}\"", esc(l)))
-}
-
 /// A register class rendered as a short stable name.
 fn regclass_name(c: &RegClass) -> String {
     match c {
@@ -357,51 +338,42 @@ fn regclass_name(c: &RegClass) -> String {
     }
 }
 
-fn regs_json(prefix: &str, regs: &[(u8, RegClass)]) -> String {
-    let parts: Vec<String> = regs
-        .iter()
-        .map(|(i, c)| {
-            format!(
-                "{{\"reg\": \"{prefix}{i}\", \"class\": \"{}\"}}",
-                regclass_name(c)
-            )
-        })
-        .collect();
-    format!("[{}]", parts.join(", "))
+fn regs_json(prefix: &str, regs: &[(u8, RegClass)]) -> Json {
+    Json::arr(regs.iter().map(|(i, c)| {
+        Json::obj([
+            ("reg", format!("{prefix}{i}").into()),
+            ("class", regclass_name(c).into()),
+        ])
+    }))
 }
 
-fn abort_json(record: &AbortRecord) -> String {
-    let trackers: Vec<String> = record
-        .trackers
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"values\": {:?}, \"complete\": {}, \"consistent\": {}, \"wide\": {}, \
-                 \"address_use\": {}}}",
-                t.values, t.complete, t.consistent, t.wide, t.address_use
-            )
-        })
-        .collect();
-    format!(
-        "{{\"status\": \"aborted\", \"reason\": \"{}\", \"detail\": \"{}\", \"pc\": {}, \
-         \"opcode\": \"{}\", \"instr_index\": {}, \"phase\": \"{}\", \"loops_done\": {}, \
-         \"regs\": {}, \"fregs\": {}, \"trackers\": [{}]}}",
-        record.reason.tag(),
-        esc(&record.reason.to_string()),
-        record.pc,
-        esc(&record.opcode),
-        record.instr_index,
-        record.phase,
-        record.loops_done,
-        regs_json("r", &record.regs),
-        regs_json("f", &record.fregs),
-        trackers.join(", ")
-    )
+fn abort_json(record: &AbortRecord) -> Json {
+    let trackers = record.trackers.iter().map(|t| {
+        Json::obj([
+            ("values", Json::arr(t.values.iter().copied())),
+            ("complete", t.complete.into()),
+            ("consistent", t.consistent.into()),
+            ("wide", t.wide.into()),
+            ("address_use", t.address_use.into()),
+        ])
+    });
+    Json::obj([
+        ("status", "aborted".into()),
+        ("reason", record.reason.tag().into()),
+        ("detail", record.reason.to_string().into()),
+        ("pc", record.pc.into()),
+        ("opcode", (&record.opcode).into()),
+        ("instr_index", record.instr_index.into()),
+        ("phase", record.phase.into()),
+        ("loops_done", record.loops_done.into()),
+        ("regs", regs_json("r", &record.regs)),
+        ("fregs", regs_json("f", &record.fregs)),
+        ("trackers", Json::arr(trackers)),
+    ])
 }
 
-fn tally_json(tally: &BTreeMap<&'static str, u64>) -> String {
-    let parts: Vec<String> = tally.iter().map(|(t, n)| format!("\"{t}\": {n}")).collect();
-    format!("{{{}}}", parts.join(", "))
+fn tally_json(tally: &BTreeMap<&'static str, u64>) -> Json {
+    Json::obj(tally.iter().map(|(&t, &n)| (t, n.into())))
 }
 
 /// Renders an [`ExplainReport`] as JSON (schema `liquid-simd-explain-v2`;
@@ -409,84 +381,72 @@ fn tally_json(tally: &BTreeMap<&'static str, u64>) -> String {
 /// block-cache counters).
 #[must_use]
 pub fn explain_json(report: &ExplainReport) -> String {
-    let mut j = String::from("{\n  \"schema\": \"liquid-simd-explain-v2\",\n");
-    let _ = writeln!(j, "  \"program\": \"{}\",", esc(&report.program));
-    let _ = writeln!(j, "  \"backend\": \"{}\",", report.backend);
-    let _ = writeln!(j, "  \"widths\": {:?},", report.widths);
-    let runs: Vec<String> = report
+    let runs = report
         .widths
         .iter()
         .enumerate()
         .zip(report.cycles.iter().zip(&report.mcache))
-        .map(|((i, w), (c, m))| {
-            let b = report.blocks.get(i).copied().unwrap_or_default();
+        .map(|((i, &w), (&c, m))| {
+            let b = report.blocks.get(i).copied().unwrap_or_default().metrics();
             let blocks = b
-                .metrics()
                 .counters()
                 .iter()
-                .map(|(k, v)| format!("\"{}\": {v}", k.trim_start_matches("blocks.")))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "{{\"width\": {w}, \"cycles\": {c}, \"mcache\": {{\"lookups\": {}, \
-                 \"hits\": {}, \"pending\": {}, \"inserts\": {}, \"evictions\": {}, \
-                 \"conflicts\": {}}}, \"blocks\": {{{blocks}}}}}",
-                m.lookups, m.hits, m.pending, m.inserts, m.evictions, m.conflicts
-            )
-        })
-        .collect();
-    let _ = writeln!(j, "  \"runs\": [\n    {}\n  ],", runs.join(",\n    "));
-    let leds: Vec<String> = report
-        .ledgers
-        .iter()
-        .map(|s| format!("    {}", s.to_json()))
-        .collect();
-    if !leds.is_empty() {
-        let _ = writeln!(j, "  \"ledger\": [\n{}\n  ],", leds.join(",\n"));
-    }
-    j.push_str("  \"regions\": [\n");
-    for (i, region) in report.regions.iter().enumerate() {
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"entry\": {},", region.entry);
-        let _ = writeln!(
-            j,
-            "      \"label\": {},",
-            json_opt_label(region.label.as_deref())
-        );
-        j.push_str("      \"widths\": [\n");
-        for (k, rw) in region.widths.iter().enumerate() {
+                .map(|(k, &v)| (k.trim_start_matches("blocks.").to_string(), v.into()));
+            Json::obj([
+                ("width", w.into()),
+                ("cycles", c.into()),
+                (
+                    "mcache",
+                    Json::obj([
+                        ("lookups", m.lookups.into()),
+                        ("hits", m.hits.into()),
+                        ("pending", m.pending.into()),
+                        ("inserts", m.inserts.into()),
+                        ("evictions", m.evictions.into()),
+                        ("conflicts", m.conflicts.into()),
+                    ]),
+                ),
+                ("blocks", Json::obj(blocks)),
+            ])
+        });
+    let regions = report.regions.iter().map(|region| {
+        let widths = region.widths.iter().map(|rw| {
             let outcome = match &rw.outcome {
                 RegionOutcome::Translated { uops } => {
-                    format!("{{\"status\": \"translated\", \"uops\": {uops}}}")
+                    Json::obj([("status", "translated".into()), ("uops", (*uops).into())])
                 }
                 RegionOutcome::Aborted { record } => abort_json(record),
-                RegionOutcome::NotAttempted => "{\"status\": \"not-attempted\"}".to_string(),
+                RegionOutcome::NotAttempted => Json::obj([("status", "not-attempted".into())]),
             };
-            let _ = writeln!(
-                j,
-                "        {{\"width\": {}, \"scalar_calls\": {}, \"micro_calls\": {}, \
-                 \"aborts\": {}, \"outcome\": {}}}{}",
-                rw.width,
-                rw.scalar_calls,
-                rw.micro_calls,
-                tally_json(&rw.aborts),
-                outcome,
-                if k + 1 < region.widths.len() { "," } else { "" }
-            );
-        }
-        j.push_str("      ]\n");
-        let _ = writeln!(
-            j,
-            "    }}{}",
-            if i + 1 < report.regions.len() {
-                ","
-            } else {
-                ""
-            }
+            Json::obj([
+                ("width", rw.width.into()),
+                ("scalar_calls", rw.scalar_calls.into()),
+                ("micro_calls", rw.micro_calls.into()),
+                ("aborts", tally_json(&rw.aborts)),
+                ("outcome", outcome),
+            ])
+        });
+        Json::obj([
+            ("entry", region.entry.into()),
+            ("label", region.label.as_deref().into()),
+            ("widths", Json::arr(widths)),
+        ])
+    });
+    let mut doc = Json::obj([
+        ("schema", "liquid-simd-explain-v2".into()),
+        ("program", (&report.program).into()),
+        ("backend", report.backend.to_string().into()),
+        ("widths", Json::arr(report.widths.iter().copied())),
+        ("runs", Json::arr(runs)),
+    ]);
+    if !report.ledgers.is_empty() {
+        doc.set(
+            "ledger",
+            Json::arr(report.ledgers.iter().map(LedgerSnapshot::json)),
         );
     }
-    j.push_str("  ]\n}\n");
-    j
+    doc.set("regions", Json::arr(regions));
+    doc.write_rows()
 }
 
 fn region_name(entry: u32, label: Option<&str>) -> String {
@@ -592,94 +552,82 @@ pub fn render_explain(report: &ExplainReport) -> String {
 /// keeping the `top` heaviest targets and microcode-cache entries.
 #[must_use]
 pub fn profile_json(report: &ProfileReport, top: usize) -> String {
-    let mut j = String::from("{\n  \"schema\": \"liquid-simd-profile-v1\",\n");
-    let _ = writeln!(j, "  \"program\": \"{}\",", esc(&report.program));
-    let _ = writeln!(j, "  \"lanes\": {},", report.lanes);
-    let _ = writeln!(j, "  \"cycles\": {},", report.cycles);
-    let _ = writeln!(j, "  \"retired\": {},", report.retired);
-    let _ = writeln!(
-        j,
-        "  \"phases\": {{\"scalar_cycles\": {}, \"micro_cycles\": {}, \"jit_stall_cycles\": {}}},",
-        report.phases.scalar_cycles, report.phases.micro_cycles, report.phases.jit_stall_cycles
-    );
-    let _ = writeln!(j, "  \"ledger\": {},", report.ledger.to_json());
-    let spans: Vec<String> = report
-        .span_summary
-        .iter()
-        .map(|a| {
-            format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"open\": {}, \"total_cycles\": {}, \
-                 \"mean_cycles\": {:.1}, \"max_cycles\": {}, \"total_wall_ns\": {}}}",
-                esc(&a.name),
-                a.count,
-                a.open,
-                a.total_cycles,
-                a.mean_cycles(),
-                a.max_cycles,
-                a.total_wall_ns
-            )
-        })
-        .collect();
-    let _ = writeln!(j, "  \"spans\": [\n{}\n  ],", spans.join(",\n"));
-    let targets: Vec<String> = report
-        .targets
-        .iter()
-        .take(top)
-        .map(|(pc, label, t)| {
-            format!(
-                "    {{\"entry\": {pc}, \"label\": {}, \"scalar_calls\": {}, \
-                 \"scalar_cycles\": {}, \"micro_calls\": {}, \"micro_cycles\": {}}}",
-                json_opt_label(label.as_deref()),
-                t.scalar_calls,
-                t.scalar_cycles,
-                t.micro_calls,
-                t.micro_cycles
-            )
-        })
-        .collect();
-    let _ = writeln!(j, "  \"targets\": [\n{}\n  ],", targets.join(",\n"));
-    let _ = writeln!(
-        j,
-        "  \"mcache\": {{\"lookups\": {}, \"hits\": {}, \"pending\": {}, \"inserts\": {}, \
-         \"evictions\": {}}},",
-        report.mcache.lookups,
-        report.mcache.hits,
-        report.mcache.pending,
-        report.mcache.inserts,
-        report.mcache.evictions
-    );
-    let entries: Vec<String> = report
-        .mcache_entries
-        .iter()
-        .take(top)
-        .map(|(pc, e)| {
-            format!(
-                "    {{\"entry\": {pc}, \"label\": {}, \"hits\": {}, \"misses\": {}, \
-                 \"pending\": {}, \"inserts\": {}, \"evictions\": {}, \"evicted_by\": {:?}, \
-                 \"uops\": {}}}",
-                json_opt_label(None),
-                e.hits,
-                e.misses,
-                e.pending,
-                e.inserts,
-                e.evictions,
-                e.evicted_by,
-                e.uops
-            )
-        })
-        .collect();
-    let _ = writeln!(j, "  \"mcache_entries\": [\n{}\n  ],", entries.join(",\n"));
-    let _ = writeln!(
-        j,
-        "  \"translator\": {{\"attempts\": {}, \"successes\": {}, \"aborted\": {}, \
-         \"aborts\": {}}}",
-        report.translator.attempts,
-        report.translator.successes,
-        report.translator.aborted(),
-        tally_json(&report.translator.aborts)
-    );
-    j.push_str("}\n");
-    j
+    let phases = &report.phases;
+    let spans = report.span_summary.iter().map(|a| {
+        Json::obj([
+            ("name", (&a.name).into()),
+            ("count", a.count.into()),
+            ("open", a.open.into()),
+            ("total_cycles", a.total_cycles.into()),
+            ("mean_cycles", a.mean_cycles().into()),
+            ("max_cycles", a.max_cycles.into()),
+            ("total_wall_ns", a.total_wall_ns.into()),
+        ])
+    });
+    let targets = report.targets.iter().take(top).map(|(pc, label, t)| {
+        Json::obj([
+            ("entry", (*pc).into()),
+            ("label", label.as_deref().into()),
+            ("scalar_calls", t.scalar_calls.into()),
+            ("scalar_cycles", t.scalar_cycles.into()),
+            ("micro_calls", t.micro_calls.into()),
+            ("micro_cycles", t.micro_cycles.into()),
+        ])
+    });
+    let m = &report.mcache;
+    let entries = report.mcache_entries.iter().take(top).map(|(pc, e)| {
+        Json::obj([
+            ("entry", (*pc).into()),
+            ("label", Json::Null),
+            ("hits", e.hits.into()),
+            ("misses", e.misses.into()),
+            ("pending", e.pending.into()),
+            ("inserts", e.inserts.into()),
+            ("evictions", e.evictions.into()),
+            ("evicted_by", Json::arr(e.evicted_by.iter().copied())),
+            ("uops", e.uops.into()),
+        ])
+    });
+    let tr = &report.translator;
+    Json::obj([
+        ("schema", "liquid-simd-profile-v1".into()),
+        ("program", (&report.program).into()),
+        ("lanes", report.lanes.into()),
+        ("cycles", report.cycles.into()),
+        ("retired", report.retired.into()),
+        (
+            "phases",
+            Json::obj([
+                ("scalar_cycles", phases.scalar_cycles.into()),
+                ("micro_cycles", phases.micro_cycles.into()),
+                ("jit_stall_cycles", phases.jit_stall_cycles.into()),
+            ]),
+        ),
+        ("ledger", report.ledger.json()),
+        ("spans", Json::arr(spans)),
+        ("targets", Json::arr(targets)),
+        (
+            "mcache",
+            Json::obj([
+                ("lookups", m.lookups.into()),
+                ("hits", m.hits.into()),
+                ("pending", m.pending.into()),
+                ("inserts", m.inserts.into()),
+                ("evictions", m.evictions.into()),
+            ]),
+        ),
+        ("mcache_entries", Json::arr(entries)),
+        (
+            "translator",
+            Json::obj([
+                ("attempts", tr.attempts.into()),
+                ("successes", tr.successes.into()),
+                ("aborted", tr.aborted().into()),
+                ("aborts", tally_json(&tr.aborts)),
+            ]),
+        ),
+    ])
+    .write_rows()
 }
 
 /// Cycles covered by the run-tiling `exec:*` spans (scalar + microcode

@@ -10,7 +10,9 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use crate::{escape, Snapshot};
+use liquid_simd_trace::json::Json;
+
+use crate::Snapshot;
 
 /// One category's contribution to the delta.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -326,86 +328,50 @@ fn narrate(
     out
 }
 
-/// Renders a [`Diff`] as the `diff-v1` JSON document.
+/// Renders a [`Diff`] as the `diff-v1` JSON document (rows layout).
 #[must_use]
 pub fn render_json(d: &Diff) -> String {
-    let mut j = String::from("{\n  \"schema\": \"diff-v1\",\n");
-    let _ = writeln!(
-        j,
-        "  \"a\": {{\"label\": \"{}\", \"total_cycles\": {}}},",
-        escape(&d.a_label),
-        d.a_total
-    );
-    let _ = writeln!(
-        j,
-        "  \"b\": {{\"label\": \"{}\", \"total_cycles\": {}}},",
-        escape(&d.b_label),
-        d.b_total
-    );
-    let _ = writeln!(j, "  \"total_delta\": {},", d.total_delta);
-    let _ = writeln!(
-        j,
-        "  \"dominant_category\": {},",
-        d.dominant_category
-            .as_deref()
-            .map_or_else(|| "null".to_string(), |c| format!("\"{}\"", escape(c)))
-    );
-    let cats: Vec<String> = d
-        .categories
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"category\": \"{}\", \"a_cycles\": {}, \"b_cycles\": {}, \
-                 \"delta\": {}, \"share_permille\": {}}}",
-                escape(&c.name),
-                c.a_cycles,
-                c.b_cycles,
-                c.delta,
-                c.share_permille
-            )
-        })
-        .collect();
-    let _ = writeln!(j, "  \"categories\": [\n{}\n  ],", cats.join(",\n"));
-    let regions: Vec<String> = d
-        .regions
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"region\": \"{}\", \"a_cycles\": {}, \"b_cycles\": {}, \
-                 \"delta\": {}, \"top_category\": {}}}",
-                escape(&r.name),
-                r.a_cycles,
-                r.b_cycles,
-                r.delta,
-                r.top_category
-                    .as_deref()
-                    .map_or_else(|| "null".to_string(), |c| format!("\"{}\"", escape(c)))
-            )
-        })
-        .collect();
-    let _ = writeln!(j, "  \"regions\": [\n{}\n  ],", regions.join(",\n"));
-    let counters: Vec<String> = d
-        .counters
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"counter\": \"{}\", \"a\": {}, \"b\": {}, \"delta\": {}}}",
-                escape(&c.name),
-                c.a,
-                c.b,
-                c.delta
-            )
-        })
-        .collect();
-    let _ = writeln!(j, "  \"counters\": [\n{}\n  ],", counters.join(",\n"));
-    let lines: Vec<String> = d
-        .narrative
-        .iter()
-        .map(|l| format!("    \"{}\"", escape(l)))
-        .collect();
-    let _ = writeln!(j, "  \"narrative\": [\n{}\n  ]", lines.join(",\n"));
-    j.push_str("}\n");
-    j
+    let side = |label: &str, total: u64| {
+        Json::obj([("label", label.into()), ("total_cycles", total.into())])
+    };
+    let categories = d.categories.iter().map(|c| {
+        Json::obj([
+            ("category", (&c.name).into()),
+            ("a_cycles", c.a_cycles.into()),
+            ("b_cycles", c.b_cycles.into()),
+            ("delta", c.delta.into()),
+            ("share_permille", c.share_permille.into()),
+        ])
+    });
+    let regions = d.regions.iter().map(|r| {
+        Json::obj([
+            ("region", (&r.name).into()),
+            ("a_cycles", r.a_cycles.into()),
+            ("b_cycles", r.b_cycles.into()),
+            ("delta", r.delta.into()),
+            ("top_category", r.top_category.as_deref().into()),
+        ])
+    });
+    let counters = d.counters.iter().map(|c| {
+        Json::obj([
+            ("counter", (&c.name).into()),
+            ("a", c.a.into()),
+            ("b", c.b.into()),
+            ("delta", c.delta.into()),
+        ])
+    });
+    Json::obj([
+        ("schema", "diff-v1".into()),
+        ("a", side(&d.a_label, d.a_total)),
+        ("b", side(&d.b_label, d.b_total)),
+        ("total_delta", d.total_delta.into()),
+        ("dominant_category", d.dominant_category.as_deref().into()),
+        ("categories", Json::arr(categories)),
+        ("regions", Json::arr(regions)),
+        ("counters", Json::arr(counters)),
+        ("narrative", Json::arr(&d.narrative)),
+    ])
+    .write_rows()
 }
 
 /// Renders a [`Diff`] as aligned human-readable text.

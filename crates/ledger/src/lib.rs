@@ -30,7 +30,8 @@ pub mod diff;
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
+
+use liquid_simd_trace::json::Json;
 
 /// Region id for cycles spent outside any call (top-level driver code).
 pub const TOP_REGION: u32 = u32::MAX;
@@ -210,27 +211,26 @@ impl Ledger {
         out
     }
 
-    /// Renders the full per-PC ledger as deterministic single-line JSON —
-    /// the byte-identity surface for cross-backend and cross-jobs tests.
+    /// Renders the full per-PC ledger as deterministic compact `ledger-v1`
+    /// JSON — the byte-identity surface for cross-backend and cross-jobs
+    /// tests.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut j = String::from("{\"schema\":\"ledger-v1\",\"total_cycles\":");
-        let _ = write!(j, "{}", self.total_cycles());
-        j.push_str(",\"buckets\":[");
-        for (i, (&(region, pc, cat), b)) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "[{region},{pc},\"{}\",{},{}]",
-                cat.name(),
-                b.cycles,
-                b.events
-            );
-        }
-        j.push_str("]}");
-        j
+        let buckets = self.buckets.iter().map(|(&(region, pc, cat), b)| {
+            Json::Arr(vec![
+                region.into(),
+                pc.into(),
+                cat.name().into(),
+                b.cycles.into(),
+                b.events.into(),
+            ])
+        });
+        Json::obj([
+            ("schema", "ledger-v1".into()),
+            ("total_cycles", self.total_cycles().into()),
+            ("buckets", Json::arr(buckets)),
+        ])
+        .write()
     }
 }
 
@@ -315,45 +315,34 @@ impl Snapshot {
         }
     }
 
-    /// Renders the snapshot body (without the label) as deterministic
-    /// single-line JSON — the `ledger` object embedded in perfhist rows.
+    /// The snapshot body (without the label) as a JSON value — the
+    /// `ledger` object embedded in perfhist rows and diagnose reports.
+    #[must_use]
+    pub fn json(&self) -> Json {
+        let categories = self.categories.iter().map(|(name, b)| {
+            let body = Json::obj([("cycles", b.cycles.into()), ("events", b.events.into())]);
+            (name.clone(), body)
+        });
+        let regions = self.regions.iter().map(|(name, r)| {
+            let by_category = r.by_category.iter().map(|(c, &n)| (c.clone(), n.into()));
+            let body = Json::obj([
+                ("cycles", r.cycles.into()),
+                ("events", r.events.into()),
+                ("by_category", Json::obj(by_category)),
+            ]);
+            (name.clone(), body)
+        });
+        Json::obj([
+            ("total_cycles", self.total_cycles.into()),
+            ("categories", Json::obj(categories)),
+            ("regions", Json::obj(regions)),
+        ])
+    }
+
+    /// [`Snapshot::json`] written compactly on one line.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut j = String::from("{\"total_cycles\":");
-        let _ = write!(j, "{}", self.total_cycles);
-        j.push_str(",\"categories\":{");
-        for (i, (name, b)) in self.categories.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\"{name}\":{{\"cycles\":{},\"events\":{}}}",
-                b.cycles, b.events
-            );
-        }
-        j.push_str("},\"regions\":{");
-        for (i, (name, r)) in self.regions.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\"{}\":{{\"cycles\":{},\"events\":{},\"by_category\":{{",
-                escape(name),
-                r.cycles,
-                r.events
-            );
-            for (k, (cat, cycles)) in r.by_category.iter().enumerate() {
-                if k > 0 {
-                    j.push(',');
-                }
-                let _ = write!(j, "\"{cat}\":{cycles}");
-            }
-            j.push_str("}}");
-        }
-        j.push_str("}}");
-        j
+        self.json().write()
     }
 
     /// The top `n` (region, category, cycles) buckets by cycle weight —
@@ -374,23 +363,6 @@ impl Snapshot {
         rows.truncate(n);
         rows
     }
-}
-
-/// Minimal JSON string escaping (labels can contain quotes/backslashes).
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 
 use std::fmt::Write as _;
 
-use crate::json::Json;
 use crate::record::{GEN_SCHEMA, SCHEMA, SERVE_SCHEMA};
+use crate::Json;
 
 /// Ordinal blue ramp for the width series (steps 250/400/500/600 of the
 /// sequential ramp — legal nearest-surface step in both modes).

@@ -25,19 +25,19 @@
 //!   CSS, no JavaScript, no external fetches): cycle-trend sparklines,
 //!   width-speedup bars in the paper's Figure 6 shape, counter deltas,
 //!   and a flamegraph folded from the tracer's span records.
-//! * [`json`] — the hand-rolled, zero-dependency JSON model underneath it
-//!   all, which preserves key order and raw number text so that
-//!   append → load → re-serialize is the identity function.
+//!
+//! Records are [`Json`] values from `liquid_simd_trace::json`, which
+//! preserves key order and raw number text so that append → load →
+//! re-serialize is the identity function.
 
 #![warn(missing_docs)]
 
 pub mod counters;
 pub mod dashboard;
-pub mod json;
 pub mod record;
 pub mod sentinel;
 pub mod store;
 
-pub use json::Json;
+pub use liquid_simd_trace::json::Json;
 pub use record::{FamilyRow, RecordMeta, WorkloadRow, GEN_SCHEMA, SCHEMA, SERVE_SCHEMA};
 pub use sentinel::{cross_check, SentinelOptions, Verdict};

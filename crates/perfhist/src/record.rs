@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use crate::Json;
 
 /// The record schema tag this crate writes.
 pub const SCHEMA: &str = "perfhist-v1";
@@ -75,6 +75,24 @@ pub struct RecordMeta {
     pub backend: String,
 }
 
+/// The leading fields every bench record shares.
+fn header(schema: &str, meta: &RecordMeta) -> Json {
+    Json::obj([
+        ("schema", schema.into()),
+        ("commit", (&meta.commit).into()),
+        ("timestamp", meta.timestamp.into()),
+        ("host", (&meta.host).into()),
+        ("config_hash", (&meta.config_hash).into()),
+        ("smoke", meta.smoke.into()),
+        ("widths", Json::arr(meta.widths.iter().copied())),
+        ("backend", (&meta.backend).into()),
+    ])
+}
+
+fn wall_json(wall: &[(String, f64)]) -> Json {
+    Json::obj(wall.iter().map(|(k, v)| (k.clone(), Json::f64(*v))))
+}
+
 /// Builds a `perfhist-v1` record. `wall` carries invocation-level
 /// wall-clock extras (e.g. the figure-6 sweep timings) and may be empty.
 #[must_use]
@@ -84,65 +102,29 @@ pub fn build(
     counters: &BTreeMap<String, u64>,
     wall: &[(String, f64)],
 ) -> Json {
-    let mut rec = Json::Obj(vec![
-        ("schema".to_string(), Json::Str(SCHEMA.to_string())),
-        ("commit".to_string(), Json::Str(meta.commit.clone())),
-        ("timestamp".to_string(), Json::u64(meta.timestamp)),
-        ("host".to_string(), Json::Str(meta.host.clone())),
-        (
-            "config_hash".to_string(),
-            Json::Str(meta.config_hash.clone()),
-        ),
-        ("smoke".to_string(), Json::Bool(meta.smoke)),
-        (
-            "widths".to_string(),
-            Json::Arr(meta.widths.iter().map(|&w| Json::u64(w as u64)).collect()),
-        ),
-        ("backend".to_string(), Json::Str(meta.backend.clone())),
-    ]);
-    let rows = workloads
-        .iter()
-        .map(|w| {
-            let mut row = Json::Obj(vec![
-                ("name".to_string(), Json::Str(w.name.clone())),
-                ("baseline_cycles".to_string(), Json::u64(w.baseline_cycles)),
-                ("sim_cycles".to_string(), Json::u64(w.sim_cycles)),
-            ]);
-            row.set(
+    let mut rec = header(SCHEMA, meta);
+    let rows = workloads.iter().map(|w| {
+        let by_width = w.cycles_by_width.iter();
+        let mut row = Json::obj([
+            ("name", (&w.name).into()),
+            ("baseline_cycles", w.baseline_cycles.into()),
+            ("sim_cycles", w.sim_cycles.into()),
+            (
                 "cycles_by_width",
-                Json::Obj(
-                    w.cycles_by_width
-                        .iter()
-                        .map(|&(width, cycles)| (width.to_string(), Json::u64(cycles)))
-                        .collect(),
-                ),
-            );
-            if let Some(ledger) = &w.ledger {
-                row.set("ledger", ledger.clone());
-            }
-            row.set("wall_s", Json::f64(w.wall_s));
-            row.set("sim_cycles_per_sec", Json::f64(w.cycles_per_sec));
-            row
-        })
-        .collect();
-    rec.set("workloads", Json::Arr(rows));
-    rec.set(
-        "counters",
-        Json::Obj(
-            counters
-                .iter()
-                .map(|(k, &v)| (k.clone(), Json::u64(v)))
-                .collect(),
-        ),
-    );
-    rec.set(
-        "wall",
-        Json::Obj(
-            wall.iter()
-                .map(|(k, v)| (k.clone(), Json::f64(*v)))
-                .collect(),
-        ),
-    );
+                Json::obj(by_width.map(|&(width, cycles)| (width.to_string(), cycles.into()))),
+            ),
+        ]);
+        if let Some(ledger) = &w.ledger {
+            row.set("ledger", ledger.clone());
+        }
+        row.set("wall_s", Json::f64(w.wall_s));
+        row.set("sim_cycles_per_sec", Json::f64(w.cycles_per_sec));
+        row
+    });
+    rec.set("workloads", Json::arr(rows));
+    let counters = counters.iter().map(|(k, &v)| (k.clone(), v.into()));
+    rec.set("counters", Json::obj(counters));
+    rec.set("wall", wall_json(wall));
     rec
 }
 
@@ -166,68 +148,23 @@ pub struct FamilyRow {
     pub aborts: Vec<(String, u64)>,
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice (`p` in 0..=100).
-/// Returns 0 for an empty slice.
-#[must_use]
-pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let n = sorted.len();
-    let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
-    sorted[rank - 1]
-}
-
 /// Builds a `perfhist-gen-v1` record from per-family summaries.
 #[must_use]
 pub fn build_gen(meta: &RecordMeta, families: &[FamilyRow], wall: &[(String, f64)]) -> Json {
-    let mut rec = Json::Obj(vec![
-        ("schema".to_string(), Json::Str(GEN_SCHEMA.to_string())),
-        ("commit".to_string(), Json::Str(meta.commit.clone())),
-        ("timestamp".to_string(), Json::u64(meta.timestamp)),
-        ("host".to_string(), Json::Str(meta.host.clone())),
-        (
-            "config_hash".to_string(),
-            Json::Str(meta.config_hash.clone()),
-        ),
-        ("smoke".to_string(), Json::Bool(meta.smoke)),
-        (
-            "widths".to_string(),
-            Json::Arr(meta.widths.iter().map(|&w| Json::u64(w as u64)).collect()),
-        ),
-        ("backend".to_string(), Json::Str(meta.backend.clone())),
-    ]);
-    let rows = families
-        .iter()
-        .map(|f| {
-            let mut row = Json::Obj(vec![
-                ("family".to_string(), Json::Str(f.family.clone())),
-                ("variants".to_string(), Json::u64(f.variants)),
-            ]);
-            row.set("speedup_p10", Json::f64(f.speedup_p10));
-            row.set("speedup_p50", Json::f64(f.speedup_p50));
-            row.set("speedup_p90", Json::f64(f.speedup_p90));
-            row.set(
-                "aborts",
-                Json::Obj(
-                    f.aborts
-                        .iter()
-                        .map(|(tag, n)| (tag.clone(), Json::u64(*n)))
-                        .collect(),
-                ),
-            );
-            row
-        })
-        .collect();
-    rec.set("families", Json::Arr(rows));
-    rec.set(
-        "wall",
-        Json::Obj(
-            wall.iter()
-                .map(|(k, v)| (k.clone(), Json::f64(*v)))
-                .collect(),
-        ),
-    );
+    let mut rec = header(GEN_SCHEMA, meta);
+    let rows = families.iter().map(|f| {
+        let aborts = f.aborts.iter().map(|(tag, n)| (tag.clone(), (*n).into()));
+        Json::obj([
+            ("family", (&f.family).into()),
+            ("variants", f.variants.into()),
+            ("speedup_p10", Json::f64(f.speedup_p10)),
+            ("speedup_p50", Json::f64(f.speedup_p50)),
+            ("speedup_p90", Json::f64(f.speedup_p90)),
+            ("aborts", Json::obj(aborts)),
+        ])
+    });
+    rec.set("families", Json::arr(rows));
+    rec.set("wall", wall_json(wall));
     rec
 }
 
@@ -489,17 +426,6 @@ mod tests {
         scrub_wall(&mut b);
         assert_eq!(a.write(), b.write(), "family rows are deterministic");
         assert!(a.get("families").is_some());
-    }
-
-    #[test]
-    fn nearest_rank_matches_definition() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(nearest_rank(&v, 10.0), 1.0);
-        assert_eq!(nearest_rank(&v, 50.0), 2.0);
-        assert_eq!(nearest_rank(&v, 90.0), 4.0);
-        assert_eq!(nearest_rank(&v, 100.0), 4.0);
-        assert_eq!(nearest_rank(&[], 50.0), 0.0);
-        assert_eq!(nearest_rank(&[7.0], 90.0), 7.0);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 
 use liquid_simd_trace::metrics::{mad, median};
 
-use crate::json::Json;
 use crate::record::{SCHEMA, SERVE_SCHEMA};
+use crate::Json;
 
 /// Sentinel tuning.
 #[derive(Clone, Debug)]
@@ -81,10 +81,7 @@ fn serve_det<'a>(r: &'a Json, key: &str) -> Option<&'a Json> {
 fn serve_check(records: &[&Json], have_bench: bool) -> Option<(Json, bool)> {
     let (newest, older) = records.split_last()?;
     let req_hash = serve_det(newest, "requests_hash").and_then(Json::as_str);
-    let mut verdict = Json::Obj(vec![(
-        "records".to_string(),
-        Json::u64(records.len() as u64),
-    )]);
+    let mut verdict = Json::obj([("records", Json::u64(records.len() as u64))]);
     let baseline = req_hash.and_then(|want| {
         older
             .iter()
@@ -107,10 +104,10 @@ fn serve_check(records: &[&Json], have_bench: bool) -> Option<(Json, bool)> {
         let base = serve_det(baseline, key);
         let cur = serve_det(newest, key);
         if base != cur {
-            drift.push(Json::Obj(vec![
-                ("metric".to_string(), Json::Str(key.to_string())),
-                ("baseline".to_string(), base.cloned().unwrap_or(Json::Null)),
-                ("current".to_string(), cur.cloned().unwrap_or(Json::Null)),
+            drift.push(Json::obj([
+                ("metric", key.into()),
+                ("baseline", base.cloned().unwrap_or(Json::Null)),
+                ("current", cur.cloned().unwrap_or(Json::Null)),
             ]));
         }
     }
@@ -174,10 +171,10 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
     let Some((newest, older)) = records.split_last() else {
         if let Some((serve_json, serve_failed)) = serve {
             // Serve-only history: the serve gate is the whole verdict.
-            let mut json = Json::Obj(vec![
-                ("schema".to_string(), Json::Str("sentinel-v1".to_string())),
+            let mut json = Json::obj([
+                ("schema", "sentinel-v1".into()),
                 (
-                    "status".to_string(),
+                    "status",
                     Json::Str(
                         match serve_json.get("status").and_then(Json::as_str) {
                             Some("no-baseline") => "no-baseline",
@@ -194,9 +191,9 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
                 failed: serve_failed,
             };
         }
-        let json = Json::Obj(vec![
-            ("schema".to_string(), Json::Str("sentinel-v1".to_string())),
-            ("status".to_string(), Json::Str("no-history".to_string())),
+        let json = Json::obj([
+            ("schema", "sentinel-v1".into()),
+            ("status", "no-history".into()),
         ]);
         return Verdict { json, failed: true };
     };
@@ -213,16 +210,13 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
     if window.len() > opts.window {
         window.drain(..window.len() - opts.window);
     }
-    let mut verdict = Json::Obj(vec![
-        ("schema".to_string(), Json::Str("sentinel-v1".to_string())),
-        ("commit".to_string(), Json::Str(commit.to_string())),
-    ]);
+    let mut verdict = Json::obj([("schema", "sentinel-v1".into()), ("commit", commit.into())]);
     let Some(reference) = window.last().copied() else {
         // No comparable record: the config hash, width sweep, or smoke
         // set changed (or the only record is the newest one). Fail loudly
         // — a green job here would mean the gate silently turned itself
         // off; a deliberate config change re-seeds bench/history.jsonl.
-        verdict.set("status", Json::Str("no-baseline".to_string()));
+        verdict.set("status", "no-baseline".into());
         verdict.set("baseline_window", Json::u64(0));
         if let Some((serve_json, _)) = serve {
             verdict.set("serve", serve_json);
@@ -258,11 +252,11 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
         let mut gate = |metric: String, base: Option<u64>, cur: Option<u64>| {
             if let (Some(b), Some(c)) = (base, cur) {
                 if b != c {
-                    drift.push(Json::Obj(vec![
-                        ("workload".to_string(), Json::Str(name.to_string())),
-                        ("metric".to_string(), Json::Str(metric)),
-                        ("baseline".to_string(), Json::u64(b)),
-                        ("current".to_string(), Json::u64(c)),
+                    drift.push(Json::obj([
+                        ("workload", name.into()),
+                        ("metric", metric.into()),
+                        ("baseline", Json::u64(b)),
+                        ("current", Json::u64(c)),
                     ]));
                 }
             }
@@ -324,15 +318,12 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
             (opts.noise_frac * med).max(3.0 * spread)
         };
         if current < med - band {
-            let mut warning = Json::Obj(vec![
-                ("workload".to_string(), Json::Str(name.to_string())),
-                ("median".to_string(), Json::f64(med)),
-                ("mad".to_string(), Json::f64(spread)),
-                ("current".to_string(), Json::f64(current)),
-                (
-                    "baseline_samples".to_string(),
-                    Json::u64(rates.len() as u64),
-                ),
+            let mut warning = Json::obj([
+                ("workload", name.into()),
+                ("median", Json::f64(med)),
+                ("mad", Json::f64(spread)),
+                ("current", Json::f64(current)),
+                ("baseline_samples", Json::u64(rates.len() as u64)),
             ]);
             if degenerate {
                 warning.set("degenerate_mad", Json::Bool(true));
@@ -354,10 +345,10 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
                 .and_then(|(_, v)| v.as_u64());
             if let (Some(b), Some(c)) = (base_v, cur_v.as_u64()) {
                 if b != c {
-                    deltas.push(Json::Obj(vec![
-                        ("counter".to_string(), Json::Str(name.clone())),
-                        ("baseline".to_string(), Json::u64(b)),
-                        ("current".to_string(), Json::u64(c)),
+                    deltas.push(Json::obj([
+                        ("counter", Json::Str(name.clone())),
+                        ("baseline", Json::u64(b)),
+                        ("current", Json::u64(c)),
                     ]));
                 }
             }
@@ -403,15 +394,12 @@ pub fn cross_check(history: &[Json]) -> Verdict {
             .find(|r| backend_of(r) == name)
             .copied()
     };
-    let mut verdict = Json::Obj(vec![(
-        "schema".to_string(),
-        Json::Str("sentinel-cross-v1".to_string()),
-    )]);
+    let mut verdict = Json::obj([("schema", "sentinel-cross-v1".into())]);
     let (Some(interp), Some(superblock)) = (newest_of("interp"), newest_of("superblock")) else {
         // The gate needs one record from each backend; a missing side must
         // fail loudly (a green job here would mean the equality gate
         // silently turned itself off).
-        verdict.set("status", Json::Str("no-pair".to_string()));
+        verdict.set("status", "no-pair".into());
         return Verdict {
             json: verdict,
             failed: true,
@@ -433,7 +421,7 @@ pub fn cross_check(history: &[Json]) -> Verdict {
         .filter(|key| interp.get(key) != superblock.get(key))
         .collect();
     if !mismatched.is_empty() {
-        verdict.set("status", Json::Str("incomparable".to_string()));
+        verdict.set("status", "incomparable".into());
         verdict.set(
             "mismatched",
             Json::Arr(
@@ -456,12 +444,9 @@ pub fn cross_check(history: &[Json]) -> Verdict {
             continue;
         };
         let Some(base_row) = row_named(interp, name) else {
-            drift.push(Json::Obj(vec![
-                ("workload".to_string(), Json::Str(name.to_string())),
-                (
-                    "metric".to_string(),
-                    Json::Str("missing-in-interp".to_string()),
-                ),
+            drift.push(Json::obj([
+                ("workload", name.into()),
+                ("metric", "missing-in-interp".into()),
             ]));
             continue;
         };
@@ -470,21 +455,18 @@ pub fn cross_check(history: &[Json]) -> Verdict {
             let a = base_row.get(metric).and_then(Json::as_u64);
             let b = row.get(metric).and_then(Json::as_u64);
             if a != b {
-                drift.push(Json::Obj(vec![
-                    ("workload".to_string(), Json::Str(name.to_string())),
-                    ("metric".to_string(), Json::Str(metric.to_string())),
-                    ("interp".to_string(), Json::u64(a.unwrap_or(0))),
-                    ("superblock".to_string(), Json::u64(b.unwrap_or(0))),
+                drift.push(Json::obj([
+                    ("workload", name.into()),
+                    ("metric", metric.into()),
+                    ("interp", Json::u64(a.unwrap_or(0))),
+                    ("superblock", Json::u64(b.unwrap_or(0))),
                 ]));
             }
         }
         if base_row.get("cycles_by_width") != row.get("cycles_by_width") {
-            drift.push(Json::Obj(vec![
-                ("workload".to_string(), Json::Str(name.to_string())),
-                (
-                    "metric".to_string(),
-                    Json::Str("cycles_by_width".to_string()),
-                ),
+            drift.push(Json::obj([
+                ("workload", name.into()),
+                ("metric", "cycles_by_width".into()),
             ]));
         }
     }
@@ -542,7 +524,7 @@ mod tests {
     #[test]
     fn incomparable_configs_fail_as_no_baseline() {
         let mut other = record("a", 999, 100.0);
-        other.set("config_hash", Json::Str("beef".to_string()));
+        other.set("config_hash", "beef".into());
         let h = vec![other, record("b", 250, 100.0)];
         let v = check(&h, &SentinelOptions::default());
         // The mismatched record is never compared cycle-for-cycle, but a
@@ -763,7 +745,7 @@ mod tests {
 
     fn backend_record(commit: &str, backend: &str, cycles: u64) -> Json {
         let mut r = record(commit, cycles, 100.0);
-        r.set("backend", Json::Str(backend.to_string()));
+        r.set("backend", backend.into());
         r
     }
 

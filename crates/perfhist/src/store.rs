@@ -7,7 +7,7 @@
 use std::io::Write as _;
 use std::path::Path;
 
-use crate::json::Json;
+use crate::Json;
 
 /// Appends one record as a single JSONL line, creating the file (and its
 /// parent directory) on first use.

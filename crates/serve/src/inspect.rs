@@ -24,8 +24,7 @@
 //! merged per-shard counters, and the power-of-two cycle histogram — is a
 //! pure function of the request multiset.
 
-use liquid_simd_perfhist::Json;
-use liquid_simd_trace::{Histogram, Metrics};
+use liquid_simd_trace::{Json, Metrics};
 
 /// Schema tag of an `inspect` snapshot.
 pub const METRICS_SCHEMA: &str = "metrics-v1";
@@ -47,72 +46,13 @@ pub fn latency_bounds() -> Vec<u64> {
     liquid_simd_trace::pow2_bounds(26)
 }
 
-/// Renders one histogram as ordered JSON: bounds, per-bucket counts (one
-/// longer than bounds — the overflow bucket), and the exact aggregates.
-#[must_use]
-pub fn histogram_json(h: &Histogram) -> Json {
-    Json::Obj(vec![
-        (
-            "bounds".to_string(),
-            Json::Arr(h.bounds().iter().map(|&b| Json::u64(b)).collect()),
-        ),
-        (
-            "counts".to_string(),
-            Json::Arr(h.bucket_counts().iter().map(|&c| Json::u64(c)).collect()),
-        ),
-        ("count".to_string(), Json::u64(h.count())),
-        ("sum".to_string(), Json::u64(h.sum())),
-        ("max".to_string(), Json::u64(h.max())),
-    ])
-}
-
 /// Renders a merged registry as the `counters`/`histograms` pair of a
 /// snapshot. `BTreeMap` iteration makes both orderings canonical.
 #[must_use]
 pub fn registry_json(m: &Metrics) -> (Json, Json) {
-    let counters = Json::Obj(
-        m.counters()
-            .iter()
-            .map(|(k, &v)| (k.clone(), Json::u64(v)))
-            .collect(),
-    );
-    let histograms = Json::Obj(
-        m.histograms()
-            .iter()
-            .map(|(k, h)| (k.clone(), histogram_json(h)))
-            .collect(),
-    );
-    (counters, histograms)
-}
-
-/// Approximate percentile from a `histogram_json` document — the client
-/// side of [`histogram_json`], used by `liquid-simd top` to compute
-/// p50/p95/p99 without reconstructing a [`Histogram`]. Mirrors
-/// [`Histogram::percentile`]: the inclusive upper edge of the bucket
-/// holding the rank-th sample, or `max` in the overflow bucket.
-#[must_use]
-pub fn percentile_json(hist: &Json, p: f64) -> u64 {
-    let Some(bounds) = hist.get("bounds").and_then(Json::as_arr) else {
-        return 0;
-    };
-    let Some(counts) = hist.get("counts").and_then(Json::as_arr) else {
-        return 0;
-    };
-    let total = hist.get("count").and_then(Json::as_u64).unwrap_or(0);
-    let max = hist.get("max").and_then(Json::as_u64).unwrap_or(0);
-    if total == 0 {
-        return 0;
-    }
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0 * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, c) in counts.iter().enumerate() {
-        seen += c.as_u64().unwrap_or(0);
-        if seen >= rank {
-            return bounds.get(i).and_then(Json::as_u64).unwrap_or(max);
-        }
-    }
-    max
+    let counters = m.counters().iter().map(|(k, &v)| (k.clone(), v.into()));
+    let histograms = m.histograms().iter().map(|(k, h)| (k.clone(), h.to_json()));
+    (Json::obj(counters), Json::obj(histograms))
 }
 
 /// Returns a copy of a `metrics-v1` snapshot with every wall-clock and
@@ -168,36 +108,6 @@ fn scrubbed(path: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_json_round_trips_shape() {
-        let mut h = Histogram::pow2(4);
-        for s in [1, 3, 9, 40] {
-            h.observe(s);
-        }
-        let doc = histogram_json(&h);
-        assert_eq!(doc.get("count").and_then(Json::as_u64), Some(4));
-        assert_eq!(doc.get("sum").and_then(Json::as_u64), Some(53));
-        assert_eq!(doc.get("max").and_then(Json::as_u64), Some(40));
-        assert_eq!(doc.get("bounds").and_then(Json::as_arr).unwrap().len(), 5);
-        assert_eq!(doc.get("counts").and_then(Json::as_arr).unwrap().len(), 6);
-        // Parsing the rendered text reproduces the document byte-for-byte.
-        let text = doc.write();
-        assert_eq!(Json::parse(&text).unwrap().write(), text);
-    }
-
-    #[test]
-    fn percentile_json_matches_histogram_percentile() {
-        let mut h = Histogram::pow2(16);
-        for s in [1, 2, 5, 9, 100, 1000, 70_000, 70_000, 70_001, 200_000] {
-            h.observe(s);
-        }
-        let doc = histogram_json(&h);
-        for p in [0.0, 10.0, 50.0, 90.0, 95.0, 99.0, 100.0] {
-            assert_eq!(percentile_json(&doc, p), h.percentile(p), "p{p}");
-        }
-        assert_eq!(percentile_json(&Json::Obj(vec![]), 50.0), 0);
-    }
 
     #[test]
     fn scrub_removes_exactly_the_volatile_fields() {

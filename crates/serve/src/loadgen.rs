@@ -17,7 +17,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use liquid_simd_perfhist::Json;
+use liquid_simd_trace::Json;
 
 use crate::fnv1a;
 use crate::server::{spawn, ServeOptions, ServeSummary};

@@ -11,7 +11,6 @@
 
 use liquid_simd::{BackendKind, Machine, MachineConfig, RunReport, SimError};
 use liquid_simd_isa::{asm, Program};
-use liquid_simd_perfhist::Json;
 
 use crate::proto::{self, Mode, Op, Request};
 
@@ -250,17 +249,11 @@ pub fn execute_with_backend(
                 proto::ok_body(
                     Op::Translate,
                     vec![
-                        ("name".to_string(), Json::Str(display_name.to_string())),
-                        ("output".to_string(), Json::Str(text)),
-                        ("cycles".to_string(), Json::u64(report.cycles)),
-                        (
-                            "regions".to_string(),
-                            Json::u64(report.translations.len() as u64),
-                        ),
-                        (
-                            "aborted".to_string(),
-                            Json::u64(report.translator.aborted()),
-                        ),
+                        ("name", display_name.into()),
+                        ("output", text.into()),
+                        ("cycles", report.cycles.into()),
+                        ("regions", report.translations.len().into()),
+                        ("aborted", report.translator.aborted().into()),
                     ],
                 ),
                 &report,
@@ -298,10 +291,10 @@ pub fn execute_with_backend(
                         proto::ok_body(
                             Op::Run,
                             vec![
-                                ("name".to_string(), Json::Str(display_name.to_string())),
-                                ("output".to_string(), Json::Str(text)),
-                                ("cycles".to_string(), Json::u64(report.cycles)),
-                                ("retired".to_string(), Json::u64(report.retired)),
+                                ("name", display_name.into()),
+                                ("output", text.into()),
+                                ("cycles", report.cycles.into()),
+                                ("retired", report.retired.into()),
                             ],
                         ),
                         &report,
@@ -326,10 +319,7 @@ pub fn execute_with_backend(
                     };
                     OpOutput::ok_plain(proto::ok_body(
                         Op::Explain,
-                        vec![
-                            ("name".to_string(), Json::Str(display_name.to_string())),
-                            ("output".to_string(), Json::Str(text)),
-                        ],
+                        vec![("name", display_name.into()), ("output", text.into())],
                     ))
                 }
                 Err(e) => OpOutput::err(Op::Explain, "sim-error", &e.to_string()),
@@ -349,12 +339,12 @@ pub fn execute_with_backend(
                     Op::Conform,
                     vec![
                         (
-                            "output".to_string(),
-                            Json::Str(liquid_simd_conform::report_to_json(&report)),
+                            "output",
+                            liquid_simd_conform::report_to_json(&report).into(),
                         ),
-                        ("cases".to_string(), Json::u64(report.cases.len() as u64)),
-                        ("passed".to_string(), Json::u64(passed)),
-                        ("failed".to_string(), Json::u64(failed)),
+                        ("cases", report.cases.len().into()),
+                        ("passed", passed.into()),
+                        ("failed", failed.into()),
                     ],
                 ),
                 ok: report.passed(),
@@ -385,6 +375,7 @@ pub fn assemble_inline(source: &str) -> Result<Program, String> {
 mod tests {
     use super::*;
     use crate::proto::parse_request;
+    use liquid_simd_trace::Json;
 
     fn fir_program() -> (Program, String) {
         let w = resolve_workload("fir").expect("fir workload exists");

@@ -27,12 +27,17 @@
 //! shard that computed them or whether the cache was hit, because their
 //! bytes must not depend on either.
 
-use liquid_simd_perfhist::Json;
+use liquid_simd_trace::Json;
 
 /// Schema tag of a successful response.
 pub const OK_SCHEMA: &str = "serve-v1";
 /// Schema tag of an error response.
 pub const ERR_SCHEMA: &str = "serve-err-v1";
+
+/// Longest request line the daemon reads, newline included (1 MiB —
+/// orders of magnitude above any inline program). A longer line gets a
+/// `bad-request` reply and its connection is closed.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// The operation a request names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -295,28 +300,24 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// Builds a successful response body **without** the request id: the
 /// cacheable part. `fields` follow `schema`/`op`/`ok` in order.
 #[must_use]
-pub fn ok_body(op: Op, fields: Vec<(String, Json)>) -> String {
-    let mut pairs = vec![
-        ("schema".to_string(), Json::Str(OK_SCHEMA.to_string())),
-        ("op".to_string(), Json::Str(op.name().to_string())),
-        ("ok".to_string(), Json::Bool(true)),
+pub fn ok_body(op: Op, fields: Vec<(&str, Json)>) -> String {
+    let head = [
+        ("schema", OK_SCHEMA.into()),
+        ("op", op.name().into()),
+        ("ok", true.into()),
     ];
-    pairs.extend(fields);
-    Json::Obj(pairs).write()
+    Json::obj(head.into_iter().chain(fields)).write()
 }
 
 /// Builds a `serve-err-v1` response body without the request id.
 #[must_use]
 pub fn err_body(op: Option<Op>, kind: &str, error: &str) -> String {
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str(ERR_SCHEMA.to_string())),
-        (
-            "op".to_string(),
-            op.map_or(Json::Null, |o| Json::Str(o.name().to_string())),
-        ),
-        ("ok".to_string(), Json::Bool(false)),
-        ("kind".to_string(), Json::Str(kind.to_string())),
-        ("error".to_string(), Json::Str(error.to_string())),
+    Json::obj([
+        ("schema", ERR_SCHEMA.into()),
+        ("op", op.map(Op::name).into()),
+        ("ok", false.into()),
+        ("kind", kind.into()),
+        ("error", error.into()),
     ])
     .write()
 }
@@ -433,10 +434,7 @@ mod tests {
 
     #[test]
     fn id_splice_is_exact_and_bodies_round_trip() {
-        let body = ok_body(
-            Op::Run,
-            vec![("output".to_string(), Json::Str("x\n".to_string()))],
-        );
+        let body = ok_body(Op::Run, vec![("output", "x\n".into())]);
         assert_eq!(
             body,
             r#"{"schema":"serve-v1","op":"run","ok":true,"output":"x\n"}"#

@@ -16,7 +16,8 @@
 
 use std::collections::BTreeMap;
 
-use liquid_simd_perfhist::{record, Json, SERVE_SCHEMA};
+use liquid_simd_perfhist::{record, SERVE_SCHEMA};
+use liquid_simd_trace::{nearest_rank, Json};
 
 /// Aggregated telemetry of one serve batch, ready to serialize.
 #[derive(Clone, Debug, Default)]
@@ -59,16 +60,6 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// The nearest-rank percentile of a sorted latency list (0 for empty).
-#[must_use]
-pub fn percentile_us(sorted: &[u64], pct: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Builds one `perfhist-serve-v1` record.
 #[must_use]
 pub fn build(shards: usize, batch: &BatchStats, cache: &CacheStats, det: &Determinism) -> Json {
@@ -84,89 +75,65 @@ pub fn build(shards: usize, batch: &BatchStats, cache: &CacheStats, det: &Determ
     } else {
         0.0
     };
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str(SERVE_SCHEMA.to_string())),
+    let by_op = batch.by_op.iter().map(|(k, &v)| (k.clone(), v.into()));
+    let pct = |p: f64| Json::from(nearest_rank(&lat, p));
+    Json::obj([
+        ("schema", SERVE_SCHEMA.into()),
         (
-            "commit".to_string(),
-            Json::Str(record::git_commit(std::path::Path::new("."))),
+            "commit",
+            record::git_commit(std::path::Path::new(".")).into(),
         ),
-        ("timestamp".to_string(), Json::u64(record::unix_now())),
-        ("host".to_string(), Json::Str(record::host_fingerprint())),
-        ("shards".to_string(), Json::u64(shards as u64)),
+        ("timestamp", record::unix_now().into()),
+        ("host", record::host_fingerprint().into()),
+        ("shards", shards.into()),
         (
-            "batch".to_string(),
-            Json::Obj(vec![
-                ("requests".to_string(), Json::u64(batch.requests)),
-                ("errors".to_string(), Json::u64(batch.errors)),
-                (
-                    "by_op".to_string(),
-                    Json::Obj(
-                        batch
-                            .by_op
-                            .iter()
-                            .map(|(k, &v)| (k.clone(), Json::u64(v)))
-                            .collect(),
-                    ),
-                ),
+            "batch",
+            Json::obj([
+                ("requests", batch.requests.into()),
+                ("errors", batch.errors.into()),
+                ("by_op", Json::obj(by_op)),
             ]),
         ),
         (
-            "cache".to_string(),
-            Json::Obj(vec![
-                ("hits".to_string(), Json::u64(cache.hits)),
-                ("misses".to_string(), Json::u64(cache.misses)),
-                ("entries".to_string(), Json::u64(cache.entries)),
-                ("hit_rate".to_string(), Json::f64(hit_rate)),
+            "cache",
+            Json::obj([
+                ("hits", cache.hits.into()),
+                ("misses", cache.misses.into()),
+                ("entries", cache.entries.into()),
+                ("hit_rate", Json::f64(hit_rate)),
             ]),
         ),
         (
-            "determinism".to_string(),
-            Json::Obj(vec![
+            "determinism",
+            Json::obj([
                 (
-                    "requests_hash".to_string(),
-                    Json::Str(format!("{:016x}", det.requests_hash)),
+                    "requests_hash",
+                    format!("{:016x}", det.requests_hash).into(),
                 ),
                 (
-                    "responses_hash".to_string(),
-                    Json::Str(format!("{:016x}", det.responses_hash)),
+                    "responses_hash",
+                    format!("{:016x}", det.responses_hash).into(),
                 ),
-                (
-                    "sim_cycles_total".to_string(),
-                    Json::u64(det.sim_cycles_total),
-                ),
+                ("sim_cycles_total", det.sim_cycles_total.into()),
             ]),
         ),
         (
-            "latency".to_string(),
-            Json::Obj(vec![
-                ("p50_us".to_string(), Json::u64(percentile_us(&lat, 50.0))),
-                ("p95_us".to_string(), Json::u64(percentile_us(&lat, 95.0))),
-                ("p99_us".to_string(), Json::u64(percentile_us(&lat, 99.0))),
-                (
-                    "max_us".to_string(),
-                    Json::u64(lat.last().copied().unwrap_or(0)),
-                ),
+            "latency",
+            Json::obj([
+                ("p50_us", pct(50.0)),
+                ("p95_us", pct(95.0)),
+                ("p99_us", pct(99.0)),
+                ("max_us", lat.last().copied().unwrap_or(0).into()),
             ]),
         ),
-        ("throughput_rps".to_string(), Json::f64(throughput)),
-        ("wall_s".to_string(), Json::f64(batch.wall_s)),
+        ("throughput_rps", Json::f64(throughput)),
+        ("wall_s", Json::f64(batch.wall_s)),
     ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let lat: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&lat, 50.0), 50);
-        assert_eq!(percentile_us(&lat, 95.0), 95);
-        assert_eq!(percentile_us(&lat, 99.0), 99);
-        assert_eq!(percentile_us(&lat, 100.0), 100);
-        assert_eq!(percentile_us(&[], 50.0), 0);
-        assert_eq!(percentile_us(&[7], 99.0), 7);
-    }
 
     #[test]
     fn record_round_trips_and_carries_the_gated_fields() {

@@ -32,7 +32,7 @@
 //! from [`ops::execute`].
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -40,8 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use liquid_simd_perfhist::Json;
-use liquid_simd_trace::{FlightEvent, FlightRecorder, FlightStage, Metrics};
+use liquid_simd_trace::{FlightEvent, FlightRecorder, FlightStage, Json, Metrics};
 
 use crate::cache::{BuildCache, CacheEntry, ProgramEntry, TranslationCache};
 use crate::fnv1a;
@@ -281,75 +280,43 @@ impl State {
         } else {
             hits as f64 / (hits + misses) as f64
         };
-        let per_shard: Vec<Json> = self
-            .shard_stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                Json::Obj(vec![
-                    ("shard".to_string(), Json::u64(i as u64)),
-                    (
-                        "requests".to_string(),
-                        Json::u64(s.requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "errors".to_string(),
-                        Json::u64(s.errors.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "cache".to_string(),
-                        Json::Obj(vec![
-                            (
-                                "hits".to_string(),
-                                Json::u64(s.hits.load(Ordering::Relaxed)),
-                            ),
-                            (
-                                "misses".to_string(),
-                                Json::u64(s.misses.load(Ordering::Relaxed)),
-                            ),
-                            (
-                                "inserts".to_string(),
-                                Json::u64(s.inserts.load(Ordering::Relaxed)),
-                            ),
-                            (
-                                "evictions".to_string(),
-                                Json::u64(s.evictions.load(Ordering::Relaxed)),
-                            ),
-                        ]),
-                    ),
-                ])
-            })
-            .collect();
+        let per_shard = self.shard_stats.iter().enumerate().map(|(i, s)| {
+            Json::obj([
+                ("shard", i.into()),
+                ("requests", load(&s.requests)),
+                ("errors", load(&s.errors)),
+                (
+                    "cache",
+                    Json::obj([
+                        ("hits", load(&s.hits)),
+                        ("misses", load(&s.misses)),
+                        ("inserts", load(&s.inserts)),
+                        ("evictions", load(&s.evictions)),
+                    ]),
+                ),
+            ])
+        });
         proto::ok_body(
             Op::Stats,
             vec![
+                ("backend", self.opts.backend.name().into()),
+                ("shards", self.opts.shards.into()),
+                ("requests", load(&self.requests)),
+                ("errors", load(&self.errors)),
                 (
-                    "backend".to_string(),
-                    Json::Str(self.opts.backend.name().to_string()),
-                ),
-                ("shards".to_string(), Json::u64(self.opts.shards as u64)),
-                (
-                    "requests".to_string(),
-                    Json::u64(self.requests.load(Ordering::Relaxed)),
-                ),
-                (
-                    "errors".to_string(),
-                    Json::u64(self.errors.load(Ordering::Relaxed)),
-                ),
-                (
-                    "cache".to_string(),
-                    Json::Obj(vec![
-                        ("hits".to_string(), Json::u64(hits)),
-                        ("misses".to_string(), Json::u64(misses)),
-                        ("entries".to_string(), Json::u64(entries)),
-                        ("capacity".to_string(), Json::u64(self.cache.capacity())),
-                        ("generation".to_string(), Json::u64(self.cache.generation())),
-                        ("evictions".to_string(), Json::u64(self.cache.evictions())),
-                        ("hit_rate".to_string(), Json::f64(hit_rate)),
+                    "cache",
+                    Json::obj([
+                        ("hits", hits.into()),
+                        ("misses", misses.into()),
+                        ("entries", entries.into()),
+                        ("capacity", self.cache.capacity().into()),
+                        ("generation", self.cache.generation().into()),
+                        ("evictions", self.cache.evictions().into()),
+                        ("hit_rate", Json::f64(hit_rate)),
                     ]),
                 ),
-                ("builds".to_string(), Json::u64(self.builds.len() as u64)),
-                ("per_shard".to_string(), Json::Arr(per_shard)),
+                ("builds", self.builds.len().into()),
+                ("per_shard", Json::arr(per_shard)),
             ],
         )
     }
@@ -366,13 +333,13 @@ impl State {
         } else {
             hits as f64 / (hits + misses) as f64
         };
-        let by_op: Vec<(String, Json)> = self
-            .ops_total
-            .lock()
-            .expect("ops_total poisoned")
-            .iter()
-            .map(|(k, &v)| (k.clone(), Json::u64(v)))
-            .collect();
+        let by_op = Json::obj(
+            self.ops_total
+                .lock()
+                .expect("ops_total poisoned")
+                .iter()
+                .map(|(k, &v)| (k.clone(), v.into())),
+        );
         // Deterministic merge order: ascending shard index. Counter and
         // bucket addition is commutative, so the merged registry is also
         // independent of how requests were scheduled onto shards.
@@ -381,88 +348,59 @@ impl State {
             merged.merge(&s.metrics.lock().expect("shard metrics poisoned"));
         }
         let (counters, histograms) = inspect::registry_json(&merged);
-        let doc = Json::Obj(vec![
+        let uptime_us = self.started.elapsed().as_micros() as u64;
+        let doc = Json::obj([
+            ("schema", inspect::METRICS_SCHEMA.into()),
+            ("backend", self.opts.backend.name().into()),
+            ("shards", self.opts.shards.into()),
+            ("uptime_us", uptime_us.into()),
             (
-                "schema".to_string(),
-                Json::Str(inspect::METRICS_SCHEMA.to_string()),
-            ),
-            (
-                "backend".to_string(),
-                Json::Str(self.opts.backend.name().to_string()),
-            ),
-            ("shards".to_string(), Json::u64(self.opts.shards as u64)),
-            (
-                "uptime_us".to_string(),
-                Json::u64(self.started.elapsed().as_micros() as u64),
-            ),
-            (
-                "requests".to_string(),
-                Json::Obj(vec![
-                    (
-                        "total".to_string(),
-                        Json::u64(self.requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "errors".to_string(),
-                        Json::u64(self.errors.load(Ordering::Relaxed)),
-                    ),
-                    ("by_op".to_string(), Json::Obj(by_op)),
+                "requests",
+                Json::obj([
+                    ("total", load(&self.requests)),
+                    ("errors", load(&self.errors)),
+                    ("by_op", by_op),
                 ]),
             ),
             (
-                "determinism".to_string(),
-                Json::Obj(vec![
-                    (
-                        "requests_hash".to_string(),
-                        Json::u64(self.req_hash.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "responses_hash".to_string(),
-                        Json::u64(self.resp_hash.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "sim_cycles_total".to_string(),
-                        Json::u64(self.sim_cycles.load(Ordering::Relaxed)),
-                    ),
+                "determinism",
+                Json::obj([
+                    ("requests_hash", load(&self.req_hash)),
+                    ("responses_hash", load(&self.resp_hash)),
+                    ("sim_cycles_total", load(&self.sim_cycles)),
                 ]),
             ),
             (
-                "cache".to_string(),
-                Json::Obj(vec![
-                    ("builds".to_string(), Json::u64(self.builds.len() as u64)),
+                "cache",
+                Json::obj([
+                    ("builds", self.builds.len().into()),
                     (
-                        "translations".to_string(),
-                        Json::Obj(vec![
-                            ("entries".to_string(), Json::u64(entries)),
-                            ("capacity".to_string(), Json::u64(self.cache.capacity())),
-                            ("generation".to_string(), Json::u64(self.cache.generation())),
-                            ("evictions".to_string(), Json::u64(self.cache.evictions())),
-                            ("hits".to_string(), Json::u64(hits)),
-                            ("misses".to_string(), Json::u64(misses)),
-                            ("hit_rate".to_string(), Json::f64(hit_rate)),
+                        "translations",
+                        Json::obj([
+                            ("entries", entries.into()),
+                            ("capacity", self.cache.capacity().into()),
+                            ("generation", self.cache.generation().into()),
+                            ("evictions", self.cache.evictions().into()),
+                            ("hits", hits.into()),
+                            ("misses", misses.into()),
+                            ("hit_rate", Json::f64(hit_rate)),
                         ]),
                     ),
                 ]),
             ),
             (
-                "flight".to_string(),
-                Json::Obj(vec![
-                    (
-                        "capacity".to_string(),
-                        Json::u64(self.recorder.capacity() as u64),
-                    ),
-                    ("events".to_string(), Json::u64(self.recorder.events())),
-                    ("dropped".to_string(), Json::u64(self.recorder.dropped())),
-                    (
-                        "contended".to_string(),
-                        Json::u64(self.recorder.contended()),
-                    ),
+                "flight",
+                Json::obj([
+                    ("capacity", self.recorder.capacity().into()),
+                    ("events", self.recorder.events().into()),
+                    ("dropped", self.recorder.dropped().into()),
+                    ("contended", self.recorder.contended().into()),
                 ]),
             ),
-            ("counters".to_string(), counters),
-            ("histograms".to_string(), histograms),
+            ("counters", counters),
+            ("histograms", histograms),
         ]);
-        proto::ok_body(Op::Inspect, vec![("metrics".to_string(), doc)])
+        proto::ok_body(Op::Inspect, vec![("metrics", doc)])
     }
 
     /// Drains the flight recorder into `flight-<n>-<reason>.jsonl` (plus a
@@ -831,8 +769,16 @@ fn connection(stream: TcpStream, shard_txs: Vec<mpsc::Sender<Job>>, state: &Stat
     let mut line = String::new();
     let mut seq: u64 = 0;
     loop {
-        match reader.read_line(&mut line) {
+        // Never buffer more than one byte past the cap: a line that
+        // reaches it without a newline is refused, not grown.
+        let room = (proto::MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(room).read_line(&mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > proto::MAX_REQUEST_LINE => {
+                let msg = format!("request line exceeds {} bytes", proto::MAX_REQUEST_LINE);
+                reject(&msg, seq, state, &reply_tx, Instant::now());
+                break;
+            }
             Ok(_) => {
                 if !line.trim().is_empty() {
                     handle_line(
@@ -866,6 +812,34 @@ fn connection(stream: TcpStream, shard_txs: Vec<mpsc::Sender<Job>>, state: &Stat
     let _ = writer.join();
 }
 
+/// A relaxed read of a shared counter, as a JSON number.
+fn load(counter: &AtomicU64) -> Json {
+    counter.load(Ordering::Relaxed).into()
+}
+
+/// Answers a line that is not a request (malformed or oversized) with a
+/// `bad-request` error, recorded and tallied under the `invalid` op.
+fn reject(
+    msg: &str,
+    seq: u64,
+    state: &State,
+    reply_tx: &mpsc::Sender<(u64, String)>,
+    arrived: Instant,
+) {
+    state.recorder.record(
+        0,
+        FlightEvent::new("", "invalid", FlightStage::Parse)
+            .ok(false)
+            .detail(msg),
+    );
+    state.recorder.record(
+        0,
+        FlightEvent::new("", "invalid", FlightStage::Respond).ok(false),
+    );
+    state.tally("invalid", false, arrived.elapsed().as_micros() as u64);
+    let _ = reply_tx.send((seq, proto::err_body(None, "bad-request", msg)));
+}
+
 /// Parses one request line and routes it: immediate front-end answers for
 /// stats/inspect/dump/shutdown/bad requests, shard dispatch for
 /// deterministic ops. Front-end lifecycle events land on shard ring 0
@@ -890,21 +864,7 @@ fn handle_line(
     };
     let req = match proto::parse_request(line) {
         Ok(req) => req,
-        Err(msg) => {
-            state.recorder.record(
-                0,
-                FlightEvent::new("", "invalid", FlightStage::Parse)
-                    .ok(false)
-                    .detail(&msg),
-            );
-            front(
-                proto::err_body(None, "bad-request", &msg),
-                None,
-                "invalid",
-                false,
-            );
-            return;
-        }
+        Err(msg) => return reject(&msg, seq, state, reply_tx, arrived),
     };
     if req.inject_panic && !state.opts.inject_faults {
         front(
@@ -934,9 +894,9 @@ fn handle_line(
                     proto::ok_body(
                         Op::Dump,
                         vec![
-                            ("reason".to_string(), Json::Str(reason)),
-                            ("path".to_string(), Json::Str(path.display().to_string())),
-                            ("events".to_string(), Json::u64(events)),
+                            ("reason", reason.into()),
+                            ("path", path.display().to_string().into()),
+                            ("events", events.into()),
                         ],
                     ),
                     req.id.as_ref(),

@@ -1,66 +1,54 @@
 //! Exporters: JSON-lines, Chrome trace-event format, and a human-readable
-//! summary. All JSON is hand-rolled (the crate has no dependencies); the
-//! emitted values are numbers and escaped strings only.
+//! summary. Both JSON forms are written compactly through [`crate::json`].
 
 use std::fmt::Write as _;
 
 use crate::event::{TraceEvent, TraceRecord, Track};
+use crate::json::Json;
 use crate::span::{self, SpanRecord};
 use crate::tracer::Tracer;
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The event-specific payload fields as JSON key/value text, e.g.
-/// `"func_pc":12,"reason":"cam-miss"`.
-fn payload(event: &TraceEvent) -> String {
+/// The event-specific payload fields, e.g. `func_pc: 12, reason:
+/// "cam-miss"`.
+fn payload(event: &TraceEvent) -> Vec<(&'static str, Json)> {
     match event {
         TraceEvent::InstrRetired { pc, vector } => {
-            format!("\"pc\":{pc},\"vector\":{vector}")
+            vec![("pc", (*pc).into()), ("vector", (*vector).into())]
         }
         TraceEvent::CallEnter { target, mode } | TraceEvent::CallExit { target, mode } => {
-            format!("\"target\":{target},\"mode\":\"{}\"", mode.as_str())
+            vec![("target", (*target).into()), ("mode", mode.as_str().into())]
         }
-        TraceEvent::TranslationBegin { func_pc } => format!("\"func_pc\":{func_pc}"),
+        TraceEvent::TranslationBegin { func_pc }
+        | TraceEvent::McacheHit { func_pc }
+        | TraceEvent::McacheMiss { func_pc }
+        | TraceEvent::McachePending { func_pc }
+        | TraceEvent::McacheEvict { func_pc } => vec![("func_pc", (*func_pc).into())],
         TraceEvent::TranslationProgress { func_pc, observed } => {
-            format!("\"func_pc\":{func_pc},\"observed\":{observed}")
+            vec![
+                ("func_pc", (*func_pc).into()),
+                ("observed", (*observed).into()),
+            ]
         }
         TraceEvent::TranslationCommit {
             func_pc,
             uops,
             dynamic_instrs,
-        } => format!("\"func_pc\":{func_pc},\"uops\":{uops},\"dynamic_instrs\":{dynamic_instrs}"),
+        } => vec![
+            ("func_pc", (*func_pc).into()),
+            ("uops", (*uops).into()),
+            ("dynamic_instrs", (*dynamic_instrs).into()),
+        ],
         TraceEvent::TranslationAbort { func_pc, reason } => {
-            format!("\"func_pc\":{func_pc},\"reason\":\"{}\"", escape(reason))
+            vec![("func_pc", (*func_pc).into()), ("reason", (*reason).into())]
         }
-        TraceEvent::McacheHit { func_pc }
-        | TraceEvent::McacheMiss { func_pc }
-        | TraceEvent::McachePending { func_pc }
-        | TraceEvent::McacheEvict { func_pc } => format!("\"func_pc\":{func_pc}"),
         TraceEvent::McacheInsert { func_pc, uops } => {
-            format!("\"func_pc\":{func_pc},\"uops\":{uops}")
+            vec![("func_pc", (*func_pc).into()), ("uops", (*uops).into())]
         }
-        TraceEvent::McacheInvalidate { entries } => format!("\"entries\":{entries}"),
+        TraceEvent::McacheInvalidate { entries } => vec![("entries", (*entries).into())],
         TraceEvent::CacheMiss { cache, addr } => {
-            format!("\"cache\":\"{}\",\"addr\":{addr}", cache.as_str())
+            vec![("cache", cache.as_str().into()), ("addr", (*addr).into())]
         }
-        TraceEvent::InterruptInjected { retired } => format!("\"retired\":{retired}"),
+        TraceEvent::InterruptInjected { retired } => vec![("retired", (*retired).into())],
     }
 }
 
@@ -70,15 +58,14 @@ fn payload(event: &TraceEvent) -> String {
 pub fn json_lines(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for r in records {
-        let _ = writeln!(
-            out,
-            "{{\"seq\":{},\"cycle\":{},\"kind\":\"{}\",\"track\":\"{}\",{}}}",
-            r.seq,
-            r.cycle,
-            r.event.kind(),
-            r.event.track().as_str(),
-            payload(&r.event)
-        );
+        let head = [
+            ("seq", r.seq.into()),
+            ("cycle", r.cycle.into()),
+            ("kind", r.event.kind().into()),
+            ("track", r.event.track().as_str().into()),
+        ];
+        out.push_str(&Json::obj(head.into_iter().chain(payload(&r.event))).write());
+        out.push('\n');
     }
     out
 }
@@ -114,19 +101,23 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
 /// their `B` only (the viewer extends them to the end of the trace).
 #[must_use]
 pub fn chrome_trace_with_spans(records: &[TraceRecord], spans: &[SpanRecord]) -> String {
-    let mut events: Vec<String> = Vec::with_capacity(records.len() + 2 * spans.len() + 8);
-    events.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"liquid-simd\"}}"
-            .to_string(),
-    );
+    let name_arg = |name: &str| Json::obj([("name", name.into())]);
+    let mut events: Vec<Json> = Vec::with_capacity(records.len() + 2 * spans.len() + 8);
+    events.push(Json::obj([
+        ("name", "process_name".into()),
+        ("ph", "M".into()),
+        ("pid", 1u64.into()),
+        ("tid", 0u64.into()),
+        ("args", name_arg("liquid-simd")),
+    ]));
     for track in Track::ALL {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            track.tid(),
-            track.as_str()
-        ));
+        events.push(Json::obj([
+            ("name", "thread_name".into()),
+            ("ph", "M".into()),
+            ("pid", 1u64.into()),
+            ("tid", track.tid().into()),
+            ("args", name_arg(track.as_str())),
+        ]));
     }
     for r in records {
         let ph = match &r.event {
@@ -136,49 +127,45 @@ pub fn chrome_trace_with_spans(records: &[TraceRecord], spans: &[SpanRecord]) ->
             | TraceEvent::TranslationAbort { .. } => "E",
             _ => "i",
         };
-        let scope = if ph == "i" { ",\"s\":\"t\"" } else { "" };
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\"{scope},\"ts\":{},\
-             \"pid\":1,\"tid\":{},\"args\":{{{}}}}}",
-            escape(&chrome_name(&r.event)),
-            r.event.kind(),
-            r.cycle,
-            r.event.track().tid(),
-            payload(&r.event)
-        ));
+        let mut e = Json::obj([
+            ("name", chrome_name(&r.event).into()),
+            ("cat", r.event.kind().into()),
+            ("ph", ph.into()),
+        ]);
+        if ph == "i" {
+            e.set("s", "t".into());
+        }
+        e.set("ts", r.cycle.into());
+        e.set("pid", 1u64.into());
+        e.set("tid", r.event.track().tid().into());
+        e.set("args", Json::obj(payload(&r.event)));
+        events.push(e);
     }
     // Span B/E events, in the tracer's global begin/end order so pairs on
     // one thread nest correctly.
-    let mut span_events: Vec<(u64, String)> = Vec::with_capacity(2 * spans.len());
+    let mut span_events: Vec<(u64, Json)> = Vec::with_capacity(2 * spans.len());
     for s in spans {
-        span_events.push((
-            s.begin_order,
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"B\",\"ts\":{},\
-                 \"pid\":1,\"tid\":{},\"args\":{{\"depth\":{}}}}}",
-                escape(&s.name),
-                s.begin_cycle,
-                s.track.tid(),
-                s.depth
-            ),
-        ));
+        let edge = |ph: &str, ts: u64| {
+            Json::obj([
+                ("name", (&s.name).into()),
+                ("cat", "span".into()),
+                ("ph", ph.into()),
+                ("ts", ts.into()),
+                ("pid", 1u64.into()),
+                ("tid", s.track.tid().into()),
+            ])
+        };
+        let mut begin = edge("B", s.begin_cycle);
+        begin.set("args", Json::obj([("depth", s.depth.into())]));
+        span_events.push((s.begin_order, begin));
         if let (Some(order), Some(cycle)) = (s.end_order, s.end_cycle) {
-            span_events.push((
-                order,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"E\",\"ts\":{cycle},\
-                     \"pid\":1,\"tid\":{}}}",
-                    escape(&s.name),
-                    s.track.tid()
-                ),
-            ));
+            span_events.push((order, edge("E", cycle)));
         }
     }
     span_events.sort_by_key(|(order, _)| *order);
-    events.extend(span_events.into_iter().map(|(_, line)| line));
-    let mut out = String::from("{\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n]}\n");
+    events.extend(span_events.into_iter().map(|(_, e)| e));
+    let mut out = Json::obj([("traceEvents", Json::Arr(events))]).write();
+    out.push('\n');
     out
 }
 
@@ -371,11 +358,6 @@ mod tests {
         assert!(text.contains("mcache-hit"));
         assert!(text.contains("mcache.hit"));
         assert!(text.contains("2 events emitted"));
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! ascending shard order and restores the global order by seq — the
 //! deterministic merge the `flight-v1` dump format requires.
 //!
-//! Serialization is hand-rolled (this crate has no dependencies): a dump
-//! is one `flight-v1` header line plus one JSON object per event, and a
+//! Serialization goes through [`crate::json`] (compact): a dump is one
+//! `flight-v1` header line plus one JSON object per event, and a
 //! folded-stacks sidecar (`service;op;stage count` lines) for flamegraph
 //! tooling.
 
@@ -27,6 +27,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::json::Json;
 
 /// Schema tag of a dump's header line.
 pub const FLIGHT_SCHEMA: &str = "flight-v1";
@@ -284,18 +286,19 @@ impl FlightRecorder {
     /// JSON object per drained record, newline-terminated.
     #[must_use]
     pub fn dump(&self, reason: &str, records: &[FlightRecord]) -> String {
+        let header = Json::obj([
+            ("schema", FLIGHT_SCHEMA.into()),
+            ("reason", reason.into()),
+            ("backend", (&self.backend).into()),
+            ("shards", self.rings.len().into()),
+            ("capacity", self.capacity.into()),
+            ("events", self.events().into()),
+            ("dropped", self.dropped().into()),
+            ("contended", self.contended().into()),
+        ]);
         let mut out = String::with_capacity(64 + records.len() * 128);
-        out.push_str(&format!(
-            "{{\"schema\":\"{FLIGHT_SCHEMA}\",\"reason\":\"{}\",\"backend\":\"{}\",\
-             \"shards\":{},\"capacity\":{},\"events\":{},\"dropped\":{},\"contended\":{}}}\n",
-            escape(reason),
-            escape(&self.backend),
-            self.rings.len(),
-            self.capacity,
-            self.events(),
-            self.dropped(),
-            self.contended(),
-        ));
+        out.push_str(&header.write());
+        out.push('\n');
         for r in records {
             out.push_str(&record_line(r));
             out.push('\n');
@@ -307,20 +310,19 @@ impl FlightRecorder {
 /// One `flight-v1` event line (no trailing newline).
 #[must_use]
 pub fn record_line(r: &FlightRecord) -> String {
-    format!(
-        "{{\"seq\":{},\"wall_us\":{},\"shard\":{},\"id\":\"{}\",\"op\":\"{}\",\
-         \"stage\":\"{}\",\"ok\":{},\"detail\":\"{}\",\"cycles\":{},\"gen\":{}}}",
-        r.seq,
-        r.wall_us,
-        r.shard,
-        escape(&r.event.id),
-        escape(&r.event.op),
-        r.event.stage.name(),
-        r.event.ok,
-        escape(&r.event.detail),
-        r.event.cycles,
-        r.event.generation,
-    )
+    Json::obj([
+        ("seq", r.seq.into()),
+        ("wall_us", r.wall_us.into()),
+        ("shard", r.shard.into()),
+        ("id", (&r.event.id).into()),
+        ("op", (&r.event.op).into()),
+        ("stage", r.event.stage.name().into()),
+        ("ok", r.event.ok.into()),
+        ("detail", (&r.event.detail).into()),
+        ("cycles", r.event.cycles.into()),
+        ("gen", r.event.generation.into()),
+    ])
+    .write()
 }
 
 /// Folds drained records into flamegraph input: one line per distinct
@@ -336,24 +338,6 @@ pub fn folded_events(service: &str, records: &[FlightRecord]) -> String {
     let mut out = String::new();
     for (path, count) in tally {
         out.push_str(&format!("{path} {count}\n"));
-    }
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
     }
     out
 }

@@ -24,6 +24,9 @@
 //! * [`flight`] — the always-on service flight recorder: per-shard
 //!   bounded rings of request-lifecycle events with a never-blocking
 //!   hot path, drained into `flight-v1` JSONL black-box dumps.
+//! * [`json`] — the workspace's one JSON value/parser/writer: insertion
+//!   order and raw number text survive a round trip, two fixed layouts
+//!   (compact and rows), one string escaper, and a nesting cap.
 //!
 //! ```
 //! use liquid_simd_trace::{CallMode, TraceEvent, Tracer};
@@ -51,6 +54,7 @@
 pub mod event;
 pub mod export;
 pub mod flight;
+pub mod json;
 pub mod metrics;
 pub mod span;
 pub mod tracer;
@@ -59,6 +63,7 @@ pub use event::{CacheKind, CallMode, TraceEvent, TraceRecord, Track};
 pub use flight::{
     FlightEvent, FlightRecord, FlightRecorder, FlightStage, DEFAULT_FLIGHT_CAPACITY, FLIGHT_SCHEMA,
 };
-pub use metrics::{pow2_bounds, Histogram, Metrics};
+pub use json::Json;
+pub use metrics::{nearest_rank, pow2_bounds, Histogram, Metrics};
 pub use span::{SpanAgg, SpanGuard, SpanId, SpanRecord};
 pub use tracer::{TraceConfig, Tracer, DEFAULT_CAPACITY};

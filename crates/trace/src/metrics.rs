@@ -5,6 +5,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::json::Json;
+
 /// A fixed-bucket histogram over `u64` samples.
 ///
 /// `bounds` are inclusive upper edges; a sample lands in the first bucket
@@ -121,8 +123,7 @@ impl Histogram {
         if self.count == 0 {
             return 0;
         }
-        let p = p.clamp(0.0, 100.0);
-        let rank = ((p / 100.0 * self.count as f64).ceil() as u64).max(1);
+        let rank = rank(self.count, p);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
@@ -135,6 +136,43 @@ impl Histogram {
             }
         }
         self.max
+    }
+
+    /// Renders the histogram as ordered JSON: bounds, per-bucket counts
+    /// (one longer than bounds — the overflow bucket), and the exact
+    /// aggregates.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("bounds", Json::arr(self.bounds.iter().copied())),
+            ("counts", Json::arr(self.counts.iter().copied())),
+            ("count", self.count.into()),
+            ("sum", self.sum.into()),
+            ("max", self.max.into()),
+        ])
+    }
+
+    /// Rebuilds a histogram from its [`Histogram::to_json`] form; `None`
+    /// when any field is missing or the bucket layout is inconsistent.
+    #[must_use]
+    pub fn from_json(doc: &Json) -> Option<Histogram> {
+        let u64s = |key: &str| -> Option<Vec<u64>> {
+            doc.get(key)?.as_arr()?.iter().map(Json::as_u64).collect()
+        };
+        let (bounds, counts) = (u64s("bounds")?, u64s("counts")?);
+        let layout_ok = !bounds.is_empty()
+            && bounds.windows(2).all(|w| w[0] < w[1])
+            && counts.len() == bounds.len() + 1;
+        if !layout_ok {
+            return None;
+        }
+        Some(Histogram {
+            bounds,
+            counts,
+            count: doc.get("count")?.as_u64()?,
+            sum: doc.get("sum")?.as_u64()?,
+            max: doc.get("max")?.as_u64()?,
+        })
     }
 
     /// Folds another histogram's samples into this one. Identical bucket
@@ -169,6 +207,22 @@ impl Histogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
+}
+
+/// The 1-based nearest rank of percentile `p` (clamped to `0..=100`)
+/// among `n > 0` samples: `ceil(p/100 × n)`, at least 1.
+fn rank(n: u64, p: f64) -> u64 {
+    ((p.clamp(0.0, 100.0) / 100.0 * n as f64).ceil() as u64).clamp(1, n)
+}
+
+/// Nearest-rank percentile of an ascending-sorted slice (`p` in
+/// `0..=100`); the default value (zero) for an empty slice.
+#[must_use]
+pub fn nearest_rank<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    sorted[rank(sorted.len() as u64, p) as usize - 1]
 }
 
 /// Median of a sample set (mean of the middle pair for even counts).
@@ -480,5 +534,59 @@ mod tests {
         assert_eq!(a.histogram("hist.a").unwrap().count(), 1);
         assert_eq!(a.histogram("hist.b").unwrap().count(), 1);
         assert_eq!(a.histogram("hist.b").unwrap().bounds(), &[100]);
+    }
+
+    #[test]
+    fn histogram_json_round_trips_shape() {
+        let mut h = Histogram::pow2(4);
+        for s in [1, 3, 9, 40] {
+            h.observe(s);
+        }
+        let doc = h.to_json();
+        assert_eq!(doc.get("count").and_then(Json::as_u64), Some(4));
+        assert_eq!(doc.get("sum").and_then(Json::as_u64), Some(53));
+        assert_eq!(doc.get("max").and_then(Json::as_u64), Some(40));
+        assert_eq!(doc.get("bounds").and_then(Json::as_arr).unwrap().len(), 5);
+        assert_eq!(doc.get("counts").and_then(Json::as_arr).unwrap().len(), 6);
+        // Parsing the rendered text reproduces the document byte-for-byte,
+        // and the histogram itself.
+        let text = doc.write();
+        assert_eq!(Json::parse(&text).unwrap().write(), text);
+        assert_eq!(Histogram::from_json(&doc), Some(h));
+    }
+
+    #[test]
+    fn from_json_percentile_matches_histogram_percentile() {
+        let mut h = Histogram::pow2(16);
+        for s in [1, 2, 5, 9, 100, 1000, 70_000, 70_000, 70_001, 200_000] {
+            h.observe(s);
+        }
+        let back = Histogram::from_json(&h.to_json()).unwrap();
+        for p in [0.0, 10.0, 50.0, 90.0, 95.0, 99.0, 100.0] {
+            assert_eq!(back.percentile(p), h.percentile(p), "p{p}");
+        }
+        assert_eq!(Histogram::from_json(&Json::Obj(vec![])), None);
+        // An inconsistent layout is refused, not trusted.
+        let mut bad = h.to_json();
+        bad.set("counts", Json::arr([1u64]));
+        assert_eq!(Histogram::from_json(&bad), None);
+    }
+
+    #[test]
+    fn nearest_rank_matches_definition() {
+        let v = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(nearest_rank(&v, 10.0), 1.0);
+        assert_eq!(nearest_rank(&v, 50.0), 2.0);
+        assert_eq!(nearest_rank(&v, 90.0), 4.0);
+        assert_eq!(nearest_rank(&v, 100.0), 4.0);
+        assert_eq!(nearest_rank(&[] as &[f64], 50.0), 0.0);
+        assert_eq!(nearest_rank(&[7.0], 90.0), 7.0);
+        let lat: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&lat, 50.0), 50);
+        assert_eq!(nearest_rank(&lat, 95.0), 95);
+        assert_eq!(nearest_rank(&lat, 99.0), 99);
+        assert_eq!(nearest_rank(&lat, 100.0), 100);
+        assert_eq!(nearest_rank(&[] as &[u64], 50.0), 0);
+        assert_eq!(nearest_rank(&[7u64], 99.0), 7);
     }
 }

@@ -183,3 +183,86 @@ fn loadgen_history_feeds_the_sentinel() {
         .and_then(Json::as_str);
     assert_eq!(serve_status, Some("pass"));
 }
+
+/// The error kind of a `serve-err-v1` reply line (None for success).
+fn error_kind(reply: &str) -> Option<String> {
+    let doc = Json::parse(reply).expect("reply is JSON");
+    (doc.get("ok") == Some(&Json::Bool(false))).then(|| {
+        doc.get("kind")
+            .and_then(Json::as_str)
+            .unwrap_or("?")
+            .to_string()
+    })
+}
+
+#[test]
+fn hostile_nesting_gets_an_error_reply_and_the_daemon_keeps_serving() {
+    let handle = spawn_daemon(1, None);
+    // 100,020 bytes that open 100,000 arrays: past the parser's nesting
+    // cap, so it must come back as a bad request, not a stack overflow.
+    let hostile = format!("{{\"op\":\"stats\",\"id\":{}", "[".repeat(100_000));
+    let replies = talk(handle.addr, &[&hostile, r#"{"op":"stats","id":"after"}"#]);
+    assert_eq!(error_kind(&replies[0]).as_deref(), Some("bad-request"));
+    assert!(replies[0].contains("nesting deeper than"), "{}", replies[0]);
+    assert_eq!(error_kind(&replies[1]), None, "{}", replies[1]);
+    // A fresh connection is served too.
+    let stats = talk(handle.addr, &[r#"{"op":"stats"}"#]);
+    assert_eq!(error_kind(&stats[0]), None, "{}", stats[0]);
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
+#[test]
+fn oversized_line_is_refused_without_disturbing_other_connections() {
+    let handle = spawn_daemon(2, None);
+    let connect = || {
+        let s = TcpStream::connect(handle.addr).expect("connect to daemon");
+        s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+        s
+    };
+    let ask = |reader: &mut BufReader<TcpStream>, line: &str| {
+        writeln!(reader.get_mut(), "{line}").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+    let mut bystander = BufReader::new(connect());
+    let first = ask(
+        &mut bystander,
+        r#"{"op":"run","workload":"fir","width":4,"id":1}"#,
+    );
+    assert_eq!(error_kind(&first), None, "{first}");
+
+    // Exactly one byte past the cap, no newline: the daemon reads all of
+    // it, answers, and hangs up.
+    let mut flood = connect();
+    flood
+        .write_all(&vec![b'x'; proto::MAX_REQUEST_LINE + 1])
+        .unwrap();
+    flood.flush().unwrap();
+    let mut flood = BufReader::new(flood);
+    let mut reply = String::new();
+    flood.read_line(&mut reply).unwrap();
+    assert_eq!(
+        error_kind(&reply).as_deref(),
+        Some("bad-request"),
+        "{reply}"
+    );
+    assert!(reply.contains("exceeds"), "{reply}");
+    let mut rest = String::new();
+    assert_eq!(flood.read_line(&mut rest).unwrap(), 0, "connection closed");
+
+    // The other connection never noticed.
+    let second = ask(
+        &mut bystander,
+        r#"{"op":"run","workload":"fir","width":4,"id":2}"#,
+    );
+    assert_eq!(
+        first.replace("\"id\":1", ""),
+        second.replace("\"id\":2", "")
+    );
+    drop(bystander);
+    handle.shutdown();
+    let summary = handle.join().unwrap();
+    assert_eq!(summary.errors, 1, "exactly the oversized line");
+}
