@@ -29,8 +29,8 @@
 //!     --trace-out F    also write the Chrome trace with nested spans
 //! liquid-simd diff [<A> <B>] [--backend B] [--json] [--out F]
 //!                      explain a performance delta from the cycle ledger.
-//!                      Each side is `<prog|workload>@wN` (simulated now
-//!                      with the ledger on) or a history file (its newest
+//!                      Each side is `<prog|workload>@wN` (simulated now)
+//!                      or a history file (its newest
 //!                      perfhist-v1 record); with no sides, the last two
 //!                      perfhist-v1 records of --history are compared.
 //!                      Prints ranked per-category and per-region
@@ -50,9 +50,10 @@
 //!                      append-only history
 //!     --backend B      run every simulation on this backend; recorded in
 //!                      the snapshot and the perfhist-v1 record
-//!     --ledger         record the cycle ledger at the headline width and
-//!                      embed the compact per-workload snapshot in the
-//!                      perfhist-v1 record (plus `ledger.*` counters)
+//!     --ledger         embed each workload's compact ledger snapshot at
+//!                      the headline width in the perfhist-v1 record (every
+//!                      run records the ledger; its `ledger.*` counters are
+//!                      always in the record)
 //!     --history F      history file (default bench/history.jsonl)
 //!     --no-history     skip the history append
 //!     --serve          load-test the serve daemon instead: N clients × M
@@ -620,70 +621,23 @@ fn width_anomalies(rows: &[perfhist::WorkloadRow]) -> Vec<String> {
     out
 }
 
-/// Region names for ledger snapshots: the program label at each region's
-/// entry PC, for every region the ledger actually charged.
-fn ledger_region_labels(
-    program: &Program,
-    ledger: &liquid_simd::ledger::Ledger,
-) -> std::collections::BTreeMap<u32, String> {
-    ledger
-        .region_totals()
-        .keys()
-        .filter(|&&pc| pc != liquid_simd::ledger::TOP_REGION)
-        .filter_map(|&pc| program.label_at(pc).map(|l| (pc, l.to_string())))
-        .collect()
-}
-
-/// Simulates `program` at `width` with the cycle ledger on and rolls the
-/// result into a labelled, counter-corroborated snapshot — the input to
-/// every ledger diff.
-fn ledger_snapshot_at(
-    label: &str,
-    program: &Program,
-    width: usize,
-    backend: liquid_simd::BackendKind,
-) -> Result<liquid_simd::ledger::Snapshot, String> {
-    let cfg = MachineConfig::liquid(width)
-        .with_backend(backend)
-        .with_ledger(true);
-    let out = liquid_simd::run(program, cfg).map_err(|e| format!("{label}: {e}"))?;
-    let led = out.report.ledger.clone().unwrap_or_default();
-    let names = ledger_region_labels(program, &led);
-    Ok(perfhist::counters::ledger_snapshot(
-        label,
-        &out.report,
-        &names,
-    ))
-}
-
 /// The structured `width_anomalies` entries of the bench snapshot: each
-/// inversion is re-run at the two widths with the ledger on, and the entry
-/// carries the top-3 attribution buckets of the delta plus the dominant
-/// cost category — a machine-checked explanation, not just a flag.
+/// inversion diffs the ledger snapshots of its two widths (`snaps`,
+/// parallel to each row's `cycles_by_width`), and the entry carries the
+/// top-3 attribution buckets of the delta plus the dominant cost category
+/// — a machine-checked explanation, not just a flag.
 fn width_anomaly_entries(
     rows: &[perfhist::WorkloadRow],
-    workloads: &[liquid_simd::Workload],
-    backend: liquid_simd::BackendKind,
-) -> Result<Vec<Json>, String> {
+    snaps: &[Vec<liquid_simd::ledger::Snapshot>],
+) -> Vec<Json> {
     let mut out = Vec::new();
-    for row in rows {
-        for pair in row.cycles_by_width.windows(2) {
+    for (row, snaps) in rows.iter().zip(snaps) {
+        for (pair, snap) in row.cycles_by_width.windows(2).zip(snaps.windows(2)) {
             let ((narrow, narrow_cycles), (wide, wide_cycles)) = (pair[0], pair[1]);
             if !(wide > narrow && wide_cycles > narrow_cycles) {
                 continue;
             }
-            let Some(w) = workloads.iter().find(|w| w.name == row.name) else {
-                continue;
-            };
-            let b = liquid_simd::build_liquid(w).map_err(|e| format!("{}: {e}", w.name))?;
-            let a = ledger_snapshot_at(
-                &format!("{}@w{narrow}", w.name),
-                &b.program,
-                narrow,
-                backend,
-            )?;
-            let z = ledger_snapshot_at(&format!("{}@w{wide}", w.name), &b.program, wide, backend)?;
-            let d = liquid_simd::ledger::diff::diff(&a, &z);
+            let d = liquid_simd::ledger::diff::diff(&snap[0], &snap[1]);
             let buckets = d
                 .categories
                 .iter()
@@ -717,7 +671,7 @@ fn width_anomaly_entries(
             ]));
         }
     }
-    Ok(out)
+    out
 }
 
 /// Positional (non-flag) arguments, skipping the values of value-taking
@@ -742,9 +696,9 @@ fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
     out
 }
 
-/// One side of a `diff`: `<prog|workload>@wN` simulates now with the
-/// ledger on; anything else must be a history file, whose newest
-/// perfhist-v1 record is rolled into a snapshot.
+/// One side of a `diff`: `<prog|workload>@wN` simulates now and rolls the
+/// run's ledger into a counter-corroborated snapshot; anything else must be
+/// a history file, whose newest perfhist-v1 record is rolled into one.
 fn diff_snapshot(
     spec: &str,
     backend: liquid_simd::BackendKind,
@@ -755,7 +709,15 @@ fn diff_snapshot(
                 return Err(format!("bad width in `{spec}` (powers of two in 2..=16)"));
             }
             let (program, name) = resolve_program(base)?;
-            return ledger_snapshot_at(&format!("{name}@w{w}"), &program, w, backend);
+            let label = format!("{name}@w{w}");
+            let cfg = MachineConfig::liquid(w).with_backend(backend);
+            let out = liquid_simd::run(&program, cfg).map_err(|e| format!("{label}: {e}"))?;
+            let names = liquid_simd::ledger_region_labels(&program, &out.report.ledger);
+            return Ok(perfhist::counters::ledger_snapshot(
+                &label,
+                &out.report,
+                &names,
+            ));
         }
     }
     let path = std::path::Path::new(spec);
@@ -898,7 +860,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let jobs = parse_jobs(args)?;
     let (workloads, widths) = bench_suite(args);
     let smoke = flag(args, "--smoke");
-    let want_ledger = flag(args, "--ledger");
+    let embed_ledger = flag(args, "--ledger");
     let backend = parse_backend(args)?;
     let out_path = option_value(args, "--out")?.unwrap_or("BENCH_sim.json");
     let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
@@ -917,6 +879,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     // predecoded-metadata fast path is what that number measures), and the
     // headline run's counter-telemetry snapshot.
     let mut rows: Vec<perfhist::WorkloadRow> = Vec::new();
+    let mut width_snaps = Vec::new();
     let mut counters = std::collections::BTreeMap::new();
     for w in &workloads {
         let plain = liquid_simd::build_plain(w).map_err(|e| format!("{}: {e}", w.name))?;
@@ -935,16 +898,12 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             wall_s: 0.0,
             cycles_per_sec: 0.0,
         };
+        let mut snaps = Vec::new();
         for &width in &widths {
-            // The ledger is an observer (never changes cycles), recorded
-            // at the headline width only when `--ledger` asked for it.
-            let record_ledger = want_ledger && width == headline;
             let t0 = Instant::now();
             let out = liquid_simd::run(
                 &b.program,
-                MachineConfig::liquid(width)
-                    .with_backend(backend)
-                    .with_ledger(record_ledger),
+                MachineConfig::liquid(width).with_backend(backend),
             )
             .map_err(|e| e.to_string())?;
             if width == headline {
@@ -956,14 +915,18 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                     &perfhist::counters::snapshot(&out.report),
                 );
             }
-            if record_ledger {
-                let led = out.report.ledger.clone().unwrap_or_default();
-                let names = ledger_region_labels(&b.program, &led);
-                let snap = liquid_simd::ledger::Snapshot::from_ledger(&w.name, &led, &names);
+            let names = liquid_simd::ledger_region_labels(&b.program, &out.report.ledger);
+            let label = format!("{}@w{width}", w.name);
+            let snap = perfhist::counters::ledger_snapshot(&label, &out.report, &names);
+            // Embedded snapshots make a record about four times larger,
+            // so only `--ledger` asks for them.
+            if embed_ledger && width == headline {
                 row.ledger = Some(snap.json());
             }
+            snaps.push(snap);
             row.cycles_by_width.push((width, out.report.cycles));
         }
+        width_snaps.push(snaps);
         println!(
             "{:<14} {:>12} cycles @ {headline} lanes  ({:>9} scalar, {:.2}x)  \
              {:>8.3} ms  {:>12.0} sim-cycles/s",
@@ -983,10 +946,10 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     for a in &anomalies {
         println!("warning: width anomaly — {a}");
     }
-    // The snapshot gets the structured form: each inversion re-run at the
-    // two widths with the ledger on, so the entry names where the extra
-    // cycles went instead of just flagging that they exist.
-    let anomaly_entries = width_anomaly_entries(&rows, &workloads, backend)?;
+    // The snapshot gets the structured form: each inversion's ledger diff
+    // names where the extra cycles went instead of just flagging that they
+    // exist.
+    let anomaly_entries = width_anomaly_entries(&rows, &width_snaps);
 
     // The Figure 6 sweep, serial then parallel: wall-clock speedup plus a
     // byte-identity check on the rendered rows (determinism gate). Per-task

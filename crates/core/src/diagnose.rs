@@ -27,8 +27,8 @@ use std::fmt::Write as _;
 use liquid_simd_isa::{Program, SUPPORTED_WIDTHS};
 use liquid_simd_ledger::{Ledger, Snapshot as LedgerSnapshot, TOP_REGION};
 use liquid_simd_sim::{
-    BackendKind, BlockStats, MachineConfig, McacheEntryStats, McacheStats, PhaseBreakdown,
-    SimError, TargetProfile,
+    BackendKind, BlockStats, CallMode, MachineConfig, McacheEntryStats, McacheStats,
+    PhaseBreakdown, SimError, TargetProfile,
 };
 use liquid_simd_trace::{span, Json, SpanAgg, SpanRecord, TraceRecord, Tracer};
 use liquid_simd_translator::{AbortRecord, RegClass, TranslatorStats};
@@ -150,9 +150,7 @@ pub fn explain(
     };
     let mut runs = Vec::new();
     for &w in &widths {
-        let mut cfg = MachineConfig::liquid(w)
-            .with_backend(opts.backend)
-            .with_ledger(true);
+        let mut cfg = MachineConfig::liquid(w).with_backend(opts.backend);
         cfg.interrupt_every = opts.interrupt_every;
         cfg.translation.translate_plain_bl = opts.all_calls;
         runs.push((w, crate::run(program, cfg)?.report));
@@ -160,7 +158,7 @@ pub fn explain(
 
     let mut entries: BTreeSet<u32> = BTreeSet::new();
     for (_, r) in &runs {
-        entries.extend(r.targets.keys().copied());
+        entries.extend(r.call_targets());
         entries.extend(r.translations.iter().map(|&(pc, _)| pc));
         entries.extend(r.translator.aborts_by_region.keys().copied());
     }
@@ -188,12 +186,15 @@ pub fn explain(
                     } else {
                         RegionOutcome::NotAttempted
                     };
-                    let target = r.targets.get(&pc).copied().unwrap_or_default();
+                    let calls = |mode| {
+                        let to_pc = r.calls.iter().filter(|c| c.target == pc);
+                        to_pc.filter(|c| c.mode == mode).count() as u64
+                    };
                     RegionWidth {
                         width: *w,
                         outcome,
-                        scalar_calls: target.scalar_calls,
-                        micro_calls: target.micro_calls,
+                        scalar_calls: calls(CallMode::Scalar),
+                        micro_calls: calls(CallMode::Microcode),
                         aborts: r
                             .translator
                             .aborts_by_region
@@ -209,11 +210,10 @@ pub fn explain(
     let ledgers = runs
         .iter()
         .map(|(w, r)| {
-            let led = r.ledger.clone().unwrap_or_default();
             LedgerSnapshot::from_ledger(
                 &format!("{name} w{w}"),
-                &led,
-                &ledger_labels(program, &led),
+                &r.ledger,
+                &ledger_region_labels(program, &r.ledger),
             )
         })
         .collect();
@@ -232,7 +232,8 @@ pub fn explain(
 
 /// Labels for every ledger region that has one in the program's symbol
 /// table, so snapshots name regions `label @pc` instead of bare `@pc`.
-fn ledger_labels(program: &Program, ledger: &Ledger) -> BTreeMap<u32, String> {
+#[must_use]
+pub fn ledger_region_labels(program: &Program, ledger: &Ledger) -> BTreeMap<u32, String> {
     ledger
         .region_totals()
         .keys()
@@ -260,8 +261,9 @@ pub struct ProfileReport {
     pub mcache: McacheStats,
     /// Per-function microcode-cache statistics, with evictor identity.
     pub mcache_entries: BTreeMap<u32, McacheEntryStats>,
-    /// Per-call-target cycle attribution `(entry, label, profile)`, sorted
-    /// by total attributed cycles, heaviest first.
+    /// Per-call-target cycle attribution `(entry, label, profile)` from
+    /// [`liquid_simd_sim::RunReport::target_profiles`] (ledger self cycles),
+    /// sorted by total attributed cycles, heaviest first.
     pub targets: Vec<(u32, Option<String>, TargetProfile)>,
     /// Per-span-name aggregation, heaviest first. The `exec:*` spans tile
     /// the run, so their cycle totals sum to `cycles`.
@@ -288,14 +290,13 @@ pub fn profile(program: &Program, name: &str, lanes: usize) -> Result<ProfileRep
     } else {
         MachineConfig::liquid(lanes)
     }
-    .with_tracer(tracer.clone())
-    .with_ledger(true);
+    .with_tracer(tracer.clone());
     let report = crate::run(program, cfg)?.report;
 
     let mut targets: Vec<(u32, Option<String>, TargetProfile)> = report
-        .targets
-        .iter()
-        .map(|(&pc, &t)| (pc, program.label_at(pc).map(str::to_string), t))
+        .target_profiles()
+        .into_iter()
+        .map(|(pc, t)| (pc, program.label_at(pc).map(str::to_string), t))
         .collect();
     targets.sort_by(|a, b| {
         b.2.total_cycles()
@@ -303,8 +304,8 @@ pub fn profile(program: &Program, name: &str, lanes: usize) -> Result<ProfileRep
             .then(a.0.cmp(&b.0))
     });
 
-    let led = report.ledger.clone().unwrap_or_default();
-    let ledger = LedgerSnapshot::from_ledger(name, &led, &ledger_labels(program, &led));
+    let labels = ledger_region_labels(program, &report.ledger);
+    let ledger = LedgerSnapshot::from_ledger(name, &report.ledger, &labels);
 
     let spans = tracer.spans();
     Ok(ProfileReport {

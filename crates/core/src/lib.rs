@@ -49,8 +49,8 @@ pub mod harness;
 mod verify;
 
 pub use diagnose::{
-    explain, profile, render_counter_table, ExplainOptions, ExplainReport, ProfileReport,
-    RegionOutcome, RegionReport,
+    explain, ledger_region_labels, profile, render_counter_table, ExplainOptions, ExplainReport,
+    ProfileReport, RegionOutcome, RegionReport,
 };
 pub use harness::{default_jobs, run_tasks, run_tasks_timed, BuildCache, TaskTiming};
 pub use liquid_simd_compiler::{

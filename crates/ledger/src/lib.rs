@@ -10,28 +10,37 @@
 //!   stream, microcode position for the accelerator stream);
 //! * **category** — *why* the cycle was spent (see [`Category`]).
 //!
-//! The hard invariant, enforced by tier-1 tests and the CI `ledger-smoke`
-//! job: the sum of all bucket cycles equals the run's `PhaseBreakdown`
-//! total bit-exactly, on both execution backends. Event-only categories
-//! (mcache probes/misses, microcode dispatches) charge zero cycles and
-//! count occurrences instead, so they corroborate without perturbing the
-//! partition.
+//! The ledger is always on and is the simulator's only cycle-charging
+//! path: the machine feeds a dense [`Recorder`] at every retire and builds
+//! one ordered [`Ledger`] when the run ends. The run's phase partition
+//! (scalar / microcode / JIT stall) and its per-call-target split are
+//! derived from the ledger, so the sum of all bucket cycles equals the
+//! run's cycle count by construction; tier-1 tests check that on both
+//! execution backends. Event-only categories (mcache probes/misses,
+//! microcode dispatches) charge zero cycles and count occurrences instead,
+//! so they corroborate without perturbing the partition.
 //!
-//! The ledger is a plain ordered map — merging, totalling, and rendering
-//! are all deterministic, and two ledgers from observationally identical
-//! runs compare byte-identical when rendered. [`Snapshot`] is the compact,
-//! diff-able rollup (per-region × per-category, no per-PC detail) embedded
-//! in `perfhist-v1` records and consumed by [`diff`](crate::diff).
+//! Program-stream and microcode-stream cycles stay separate inside the
+//! ledger ([`RegionTotal::micro_cycles`]), even where their buckets share
+//! a key in the rendered `ledger-v1` form. The ledger is a plain ordered
+//! map — totalling and rendering are deterministic, and two
+//! ledgers from observationally identical runs compare byte-identical when
+//! rendered. [`Snapshot`] is the compact, diff-able rollup (per-region ×
+//! per-category, no per-PC detail) embedded in `perfhist-v1` records and
+//! consumed by [`diff`](crate::diff).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod diff;
+mod recorder;
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use liquid_simd_trace::json::Json;
+
+pub use recorder::Recorder;
 
 /// Region id for cycles spent outside any call (top-level driver code).
 pub const TOP_REGION: u32 = u32::MAX;
@@ -84,12 +93,6 @@ impl Category {
             Category::Dispatch => "dispatch",
         }
     }
-
-    /// Parses a stable name back into the category.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Category> {
-        Category::ALL.into_iter().find(|c| c.name() == name)
-    }
 }
 
 impl fmt::Display for Category {
@@ -108,11 +111,21 @@ pub struct Bucket {
     pub events: u64,
 }
 
+impl Bucket {
+    fn add(&mut self, other: Bucket) {
+        self.cycles += other.cycles;
+        self.events += other.events;
+    }
+}
+
 /// Per-region rollup: totals plus the per-category split.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RegionTotal {
     /// Cycles charged under this region, all categories.
     pub cycles: u64,
+    /// The part of [`RegionTotal::cycles`] spent executing microcode (the
+    /// rest was spent in the program stream).
+    pub micro_cycles: u64,
     /// Events charged under this region, all categories.
     pub events: u64,
     /// Per-category bucket totals.
@@ -120,10 +133,13 @@ pub struct RegionTotal {
 }
 
 /// The attribution ledger for one run. Ordered map ⇒ deterministic
-/// iteration, merging, and rendering.
+/// iteration and rendering.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Ledger {
     buckets: BTreeMap<(u32, u32, Category), Bucket>,
+    /// Microcode-stream cycles per region: the stream split the rendered
+    /// buckets do not carry.
+    micro: BTreeMap<u32, u64>,
 }
 
 impl Ledger {
@@ -133,12 +149,10 @@ impl Ledger {
         Ledger::default()
     }
 
-    /// Charges `cycles` to the `(region, pc, category)` bucket and counts
-    /// one event.
+    /// Charges `cycles` to the program-stream `(region, pc, category)`
+    /// bucket and counts one event.
     pub fn charge(&mut self, region: u32, pc: u32, category: Category, cycles: u64) {
-        let b = self.buckets.entry((region, pc, category)).or_default();
-        b.cycles += cycles;
-        b.events += 1;
+        self.add((region, pc, category), Bucket { cycles, events: 1 });
     }
 
     /// Counts one zero-cycle event on the `(region, pc, category)` bucket.
@@ -146,16 +160,15 @@ impl Ledger {
         self.charge(region, pc, category, 0);
     }
 
-    /// True when nothing has been charged.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+    fn add(&mut self, key: (u32, u32, Category), b: Bucket) {
+        self.buckets.entry(key).or_default().add(b);
     }
 
-    /// Number of distinct buckets.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buckets.len()
+    /// Adds a microcode bucket: vector-execute, and counted in the
+    /// region's microcode-stream cycles.
+    fn add_micro(&mut self, region: u32, pos: u32, b: Bucket) {
+        self.add((region, pos, Category::VectorExecute), b);
+        *self.micro.entry(region).or_default() += b.cycles;
     }
 
     /// Iterates buckets in key order.
@@ -163,50 +176,40 @@ impl Ledger {
         self.buckets.iter()
     }
 
-    /// Sum of all bucket cycles — must equal the run's phase total.
+    /// Sum of all bucket cycles — equals the run's cycle count.
     #[must_use]
     pub fn total_cycles(&self) -> u64 {
         self.buckets.values().map(|b| b.cycles).sum()
     }
 
-    /// Sum of all bucket events.
+    /// Cycles spent executing microcode, all regions.
     #[must_use]
-    pub fn total_events(&self) -> u64 {
-        self.buckets.values().map(|b| b.events).sum()
-    }
-
-    /// Adds every bucket of `other` into `self` (suite-wide aggregation).
-    pub fn merge(&mut self, other: &Ledger) {
-        for (k, v) in &other.buckets {
-            let b = self.buckets.entry(*k).or_default();
-            b.cycles += v.cycles;
-            b.events += v.events;
-        }
+    pub fn micro_cycles(&self) -> u64 {
+        self.micro.values().sum()
     }
 
     /// Per-category rollup across all regions and PCs.
     #[must_use]
     pub fn category_totals(&self) -> BTreeMap<Category, Bucket> {
         let mut out: BTreeMap<Category, Bucket> = BTreeMap::new();
-        for (&(_, _, cat), v) in &self.buckets {
-            let b = out.entry(cat).or_default();
-            b.cycles += v.cycles;
-            b.events += v.events;
+        for (&(_, _, cat), &b) in &self.buckets {
+            out.entry(cat).or_default().add(b);
         }
         out
     }
 
-    /// Per-region rollup with the per-category split.
+    /// Per-region rollup with the per-category and per-stream split.
     #[must_use]
     pub fn region_totals(&self) -> BTreeMap<u32, RegionTotal> {
         let mut out: BTreeMap<u32, RegionTotal> = BTreeMap::new();
-        for (&(region, _, cat), v) in &self.buckets {
+        for (&(region, _, cat), &b) in &self.buckets {
             let r = out.entry(region).or_default();
-            r.cycles += v.cycles;
-            r.events += v.events;
-            let b = r.by_category.entry(cat).or_default();
-            b.cycles += v.cycles;
-            b.events += v.events;
+            r.cycles += b.cycles;
+            r.events += b.events;
+            r.by_category.entry(cat).or_default().add(b);
+        }
+        for (region, &cycles) in &self.micro {
+            out.entry(*region).or_default().micro_cycles = cycles;
         }
         out
     }
@@ -235,8 +238,7 @@ impl Ledger {
 }
 
 /// How a region id renders in snapshots and diff output.
-#[must_use]
-pub fn region_name(region: u32, names: &BTreeMap<u32, String>) -> String {
+fn region_name(region: u32, names: &BTreeMap<u32, String>) -> String {
     if region == TOP_REGION {
         return "(top-level)".to_string();
     }
@@ -344,25 +346,6 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         self.json().write()
     }
-
-    /// The top `n` (region, category, cycles) buckets by cycle weight —
-    /// the attribution attached to structured width-anomaly entries.
-    #[must_use]
-    pub fn top_buckets(&self, n: usize) -> Vec<(String, String, u64)> {
-        let mut rows: Vec<(String, String, u64)> = self
-            .regions
-            .iter()
-            .flat_map(|(region, r)| {
-                r.by_category
-                    .iter()
-                    .map(|(cat, &cycles)| (region.clone(), cat.clone(), cycles))
-            })
-            .filter(|&(_, _, cycles)| cycles > 0)
-            .collect();
-        rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-        rows.truncate(n);
-        rows
-    }
 }
 
 #[cfg(test)]
@@ -371,7 +354,14 @@ mod tests {
 
     fn sample() -> Ledger {
         let mut l = Ledger::new();
-        l.charge(10, 12, Category::VectorExecute, 100);
+        l.add_micro(
+            10,
+            2,
+            Bucket {
+                cycles: 100,
+                events: 1,
+            },
+        );
         l.charge(10, 13, Category::VectorExecute, 50);
         l.charge(TOP_REGION, 1, Category::ScalarExecute, 30);
         l.charge(10, 10, Category::TranslateOverhead, 0);
@@ -381,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn totals_partition_and_merge_adds() {
+    fn totals_partition_by_category_region_and_stream() {
         let l = sample();
         assert_eq!(l.total_cycles(), 180);
         let cats = l.category_totals();
@@ -390,19 +380,10 @@ mod tests {
         assert_eq!(cats[&Category::McacheProbe].events, 1);
         let regions = l.region_totals();
         assert_eq!(regions[&10].cycles, 150);
+        assert_eq!(regions[&10].micro_cycles, 100);
         assert_eq!(regions[&TOP_REGION].cycles, 30);
-        let mut m = l.clone();
-        m.merge(&l);
-        assert_eq!(m.total_cycles(), 360);
-        assert_eq!(m.category_totals()[&Category::Dispatch].events, 2);
-    }
-
-    #[test]
-    fn category_names_round_trip() {
-        for c in Category::ALL {
-            assert_eq!(Category::parse(c.name()), Some(c));
-        }
-        assert_eq!(Category::parse("nope"), None);
+        assert_eq!(regions[&TOP_REGION].micro_cycles, 0);
+        assert_eq!(l.micro_cycles(), 100);
     }
 
     #[test]
@@ -418,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rolls_up_and_ranks_buckets() {
+    fn snapshot_rolls_up_regions_and_categories() {
         let mut names = BTreeMap::new();
         names.insert(10u32, "kernel".to_string());
         let snap = Snapshot::from_ledger("t w8", &sample(), &names);
@@ -426,11 +407,9 @@ mod tests {
         assert_eq!(snap.categories["vector-execute"].cycles, 150);
         assert_eq!(snap.regions["kernel @10"].cycles, 150);
         assert_eq!(snap.regions["(top-level)"].cycles, 30);
-        let top = snap.top_buckets(2);
-        assert_eq!(top.len(), 2);
         assert_eq!(
-            top[0],
-            ("kernel @10".to_string(), "vector-execute".to_string(), 150)
+            snap.regions["kernel @10"].by_category["vector-execute"],
+            150
         );
         let json = snap.to_json();
         assert!(json.starts_with("{\"total_cycles\":180,\"categories\":{"));

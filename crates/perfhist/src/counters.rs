@@ -14,17 +14,21 @@ use liquid_simd_sim::RunReport;
 /// Flattens one run's [`RunReport`] into dotted counter names. Everything
 /// is a monotonic count, so snapshots from several workloads can be summed
 /// with [`merge`] into a suite-wide registry.
+///
+/// The headline, `backend.*`, `blocks.*` and `ledger.*` counters are
+/// [`RunReport::metrics`]; the `ledger.*.cycles` sum to `cycles`. The
+/// `blocks.*` telemetry is kept only when the backend actually did block
+/// work, so interpreter records stay byte-compatible with pre-backend
+/// history baselines.
 #[must_use]
 pub fn snapshot(report: &RunReport) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
+    let mut out = report.metrics().counters().clone();
+    if report.blocks == liquid_simd_sim::BlockStats::default() {
+        out.retain(|k, _| !k.starts_with("blocks."));
+    }
     let mut put = |k: &str, v: u64| {
         out.insert(k.to_string(), v);
     };
-    put("cycles", report.cycles);
-    put("retired", report.retired);
-    put("retired.scalar", report.scalar_retired);
-    put("retired.vector", report.vector_retired);
-    put("lanes.ops", report.lane_ops);
     put("icache.accesses", report.icache.accesses);
     put("icache.hits", report.icache.hits);
     put("dcache.accesses", report.dcache.accesses);
@@ -54,35 +58,8 @@ pub fn snapshot(report: &RunReport) -> BTreeMap<String, u64> {
     put("phases.scalar_cycles", report.phases.scalar_cycles);
     put("phases.micro_cycles", report.phases.micro_cycles);
     put("phases.jit_stall_cycles", report.phases.jit_stall_cycles);
-    // Backend attribution (one run, tagged with whichever backend executed
-    // it) — summed across runs or serve shards, these show how work split
-    // between backends.
-    put(&format!("backend.{}.runs", report.backend.name()), 1);
-    put(
-        &format!("backend.{}.cycles", report.backend.name()),
-        report.cycles,
-    );
     for (tag, &n) in &t.aborts {
         out.insert(format!("translator.abort.{tag}"), n);
-    }
-    // Superblock block-cache telemetry, under the canonical `blocks.*`
-    // names the sim crate defines. Only emitted when the backend actually
-    // did block work, so interpreter records stay byte-compatible with
-    // pre-backend history baselines.
-    let blocks = report.blocks.metrics();
-    if blocks.counters().values().any(|&v| v > 0) {
-        for (name, &v) in blocks.counters() {
-            out.insert(name.clone(), v);
-        }
-    }
-    // Cycle-ledger category totals, only when the run recorded a ledger —
-    // ledger-off runs (the default) stay byte-compatible with pre-ledger
-    // history baselines.
-    if let Some(ledger) = &report.ledger {
-        for (cat, bucket) in ledger.category_totals() {
-            out.insert(format!("ledger.{}.cycles", cat.name()), bucket.cycles);
-            out.insert(format!("ledger.{}.events", cat.name()), bucket.events);
-        }
     }
     out
 }
@@ -100,8 +77,7 @@ pub fn ledger_snapshot(
     report: &RunReport,
     names: &BTreeMap<u32, String>,
 ) -> liquid_simd_sim::LedgerSnapshot {
-    let ledger = report.ledger.clone().unwrap_or_default();
-    let mut snap = liquid_simd_sim::LedgerSnapshot::from_ledger(label, &ledger, names);
+    let mut snap = liquid_simd_sim::LedgerSnapshot::from_ledger(label, &report.ledger, names);
     for (k, v) in snapshot(report) {
         if !k.starts_with("ledger.") && !k.starts_with("backend.") {
             snap.counters.insert(k, v);
@@ -154,7 +130,7 @@ mod tests {
         assert_eq!(acc["cycles"], 200);
         assert_eq!(acc["translator.abort.cam-miss"], 2);
         // Interpreter runs (all-zero block stats) emit no blocks.* keys,
-        // and ledger-off runs emit no ledger.* keys.
+        // and an empty ledger emits no ledger.* keys.
         assert!(!a.keys().any(|k| k.starts_with("blocks.")));
         assert!(!a.keys().any(|k| k.starts_with("ledger.")));
     }
@@ -165,7 +141,7 @@ mod tests {
         ledger.charge(7, 9, liquid_simd_sim::LedgerCategory::VectorExecute, 64);
         ledger.event(7, 3, liquid_simd_sim::LedgerCategory::McacheProbe);
         let r = RunReport {
-            ledger: Some(ledger),
+            ledger,
             ..Default::default()
         };
         let c = snapshot(&r);

@@ -115,15 +115,11 @@ pub fn translate_text_with(
     lanes: usize,
     backend: BackendKind,
 ) -> Result<(String, RunReport), SimError> {
-    // Ledger on: the per-run cost is one branch per retire, and the
-    // category totals surface in the shard's merged `sim.ledger.*`
-    // counters (scrub-stable at any shard count, since counters sum).
-    let mut machine = Machine::new(
-        program,
-        MachineConfig::liquid(lanes)
-            .with_backend(backend)
-            .with_ledger(true),
-    );
+    // Every run records the cycle ledger (DESIGN.md §16 gives its measured
+    // cost); its category totals surface in the shard's merged
+    // `sim.ledger.*` counters (scrub-stable at any shard count, since
+    // counters sum).
+    let mut machine = Machine::new(program, MachineConfig::liquid(lanes).with_backend(backend));
     let report = machine.run()?;
     let micro = machine.microcode_snapshot();
     let mut out = String::new();
@@ -261,9 +257,7 @@ pub fn execute_with_backend(
             Err(e) => sim_error_output(Op::Translate, req.budget_cycles, &e),
         },
         Op::Run => {
-            let mut cfg = machine_config(req.mode, req.lanes, req.jit)
-                .with_backend(backend)
-                .with_ledger(true);
+            let mut cfg = machine_config(req.mode, req.lanes, req.jit).with_backend(backend);
             if let Some(b) = req.budget_cycles {
                 cfg.max_cycles = cfg.max_cycles.min(b);
             }

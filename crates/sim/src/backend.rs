@@ -233,16 +233,14 @@ top:
 
     fn run_both(src: &str, config: &MachineConfig) {
         let p = asm::assemble(src).expect("assembles");
-        let config = config.clone().with_ledger(true);
         let mut mi = Machine::new(&p, config.clone().with_backend(BackendKind::Interp));
         let ri = mi.run().expect("interp runs");
         let mut ms = Machine::new(&p, config.clone().with_backend(BackendKind::Superblock));
         let rs = ms.run().expect("superblock runs");
-        // The ledger invariant, both halves: bucket sums equal the phase
-        // totals bit-exactly, and the two backends attribute every cycle to
-        // the same (region, pc, category) bucket.
-        let li = ri.ledger.as_ref().expect("ledger recorded");
-        assert_eq!(li.total_cycles(), ri.phases.total());
+        // The ledger invariant, both halves: bucket sums equal the run's
+        // cycles, and the two backends attribute every cycle to the same
+        // (region, pc, category) bucket.
+        assert_eq!(ri.ledger.total_cycles(), ri.cycles);
         assert_eq!(ri.ledger, rs.ledger);
         assert_eq!(ri.cycles, rs.cycles);
         assert_eq!(ri.retired, rs.retired);

@@ -35,9 +35,10 @@
 //!   the check is dropped at lowering time. Conditional or memory-feeding
 //!   defs keep their consumers' checks (their `done` is dynamic). Flags
 //!   after any in-block `cmp` are always ready (`issue_i + 1 <= issue_j`).
-//! - **Batched counters.** Retire counters and phase cycles accumulate in
-//!   locals and flush once per block (also on the error path), producing
-//!   identical `RunReport` totals.
+//! - **Batched counters.** Retire counters accumulate in locals and flush
+//!   once per block (also on the error path), producing identical
+//!   `RunReport` totals. Cycles are charged to the ledger per instruction,
+//!   exactly as the interpreter charges them.
 
 use liquid_simd_isa::{
     AluOp, Base, Cond, ElemType, Flags, FpOp, Inst, Operand2, Program, RedOp, ScalarInst,
@@ -1086,16 +1087,6 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
     let i_penalty = u64::from(m.config.icache.miss_penalty);
     let d_penalty = u64::from(m.config.dcache.miss_penalty);
     let max_cycles = m.config.max_cycles;
-    let c0 = m.cycle;
-    // Ledger key, hoisted: a block never crosses a call/return and the
-    // translator is idle while blocks run (fallback guards), so the region
-    // and its replay status cannot change mid-block. Per-instruction deltas
-    // telescope to the block delta, which keeps superblock ledgers
-    // byte-identical to the interpreter's.
-    let lk = m.ledger.is_some().then(|| {
-        let region = m.ledger_region(block.in_micro);
-        (region, !block.in_micro && m.failed.contains(&region))
-    });
     let mut retired = 0u64;
     let mut vec_retired = 0u64;
     let mut lane_ops = 0u64;
@@ -1157,12 +1148,10 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
         if is_store {
             busy += mem_extra;
         }
-        if let Some((region, replay)) = lk {
-            let cat = Machine::exec_category(block.in_micro, li.vector, replay);
-            if let Some(led) = m.ledger.as_deref_mut() {
-                led.charge(region, li.pc, cat, busy - m.cycle);
-            }
-        }
+        // Charged per instruction exactly as the interpreter charges, so
+        // superblock ledgers are byte-identical to the interpreter's.
+        m.ledger
+            .retire(block.in_micro, li.pc, li.vector, busy - m.cycle);
         m.cycle = busy;
         retired += 1;
         if li.vector {
@@ -1198,12 +1187,7 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
                 if taken {
                     busy += u64::from(m.config.lat.branch_taken);
                 }
-                if let Some((region, replay)) = lk {
-                    let cat = Machine::exec_category(block.in_micro, false, replay);
-                    if let Some(led) = m.ledger.as_deref_mut() {
-                        led.charge(region, pc, cat, busy - m.cycle);
-                    }
-                }
+                m.ledger.retire(block.in_micro, pc, false, busy - m.cycle);
                 m.cycle = busy;
                 retired += 1; // branches are scalar: no def, no flag write
                 m.advance(if taken { target } else { pc + 1 });
@@ -1216,12 +1200,6 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
     m.report.scalar_retired += retired - vec_retired;
     m.report.vector_retired += vec_retired;
     m.report.lane_ops += lane_ops;
-    let delta = m.cycle - c0;
-    if block.in_micro {
-        m.report.phases.micro_cycles += delta;
-    } else {
-        m.report.phases.scalar_cycles += delta;
-    }
     result.map(|()| jumped)
 }
 

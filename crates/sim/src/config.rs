@@ -163,11 +163,6 @@ pub struct MachineConfig {
     /// Execution engine. Like the tracer, this is excluded from equality
     /// and the fingerprint: backends must be observationally identical.
     pub backend: BackendKind,
-    /// Record an exact per-(region, PC, category) cycle ledger during the
-    /// run. Off by default; like the tracer, the ledger is an observer —
-    /// it never affects simulated timing, so it participates in neither
-    /// equality nor [`MachineConfig::fingerprint`].
-    pub ledger: bool,
 }
 
 impl PartialEq for MachineConfig {
@@ -202,7 +197,6 @@ impl Default for MachineConfig {
             interrupt_at: Vec::new(),
             tracer: None,
             backend: BackendKind::default(),
-            ledger: false,
         }
     }
 }
@@ -258,13 +252,6 @@ impl MachineConfig {
     #[must_use]
     pub fn with_backend(mut self, backend: BackendKind) -> MachineConfig {
         self.backend = backend;
-        self
-    }
-
-    /// Enables or disables cycle-ledger recording (builder style).
-    #[must_use]
-    pub fn with_ledger(mut self, ledger: bool) -> MachineConfig {
-        self.ledger = ledger;
         self
     }
 
@@ -355,9 +342,6 @@ mod tests {
         let b = MachineConfig::liquid(8).with_backend(BackendKind::Superblock);
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        let l = MachineConfig::liquid(8).with_ledger(true);
-        assert_eq!(a, l);
-        assert_eq!(a.fingerprint(), l.fingerprint());
         assert_eq!(BackendKind::parse("interp"), Some(BackendKind::Interp));
         assert_eq!(BackendKind::parse("sb"), Some(BackendKind::Superblock));
         assert_eq!(BackendKind::parse("jet"), None);

@@ -16,7 +16,9 @@
 //! plus taken-branch penalties (the ARM9 has no branch predictor) and cache
 //! miss penalties. Vector instructions occupy one issue slot and operate on
 //! all lanes at once — the source of SIMD speedup, as in the paper's
-//! SimpleScalar extension.
+//! SimpleScalar extension. Every cycle is charged once, to the run's cycle
+//! ledger ([`RunReport::ledger`]); the phase partition and the per-target
+//! split are derived from it.
 //!
 //! # Example
 //!
@@ -71,6 +73,4 @@ pub use report::{
 
 /// Re-exported cycle-ledger vocabulary ([`RunReport::ledger`] is typed
 /// against these; see the `liquid-simd-ledger` crate for the full API).
-pub use liquid_simd_ledger::{
-    Bucket as LedgerBucket, Category as LedgerCategory, Ledger, Snapshot as LedgerSnapshot,
-};
+pub use liquid_simd_ledger::{Category as LedgerCategory, Ledger, Snapshot as LedgerSnapshot};

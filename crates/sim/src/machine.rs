@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 
 use liquid_simd_isa::{Inst, Program};
-use liquid_simd_ledger::{Category, Ledger, TOP_REGION};
+use liquid_simd_ledger::{Category, Recorder, TOP_REGION};
 use liquid_simd_mem::{Cache, Memory};
 use liquid_simd_trace::{CacheKind, CallMode as TraceCallMode, SpanId, TraceEvent, Tracer, Track};
 use liquid_simd_translator::{Progress, Retired, Translator, TranslatorConfig};
@@ -15,21 +15,13 @@ use crate::exec::{exec, Control, SimError};
 use crate::mcache::{Lookup, Mcache};
 use crate::meta::{meta_of_code, InstMeta, RegRef};
 use crate::regfile::RegFile;
-use crate::report::{CallEvent, CallMode, RunReport, TranslationWindow};
+use crate::report::{CallEvent, CallMode, PhaseBreakdown, RunReport, TranslationWindow};
 
 /// Instruction source: the program binary or a microcode-cache entry.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Stream {
-    Prog {
-        pc: u32,
-    },
-    Micro {
-        idx: usize,
-        pos: u32,
-        ret_pc: u32,
-        /// Cycle at which this microcode call entered (target profiling).
-        entered: u64,
-    },
+    Prog { pc: u32 },
+    Micro { idx: usize, pos: u32, ret_pc: u32 },
 }
 
 /// The simulated machine.
@@ -66,13 +58,12 @@ pub struct Machine<'p> {
     /// Optional event recorder (cloned from the config; the same handle is
     /// attached to the caches and the translator).
     pub(crate) tracer: Option<Tracer>,
-    /// Scalar calls in flight: `(entry pc, call cycle)`, for `CallExit`
-    /// events and per-target cycle attribution.
-    pub(crate) scalar_stack: Vec<(u32, u64)>,
-    /// Exact per-(region, PC, category) cycle attribution, present only
-    /// when [`MachineConfig::ledger`] is set. Boxed so the off case costs
-    /// one pointer; like the tracer, it never affects simulated timing.
-    pub(crate) ledger: Option<Box<Ledger>>,
+    /// Entry PCs of the scalar calls in flight, innermost last: the
+    /// ledger region of program-stream retires and the `CallExit` target.
+    scalar_stack: Vec<u32>,
+    /// The run's cycle ledger: every cycle the machine spends is charged
+    /// here and nowhere else.
+    pub(crate) ledger: Recorder,
     /// The open execution-phase span and whether it covers microcode
     /// (tracer only): `exec:scalar` / `exec:microcode` segments tile the
     /// whole run, so their cycle totals sum to the run's cycle count.
@@ -126,7 +117,7 @@ impl<'p> Machine<'p> {
             report: RunReport::default(),
             tracer,
             scalar_stack: Vec::new(),
-            ledger: config.ledger.then(|| Box::new(Ledger::new())),
+            ledger: Recorder::new(prog.code.len()),
             exec_span: None,
             config,
         }
@@ -228,11 +219,6 @@ impl<'p> Machine<'p> {
                 t.span_end(span);
             }
         }
-        // Calls still on the stack at halt get attributed up to the end.
-        while let Some((target, entered)) = self.scalar_stack.pop() {
-            let tp = self.report.targets.entry(target).or_default();
-            tp.scalar_cycles += self.cycle - entered;
-        }
         let mut report = std::mem::take(&mut self.report);
         report.cycles = self.cycle;
         report.icache = self.icache.stats();
@@ -243,7 +229,9 @@ impl<'p> Machine<'p> {
         report.halted = true;
         report.backend = self.config.backend;
         report.blocks = backend.block_stats();
-        report.ledger = self.ledger.take().map(|b| *b);
+        let ledger = std::mem::replace(&mut self.ledger, Recorder::new(self.prog.code.len()));
+        report.ledger = ledger.finish();
+        report.phases = PhaseBreakdown::of(&report.ledger);
         Ok(report)
     }
 
@@ -365,15 +353,8 @@ impl<'p> Machine<'p> {
             busy += u64::from(self.config.lat.branch_taken);
         }
         self.cycle = busy;
-        let exec_delta = self.cycle - cycle_before;
-        if in_micro {
-            self.report.phases.micro_cycles += exec_delta;
-        } else {
-            self.report.phases.scalar_cycles += exec_delta;
-        }
-        if self.ledger.is_some() {
-            self.ledger_charge_exec(pc, in_micro, meta.vector, exec_delta);
-        }
+        self.ledger
+            .retire(in_micro, pc, meta.vector, self.cycle - cycle_before);
 
         // ---- retire counters ------------------------------------------------
         self.report.retired += 1;
@@ -432,37 +413,30 @@ impl<'p> Machine<'p> {
                     Progress::Ongoing => {}
                     Progress::Finished(tr) => {
                         let work = tr.dynamic_instrs;
-                        let valid_at = if self.config.translation.jit {
-                            // A software JIT shares the CPU: stall the
-                            // pipeline for the translation work.
-                            let stall = work * self.config.translation.jit_cycles_per_instr;
-                            self.cycle += stall;
-                            self.report.phases.jit_stall_cycles += stall;
-                            if let Some(t) = &self.tracer {
-                                // The clock moved after the retire stamp;
-                                // restamp so later events carry the stall.
-                                t.set_now(self.cycle);
-                            }
-                            self.cycle
+                        let tc = &self.config.translation;
+                        // Hardware translation runs off the critical path:
+                        // the microcode becomes valid `work` translation
+                        // cycles later and the ledger records a 0-cycle
+                        // event. A software JIT shares the CPU and stalls
+                        // the pipeline for the translation work.
+                        let (stall, latency) = if tc.jit {
+                            (work * tc.jit_cycles_per_instr, 0)
                         } else {
-                            self.cycle + work * self.config.translation.cycles_per_instr
+                            (0, work * tc.cycles_per_instr)
                         };
-                        if let Some(led) = self.ledger.as_deref_mut() {
-                            // Hardware translation runs off the critical
-                            // path: record the completion as a 0-cycle
-                            // event. A software JIT stalls the pipeline, so
-                            // its stall cycles land here too.
-                            if self.config.translation.jit {
-                                led.charge(
-                                    tr.func_pc,
-                                    tr.func_pc,
-                                    Category::TranslateOverhead,
-                                    work * self.config.translation.jit_cycles_per_instr,
-                                );
-                            } else {
-                                led.event(tr.func_pc, tr.func_pc, Category::TranslateOverhead);
-                            }
+                        self.cycle += stall;
+                        self.ledger.charge(
+                            tr.func_pc,
+                            tr.func_pc,
+                            Category::TranslateOverhead,
+                            stall,
+                        );
+                        if let Some(t) = &self.tracer {
+                            // The clock may have moved after the retire
+                            // stamp; restamp so later events carry the stall.
+                            t.set_now(self.cycle);
                         }
+                        let valid_at = self.cycle + latency;
                         self.report.translations.push((tr.func_pc, tr.code.len()));
                         let uops = tr.code.len() as u64;
                         let meta = meta_of_code(&tr.code, &self.config.lat, self.config.lanes);
@@ -484,14 +458,9 @@ impl<'p> Machine<'p> {
                         if !matches!(reason, liquid_simd_translator::AbortReason::External { .. }) {
                             // Deterministic failure: don't retry every call.
                             // (External aborts — interrupts — retry later.)
-                            if let Some(f) = self.translating_target() {
+                            if let Some(f) = self.translating {
                                 self.failed.insert(f);
-                                if let Some(led) = self.ledger.as_deref_mut() {
-                                    // Marks the moment this target became a
-                                    // permanent scalar-replay region; later
-                                    // cycles in it charge to abort-replay.
-                                    led.event(f, f, Category::AbortReplay);
-                                }
+                                self.ledger.abort_replay(f);
                             }
                         }
                         self.translating = None;
@@ -525,16 +494,9 @@ impl<'p> Machine<'p> {
                 self.handle_call(pc, target, vectorizable)?;
             }
             Control::Return => match self.stream {
-                Stream::Micro {
-                    idx,
-                    ret_pc,
-                    entered,
-                    ..
-                } => {
-                    let target = self.mcache.func_pc(idx);
-                    let tp = self.report.targets.entry(target).or_default();
-                    tp.micro_cycles += self.cycle - entered;
+                Stream::Micro { idx, ret_pc, .. } => {
                     if let Some(t) = &self.tracer {
+                        let target = self.mcache.func_pc(idx);
                         t.emit(TraceEvent::CallExit {
                             target,
                             mode: TraceCallMode::Simd,
@@ -550,15 +512,14 @@ impl<'p> Machine<'p> {
                             what: format!("return to wild address @{ret}"),
                         });
                     }
-                    if let Some((target, entered)) = self.scalar_stack.pop() {
-                        let tp = self.report.targets.entry(target).or_default();
-                        tp.scalar_cycles += self.cycle - entered;
+                    if let Some(target) = self.scalar_stack.pop() {
                         if let Some(t) = &self.tracer {
                             t.emit(TraceEvent::CallExit {
                                 target,
                                 mode: TraceCallMode::Scalar,
                             });
                         }
+                        self.enter_region();
                     }
                     self.stream = Stream::Prog { pc: ret };
                 }
@@ -568,44 +529,12 @@ impl<'p> Machine<'p> {
         Ok(false)
     }
 
-    /// The ledger region of the current stream position: the microcode
-    /// entry's function PC, the innermost in-flight scalar call target, or
-    /// [`TOP_REGION`] outside any call.
-    pub(crate) fn ledger_region(&self, in_micro: bool) -> u32 {
-        if in_micro {
-            match self.stream {
-                Stream::Micro { idx, .. } => self.mcache.func_pc(idx),
-                Stream::Prog { .. } => TOP_REGION,
-            }
-        } else {
-            self.scalar_stack.last().map_or(TOP_REGION, |&(t, _)| t)
-        }
-    }
-
-    /// The execution category of one retire: microcode and vector retires
-    /// are vector-execute; scalar retires inside a permanently-aborted
-    /// region are the abort's scalar replay; everything else is plain
-    /// scalar execution.
-    pub(crate) fn exec_category(in_micro: bool, vector: bool, replay: bool) -> Category {
-        if in_micro || vector {
-            Category::VectorExecute
-        } else if replay {
-            Category::AbortReplay
-        } else {
-            Category::ScalarExecute
-        }
-    }
-
-    /// Charges one retire's cycle delta to the ledger (cold path; callers
-    /// guard on `self.ledger.is_some()` so the common ledger-off run pays
-    /// one branch).
-    pub(crate) fn ledger_charge_exec(&mut self, pc: u32, in_micro: bool, vector: bool, delta: u64) {
-        let region = self.ledger_region(in_micro);
-        let replay = !in_micro && self.failed.contains(&region);
-        let category = Self::exec_category(in_micro, vector, replay);
-        if let Some(led) = self.ledger.as_deref_mut() {
-            led.charge(region, pc, category, delta);
-        }
+    /// Points the ledger at the innermost in-flight scalar call ([`TOP_REGION`]
+    /// outside any call), replaying if its translation aborted permanently.
+    fn enter_region(&mut self) {
+        let region = self.scalar_stack.last().copied().unwrap_or(TOP_REGION);
+        self.ledger
+            .set_region(region, self.failed.contains(&region));
     }
 
     /// Closes the open translation window (if any) at the current retired
@@ -626,10 +555,6 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn translating_target(&self) -> Option<u32> {
-        self.translating
-    }
-
     fn handle_call(&mut self, pc: u32, target: u32, vectorizable: bool) -> Result<(), SimError> {
         let t = &self.config.translation;
         let candidate = t.enabled
@@ -639,16 +564,14 @@ impl<'p> Machine<'p> {
         let mut mode = CallMode::Scalar;
         if candidate {
             let lookup = self.mcache.lookup(target, self.cycle);
-            if let Some(led) = self.ledger.as_deref_mut() {
-                // Probe/hit/miss bookkeeping is free in the timing model;
-                // the ledger records them as 0-cycle events so `diff` can
-                // corroborate cycle movement with dispatch behaviour.
-                led.event(target, pc, Category::McacheProbe);
-                match lookup {
-                    Lookup::Hit(_) => led.event(target, pc, Category::Dispatch),
-                    Lookup::Miss => led.event(target, pc, Category::McacheMiss),
-                    Lookup::Pending => {}
-                }
+            // Probe/hit/miss bookkeeping is free in the timing model; the
+            // ledger records them as 0-cycle events so `diff` can
+            // corroborate cycle movement with dispatch behaviour.
+            self.ledger.charge(target, pc, Category::McacheProbe, 0);
+            match lookup {
+                Lookup::Hit(_) => self.ledger.charge(target, pc, Category::Dispatch, 0),
+                Lookup::Miss => self.ledger.charge(target, pc, Category::McacheMiss, 0),
+                Lookup::Pending => {}
             }
             if let Some(t) = &self.tracer {
                 t.emit(match lookup {
@@ -665,18 +588,17 @@ impl<'p> Machine<'p> {
                         cycle: self.cycle,
                         mode,
                     });
-                    self.report.targets.entry(target).or_default().micro_calls += 1;
                     if let Some(t) = &self.tracer {
                         t.emit(TraceEvent::CallEnter {
                             target,
                             mode: TraceCallMode::Simd,
                         });
                     }
+                    self.ledger.enter_micro(target, self.mcache.code(idx).len());
                     self.stream = Stream::Micro {
                         idx,
                         pos: 0,
                         ret_pc: pc + 1,
-                        entered: self.cycle,
                     };
                     return Ok(());
                 }
@@ -701,14 +623,14 @@ impl<'p> Machine<'p> {
             cycle: self.cycle,
             mode,
         });
-        self.report.targets.entry(target).or_default().scalar_calls += 1;
         if let Some(t) = &self.tracer {
             t.emit(TraceEvent::CallEnter {
                 target,
                 mode: TraceCallMode::Scalar,
             });
         }
-        self.scalar_stack.push((target, self.cycle));
+        self.scalar_stack.push(target);
+        self.enter_region();
         self.stream = Stream::Prog { pc: target };
         Ok(())
     }

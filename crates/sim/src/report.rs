@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 
+use liquid_simd_ledger::{Category, Ledger};
 use liquid_simd_mem::CacheStats;
 use liquid_simd_translator::TranslatorStats;
 
@@ -131,7 +132,8 @@ pub struct TranslationWindow {
 }
 
 /// Where the run's cycles went, partitioned exactly: the three fields sum
-/// to [`RunReport::cycles`].
+/// to [`RunReport::cycles`]. Derived from the run's ledger
+/// ([`PhaseBreakdown::of`]), never charged on its own.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Cycles advanced while executing the program (scalar) stream.
@@ -144,6 +146,23 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
+    /// The phase partition of a ledger: its microcode-stream cycles, its
+    /// translate-overhead cycles (only a software JIT charges any), and
+    /// the program-stream rest.
+    #[must_use]
+    pub fn of(ledger: &Ledger) -> PhaseBreakdown {
+        let micro_cycles = ledger.micro_cycles();
+        let jit_stall_cycles = ledger
+            .category_totals()
+            .get(&Category::TranslateOverhead)
+            .map_or(0, |b| b.cycles);
+        PhaseBreakdown {
+            scalar_cycles: ledger.total_cycles() - micro_cycles - jit_stall_cycles,
+            micro_cycles,
+            jit_stall_cycles,
+        }
+    }
+
     /// Sum of all phases — equals the run's total cycles.
     #[must_use]
     pub fn total(&self) -> u64 {
@@ -152,16 +171,19 @@ impl PhaseBreakdown {
 }
 
 /// Cycle attribution for one call target: how often and how long it ran
-/// in each servicing mode. Cycles are inclusive call-to-return deltas.
+/// in each servicing mode (see [`RunReport::target_profiles`]). Cycles are
+/// the target's ledger *self* cycles: a nested call's cycles belong to the
+/// callee, not to its caller.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TargetProfile {
     /// Calls serviced by the scalar fallback body.
     pub scalar_calls: u64,
-    /// Cycles spent inside scalar-serviced calls.
+    /// Program-stream cycles charged to the target (its scalar body, plus
+    /// any JIT translation stall).
     pub scalar_cycles: u64,
     /// Calls serviced by translated microcode.
     pub micro_calls: u64,
-    /// Cycles spent inside microcode-serviced calls.
+    /// Microcode cycles charged to the target.
     pub micro_cycles: u64,
 }
 
@@ -200,10 +222,9 @@ pub struct RunReport {
     /// Per-function microcode-cache statistics (keyed by entry PC; history
     /// survives eviction, including the evictor's identity).
     pub mcache_entries: BTreeMap<u32, McacheEntryStats>,
-    /// Exact cycle partition: scalar vs microcode execution vs JIT stall.
+    /// Exact cycle partition: scalar vs microcode execution vs JIT stall,
+    /// derived from [`RunReport::ledger`] when the run ends.
     pub phases: PhaseBreakdown,
-    /// Per-call-target cycle attribution, keyed by entry PC.
-    pub targets: BTreeMap<u32, TargetProfile>,
     /// Call log (for call-distance analyses).
     pub calls: Vec<CallEvent>,
     /// Completed translations: `(function pc, microcode length)`.
@@ -219,11 +240,11 @@ pub struct RunReport {
     pub backend: BackendKind,
     /// Superblock-backend telemetry (all zeros under the interpreter).
     pub blocks: BlockStats,
-    /// Exact per-(region, PC, category) cycle attribution, recorded only
-    /// when [`crate::MachineConfig::ledger`] is set. The ledger's cycle sum
-    /// equals [`PhaseBreakdown::total`] bit-exactly, and both backends
-    /// produce byte-identical ledgers for the same run.
-    pub ledger: Option<liquid_simd_ledger::Ledger>,
+    /// Exact per-(region, PC, category) cycle attribution: the one place
+    /// every run charges its cycles. Its cycle sum equals
+    /// [`RunReport::cycles`], and both backends produce byte-identical
+    /// ledgers for the same run.
+    pub ledger: Ledger,
 }
 
 impl RunReport {
@@ -245,11 +266,9 @@ impl RunReport {
             self.cycles,
         );
         self.blocks.record_metrics(m);
-        if let Some(ledger) = &self.ledger {
-            for (cat, bucket) in ledger.category_totals() {
-                m.add(&format!("ledger.{}.cycles", cat.name()), bucket.cycles);
-                m.add(&format!("ledger.{}.events", cat.name()), bucket.events);
-            }
+        for (cat, bucket) in self.ledger.category_totals() {
+            m.add(&format!("ledger.{}.cycles", cat.name()), bucket.cycles);
+            m.add(&format!("ledger.{}.events", cat.name()), bucket.events);
         }
     }
 
@@ -260,6 +279,29 @@ impl RunReport {
         let mut m = liquid_simd_trace::Metrics::new();
         self.record_metrics(&mut m);
         m
+    }
+
+    /// Per-call-target attribution, keyed by entry PC: call counts from the
+    /// call log, cycles from the target's ledger region split by stream.
+    #[must_use]
+    pub fn target_profiles(&self) -> BTreeMap<u32, TargetProfile> {
+        let regions = self.ledger.region_totals();
+        let mut out: BTreeMap<u32, TargetProfile> = BTreeMap::new();
+        for c in &self.calls {
+            let t = out.entry(c.target).or_insert_with(|| {
+                let r = regions.get(&c.target).cloned().unwrap_or_default();
+                TargetProfile {
+                    scalar_cycles: r.cycles - r.micro_cycles,
+                    micro_cycles: r.micro_cycles,
+                    ..TargetProfile::default()
+                }
+            });
+            match c.mode {
+                CallMode::Scalar => t.scalar_calls += 1,
+                CallMode::Microcode => t.micro_calls += 1,
+            }
+        }
+        out
     }
 
     /// Cycles between the first two calls of `target` (paper Table 6).

@@ -101,8 +101,8 @@ fn pinned_documents_round_trip_in_their_layout() {
 fn ledger_and_diff_surfaces_parse() {
     let (program, _) = workload("fir");
     let snap_at = |width: usize| {
-        let out = liquid::run(&program, MachineConfig::liquid(width).with_ledger(true)).unwrap();
-        let ledger = out.report.ledger.expect("ledger recorded");
+        let out = liquid::run(&program, MachineConfig::liquid(width)).unwrap();
+        let ledger = out.report.ledger;
         let doc = Json::parse(&ledger.to_json()).expect("ledger-v1 parses");
         assert_eq!(str_at(&doc, "schema"), "ledger-v1");
         assert_eq!(u64_at(&doc, &["total_cycles"]), out.report.cycles);
@@ -117,6 +117,93 @@ fn ledger_and_diff_surfaces_parse() {
         u64_at(&d, &["b", "total_cycles"]),
         u64_at(&Json::parse(&b.to_json()).unwrap(), &["total_cycles"])
     );
+}
+
+fn i64_at(doc: &Json, key: &str) -> i64 {
+    match doc.get(key) {
+        Some(Json::Num(n)) => n.parse().unwrap_or_else(|_| panic!("{key} is not an i64")),
+        _ => panic!("missing {key}"),
+    }
+}
+
+/// Checks the `diff-v1` layout and arithmetic: the key sets, every delta
+/// is `b - a`, and each side's category cycles sum to its total.
+fn check_diff_v1(d: &Json) {
+    assert_eq!(str_at(d, "schema"), "diff-v1");
+    let keys = |j: &Json| -> Vec<String> {
+        let mut k: Vec<String> = j.as_obj().unwrap().iter().map(|(k, _)| k.clone()).collect();
+        k.sort();
+        k
+    };
+    for side in ["a", "b"] {
+        assert_eq!(keys(d.get(side).unwrap()), ["label", "total_cycles"]);
+    }
+    let total = |side: &str| u64_at(d, &[side, "total_cycles"]);
+    assert_eq!(
+        i64_at(d, "total_delta"),
+        total("b") as i64 - total("a") as i64
+    );
+    let categories = d.get("categories").and_then(Json::as_arr).unwrap();
+    for c in categories {
+        assert_eq!(
+            keys(c),
+            [
+                "a_cycles",
+                "b_cycles",
+                "category",
+                "delta",
+                "share_permille"
+            ]
+        );
+        let cycles = |k: &str| u64_at(c, &[k]) as i64;
+        assert_eq!(i64_at(c, "delta"), cycles("b_cycles") - cycles("a_cycles"));
+    }
+    for side in ["a", "b"] {
+        let split: u64 = categories
+            .iter()
+            .map(|c| u64_at(c, &[&format!("{side}_cycles")]))
+            .sum();
+        assert_eq!(
+            split,
+            total(side),
+            "side {side}: categories sum to the total"
+        );
+    }
+    for r in d.get("regions").and_then(Json::as_arr).unwrap() {
+        let k = keys(r);
+        for want in ["a_cycles", "b_cycles", "delta", "region"] {
+            assert!(k.iter().any(|x| x == want), "region row lacks {want}");
+        }
+    }
+    assert!(d.get("counters").and_then(Json::as_arr).is_some());
+    let narrative = d.get("narrative").and_then(Json::as_arr).unwrap();
+    assert!(!narrative.is_empty(), "empty narrative");
+}
+
+#[test]
+fn diff_v1_reports_hold_their_invariants() {
+    // Same code, same input: two runs diff to exactly zero.
+    let (program, _) = workload("fir");
+    let snap = |label: &str| {
+        let report = liquid::run(&program, MachineConfig::liquid(8))
+            .unwrap()
+            .report;
+        let names = liquid::ledger_region_labels(&program, &report.ledger);
+        liquid_simd_repro::perfhist::counters::ledger_snapshot(label, &report, &names)
+    };
+    let same = Json::parse(&diff::render_json(&diff::diff(&snap("a"), &snap("b")))).unwrap();
+    check_diff_v1(&same);
+    assert_eq!(
+        i64_at(&same, "total_delta"),
+        0,
+        "same-code runs diff to zero"
+    );
+    // The pinned 179.art width inversion (byte-identical to a fresh
+    // `diff`, see tests/ledger_invariant.rs) is dominated by scalar code.
+    let art = Json::parse(include_str!("../bench/diff_179art_w8_w16.json")).unwrap();
+    check_diff_v1(&art);
+    assert!(i64_at(&art, "total_delta") > 0);
+    assert_eq!(str_at(&art, "dominant_category"), "scalar-execute");
 }
 
 #[test]
