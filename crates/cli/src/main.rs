@@ -1580,9 +1580,7 @@ fn serve_request(addr: &str, line: &str) -> Result<Json, String> {
         .set_read_timeout(Some(std::time::Duration::from_secs(30)))
         .map_err(|e| e.to_string())?;
     stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
+        .write_all(format!("{line}\n").as_bytes())
         .map_err(|e| format!("{addr}: send: {e}"))?;
     let mut resp = String::new();
     BufReader::new(stream)
@@ -1965,8 +1963,9 @@ fn cmd_sentinel_cross(args: &[String], history_path: &str) -> Result<(), String>
                 "  DRIFT {} {}: interp {} vs superblock {}",
                 d.get("workload").and_then(Json::as_str).unwrap_or("?"),
                 d.get("metric").and_then(Json::as_str).unwrap_or("?"),
-                d.get("interp").map_or("?".to_string(), Json::write),
-                d.get("superblock").map_or("?".to_string(), Json::write),
+                d.get("interp").map_or_else(|| "?".to_string(), Json::write),
+                d.get("superblock")
+                    .map_or_else(|| "?".to_string(), Json::write),
             );
         }
     }
@@ -2068,8 +2067,10 @@ fn render_verdict(v: &Json) {
             println!(
                 "  SERVE DRIFT {}: {} -> {}",
                 d.get("metric").and_then(Json::as_str).unwrap_or("?"),
-                d.get("baseline").map_or("?".to_string(), Json::write),
-                d.get("current").map_or("?".to_string(), Json::write),
+                d.get("baseline")
+                    .map_or_else(|| "?".to_string(), Json::write),
+                d.get("current")
+                    .map_or_else(|| "?".to_string(), Json::write),
             );
         }
     }

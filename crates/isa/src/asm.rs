@@ -117,7 +117,7 @@ pub fn disassemble(p: &Program) -> String {
             Inst::S(ScalarInst::B { cond, target }) => {
                 format!(
                     "b{cond} {}",
-                    label_for(*target).unwrap_or(format!("@{target}"))
+                    label_for(*target).unwrap_or_else(|| format!("@{target}"))
                 )
             }
             Inst::S(ScalarInst::Bl {
@@ -125,7 +125,10 @@ pub fn disassemble(p: &Program) -> String {
                 vectorizable,
             }) => {
                 let m = if *vectorizable { "bl.v" } else { "bl" };
-                format!("{m} {}", label_for(*target).unwrap_or(format!("@{target}")))
+                format!(
+                    "{m} {}",
+                    label_for(*target).unwrap_or_else(|| format!("@{target}"))
+                )
             }
             other => render_with_symbols(other, p),
         };
@@ -419,7 +422,10 @@ impl Assembler {
         }
 
         // Loads/stores.
-        if let Some(tail) = mnemonic.strip_prefix("ld").or(mnemonic.strip_prefix("st")) {
+        if let Some(tail) = mnemonic
+            .strip_prefix("ld")
+            .or_else(|| mnemonic.strip_prefix("st"))
+        {
             let is_load = mnemonic.starts_with("ld");
             if tail == "f" {
                 return Ok(ParsedInst::Plain(Inst::S(if is_load {
@@ -755,7 +761,7 @@ fn parse_int(lineno: usize, s: &str) -> Result<i32, IsaError> {
         Some(b) => (true, b),
         None => (false, s),
     };
-    let value = if let Some(hex) = body.strip_prefix("0x").or(body.strip_prefix("0X")) {
+    let value = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
         i64::from_str_radix(hex, 16)
     } else {
         body.parse::<i64>()

@@ -84,9 +84,11 @@ impl Program {
     ///
     /// Returns [`IsaError::UnknownSymbol`] if the id is out of range.
     pub fn symbol(&self, id: SymId) -> Result<&Symbol, IsaError> {
-        self.symbols.get(id.index()).ok_or(IsaError::UnknownSymbol {
-            name: id.to_string(),
-        })
+        self.symbols
+            .get(id.index())
+            .ok_or_else(|| IsaError::UnknownSymbol {
+                name: id.to_string(),
+            })
     }
 
     /// Looks up a symbol by name.

@@ -92,12 +92,89 @@ impl fmt::Display for CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Way {
-    tag: u32,
-    valid: bool,
-    /// Monotonic timestamp of the last touch, for true LRU.
-    last_use: u64,
+/// Marks an empty [`Residency`] entry.
+const EMPTY: u32 = u32::MAX;
+
+/// Line-number → way-slot index over every resident line: open addressing
+/// with linear probing and backward-shift deletion, sized at construction
+/// to at most half full, so lookups are O(1) and nothing allocates after
+/// [`Cache::new`].
+#[derive(Clone, Debug)]
+struct Residency {
+    /// `(line, slot)` pairs; `slot == EMPTY` marks a free entry.
+    table: Vec<(u32, u32)>,
+    shift: u32,
+}
+
+impl Residency {
+    fn new(lines: u32) -> Residency {
+        let size = (2 * lines).next_power_of_two().max(2);
+        Residency {
+            table: vec![(0, EMPTY); size as usize],
+            shift: 32 - size.trailing_zeros(),
+        }
+    }
+
+    /// Fibonacci hash of `line` to its home entry.
+    fn home(&self, line: u32) -> usize {
+        (line.wrapping_mul(0x9E37_79B9) >> self.shift) as usize
+    }
+
+    fn next(&self, i: usize) -> usize {
+        (i + 1) & (self.table.len() - 1)
+    }
+
+    /// The table position holding `line`, or the free entry that ends its
+    /// probe run.
+    fn position(&self, line: u32) -> usize {
+        let mut i = self.home(line);
+        while self.table[i].1 != EMPTY && self.table[i].0 != line {
+            i = self.next(i);
+        }
+        i
+    }
+
+    fn find(&self, line: u32) -> Option<usize> {
+        let (_, slot) = self.table[self.position(line)];
+        (slot != EMPTY).then_some(slot as usize)
+    }
+
+    /// Records `line` (not already present) as held by `slot`.
+    fn insert(&mut self, line: u32, slot: usize) {
+        let i = self.position(line);
+        self.table[i] = (line, slot as u32);
+    }
+
+    /// Removes `line` (present), shifting later entries of its probe run
+    /// back so no lookup ever stops early.
+    fn remove(&mut self, line: u32) {
+        let mut hole = self.position(line);
+        let mut i = hole;
+        loop {
+            i = self.next(i);
+            let (l, slot) = self.table[i];
+            if slot == EMPTY {
+                break;
+            }
+            // The entry at `i` may fill the hole unless its home lies
+            // cyclically within (hole, i].
+            let home = self.home(l);
+            let stays = if hole <= i {
+                hole < home && home <= i
+            } else {
+                hole < home || home <= i
+            };
+            if !stays {
+                self.table[hole] = (l, slot);
+                hole = i;
+            }
+        }
+        self.table[hole].1 = EMPTY;
+    }
+
+    fn clear(&mut self) {
+        self.table.fill((0, EMPTY));
+    }
 }
 
 /// A set-associative cache timing model.
@@ -105,11 +182,23 @@ struct Way {
 /// [`Cache::access`] classifies an access as hit or miss, updates residency
 /// and LRU state, and returns the hit flag; the caller charges
 /// [`CacheConfig::miss_penalty`] for misses.
+///
+/// A hit costs O(1): the last line touched is memoised, and every other
+/// resident line is found through a line → way index. Only a miss scans
+/// its set, to pick the victim.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
     sets: u32,
-    ways: Vec<Way>,
+    line_shift: u32,
+    /// Line number held by each way (`set * ways + way`).
+    lines: Vec<u32>,
+    /// Tick of each way's last touch, for true LRU; `0` marks an invalid
+    /// way (ticks start at 1).
+    last_use: Vec<u64>,
+    residency: Residency,
+    /// `(line, way slot)` of the most recent access, if still resident.
+    last: Option<(u32, usize)>,
     tick: u64,
     stats: CacheStats,
     /// Optional event recorder; set with [`Cache::attach_tracer`]. Without
@@ -122,10 +211,15 @@ impl Cache {
     #[must_use]
     pub fn new(config: CacheConfig) -> Cache {
         let sets = config.sets();
+        let slots = sets * config.ways;
         Cache {
             config,
             sets,
-            ways: vec![Way::default(); (sets * config.ways) as usize],
+            line_shift: config.line_bytes.trailing_zeros(),
+            lines: vec![0; slots as usize],
+            last_use: vec![0; slots as usize],
+            residency: Residency::new(slots),
+            last: None,
             tick: 0,
             stats: CacheStats::default(),
             tracer: None,
@@ -155,12 +249,12 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn set_range(&self, addr: u32) -> (std::ops::Range<usize>, u32) {
-        let line = addr / self.config.line_bytes;
-        let set = line % self.sets;
-        let tag = line / self.sets;
-        let start = (set * self.config.ways) as usize;
-        (start..start + self.config.ways as usize, tag)
+    /// The way slot holding `line`, if resident.
+    fn lookup(&self, line: u32) -> Option<usize> {
+        match self.last {
+            Some((l, slot)) if l == line => Some(slot),
+            _ => self.residency.find(line),
+        }
     }
 
     /// Accesses one byte address; returns `true` on a hit. Both reads and
@@ -169,24 +263,32 @@ impl Cache {
     pub fn access(&mut self, addr: u32) -> bool {
         self.tick += 1;
         self.stats.accesses += 1;
-        let (range, tag) = self.set_range(addr);
-        let ways = &mut self.ways[range];
-        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_use = self.tick;
+        let line = addr >> self.line_shift;
+        if let Some(slot) = self.lookup(line) {
+            self.last_use[slot] = self.tick;
+            self.last = Some((line, slot));
             self.stats.hits += 1;
             return true;
         }
-        // Miss: fill into the invalid or least-recently-used way.
+        // Miss: fill into the first invalid or least-recently-used way.
         if let Some((tracer, kind)) = &self.tracer {
             tracer.emit(TraceEvent::CacheMiss { cache: *kind, addr });
         }
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_use } else { 0 })
-            .expect("cache has at least one way");
-        victim.valid = true;
-        victim.tag = tag;
-        victim.last_use = self.tick;
+        let ways = self.config.ways as usize;
+        let start = (line % self.sets) as usize * ways;
+        let mut victim = start;
+        for slot in start + 1..start + ways {
+            if self.last_use[slot] < self.last_use[victim] {
+                victim = slot;
+            }
+        }
+        if self.last_use[victim] != 0 {
+            self.residency.remove(self.lines[victim]);
+        }
+        self.lines[victim] = line;
+        self.last_use[victim] = self.tick;
+        self.residency.insert(line, victim);
+        self.last = Some((line, victim));
         false
     }
 
@@ -212,15 +314,14 @@ impl Cache {
     /// Whether an address is currently resident (no state change).
     #[must_use]
     pub fn probe(&self, addr: u32) -> bool {
-        let (range, tag) = self.set_range(addr);
-        self.ways[range].iter().any(|w| w.valid && w.tag == tag)
+        self.lookup(addr >> self.line_shift).is_some()
     }
 
     /// Invalidates everything (e.g. on simulated context switch).
     pub fn flush(&mut self) {
-        for w in &mut self.ways {
-            w.valid = false;
-        }
+        self.last_use.fill(0);
+        self.residency.clear();
+        self.last = None;
     }
 }
 
@@ -236,6 +337,129 @@ mod tests {
             line_bytes: 16,
             miss_penalty: 10,
         })
+    }
+
+    /// The linear-scan true-LRU model the indexed [`Cache`] replaced, kept
+    /// as the reference it must match access for access.
+    struct Reference {
+        config: CacheConfig,
+        sets: u32,
+        /// `(tag, valid, last_use)` per way.
+        ways: Vec<(u32, bool, u64)>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl Reference {
+        fn new(config: CacheConfig) -> Reference {
+            let sets = config.sets();
+            Reference {
+                config,
+                sets,
+                ways: vec![(0, false, 0); (sets * config.ways) as usize],
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_range(&self, addr: u32) -> (std::ops::Range<usize>, u32) {
+            let line = addr / self.config.line_bytes;
+            let start = ((line % self.sets) * self.config.ways) as usize;
+            (start..start + self.config.ways as usize, line / self.sets)
+        }
+
+        fn access(&mut self, addr: u32) -> bool {
+            self.tick += 1;
+            self.stats.accesses += 1;
+            let (range, tag) = self.set_range(addr);
+            let ways = &mut self.ways[range];
+            if let Some(way) = ways.iter_mut().find(|w| w.1 && w.0 == tag) {
+                way.2 = self.tick;
+                self.stats.hits += 1;
+                return true;
+            }
+            let victim = ways
+                .iter_mut()
+                .min_by_key(|w| if w.1 { w.2 } else { 0 })
+                .unwrap();
+            *victim = (tag, true, self.tick);
+            false
+        }
+
+        fn access_range(&mut self, addr: u32, len: u32) -> u32 {
+            if len == 0 {
+                return 0;
+            }
+            let line = self.config.line_bytes;
+            (addr / line..=(addr + len - 1) / line)
+                .filter(|l| !self.access(l * line))
+                .count() as u32
+        }
+
+        fn probe(&self, addr: u32) -> bool {
+            let (range, tag) = self.set_range(addr);
+            self.ways[range].iter().any(|w| w.1 && w.0 == tag)
+        }
+
+        fn flush(&mut self) {
+            for w in &mut self.ways {
+                w.1 = false;
+            }
+        }
+    }
+
+    /// Drives the reference and the indexed cache with one seeded stream of
+    /// accesses, line-crossing ranges, probes and flushes, and checks every
+    /// result and the final stats agree.
+    fn differential(config: CacheConfig, seed: u64, ops: usize) {
+        let mut rng = seed;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (mut cache, mut reference) = (Cache::new(config), Reference::new(config));
+        // Four times the capacity, so sets overflow and LRU victims matter.
+        let span = 4 * config.size_bytes;
+        let mut cursor = 0u32;
+        for op in 0..ops {
+            let r = next();
+            // Half the addresses walk a cursor (locality, repeated lines),
+            // half are uniform over the span.
+            let addr = if r & 1 == 0 {
+                cursor = (cursor + (r >> 8) as u32 % 24) % span;
+                cursor
+            } else {
+                (r >> 8) as u32 % span
+            };
+            match (r >> 40) % 100 {
+                0 => {
+                    cache.flush();
+                    reference.flush();
+                }
+                1..=15 => assert_eq!(cache.probe(addr), reference.probe(addr), "op {op}"),
+                16..=35 => {
+                    let len = (r >> 48) as u32 % (3 * config.line_bytes);
+                    assert_eq!(
+                        cache.access_range(addr, len),
+                        reference.access_range(addr, len),
+                        "op {op}: range {addr:#x}+{len}"
+                    );
+                }
+                _ => assert_eq!(cache.access(addr), reference.access(addr), "op {op}"),
+            }
+        }
+        assert_eq!(cache.stats(), reference.stats);
+        assert!(cache.stats().hits > 0 && cache.stats().misses() > 0);
+    }
+
+    #[test]
+    fn indexed_cache_matches_linear_scan_reference() {
+        for seed in [1, 0x9E37_79B9_7F4A_7C15, 0xDEAD_BEEF] {
+            differential(*tiny().config(), seed, 20_000);
+            differential(CacheConfig::arm926_16k(), seed, 200_000);
+        }
     }
 
     #[test]

@@ -767,7 +767,7 @@ fn counter_section(out: &mut String, records: &[&Json]) {
             out,
             "<tr><td><code>{}</code></td><td class=\"num\">{}</td><td class=\"num\">{}</td>{}</tr>",
             esc(&name),
-            base.map_or("—".to_string(), commas),
+            base.map_or_else(|| "—".to_string(), commas),
             commas(cur),
             delta_cell
         );

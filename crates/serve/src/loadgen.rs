@@ -152,11 +152,9 @@ fn client_session(addr: SocketAddr, lines: &[String]) -> Result<BTreeMap<String,
         .map_err(|e| e.to_string())?;
     for line in lines {
         stream
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
+            .write_all(format!("{line}\n").as_bytes())
             .map_err(|e| format!("send: {e}"))?;
     }
-    stream.flush().map_err(|e| e.to_string())?;
     let reader = BufReader::new(stream);
     let mut out = BTreeMap::new();
     for resp in reader.lines().take(lines.len()) {

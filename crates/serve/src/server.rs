@@ -1009,10 +1009,8 @@ mod tests {
     fn client(addr: SocketAddr, lines: &[String]) -> Vec<String> {
         let mut stream = TcpStream::connect(addr).expect("connect");
         for l in lines {
-            stream.write_all(l.as_bytes()).unwrap();
-            stream.write_all(b"\n").unwrap();
+            stream.write_all(format!("{l}\n").as_bytes()).unwrap();
         }
-        stream.flush().unwrap();
         let reader = BufReader::new(stream);
         reader
             .lines()

@@ -265,6 +265,28 @@ top:
     }
 
     #[test]
+    fn running_past_the_last_instruction_faults_on_both_backends() {
+        // No `halt`: after its loop the program runs off its last
+        // instruction, and the fault names the code index it reached.
+        let src = "main:\n    mov r0, #0\ntop:\n    add r0, r0, #1\n    cmp r0, #4\n    blt top\n";
+        let p = asm::assemble(src).expect("assembles");
+        for backend in [BackendKind::Interp, BackendKind::Superblock] {
+            let config = MachineConfig::scalar_only().with_backend(backend);
+            let err = Machine::new(&p, config)
+                .run()
+                .expect_err("runs off the end");
+            assert_eq!(
+                err,
+                SimError::Fault {
+                    pc: 4,
+                    what: "fell off the end of the code section".to_string(),
+                },
+                "{backend:?}"
+            );
+        }
+    }
+
+    #[test]
     fn superblock_matches_interpreter_on_scalar_loop() {
         run_both(SUM_LOOP, &MachineConfig::scalar_only());
     }

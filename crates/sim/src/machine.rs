@@ -256,15 +256,19 @@ impl<'p> Machine<'p> {
         // ---- fetch -------------------------------------------------------
         let (inst, meta, pc, in_micro) = match self.stream {
             Stream::Prog { pc } => {
-                let inst = *self.prog.code.get(pc as usize).ok_or(SimError::Fault {
-                    pc,
-                    what: "fell off the end of the code section".to_string(),
-                })?;
+                let inst = *self
+                    .prog
+                    .code
+                    .get(pc as usize)
+                    .ok_or_else(|| SimError::Fault {
+                        pc,
+                        what: "fell off the end of the code section".to_string(),
+                    })?;
                 (inst, self.prog_meta[pc as usize], pc, false)
             }
             Stream::Micro { idx, pos, .. } => {
                 let code = self.mcache.code(idx);
-                let inst = *code.get(pos as usize).ok_or(SimError::Fault {
+                let inst = *code.get(pos as usize).ok_or_else(|| SimError::Fault {
                     pc: pos,
                     what: "fell off the end of microcode".to_string(),
                 })?;

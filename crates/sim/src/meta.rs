@@ -159,11 +159,14 @@ pub fn def_of(inst: &Inst) -> (Option<RegRef>, bool) {
             (def, matches!(s, ScalarInst::Cmp { .. }))
         }
         Inst::V(v) => {
-            let def = v.vec_def().map(|r| RegRef::Vec(r.index())).or(match v {
-                VectorInst::VRedI { rd, .. } => Some(RegRef::Int(rd.index())),
-                VectorInst::VRedF { fd, .. } => Some(RegRef::Fp(fd.index())),
-                _ => None,
-            });
+            let def = v
+                .vec_def()
+                .map(|r| RegRef::Vec(r.index()))
+                .or_else(|| match v {
+                    VectorInst::VRedI { rd, .. } => Some(RegRef::Int(rd.index())),
+                    VectorInst::VRedF { fd, .. } => Some(RegRef::Fp(fd.index())),
+                    _ => None,
+                });
             (def, false)
         }
     }

@@ -464,7 +464,7 @@ fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Str
                     b'u' => {
                         let hex = text
                             .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape".to_string())?;
+                            .ok_or_else(|| "truncated \\u escape".to_string())?;
                         let code = u32::from_str_radix(hex, 16)
                             .map_err(|_| format!("bad \\u escape '{hex}'"))?;
                         *pos += 4;
@@ -474,7 +474,7 @@ fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Str
                             {
                                 let hex2 = text
                                     .get(*pos + 2..*pos + 6)
-                                    .ok_or("truncated surrogate".to_string())?;
+                                    .ok_or_else(|| "truncated surrogate".to_string())?;
                                 let low = u32::from_str_radix(hex2, 16)
                                     .map_err(|_| format!("bad \\u escape '{hex2}'"))?;
                                 if !(0xDC00..0xE000).contains(&low) {
@@ -488,7 +488,7 @@ fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Str
                         } else {
                             code
                         };
-                        out.push(char::from_u32(c).ok_or("invalid codepoint".to_string())?);
+                        out.push(char::from_u32(c).ok_or_else(|| "invalid codepoint".to_string())?);
                     }
                     other => return Err(format!("bad escape '\\{}'", other as char)),
                 }
@@ -496,7 +496,10 @@ fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Str
             _ => {
                 // Consume one UTF-8 scalar from the source text.
                 let rest = &text[*pos..];
-                let c = rest.chars().next().ok_or("invalid UTF-8".to_string())?;
+                let c = rest
+                    .chars()
+                    .next()
+                    .ok_or_else(|| "invalid UTF-8".to_string())?;
                 out.push(c);
                 *pos += c.len_utf8();
             }

@@ -32,9 +32,8 @@ fn talk(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
         .set_read_timeout(Some(Duration::from_secs(120)))
         .unwrap();
     for line in lines {
-        writeln!(stream, "{line}").unwrap();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
     }
-    stream.flush().unwrap();
     let got: Vec<String> = BufReader::new(stream)
         .lines()
         .take(lines.len())

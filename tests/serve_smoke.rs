@@ -39,9 +39,8 @@ fn talk(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
         .set_read_timeout(Some(Duration::from_secs(120)))
         .unwrap();
     for line in lines {
-        writeln!(stream, "{line}").unwrap();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
     }
-    stream.flush().unwrap();
     let reader = BufReader::new(stream);
     let got: Vec<String> = reader
         .lines()
@@ -221,7 +220,10 @@ fn oversized_line_is_refused_without_disturbing_other_connections() {
         s
     };
     let ask = |reader: &mut BufReader<TcpStream>, line: &str| {
-        writeln!(reader.get_mut(), "{line}").unwrap();
+        reader
+            .get_mut()
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
         reply
