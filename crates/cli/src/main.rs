@@ -42,12 +42,15 @@
 //!     --out F          write the report to F instead of stdout
 //! liquid-simd tables [--jobs N] [--smoke]
 //!                      regenerate the paper's tables/figures in parallel
-//! liquid-simd bench [--jobs N] [--smoke] [--progress] [--out BENCH_sim.json]
+//! liquid-simd bench [--jobs N] [--smoke] [--out BENCH_sim.json]
 //!                      benchmark of the simulator: scalar baseline plus
 //!                      liquid cycles at every width per workload, counter
-//!                      telemetry, and the parallel sweep; writes a JSON
+//!                      telemetry, and a serial-vs-parallel Figure 6 sweep
+//!                      that must render byte-identically; writes a JSON
 //!                      snapshot AND appends one perfhist-v1 record to the
-//!                      append-only history
+//!                      append-only history. Only simulated results are
+//!                      recorded, so output is the same bytes on every run
+//!                      at any --jobs (perfbench measures host time)
 //!     --backend B      run every simulation on this backend; recorded in
 //!                      the snapshot and the perfhist-v1 record
 //!     --ledger         embed each workload's compact ledger snapshot at
@@ -65,15 +68,15 @@
 //!     --requests N     requests per client (default auto-sized)
 //!     --shards N       shard count of the sharded pass (default 8)
 //!     --measure-recorder   third pass with the flight recorder disabled;
-//!                      prints the wall-clock overhead delta and records
-//!                      it in the BENCH_sim.json `notes` field
+//!                      its responses and determinism hashes must be
+//!                      byte-identical to the recorder-on pass
 //!     --families       benchmark the generated kernel families instead of
 //!                      the fixed suite: every corpus variant at every
 //!                      width, summarised per family as a speedup
 //!                      distribution (p10/p50/p90) with abort-reason
-//!                      tallies and width anomalies; the snapshot has no
-//!                      wall-clock fields, so two runs are byte-identical,
-//!                      and one perfhist-gen-v1 record goes to the history
+//!                      tallies and width anomalies; two runs are
+//!                      byte-identical, and one perfhist-gen-v1 record
+//!                      goes to the history
 //!                      (--smoke keeps variants with trip <= 64, unroll <= 2)
 //! liquid-simd gen [--list|--expand|--emit VARIANT|--check]
 //!                      the declarative kernel-generator corpus
@@ -130,13 +133,11 @@
 //!                      with no escape codes)
 //! liquid-simd sentinel [--baseline REF] [--json]
 //!                      regression gate over the history: deterministic
-//!                      sim_cycles must match the baseline record exactly
-//!                      (any drift fails, improvements included);
-//!                      wall-clock throughput only warns (median/MAD band);
-//!                      baselines pair only within the same backend
+//!                      sim_cycles must match the latest comparable
+//!                      record (or the --baseline commit's) exactly (any
+//!                      drift fails, improvements included); baselines
+//!                      pair only within the same backend
 //!     --history F      history file (default bench/history.jsonl)
-//!     --window N       baseline window size (default 5)
-//!     --noise-frac X   wall-clock warn fraction (default 0.15)
 //!     --cross-backend  instead gate that the newest interp and superblock
 //!                      records (same commit/config) report identical
 //!                      deterministic sim cycles at every width
@@ -230,7 +231,7 @@ fn usage() -> String {
      diff [<A@wN|FILE> <B@wN|FILE>] [--backend B] [--json] [--out FILE]\n\
          [--history bench/history.jsonl]\n\
      tables [--jobs N] [--smoke]\n\
-     bench [--jobs N] [--smoke] [--backend B] [--ledger] [--progress]\n\
+     bench [--jobs N] [--smoke] [--backend B] [--ledger]\n\
          [--out BENCH_sim.json] [--history bench/history.jsonl]\n\
          [--no-history] [--serve [--clients N] [--requests N] [--shards N]\n\
          [--measure-recorder]] [--families]\n\
@@ -242,8 +243,7 @@ fn usage() -> String {
          [--cache-cap N] [--inject-faults]\n\
      inspect [--addr 127.0.0.1:7070] [--raw] [--scrub]\n\
      top [--addr 127.0.0.1:7070] [--interval SECS] [--count N] [--once]\n\
-     sentinel [--baseline REF] [--json] [--history FILE]\n\
-         [--window N] [--noise-frac X] [--cross-backend]\n\
+     sentinel [--baseline REF] [--json] [--history FILE] [--cross-backend]\n\
      dashboard [--out report.html] [--history FILE] [--flame WORKLOAD]\n\
          [--flight-dir DIR] [--snapshot FILE]\n\
      conform [--seed S] [--cases N] [--jobs N] [--json] [--out FILE]\n\
@@ -860,11 +860,71 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let jobs = parse_jobs(args)?;
     let (workloads, widths) = bench_suite(args);
     let smoke = flag(args, "--smoke");
-    let embed_ledger = flag(args, "--ledger");
     let backend = parse_backend(args)?;
     let out_path = option_value(args, "--out")?.unwrap_or("BENCH_sim.json");
     let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
-    let err = |e: liquid_simd::VerifyError| e.to_string();
+    let bench = measure_suite(
+        &workloads,
+        &widths,
+        jobs,
+        backend,
+        flag(args, "--ledger"),
+        smoke,
+    )?;
+    fs::write(out_path, &bench.doc).map_err(|e| format!("{out_path}: {e}"))?;
+    println!("{out_path}: written");
+
+    // Append one perfhist-v1 record to the history. Like the snapshot, the
+    // record holds only simulated results, so two runs of the same code
+    // differ in nothing but `timestamp`, whatever `--jobs` was.
+    if !flag(args, "--no-history") {
+        let meta = perfhist::RecordMeta {
+            commit: perfhist::record::git_commit(std::path::Path::new(".")),
+            timestamp: perfhist::record::unix_now(),
+            host: perfhist::record::host_fingerprint(),
+            config_hash: format!(
+                "{:016x}",
+                MachineConfig::liquid(bench.headline).fingerprint()
+            ),
+            smoke,
+            widths,
+            backend: backend.name().to_string(),
+        };
+        let record = perfhist::record::build(&meta, &bench.rows, &bench.counters);
+        perfhist::store::append(std::path::Path::new(history_path), &record)?;
+        println!(
+            "{history_path}: appended perfhist-v1 record for {}",
+            meta.commit
+        );
+    }
+    Ok(())
+}
+
+/// One `bench` measurement: the `liquid-simd-bench-v1` document and the
+/// rows and merged counters its perfhist-v1 record is built from.
+struct BenchRun {
+    doc: String,
+    rows: Vec<perfhist::WorkloadRow>,
+    counters: std::collections::BTreeMap<String, u64>,
+    headline: usize,
+}
+
+/// Measures `workloads` over `widths` on `backend` and prints one line
+/// per workload. Everything measured is simulated, so the document and
+/// the printed lines are the same bytes on every run, whatever `jobs` is.
+///
+/// # Errors
+///
+/// Fails on a compile or simulation error, and when the Figure 6 sweep
+/// over `jobs` workers renders differently from the serial sweep.
+fn measure_suite(
+    workloads: &[liquid_simd::Workload],
+    widths: &[usize],
+    jobs: usize,
+    backend: liquid_simd::BackendKind,
+    embed_ledger: bool,
+    smoke: bool,
+) -> Result<BenchRun, String> {
     // The headline width: the paper's 8-lane configuration when swept,
     // else the widest width in the sweep.
     let headline = if widths.contains(&8) {
@@ -873,15 +933,13 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         *widths.last().ok_or("bench: empty width sweep")?
     };
 
-    // Per-workload measurements, all deterministic except wall clock: the
-    // scalar baseline (speedup denominator), liquid cycles at every swept
-    // width, wall-clock throughput of the headline run (the
-    // predecoded-metadata fast path is what that number measures), and the
-    // headline run's counter-telemetry snapshot.
+    // Per-workload measurements: the scalar baseline (speedup
+    // denominator), liquid cycles at every swept width, and the headline
+    // run's counter-telemetry snapshot.
     let mut rows: Vec<perfhist::WorkloadRow> = Vec::new();
     let mut width_snaps = Vec::new();
     let mut counters = std::collections::BTreeMap::new();
-    for w in &workloads {
+    for w in workloads {
         let plain = liquid_simd::build_plain(w).map_err(|e| format!("{}: {e}", w.name))?;
         let base = liquid_simd::run(
             &plain.program,
@@ -895,21 +953,16 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             sim_cycles: 0,
             cycles_by_width: Vec::new(),
             ledger: None,
-            wall_s: 0.0,
-            cycles_per_sec: 0.0,
         };
         let mut snaps = Vec::new();
-        for &width in &widths {
-            let t0 = Instant::now();
+        for &width in widths {
             let out = liquid_simd::run(
                 &b.program,
                 MachineConfig::liquid(width).with_backend(backend),
             )
             .map_err(|e| e.to_string())?;
             if width == headline {
-                row.wall_s = t0.elapsed().as_secs_f64();
                 row.sim_cycles = out.report.cycles;
-                row.cycles_per_sec = out.report.cycles as f64 / row.wall_s.max(1e-9);
                 perfhist::counters::merge(
                     &mut counters,
                     &perfhist::counters::snapshot(&out.report),
@@ -928,22 +981,18 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         }
         width_snaps.push(snaps);
         println!(
-            "{:<14} {:>12} cycles @ {headline} lanes  ({:>9} scalar, {:.2}x)  \
-             {:>8.3} ms  {:>12.0} sim-cycles/s",
+            "{:<14} {:>12} cycles @ {headline} lanes  ({:>9} scalar, {:.2}x)",
             w.name,
             row.sim_cycles,
             row.baseline_cycles,
             row.baseline_cycles as f64 / row.sim_cycles.max(1) as f64,
-            row.wall_s * 1e3,
-            row.cycles_per_sec
         );
         rows.push(row);
     }
 
     // A wider machine that loses to a narrower one is surprising enough to
     // say out loud, not leave buried in the JSON snapshot.
-    let anomalies = width_anomalies(&rows);
-    for a in &anomalies {
+    for a in width_anomalies(&rows) {
         println!("warning: width anomaly — {a}");
     }
     // The snapshot gets the structured form: each inversion's ledger diff
@@ -951,62 +1000,15 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     // exist.
     let anomaly_entries = width_anomaly_entries(&rows, &width_snaps);
 
-    // The Figure 6 sweep, serial then parallel: wall-clock speedup plus a
-    // byte-identity check on the rendered rows (determinism gate). Per-task
-    // timings go into the report so a disappointing speedup is diagnosable
-    // (the 2024-era anomaly was a speedup of 0.992 with no way to tell
-    // whether scheduling, build memoization, or one slow unit was at
-    // fault).
-    let n_units = workloads.len() * (1 + widths.len() * 3);
-    let progress = |t: &liquid_simd::TaskTiming| {
-        if flag(args, "--progress") {
-            eprintln!(
-                "  [worker {}] unit {}/{} done in {:.1} ms",
-                t.worker,
-                t.index + 1,
-                n_units,
-                t.wall_s * 1e3
-            );
-        }
-    };
-    let t0 = Instant::now();
-    let (serial, _) = experiments::figure6_timed(&workloads, &widths, 1, &progress).map_err(err)?;
-    let serial_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let (parallel, timings) =
-        experiments::figure6_timed(&workloads, &widths, jobs, &progress).map_err(err)?;
-    let parallel_s = t0.elapsed().as_secs_f64();
-    let deterministic = render_rows(&serial) == render_rows(&parallel);
-    let speedup = serial_s / parallel_s.max(1e-9);
-    println!(
-        "figure6 sweep: serial {serial_s:.3}s, parallel ({jobs} jobs) {parallel_s:.3}s, \
-         {speedup:.2}x, {}",
-        if deterministic {
-            "byte-identical"
-        } else {
-            "NONDETERMINISTIC"
-        }
-    );
-    // Busy seconds per worker: imbalance here (one worker owning most of
-    // the wall time) explains a poor speedup.
-    let n_workers = timings.iter().map(|t| t.worker + 1).max().unwrap_or(1);
-    let mut worker_busy_s = vec![0.0f64; n_workers];
-    for t in &timings {
-        worker_busy_s[t.worker] += t.wall_s;
+    // The Figure 6 sweep, serial then over `jobs` workers: the rendered
+    // rows must be byte-identical (the determinism gate).
+    let err = |e: liquid_simd::VerifyError| e.to_string();
+    let serial = experiments::figure6_jobs(workloads, widths, 1).map_err(err)?;
+    let parallel = experiments::figure6_jobs(workloads, widths, jobs).map_err(err)?;
+    if render_rows(&serial) != render_rows(&parallel) {
+        return Err("parallel figure6 sweep diverged from the serial sweep".into());
     }
-    let speedup_warning = jobs > 1 && speedup < 1.05;
-    if speedup_warning {
-        println!(
-            "warning: parallel sweep speedup {speedup:.3}x < 1.05x at {jobs} jobs — see the \
-             per-task wall times in the report (worker busy seconds: {})",
-            worker_busy_s
-                .iter()
-                .enumerate()
-                .map(|(w, s)| format!("w{w}={s:.3}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-    }
+    println!("figure6 sweep: parallel rows byte-identical to the serial sweep");
 
     let workload_rows = rows.iter().map(|row| {
         let by_width = row
@@ -1018,78 +1020,23 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             ("baseline_cycles", row.baseline_cycles.into()),
             ("sim_cycles", row.sim_cycles.into()),
             ("cycles_by_width", Json::obj(by_width)),
-            ("wall_s", Json::fixed(row.wall_s, 6)),
-            ("sim_cycles_per_sec", Json::fixed(row.cycles_per_sec, 0)),
         ])
     });
-    let workers = worker_busy_s
-        .iter()
-        .enumerate()
-        .map(|(w, &s)| Json::obj([("worker", w.into()), ("busy_s", Json::fixed(s, 6))]));
-    let tasks = timings.iter().map(|t| {
-        Json::obj([
-            ("index", t.index.into()),
-            ("worker", t.worker.into()),
-            ("start_s", Json::fixed(t.start_s, 6)),
-            ("wall_s", Json::fixed(t.wall_s, 6)),
-        ])
-    });
-    let json = Json::obj([
+    let doc = Json::obj([
         ("schema", "liquid-simd-bench-v1".into()),
         ("backend", backend.to_string().into()),
-        ("jobs", jobs.into()),
         ("smoke", smoke.into()),
         ("widths", Json::arr(widths.iter().copied())),
         ("workloads", Json::arr(workload_rows)),
         ("width_anomalies", Json::Arr(anomaly_entries)),
-        (
-            "figure6_sweep",
-            Json::obj([
-                ("serial_s", Json::fixed(serial_s, 6)),
-                ("parallel_s", Json::fixed(parallel_s, 6)),
-                ("speedup", Json::fixed(speedup, 3)),
-                ("deterministic", deterministic.into()),
-                ("speedup_warning", speedup_warning.into()),
-            ]),
-        ),
-        ("figure6_workers", Json::arr(workers)),
-        ("figure6_tasks", Json::arr(tasks)),
     ])
     .write_rows();
-    fs::write(out_path, json).map_err(|e| format!("{out_path}: {e}"))?;
-    println!("{out_path}: written");
-
-    // Append one perfhist-v1 record to the history. The record carries no
-    // `jobs` field and isolates every wall-clock measurement, so two runs
-    // of the same code differ only in scrubbable fields regardless of
-    // parallelism (the determinism contract the sentinel gates on).
-    if !flag(args, "--no-history") {
-        let meta = perfhist::RecordMeta {
-            commit: perfhist::record::git_commit(std::path::Path::new(".")),
-            timestamp: perfhist::record::unix_now(),
-            host: perfhist::record::host_fingerprint(),
-            config_hash: format!("{:016x}", MachineConfig::liquid(headline).fingerprint()),
-            smoke,
-            widths: widths.clone(),
-            backend: backend.name().to_string(),
-        };
-        let wall_extras = vec![
-            ("figure6_serial_s".to_string(), serial_s),
-            ("figure6_parallel_s".to_string(), parallel_s),
-            ("figure6_speedup".to_string(), speedup),
-        ];
-        let record = perfhist::record::build(&meta, &rows, &counters, &wall_extras);
-        perfhist::store::append(std::path::Path::new(history_path), &record)?;
-        println!(
-            "{history_path}: appended perfhist-v1 record for {}",
-            meta.commit
-        );
-    }
-
-    if !deterministic {
-        return Err("parallel figure6 sweep diverged from the serial sweep".into());
-    }
-    Ok(())
+    Ok(BenchRun {
+        doc,
+        rows,
+        counters,
+        headline,
+    })
 }
 
 /// Expands the embedded kernelgen corpus, with the `--smoke` filter (the
@@ -1243,10 +1190,9 @@ fn cmd_gen_check(args: &[String]) -> Result<(), String> {
 
 /// `bench --families`: benchmark the generated corpus instead of the
 /// fixed fifteen. Every deterministic number (cycles, speedup
-/// percentiles, abort tallies, width anomalies) goes into the snapshot;
-/// wall-clock stays on stdout only, so the snapshot file is
-/// byte-identical run to run — `cmp` of two runs is the CI determinism
-/// gate.
+/// percentiles, abort tallies, width anomalies) goes into the snapshot,
+/// and nothing else does, so the snapshot file is byte-identical run to
+/// run — `cmp` of two runs is the CI determinism gate.
 fn cmd_bench_families(args: &[String]) -> Result<(), String> {
     use liquid_simd_kernelgen::Payload;
     let smoke = flag(args, "--smoke");
@@ -1264,7 +1210,6 @@ fn cmd_bench_families(args: &[String]) -> Result<(), String> {
     let out_path = option_value(args, "--out")?.unwrap_or("BENCH_sim.json");
     let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
     let variants = gen_variants(smoke)?;
-    let t0 = Instant::now();
 
     struct FamAcc {
         variants: u64,
@@ -1306,8 +1251,6 @@ fn cmd_bench_families(args: &[String]) -> Result<(), String> {
             sim_cycles: 0,
             cycles_by_width: Vec::new(),
             ledger: None,
-            wall_s: 0.0,
-            cycles_per_sec: 0.0,
         };
         for &width in &widths {
             let out =
@@ -1365,8 +1308,8 @@ fn cmd_bench_families(args: &[String]) -> Result<(), String> {
         println!("warning: width anomaly — {a}");
     }
 
-    // The snapshot: schema'd, sorted, and free of wall-clock and host
-    // facts — rerunning must reproduce it byte for byte.
+    // The snapshot: schema'd, sorted, and free of host facts — rerunning
+    // must reproduce it byte for byte.
     let families = fam_rows.iter().map(|f| {
         let aborts = f.aborts.iter().map(|(t, n)| (t.clone(), (*n).into()));
         Json::obj([
@@ -1390,10 +1333,9 @@ fn cmd_bench_families(args: &[String]) -> Result<(), String> {
     .write_rows();
     fs::write(out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
     println!(
-        "{out_path}: written ({} variants, {} families, {:.3}s)",
+        "{out_path}: written ({} variants, {} families)",
         variants.len(),
-        fam_rows.len(),
-        t0.elapsed().as_secs_f64()
+        fam_rows.len()
     );
 
     if !flag(args, "--no-history") {
@@ -1406,8 +1348,7 @@ fn cmd_bench_families(args: &[String]) -> Result<(), String> {
             widths: widths.clone(),
             backend: backend.name().to_string(),
         };
-        let wall = vec![("families_total_s".to_string(), t0.elapsed().as_secs_f64())];
-        let record = perfhist::record::build_gen(&meta, &fam_rows, &wall);
+        let record = perfhist::record::build_gen(&meta, &fam_rows);
         perfhist::store::append(std::path::Path::new(history_path), &record)?;
         println!(
             "{history_path}: appended perfhist-gen-v1 record for {}",
@@ -1476,43 +1417,14 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
             report.single.records_appended + report.sharded.records_appended
         );
     }
-    if let Some((on_s, off_s)) = report.recorder_walls_s {
-        let frac = report.recorder_overhead_frac().unwrap_or(0.0);
+    if opts.measure_recorder {
         println!(
-            "flight recorder overhead: {:+.1}% wall ({on_s:.3}s on vs {off_s:.3}s off, \
-             sharded pass; responses byte-identical with the recorder off)",
-            frac * 100.0
+            "flight recorder off: responses and determinism hashes byte-identical \
+             (third pass at {} shards)",
+            report.shards
         );
-        let note = format!(
-            "flight recorder overhead {:+.1}% wall ({:.3}s on vs {:.3}s off, {} requests, \
-             {} shards, backend {})",
-            frac * 100.0,
-            on_s,
-            off_s,
-            report.requests,
-            report.shards,
-            opts.backend.name()
-        );
-        let out = option_value(args, "--out")?.unwrap_or("BENCH_sim.json");
-        record_bench_note(out, &note)?;
-        println!("{out}: recorder-overhead note recorded");
     }
     Ok(())
-}
-
-/// Records one line in the bench snapshot's `notes` array (replacing any
-/// previous notes) and rewrites the snapshot in its rows layout; a missing
-/// snapshot gets a minimal one.
-fn record_bench_note(path: &str, note: &str) -> Result<(), String> {
-    let mut doc = match fs::read_to_string(path) {
-        Ok(text) => Json::parse(&text).map_err(|e| format!("{path}: {e}"))?,
-        Err(_) => Json::obj([("schema", "liquid-simd-bench-v1".into())]),
-    };
-    if doc.as_obj().is_none() {
-        return Err(format!("{path}: the bench snapshot is not a JSON object"));
-    }
-    doc.set("notes", Json::arr([note]));
-    fs::write(path, doc.write_rows()).map_err(|e| format!("{path}: {e}"))
 }
 
 /// `liquid-simd serve`: bind the daemon and block until a `shutdown`
@@ -1885,22 +1797,9 @@ fn cmd_sentinel(args: &[String]) -> Result<(), String> {
     if flag(args, "--cross-backend") {
         return cmd_sentinel_cross(args, history_path);
     }
-    let mut opts = perfhist::SentinelOptions {
+    let opts = perfhist::SentinelOptions {
         baseline_commit: option_value(args, "--baseline")?.map(str::to_string),
-        ..perfhist::SentinelOptions::default()
     };
-    if let Some(v) = option_value(args, "--window")? {
-        opts.window = match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err(format!("bad --window `{v}` (need an integer >= 1)")),
-        };
-    }
-    if let Some(v) = option_value(args, "--noise-frac")? {
-        opts.noise_frac = match v.parse::<f64>() {
-            Ok(f) if f > 0.0 => f,
-            _ => return Err(format!("bad --noise-frac `{v}` (need a fraction > 0)")),
-        };
-    }
     let history = perfhist::store::load(std::path::Path::new(history_path))?;
     let verdict = perfhist::sentinel::check(&history, &opts);
     if flag(args, "--json") {
@@ -2003,11 +1902,10 @@ fn render_verdict(v: &Json) {
             .unwrap_or_default()
     };
     println!(
-        "sentinel: {} (commit {}, baseline {}, window {}, {} workloads checked)",
+        "sentinel: {} (commit {}, baseline {}, {} workloads checked)",
         get_str("status"),
         get_str("commit"),
         get_str("baseline_commit"),
-        v.get("baseline_window").and_then(Json::as_u64).unwrap_or(0),
         v.get("workloads_checked")
             .and_then(Json::as_u64)
             .unwrap_or(0),
@@ -2019,15 +1917,6 @@ fn render_verdict(v: &Json) {
             d.get("metric").and_then(Json::as_str).unwrap_or("?"),
             d.get("baseline").and_then(Json::as_u64).unwrap_or(0),
             d.get("current").and_then(Json::as_u64).unwrap_or(0),
-        );
-    }
-    for w in get_arr("wall_warnings") {
-        println!(
-            "  warn {}: {:.0} sim-cycles/s vs median {:.0} (MAD {:.0}) — wall clock only, not gated",
-            w.get("workload").and_then(Json::as_str).unwrap_or("?"),
-            w.get("current").and_then(Json::as_f64).unwrap_or(0.0),
-            w.get("median").and_then(Json::as_f64).unwrap_or(0.0),
-            w.get("mad").and_then(Json::as_f64).unwrap_or(0.0),
         );
     }
     let deltas = get_arr("counter_deltas");
@@ -2228,8 +2117,6 @@ mod tests {
             baseline_cycles: 1_000,
             sim_cycles: by_width.last().map_or(0, |&(_, c)| c),
             cycles_by_width: by_width.to_vec(),
-            wall_s: 0.0,
-            cycles_per_sec: 0.0,
             ledger: None,
         };
         // The motivating case: 179.art costs more cycles at width 16 than 8.
@@ -2265,7 +2152,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let rec = |cycles: u64| {
             Json::parse(&format!(
-                r#"{{"schema":"perfhist-v1","commit":"c","timestamp":1,"host":"h","config_hash":"cafe","smoke":true,"widths":[2,8],"workloads":[{{"name":"FIR","baseline_cycles":1000,"sim_cycles":{cycles},"cycles_by_width":{{"8":{cycles}}},"wall_s":0.5,"sim_cycles_per_sec":100.0}}],"counters":{{}},"wall":{{}}}}"#
+                r#"{{"schema":"perfhist-v1","commit":"c","timestamp":1,"host":"h","config_hash":"cafe","smoke":true,"widths":[2,8],"workloads":[{{"name":"FIR","baseline_cycles":1000,"sim_cycles":{cycles},"cycles_by_width":{{"8":{cycles}}}}}],"counters":{{}}}}"#
             ))
             .unwrap()
         };
@@ -2334,33 +2221,31 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// `bench`'s determinism contract on a one-workload suite: the
+    /// snapshot is the same bytes at any `--jobs`, and the superblock
+    /// backend's workload rows equal the interpreter's cycle for cycle.
     #[test]
-    fn bench_notes_splice_keeps_the_snapshot_valid() {
-        let dir = std::env::temp_dir().join(format!("cli-bench-note-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sim.json");
-        let p = path.to_str().unwrap();
-        std::fs::write(
-            &path,
-            "{\n  \"schema\": \"liquid-simd-bench-v1\",\n  \"jobs\": 4,\n  \"workloads\": [\n  ]\n}\n",
-        )
-        .unwrap();
-        record_bench_note(p, "overhead +1.0% wall").unwrap();
-        // Replacing an existing note must not duplicate the key.
-        record_bench_note(p, "overhead +2.0% wall").unwrap();
-        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let notes = doc.get("notes").and_then(Json::as_arr).unwrap();
-        assert_eq!(notes.len(), 1);
-        assert_eq!(notes[0].as_str(), Some("overhead +2.0% wall"));
-        assert_eq!(doc.get("jobs").and_then(Json::as_u64), Some(4));
-        // A missing snapshot gets a minimal, parseable one.
-        let fresh = dir.join("fresh.json");
-        record_bench_note(fresh.to_str().unwrap(), "n").unwrap();
-        let doc = Json::parse(&std::fs::read_to_string(&fresh).unwrap()).unwrap();
-        assert!(doc.get("notes").is_some());
-        // And re-noting the minimal file stays valid (no trailing comma).
-        record_bench_note(fresh.to_str().unwrap(), "n2").unwrap();
-        Json::parse(&std::fs::read_to_string(&fresh).unwrap()).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
+    fn bench_snapshot_is_identical_across_jobs_and_backends() {
+        use liquid_simd::BackendKind;
+        let workloads: Vec<_> = liquid_simd_workloads::all()
+            .into_iter()
+            .filter(|w| w.name == "MPEG2 Dec.")
+            .collect();
+        assert_eq!(workloads.len(), 1);
+        let doc = |jobs, backend| {
+            measure_suite(&workloads, &[2, 8], jobs, backend, false, true)
+                .unwrap()
+                .doc
+        };
+        let interp = doc(1, BackendKind::Interp);
+        assert_eq!(interp, doc(2, BackendKind::Interp), "--jobs 1 vs --jobs 2");
+        let superblock = doc(1, BackendKind::Superblock);
+        let rows = |doc: &str| Json::parse(doc).unwrap().get("workloads").cloned().unwrap();
+        assert_eq!(rows(&interp).as_arr().map(<[Json]>::len), Some(1));
+        assert_eq!(
+            rows(&interp),
+            rows(&superblock),
+            "interp vs superblock rows"
+        );
     }
 }

@@ -17,7 +17,7 @@ use liquid_simd_compiler::Workload;
 use liquid_simd_isa::SUPPORTED_WIDTHS;
 use liquid_simd_sim::MachineConfig;
 
-use crate::harness::{run_tasks, run_tasks_timed, BuildCache, TaskTiming};
+use crate::harness::{run_tasks, BuildCache};
 use crate::VerifyError;
 
 /// Table 5: scalar instructions per outlined function, per benchmark.
@@ -207,29 +207,12 @@ pub fn figure6_jobs(
     widths: &[usize],
     jobs: usize,
 ) -> Result<Vec<Figure6Row>, VerifyError> {
-    figure6_timed(workloads, widths, jobs, &|_| {}).map(|(rows, _)| rows)
-}
-
-/// [`figure6_jobs`] plus per-task wall-clock timing: the second element of
-/// the result names, for every simulation unit, which worker ran it and
-/// how long it took. `progress` streams each completed unit from its
-/// worker thread. Timings never feed back into the rows, so the
-/// determinism gate on the rendered output is unaffected.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn figure6_timed(
-    workloads: &[Workload],
-    widths: &[usize],
-    jobs: usize,
-    progress: &(dyn Fn(&TaskTiming) + Sync),
-) -> Result<(Vec<Figure6Row>, Vec<TaskTiming>), VerifyError> {
     let cache = BuildCache::new(workloads, widths);
     // Unit layout per workload: [baseline, then (liquid, pretranslated,
-    // native) per width]. Reassembly below depends on this order.
+    // native) per width]. Reassembly below depends on this order, and
+    // perfbench's `figure6` workload mirrors it.
     let per = 1 + widths.len() * 3;
-    let (cycles, timings) = run_tasks_timed(
+    let cycles = run_tasks(
         jobs,
         workloads.len() * per,
         |i| -> Result<u64, VerifyError> {
@@ -254,7 +237,6 @@ pub fn figure6_timed(
             };
             Ok(out.report.cycles)
         },
-        progress,
     )?;
 
     let rows = workloads
@@ -280,7 +262,7 @@ pub fn figure6_timed(
             }
         })
         .collect();
-    Ok((rows, timings))
+    Ok(rows)
 }
 
 impl fmt::Display for Figure6Row {

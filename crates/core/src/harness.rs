@@ -9,8 +9,6 @@
 //!   task indices from a shared atomic counter; each result lands in its
 //!   own slot, and the caller reassembles them **in task order**, so the
 //!   output of a parallel run is byte-identical to the serial run.
-//!   [`run_tasks_timed`] is the same scheduler with per-task wall-clock
-//!   [`TaskTiming`] and a streaming progress callback.
 //! * [`BuildCache`] — [`OnceLock`]-memoized compilation. A width sweep
 //!   needs each workload's plain/liquid build once, not once per width;
 //!   the first task to need a build compiles it, everyone else blocks
@@ -27,7 +25,6 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 use liquid_simd_compiler::{
     build_liquid, build_native, build_plain, gold, Build, DataEnv, Workload,
@@ -58,82 +55,22 @@ pub fn default_jobs() -> usize {
 ///
 /// # Panics
 ///
-/// A panicking task does not kill the queue: the panic is caught, the
-/// remaining tasks still run to completion, and the payload of the
-/// lowest-indexed panicking task is re-raised once the queue has drained.
+/// A panicking task is contained, not fatal to the queue: the panic is
+/// caught, every remaining task still runs, and once the queue has drained
+/// the payload of the **lowest-indexed** panicking task is re-raised — so
+/// a panic is never swallowed, and never takes unrelated in-flight work
+/// down with it. A re-raised panic takes precedence over any task `Err`.
 pub fn run_tasks<T, E, F>(jobs: usize, count: usize, task: F) -> Result<Vec<T>, E>
 where
     T: Send,
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    run_tasks_timed(jobs, count, task, |_| {}).map(|(out, _)| out)
-}
-
-/// Wall-clock timing of one scheduled task, as observed by the worker that
-/// ran it. Timings are observational only: they never influence what a
-/// task computes, so the determinism guarantee of [`run_tasks`] is
-/// untouched (the *timings themselves* naturally vary run to run).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TaskTiming {
-    /// Task index (matches the result's position).
-    pub index: usize,
-    /// Worker that ran the task (0-based; always 0 on the serial path).
-    pub worker: usize,
-    /// Seconds from scheduler start to task start.
-    pub start_s: f64,
-    /// Task wall time in seconds.
-    pub wall_s: f64,
-}
-
-/// [`run_tasks`] plus per-task wall-clock timing and a progress callback.
-///
-/// `progress` is invoked from the worker thread as each task completes
-/// (successfully or not) — callers use it to stream progress lines while a
-/// long sweep runs. On success the returned timings are in task order,
-/// parallel to the results.
-///
-/// # Errors
-///
-/// Returns the error of the lowest-indexed failing task, exactly as
-/// [`run_tasks`] does.
-///
-/// # Panics
-///
-/// A panicking task is contained, not fatal to the queue: the panic is
-/// caught, every remaining task still runs (and `progress` still fires for
-/// the panicked one), and once the queue has drained the payload of the
-/// **lowest-indexed** panicking task is re-raised — so a panic is never
-/// swallowed, and never takes unrelated in-flight work down with it. A
-/// re-raised panic takes precedence over any task `Err`.
-pub fn run_tasks_timed<T, E, F, P>(
-    jobs: usize,
-    count: usize,
-    task: F,
-    progress: P,
-) -> Result<(Vec<T>, Vec<TaskTiming>), E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-    P: Fn(&TaskTiming) + Sync,
-{
-    let epoch = Instant::now();
     // Lowest-indexed panic payload; re-raised only after the queue drains.
     let first_panic: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
-    let timed = |i: usize, worker: usize| -> Option<(Result<T, E>, TaskTiming)> {
-        let start_s = epoch.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| task(i)));
-        let timing = TaskTiming {
-            index: i,
-            worker,
-            start_s,
-            wall_s: t0.elapsed().as_secs_f64(),
-        };
-        progress(&timing);
-        match result {
-            Ok(r) => Some((r, timing)),
+    let contained = |i: usize| -> Option<Result<T, E>> {
+        match catch_unwind(AssertUnwindSafe(|| task(i))) {
+            Ok(r) => Some(r),
             Err(payload) => {
                 let mut slot = first_panic.lock().expect("panic slot poisoned");
                 if slot.as_ref().is_none_or(|(idx, _)| i < *idx) {
@@ -146,17 +83,13 @@ where
 
     if jobs <= 1 || count <= 1 {
         let mut out = Vec::with_capacity(count);
-        let mut timings = Vec::with_capacity(count);
         let mut first_err = None;
         for i in 0..count {
-            match timed(i, 0) {
-                Some((Ok(value), timing)) => {
-                    out.push(value);
-                    timings.push(timing);
-                }
+            match contained(i) {
+                Some(Ok(value)) => out.push(value),
                 // An Err stops claiming new tasks, exactly as the parallel
                 // path's `failed` flag does.
-                Some((Err(e), _)) => {
+                Some(Err(e)) => {
                     first_err = Some(e);
                     break;
                 }
@@ -169,18 +102,17 @@ where
         }
         return match first_err {
             Some(e) => Err(e),
-            None => Ok((out, timings)),
+            None => Ok(out),
         };
     }
 
-    type Slot<T, E> = Mutex<Option<(Result<T, E>, TaskTiming)>>;
-    let slots: Vec<Slot<T, E>> = (0..count).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<T, E>>>> = (0..count).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        for worker in 0..jobs.min(count) {
-            let (slots, next, failed, timed) = (&slots, &next, &failed, &timed);
+        for _ in 0..jobs.min(count) {
+            let (slots, next, failed, contained) = (&slots, &next, &failed, &contained);
             scope.spawn(move || loop {
                 if failed.load(Ordering::Relaxed) {
                     break;
@@ -191,13 +123,13 @@ where
                 }
                 // A panicked task leaves its slot empty but does not set
                 // `failed`: the queue keeps draining.
-                let Some((result, timing)) = timed(i, worker) else {
+                let Some(result) = contained(i) else {
                     continue;
                 };
                 if result.is_err() {
                     failed.store(true, Ordering::Relaxed);
                 }
-                *slots[i].lock().expect("result slot poisoned") = Some((result, timing));
+                *slots[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
@@ -211,18 +143,14 @@ where
     // prefix; in index order any error precedes every abandoned (`None`)
     // slot.
     let mut out = Vec::with_capacity(count);
-    let mut timings = Vec::with_capacity(count);
     for slot in slots {
         match slot.into_inner().expect("result slot poisoned") {
-            Some((Ok(value), timing)) => {
-                out.push(value);
-                timings.push(timing);
-            }
-            Some((Err(e), _)) => return Err(e),
+            Some(Ok(value)) => out.push(value),
+            Some(Err(e)) => return Err(e),
             None => unreachable!("slot abandoned without a preceding error"),
         }
     }
-    Ok((out, timings))
+    Ok(out)
 }
 
 /// Memoized compilation results shared by all tasks of one experiment.
@@ -364,45 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_results_match_and_progress_fires_per_task() {
-        for jobs in [1, 4] {
-            let progressed = AtomicU32::new(0);
-            let (out, timings) = run_tasks_timed(
-                jobs,
-                11,
-                |i| Ok::<usize, ()>(i * 2),
-                |_| {
-                    progressed.fetch_add(1, Ordering::Relaxed);
-                },
-            )
-            .unwrap();
-            assert_eq!(out, (0..11).map(|i| i * 2).collect::<Vec<_>>());
-            assert_eq!(timings.len(), 11);
-            assert!(timings.iter().enumerate().all(|(i, t)| t.index == i));
-            assert!(timings.iter().all(|t| t.wall_s >= 0.0 && t.start_s >= 0.0));
-            assert_eq!(progressed.load(Ordering::Relaxed), 11);
-            if jobs == 1 {
-                assert!(timings.iter().all(|t| t.worker == 0));
-            } else {
-                assert!(timings.iter().all(|t| t.worker < 4));
-            }
-        }
-    }
-
-    #[test]
-    fn timed_errors_match_untimed_semantics() {
-        for jobs in [1, 3] {
-            let out = run_tasks_timed(
-                jobs,
-                16,
-                |i| if i == 5 || i == 11 { Err(i) } else { Ok(i) },
-                |_| {},
-            );
-            assert_eq!(out.unwrap_err(), 5);
-        }
-    }
-
-    #[test]
     fn panicking_task_drains_queue_and_panic_is_surfaced() {
         // One task panics; the queue must still drain (every other task
         // runs) and the original payload must reach the caller — on both
@@ -431,27 +320,21 @@ mod tests {
     }
 
     #[test]
-    fn lowest_indexed_panic_wins_and_progress_still_fires() {
+    fn lowest_indexed_panic_wins() {
         for jobs in [1, 4] {
-            let progressed = AtomicU32::new(0);
+            let ran = AtomicU32::new(0);
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                run_tasks_timed(
-                    jobs,
-                    12,
-                    |i| {
-                        assert!(i != 2 && i != 9, "panic {i}");
-                        Ok::<usize, ()>(i)
-                    },
-                    |_| {
-                        progressed.fetch_add(1, Ordering::Relaxed);
-                    },
-                )
+                run_tasks(jobs, 12, |i| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    assert!(i != 2 && i != 9, "panic {i}");
+                    Ok::<usize, ()>(i)
+                })
             }));
             let payload = caught.expect_err("panic surfaced");
             let msg = payload.downcast_ref::<String>().unwrap();
             assert!(msg.contains("panic 2"), "lowest index wins: {msg}");
-            // Progress fires for every task, panicked ones included.
-            assert_eq!(progressed.load(Ordering::Relaxed), 12);
+            // Every task ran, panicked ones included.
+            assert_eq!(ran.load(Ordering::Relaxed), 12);
         }
     }
 

@@ -52,7 +52,7 @@ pub use diagnose::{
     explain, ledger_region_labels, profile, render_counter_table, ExplainOptions, ExplainReport,
     ProfileReport, RegionOutcome, RegionReport,
 };
-pub use harness::{default_jobs, run_tasks, run_tasks_timed, BuildCache, TaskTiming};
+pub use harness::{default_jobs, run_tasks, BuildCache};
 pub use liquid_simd_compiler::{
     build_liquid, build_native, build_plain, gold, ArrayBuilder, Build, CompileError, DataEnv,
     Kernel, KernelBuilder, OutlinedFn, ReduceInit, Workload,

@@ -785,14 +785,18 @@ fn jpath<'a>(r: &'a Json, path: &[&str]) -> Option<&'a Json> {
 }
 
 /// The service panel from `perfhist-serve-v1` records: stat tiles for the
-/// newest batch (requests, throughput, latency percentiles, cache hit
-/// rate), a throughput trend once the history has depth (single series —
-/// the title names it, so no legend box), and the per-record table.
+/// newest batch (requests, errors, cache hit rate, shards) and the
+/// per-record table. Host-time numbers for the daemon come from
+/// perfbench's `serve` workload, not from the history.
 fn service_section(out: &mut String, records: &[&Json]) {
     let Some(newest) = records.last() else { return };
     let num_u = |r: &Json, path: &[&str]| jpath(r, path).and_then(Json::as_u64).unwrap_or(0);
-    let num_f = |r: &Json, path: &[&str]| jpath(r, path).and_then(Json::as_f64).unwrap_or(0.0);
-    let ms = |us: u64| format!("{:.2} ms", us as f64 / 1000.0);
+    let hit_rate = |r: &Json| {
+        100.0
+            * jpath(r, &["cache", "hit_rate"])
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0)
+    };
     out.push_str("<section><h2>Serving (batch telemetry)</h2><div class=\"sparks\">");
     let tiles: Vec<(&str, String)> = vec![
         (
@@ -800,17 +804,7 @@ fn service_section(out: &mut String, records: &[&Json]) {
             commas(num_u(newest, &["batch", "requests"])),
         ),
         ("errors", commas(num_u(newest, &["batch", "errors"]))),
-        (
-            "throughput",
-            format!("{:.1} req/s", num_f(newest, &["throughput_rps"])),
-        ),
-        ("latency p50", ms(num_u(newest, &["latency", "p50_us"]))),
-        ("latency p95", ms(num_u(newest, &["latency", "p95_us"]))),
-        ("latency p99", ms(num_u(newest, &["latency", "p99_us"]))),
-        (
-            "cache hit rate",
-            format!("{:.1}%", 100.0 * num_f(newest, &["cache", "hit_rate"])),
-        ),
+        ("cache hit rate", format!("{:.1}%", hit_rate(newest))),
         ("shards", commas(num_u(newest, &["shards"]))),
     ];
     for (label, value) in tiles {
@@ -821,64 +815,23 @@ fn service_section(out: &mut String, records: &[&Json]) {
         );
     }
     out.push_str("</div>");
-    // Throughput trend: same single-series sparkline grammar as the cycle
-    // trends — 2px line, surface-ringed end dot, native tooltip.
-    if records.len() >= 2 {
-        let series: Vec<f64> = records
-            .iter()
-            .map(|r| num_f(r, &["throughput_rps"]))
-            .collect();
-        let (w, h, pad) = (260.0, 44.0, 6.0);
-        let lo = series.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = series.iter().copied().fold(0.0f64, f64::max).max(lo + 1e-9);
-        let x_of = |i: usize| pad + (w - 2.0 * pad) * i as f64 / (series.len() - 1) as f64;
-        let y_of = |v: f64| pad + (h - 2.0 * pad) * (1.0 - (v - lo) / (hi - lo));
-        let pts: Vec<String> = series
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| format!("{:.1},{:.1}", x_of(i), y_of(v)))
-            .collect();
-        let (lx, ly) = (x_of(series.len() - 1), y_of(series[series.len() - 1]));
-        let _ = write!(
-            out,
-            "<figure class=\"spark\"><figcaption>throughput trend</figcaption>\
-             <svg viewBox=\"0 0 {w} {h}\" width=\"{w}\" height=\"{h}\" role=\"img\" \
-              aria-label=\"serve throughput trend\">\
-             <title>throughput: {:.1} → {:.1} req/s across {} records</title>\
-             <polyline points=\"{}\" fill=\"none\" stroke=\"var(--series-1)\" \
-              stroke-width=\"2\" stroke-linejoin=\"round\" stroke-linecap=\"round\"/>\
-             <circle cx=\"{lx:.1}\" cy=\"{ly:.1}\" r=\"6\" fill=\"var(--surface-1)\"/>\
-             <circle cx=\"{lx:.1}\" cy=\"{ly:.1}\" r=\"4\" fill=\"var(--series-1)\"/>\
-             </svg><span class=\"spark-value\">{:.1} req/s</span></figure>",
-            series[0],
-            series[series.len() - 1],
-            series.len(),
-            pts.join(" "),
-            series[series.len() - 1],
-        );
-    }
-    // Table view: every record, every gated and advisory number.
+    // Table view: every record, every gated number.
     out.push_str(
         "<details><summary>Data table</summary><table><thead><tr>\
          <th>shards</th><th>requests</th><th>errors</th><th>hit rate</th>\
-         <th>p50</th><th>p95</th><th>p99</th><th>req/s</th>\
-         <th>responses hash</th></tr></thead><tbody>",
+         <th>sim cycles</th><th>responses hash</th></tr></thead><tbody>",
     );
     for r in records {
         let _ = write!(
             out,
             "<tr><td class=\"num\">{}</td><td class=\"num\">{}</td>\
              <td class=\"num\">{}</td><td class=\"num\">{:.1}%</td>\
-             <td class=\"num\">{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
-             <td class=\"num\">{:.1}</td><td><code>{}</code></td></tr>",
+             <td class=\"num\">{}</td><td><code>{}</code></td></tr>",
             num_u(r, &["shards"]),
             commas(num_u(r, &["batch", "requests"])),
             commas(num_u(r, &["batch", "errors"])),
-            100.0 * num_f(r, &["cache", "hit_rate"]),
-            ms(num_u(r, &["latency", "p50_us"])),
-            ms(num_u(r, &["latency", "p95_us"])),
-            ms(num_u(r, &["latency", "p99_us"])),
-            num_f(r, &["throughput_rps"]),
+            hit_rate(r),
+            commas(num_u(r, &["determinism", "sim_cycles_total"])),
             esc(jpath(r, &["determinism", "responses_hash"])
                 .and_then(Json::as_str)
                 .unwrap_or("—")),
@@ -1436,28 +1389,28 @@ mod tests {
         assert!(!html.contains("Generated families"));
     }
 
-    fn serve_sample(rps: f64, resp_hash: &str) -> Json {
+    fn serve_sample(resp_hash: &str) -> Json {
         Json::parse(&format!(
-            r#"{{"schema":"perfhist-serve-v1","commit":"abc123def","timestamp":1700000100,"host":"linux-x86_64-h","shards":4,"batch":{{"requests":128,"errors":2,"by_op":{{"run":64,"translate":64}}}},"latency":{{"p50_us":1500,"p95_us":4200,"p99_us":9100}},"throughput_rps":{rps},"cache":{{"hits":120,"misses":8,"entries":8,"hit_rate":0.9375}},"determinism":{{"requests_hash":"00000000deadbeef","responses_hash":"{resp_hash}","sim_cycles_total":123456}}}}"#
+            r#"{{"schema":"perfhist-serve-v1","commit":"abc123def","timestamp":1700000100,"host":"linux-x86_64-h","shards":4,"batch":{{"requests":128,"errors":2,"by_op":{{"run":64,"translate":64}}}},"cache":{{"hits":120,"misses":8,"entries":8,"hit_rate":0.9375}},"determinism":{{"requests_hash":"00000000deadbeef","responses_hash":"{resp_hash}","sim_cycles_total":123456}}}}"#
         ))
         .unwrap()
     }
 
     #[test]
     fn service_panel_renders_from_serve_records() {
-        let history = vec![
-            serve_sample(800.0, "0000000011112222"),
-            serve_sample(950.5, "0000000033334444"),
-        ];
+        // The older record still carries the wall-clock fields daemons
+        // used to write; the panel ignores them.
+        let mut legacy = serve_sample("0000000011112222");
+        legacy.set("throughput_rps", Json::f64(800.0));
+        let history = vec![legacy, serve_sample("0000000033334444")];
         let html = render(&history, "");
         assert!(html.contains("Serving (batch telemetry)"));
-        assert!(html.contains("950.5 req/s"));
         assert!(html.contains("93.8%"), "hit-rate tile");
-        assert!(
-            html.contains("throughput trend"),
-            "two records make a trend"
-        );
+        assert!(html.contains("123,456"), "sim cycles in table");
         assert!(html.contains("0000000033334444"), "responses hash in table");
+        for gone in ["req/s", "latency", "throughput"] {
+            assert!(!html.contains(gone), "host-time number `{gone}` rendered");
+        }
         // Serve-only history must not claim the history is empty.
         assert!(!html.contains("No perfhist-v1 records"));
         for needle in [
@@ -1469,10 +1422,10 @@ mod tests {
 
     #[test]
     fn single_serve_record_skips_the_trend() {
-        let history = vec![serve_sample(512.0, "0000000011112222")];
+        let history = vec![serve_sample("0000000011112222")];
         let html = render(&history, "");
         assert!(html.contains("Serving (batch telemetry)"));
-        assert!(!html.contains("throughput trend"));
+        assert!(!html.contains("trend"));
     }
 
     #[test]

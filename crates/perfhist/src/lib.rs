@@ -16,15 +16,19 @@
 //!   abort tallies, mcache hit/miss/eviction/conflict counts, SIMD lane
 //!   utilization, microcode-buffer high-water.
 //! * [`sentinel`] — the regression gate. Deterministic `sim_cycles` are
-//!   compared *exactly* against a comparable baseline record (same config
-//!   hash, suite, and widths) and any drift — regression or improvement —
-//!   fails, because an unexplained cycle change means the simulator
-//!   changed. Wall-clock throughput gets robust median/MAD statistics and
-//!   can only warn.
+//!   compared *exactly* against a comparable baseline record (same
+//!   backend, config hash, suite, and widths) and any drift — regression
+//!   or improvement — fails, because an unexplained cycle change means the
+//!   simulator changed.
 //! * [`dashboard`] — a single self-contained HTML report (inline SVG and
 //!   CSS, no JavaScript, no external fetches): cycle-trend sparklines,
 //!   width-speedup bars in the paper's Figure 6 shape, counter deltas,
 //!   and a flamegraph folded from the tracer's span records.
+//!
+//! Records hold no host-time measurements: two runs of the same code
+//! differ only in `timestamp`, and host time belongs to perfbench. The
+//! `wall_s`, `sim_cycles_per_sec`, `wall`, `latency` and `throughput_rps`
+//! fields of older records are ignored by every reader.
 //!
 //! Records are [`Json`] values from `liquid_simd_trace::json`, which
 //! preserves key order and raw number text so that append → load →

@@ -1,50 +1,28 @@
 //! The regression sentinel: compares the newest history record against a
-//! baseline window and emits a `sentinel-v1` verdict.
+//! baseline record and emits a `sentinel-v1` verdict.
 //!
-//! Two classes of signal, treated very differently:
+//! Simulated cycles are deterministic: the same code at the same machine
+//! config must produce *identical* `sim_cycles`, so the gate is exact
+//! match, and **any** drift (faster or slower) fails. An unexplained
+//! improvement is as suspicious as a regression, and an intended one must
+//! be acknowledged by appending a fresh baseline. Host time is not gated
+//! here; perfbench measures it under the bounds in `BENCHMARK.json`.
 //!
-//! * **Simulated cycles are deterministic.** The same code at the same
-//!   machine config must produce *identical* `sim_cycles` — so the gate is
-//!   exact match, and **any** drift (faster or slower) fails: an
-//!   unexplained improvement is as suspicious as a regression, and an
-//!   intended one must be acknowledged by appending a fresh baseline.
-//! * **Wall-clock throughput is noisy.** The sentinel compares the newest
-//!   `sim_cycles_per_sec` against the baseline window's median with a MAD-
-//!   scaled noise band and only *warns* — CI never fails on wall clock.
-//!
-//! `perfhist-serve-v1` records (the serve daemon's batch telemetry) get
-//! the same two-class treatment: the `determinism` hashes are exact-match
-//! gated against the latest older serve record that served the same
-//! request multiset (equal `requests_hash`), while throughput and latency
-//! are advisory. A serve record with no comparable baseline is only a
+//! `perfhist-serve-v1` records (the serve daemon's batch telemetry) are
+//! gated the same way: their `determinism` hashes must match the latest
+//! older serve record that served the same request multiset (equal
+//! `requests_hash`). A serve record with no comparable baseline is only a
 //! failure when the history has nothing else to gate on — the bench gate
 //! keeps CI honest while a new request mix seeds its first record.
-
-use liquid_simd_trace::metrics::{mad, median};
 
 use crate::record::{SCHEMA, SERVE_SCHEMA};
 use crate::Json;
 
 /// Sentinel tuning.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SentinelOptions {
     /// Only accept baseline records whose `commit` equals this.
     pub baseline_commit: Option<String>,
-    /// Baseline window size (most recent comparable records).
-    pub window: usize,
-    /// Wall-clock noise threshold as a fraction of the baseline median
-    /// (the warn band is `max(noise_frac × median, 3 × MAD)`).
-    pub noise_frac: f64,
-}
-
-impl Default for SentinelOptions {
-    fn default() -> SentinelOptions {
-        SentinelOptions {
-            baseline_commit: None,
-            window: 5,
-            noise_frac: 0.15,
-        }
-    }
 }
 
 /// The sentinel's outcome: the `sentinel-v1` verdict document plus the
@@ -132,11 +110,11 @@ fn backend_of(r: &Json) -> &str {
 }
 
 fn comparable(newest: &Json, candidate: &Json) -> bool {
-    // Backends must agree cycle-for-cycle, but their wall-clock throughput
-    // differs by design — pairing across backends would drown the
-    // advisory wall-clock band in backend noise, so baselines are
-    // per-backend (cross-backend equality has its own gate,
-    // [`cross_check`]).
+    // Backends must agree cycle-for-cycle, and [`cross_check`] is the gate
+    // that says whether they do. Baselines pair within a backend so that
+    // `check` only ever reports code drift: a backend divergence shows up
+    // once, in `cross_check`, naming both backends, rather than as drift
+    // against whichever backend happened to run last.
     if backend_of(newest) != backend_of(candidate) {
         return false;
     }
@@ -198,26 +176,20 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
         return Verdict { json, failed: true };
     };
     let commit = newest.get("commit").and_then(Json::as_str).unwrap_or("?");
-    let mut window: Vec<&&Json> = older
-        .iter()
-        .filter(|r| comparable(newest, r))
-        .filter(|r| {
-            opts.baseline_commit
+    let baseline = older.iter().rev().find(|r| {
+        comparable(newest, r)
+            && opts
+                .baseline_commit
                 .as_deref()
                 .is_none_or(|want| r.get("commit").and_then(Json::as_str) == Some(want))
-        })
-        .collect();
-    if window.len() > opts.window {
-        window.drain(..window.len() - opts.window);
-    }
+    });
     let mut verdict = Json::obj([("schema", "sentinel-v1".into()), ("commit", commit.into())]);
-    let Some(reference) = window.last().copied() else {
+    let Some(reference) = baseline else {
         // No comparable record: the config hash, width sweep, or smoke
         // set changed (or the only record is the newest one). Fail loudly
         // — a green job here would mean the gate silently turned itself
         // off; a deliberate config change re-seeds bench/history.jsonl.
         verdict.set("status", "no-baseline".into());
-        verdict.set("baseline_window", Json::u64(0));
         if let Some((serve_json, _)) = serve {
             verdict.set("serve", serve_json);
         }
@@ -236,7 +208,6 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
                 .to_string(),
         ),
     );
-    verdict.set("baseline_window", Json::u64(window.len() as u64));
 
     // --- Exact-match gate on deterministic cycles --------------------------
     let mut drift: Vec<Json> = Vec::new();
@@ -286,52 +257,6 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
         }
     }
 
-    // --- Robust wall-clock advisory ---------------------------------------
-    let mut warnings: Vec<Json> = Vec::new();
-    for row in workload_rows(newest) {
-        let Some(name) = row.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(current) = row.get("sim_cycles_per_sec").and_then(Json::as_f64) else {
-            continue;
-        };
-        let rates: Vec<f64> = window
-            .iter()
-            .filter_map(|r| row_named(r, name))
-            .filter_map(|r| r.get("sim_cycles_per_sec").and_then(Json::as_f64))
-            .filter(|&r| r > 0.0)
-            .collect();
-        if rates.is_empty() || current <= 0.0 {
-            continue;
-        }
-        let med = median(&rates);
-        let spread = mad(&rates);
-        // A single-sample baseline has no measurable spread — `mad()`
-        // returns 0 below two samples by construction — so the 3×MAD term
-        // would silently contribute nothing and the band would understate
-        // real run-to-run noise. Double the configured fraction instead
-        // and mark the warning as resting on a degenerate MAD.
-        let degenerate = rates.len() < 2;
-        let band = if degenerate {
-            2.0 * opts.noise_frac * med
-        } else {
-            (opts.noise_frac * med).max(3.0 * spread)
-        };
-        if current < med - band {
-            let mut warning = Json::obj([
-                ("workload", name.into()),
-                ("median", Json::f64(med)),
-                ("mad", Json::f64(spread)),
-                ("current", Json::f64(current)),
-                ("baseline_samples", Json::u64(rates.len() as u64)),
-            ]);
-            if degenerate {
-                warning.set("degenerate_mad", Json::Bool(true));
-            }
-            warnings.push(warning);
-        }
-    }
-
     // --- Counter deltas (informational) ------------------------------------
     let mut deltas: Vec<Json> = Vec::new();
     if let (Some(base_c), Some(cur_c)) = (
@@ -365,9 +290,7 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
         Json::Str(if failed { "fail" } else { "pass" }.to_string()),
     );
     verdict.set("workloads_checked", Json::u64(checked));
-    verdict.set("noise_frac", Json::f64(opts.noise_frac));
     verdict.set("cycle_drift", Json::Arr(drift));
-    verdict.set("wall_warnings", Json::Arr(warnings));
     verdict.set("counter_deltas", Json::Arr(deltas));
     if let Some(j) = serve_json {
         verdict.set("serve", j);
@@ -488,16 +411,24 @@ pub fn cross_check(history: &[Json]) -> Verdict {
 mod tests {
     use super::*;
 
-    fn record(commit: &str, cycles: u64, rate: f64) -> Json {
+    fn record(commit: &str, cycles: u64) -> Json {
         Json::parse(&format!(
-            r#"{{"schema":"perfhist-v1","commit":"{commit}","timestamp":1,"host":"h","config_hash":"cafe","smoke":false,"widths":[2,8],"workloads":[{{"name":"FIR","baseline_cycles":1000,"sim_cycles":{cycles},"cycles_by_width":{{"2":600,"8":{cycles}}},"wall_s":0.5,"sim_cycles_per_sec":{rate}}}],"counters":{{"cycles":{cycles}}},"wall":{{}}}}"#
+            r#"{{"schema":"perfhist-v1","commit":"{commit}","timestamp":1,"host":"h","config_hash":"cafe","smoke":false,"widths":[2,8],"workloads":[{{"name":"FIR","baseline_cycles":1000,"sim_cycles":{cycles},"cycles_by_width":{{"2":600,"8":{cycles}}}}}],"counters":{{"cycles":{cycles}}}}}"#
+        ))
+        .unwrap()
+    }
+
+    /// A record as older builds wrote it, wall-clock fields included.
+    fn legacy_record(commit: &str, cycles: u64) -> Json {
+        Json::parse(&format!(
+            r#"{{"schema":"perfhist-v1","commit":"{commit}","timestamp":1,"host":"h","config_hash":"cafe","smoke":false,"widths":[2,8],"workloads":[{{"name":"FIR","baseline_cycles":1000,"sim_cycles":{cycles},"cycles_by_width":{{"2":600,"8":{cycles}}},"wall_s":0.5,"sim_cycles_per_sec":100.0}}],"counters":{{"cycles":{cycles}}},"wall":{{"figure6_serial_s":1.5}}}}"#
         ))
         .unwrap()
     }
 
     #[test]
     fn identical_cycles_pass() {
-        let h = vec![record("a", 250, 100.0), record("b", 250, 101.0)];
+        let h = vec![record("a", 250), record("b", 250)];
         let v = check(&h, &SentinelOptions::default());
         assert!(!v.failed);
         assert_eq!(v.json.get("status").and_then(Json::as_str), Some("pass"));
@@ -505,11 +436,23 @@ mod tests {
             v.json.get("workloads_checked").and_then(Json::as_u64),
             Some(1)
         );
+
+        // A baseline written before records dropped their wall-clock
+        // fields still gates: the old fields are ignored, not rejected.
+        let h = vec![legacy_record("a", 250), record("b", 250)];
+        let v = check(&h, &SentinelOptions::default());
+        assert!(!v.failed, "{}", v.json.write());
+        assert_eq!(
+            v.json.get("baseline_commit").and_then(Json::as_str),
+            Some("a")
+        );
+        let h = vec![legacy_record("a", 250), record("b", 251)];
+        assert!(check(&h, &SentinelOptions::default()).failed);
     }
 
     #[test]
     fn any_cycle_drift_fails_even_improvements() {
-        let h = vec![record("a", 250, 100.0), record("b", 240, 100.0)];
+        let h = vec![record("a", 250), record("b", 240)];
         let v = check(&h, &SentinelOptions::default());
         assert!(v.failed, "faster is still drift");
         let drift = v.json.get("cycle_drift").and_then(Json::as_arr).unwrap();
@@ -523,9 +466,9 @@ mod tests {
 
     #[test]
     fn incomparable_configs_fail_as_no_baseline() {
-        let mut other = record("a", 999, 100.0);
+        let mut other = record("a", 999);
         other.set("config_hash", "beef".into());
-        let h = vec![other, record("b", 250, 100.0)];
+        let h = vec![other, record("b", 250)];
         let v = check(&h, &SentinelOptions::default());
         // The mismatched record is never compared cycle-for-cycle, but a
         // config change must not silently disable the gate: no comparable
@@ -542,9 +485,9 @@ mod tests {
     #[test]
     fn baseline_commit_filter_selects_reference() {
         let h = vec![
-            record("good", 250, 100.0),
-            record("noise", 999, 100.0),
-            record("new", 250, 100.0),
+            record("good", 250),
+            record("noise", 999),
+            record("new", 250),
         ];
         let against_noise = check(&h, &SentinelOptions::default());
         assert!(
@@ -555,7 +498,6 @@ mod tests {
             &h,
             &SentinelOptions {
                 baseline_commit: Some("good".to_string()),
-                ..SentinelOptions::default()
             },
         );
         assert!(!against_good.failed);
@@ -565,66 +507,6 @@ mod tests {
                 .get("baseline_commit")
                 .and_then(Json::as_str),
             Some("good")
-        );
-    }
-
-    #[test]
-    fn slow_wall_clock_warns_but_passes() {
-        let h = vec![
-            record("a", 250, 100.0),
-            record("b", 250, 102.0),
-            record("c", 250, 98.0),
-            record("d", 250, 10.0), // 10× slower wall clock, same cycles
-        ];
-        let v = check(&h, &SentinelOptions::default());
-        assert!(!v.failed, "wall clock never fails CI");
-        let warns = v.json.get("wall_warnings").and_then(Json::as_arr).unwrap();
-        assert_eq!(warns.len(), 1);
-        assert_eq!(warns[0].get("workload").and_then(Json::as_str), Some("FIR"));
-    }
-
-    #[test]
-    fn single_sample_baseline_widens_band_and_flags_degenerate_mad() {
-        // One comparable record: MAD is degenerate (0), so the warn band
-        // doubles to 2×noise_frac. A 25 % slowdown sits inside that wider
-        // band (noise_frac 0.15 ⇒ band 30 %) and must NOT warn…
-        let h = vec![record("a", 250, 100.0), record("b", 250, 75.0)];
-        let v = check(&h, &SentinelOptions::default());
-        assert!(!v.failed);
-        let warns = v.json.get("wall_warnings").and_then(Json::as_arr).unwrap();
-        assert!(warns.is_empty(), "{}", v.json.write());
-
-        // …while a 2× slowdown still does, and the warning says its MAD
-        // was degenerate instead of pretending spread was measured.
-        let h = vec![record("a", 250, 100.0), record("b", 250, 50.0)];
-        let v = check(&h, &SentinelOptions::default());
-        assert!(!v.failed, "wall clock stays advisory");
-        let warns = v.json.get("wall_warnings").and_then(Json::as_arr).unwrap();
-        assert_eq!(warns.len(), 1);
-        assert_eq!(
-            warns[0].get("degenerate_mad"),
-            Some(&Json::Bool(true)),
-            "{}",
-            v.json.write()
-        );
-        assert_eq!(
-            warns[0].get("baseline_samples").and_then(Json::as_u64),
-            Some(1)
-        );
-
-        // A multi-sample baseline never carries the flag.
-        let h = vec![
-            record("a", 250, 100.0),
-            record("b", 250, 102.0),
-            record("c", 250, 10.0),
-        ];
-        let v = check(&h, &SentinelOptions::default());
-        let warns = v.json.get("wall_warnings").and_then(Json::as_arr).unwrap();
-        assert_eq!(warns.len(), 1);
-        assert_eq!(warns[0].get("degenerate_mad"), None);
-        assert_eq!(
-            warns[0].get("baseline_samples").and_then(Json::as_u64),
-            Some(2)
         );
     }
 
@@ -640,17 +522,19 @@ mod tests {
 
     fn serve_record(req: &str, resp: &str, cycles: u64) -> Json {
         Json::parse(&format!(
-            r#"{{"schema":"perfhist-serve-v1","commit":"c","timestamp":1,"host":"h","shards":4,"batch":{{"requests":10,"errors":0,"by_op":{{}}}},"cache":{{"hits":9,"misses":1,"entries":1,"hit_rate":0.9}},"determinism":{{"requests_hash":"{req}","responses_hash":"{resp}","sim_cycles_total":{cycles}}},"latency":{{"p50_us":1,"p95_us":2,"p99_us":3,"max_us":4}},"throughput_rps":5.0,"wall_s":2.0}}"#
+            r#"{{"schema":"perfhist-serve-v1","commit":"c","timestamp":1,"host":"h","shards":4,"batch":{{"requests":10,"errors":0,"by_op":{{}}}},"cache":{{"hits":9,"misses":1,"entries":1,"hit_rate":0.9}},"determinism":{{"requests_hash":"{req}","responses_hash":"{resp}","sim_cycles_total":{cycles}}}}}"#
         ))
         .unwrap()
     }
 
     #[test]
     fn matching_serve_records_pass_and_drift_fails() {
-        let h = vec![
-            serve_record("aaaa", "bbbb", 100),
-            serve_record("aaaa", "bbbb", 100),
-        ];
+        // The baseline carries the wall-clock fields older daemons wrote;
+        // they are ignored.
+        let mut legacy = serve_record("aaaa", "bbbb", 100);
+        legacy.set("throughput_rps", Json::f64(5.0));
+        legacy.set("wall_s", Json::f64(2.0));
+        let h = vec![legacy, serve_record("aaaa", "bbbb", 100)];
         let v = check(&h, &SentinelOptions::default());
         assert!(!v.failed, "{}", v.json.write());
         let serve = v.json.get("serve").unwrap();
@@ -700,8 +584,8 @@ mod tests {
     fn fresh_serve_mix_is_unchecked_with_bench_but_fails_alone() {
         // Bench records keep CI green while a new serve mix seeds itself…
         let h = vec![
-            record("a", 250, 100.0),
-            record("b", 250, 100.0),
+            record("a", 250),
+            record("b", 250),
             serve_record("aaaa", "bbbb", 100),
         ];
         let v = check(&h, &SentinelOptions::default());
@@ -726,9 +610,9 @@ mod tests {
     #[test]
     fn serve_drift_fails_even_when_bench_passes() {
         let h = vec![
-            record("a", 250, 100.0),
+            record("a", 250),
             serve_record("aaaa", "bbbb", 100),
-            record("b", 250, 100.0),
+            record("b", 250),
             serve_record("aaaa", "CCCC", 100),
         ];
         let v = check(&h, &SentinelOptions::default());
@@ -744,7 +628,7 @@ mod tests {
     }
 
     fn backend_record(commit: &str, backend: &str, cycles: u64) -> Json {
-        let mut r = record(commit, cycles, 100.0);
+        let mut r = record(commit, cycles);
         r.set("backend", backend.into());
         r
     }
@@ -754,7 +638,7 @@ mod tests {
         // A superblock record between two interp records must not become
         // the interp baseline (and vice versa), even with equal cycles.
         let h = vec![
-            record("a", 250, 100.0), // legacy record: implicitly interp
+            record("a", 250), // legacy record: implicitly interp
             backend_record("b", "superblock", 999),
             backend_record("c", "interp", 250),
         ];
@@ -768,10 +652,7 @@ mod tests {
 
         // Newest is superblock: only the superblock record can gate it,
         // and there is none older → no-baseline.
-        let h = vec![
-            record("a", 250, 100.0),
-            backend_record("b", "superblock", 250),
-        ];
+        let h = vec![record("a", 250), backend_record("b", "superblock", 250)];
         let v = check(&h, &SentinelOptions::default());
         assert!(v.failed);
         assert_eq!(
@@ -826,7 +707,7 @@ mod tests {
 
     #[test]
     fn counter_deltas_are_reported() {
-        let h = vec![record("a", 250, 100.0), record("b", 250, 100.0)];
+        let h = vec![record("a", 250), record("b", 250)];
         let mut h2 = h;
         h2[1].set(
             "counters",

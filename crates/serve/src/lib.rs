@@ -26,8 +26,8 @@
 //!   `serve-err-v1` response, never a worker death (worker panics are
 //!   caught and answered the same way).
 //! * [`record`] — per-batch `perfhist-serve-v1` telemetry records
-//!   (throughput, latency percentiles, cache hit rate, and the
-//!   order-independent determinism hashes the sentinel gates on), appended
+//!   (request and cache counts, and the order-independent determinism
+//!   hashes the sentinel gates on), appended
 //!   to the same history file the bench records live in.
 //! * [`inspect`] — the `metrics-v1` live-introspection snapshot behind the
 //!   `inspect` op (unified counters, power-of-two histograms, cache and
@@ -36,8 +36,8 @@
 //! * [`loadgen`] — the `bench --serve` load generator: N clients × M
 //!   requests from a seeded template mix, run once at `--shards 1` and once
 //!   at the requested shard count, hard-failing on any cross-shard
-//!   nondeterminism or a cache hit rate below the floor — plus a
-//!   recorder-off pass that measures the flight recorder's overhead.
+//!   nondeterminism or a cache hit rate below the floor — plus an optional
+//!   recorder-off pass that must answer byte-identically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

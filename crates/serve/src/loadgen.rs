@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use liquid_simd_trace::Json;
 
@@ -42,8 +42,8 @@ pub struct LoadOptions {
     pub seed: u64,
     /// Execution backend the daemon under test simulates with.
     pub backend: liquid_simd::BackendKind,
-    /// Also run a recorder-off pass and measure the flight recorder's
-    /// wall-clock overhead (adds one more sharded pass).
+    /// Also run a third, sharded pass with the flight recorder off, whose
+    /// responses and determinism hashes must match the recorder-on pass.
     pub measure_recorder: bool,
 }
 
@@ -78,20 +78,6 @@ pub struct LoadReport {
     pub single: ServeSummary,
     /// Daemon summary of the sharded pass.
     pub sharded: ServeSummary,
-    /// Recorder-overhead measurement: `(wall seconds with the flight
-    /// recorder on, wall seconds with it off)` for an identical sharded
-    /// load. `None` unless [`LoadOptions::measure_recorder`] was set.
-    pub recorder_walls_s: Option<(f64, f64)>,
-}
-
-impl LoadReport {
-    /// Flight-recorder overhead as a fraction of recorder-off wall time
-    /// (negative = on-pass was faster, i.e. the delta is below noise).
-    #[must_use]
-    pub fn recorder_overhead_frac(&self) -> Option<f64> {
-        self.recorder_walls_s
-            .map(|(on, off)| if off <= 0.0 { 0.0 } else { (on - off) / off })
-    }
 }
 
 /// The request-template pool: five request shapes per workload, all
@@ -186,8 +172,7 @@ fn one_pass(
     shards: usize,
     flight_capacity: usize,
     batches: &[Vec<String>],
-) -> Result<(BTreeMap<String, String>, ServeSummary, f64), String> {
-    let started = Instant::now();
+) -> Result<(BTreeMap<String, String>, ServeSummary), String> {
     let handle = spawn(ServeOptions {
         addr: "127.0.0.1:0".to_string(),
         shards,
@@ -226,7 +211,7 @@ fn one_pass(
         }
     }
     control?;
-    Ok((merged, summary, started.elapsed().as_secs_f64()))
+    Ok((merged, summary))
 }
 
 fn hit_rate(s: &ServeSummary) -> f64 {
@@ -262,8 +247,8 @@ pub fn run(opts: &LoadOptions) -> Result<LoadReport, String> {
     };
     let batches = build_batches(&opts, &pool, per_client);
     let on_capacity = liquid_simd_trace::DEFAULT_FLIGHT_CAPACITY;
-    let (single_map, single, _) = one_pass(&opts, 1, on_capacity, &batches)?;
-    let (sharded_map, sharded, wall_on) = one_pass(&opts, opts.shards, on_capacity, &batches)?;
+    let (single_map, single) = one_pass(&opts, 1, on_capacity, &batches)?;
+    let (sharded_map, sharded) = one_pass(&opts, opts.shards, on_capacity, &batches)?;
     if single_map.len() != sharded_map.len() {
         return Err(format!(
             "response count diverged: {} single-shard vs {} sharded",
@@ -298,11 +283,11 @@ pub fn run(opts: &LoadOptions) -> Result<LoadReport, String> {
             opts.min_hit_rate * 100.0
         ));
     }
-    // Satellite measurement: re-run the identical sharded load with the
-    // flight recorder disabled and compare wall clocks. Responses must
-    // still match byte-for-byte — recording is telemetry-only.
-    let recorder_walls_s = if opts.measure_recorder {
-        let (off_map, off_summary, wall_off) = one_pass(&opts, opts.shards, 0, &batches)?;
+    // Re-run the identical sharded load with the flight recorder
+    // disabled: responses must still match byte-for-byte — recording is
+    // telemetry-only.
+    if opts.measure_recorder {
+        let (off_map, off_summary) = one_pass(&opts, opts.shards, 0, &batches)?;
         if off_map != sharded_map {
             return Err(
                 "NONDETERMINISM: responses changed with the flight recorder off".to_string(),
@@ -311,10 +296,7 @@ pub fn run(opts: &LoadOptions) -> Result<LoadReport, String> {
         if off_summary.determinism != sharded.determinism {
             return Err("NONDETERMINISM: daemon hashes changed with the recorder off".to_string());
         }
-        Some((wall_on, wall_off))
-    } else {
-        None
-    };
+    }
     let errors = single_map
         .values()
         .filter(|r| r.contains("\"ok\":false"))
@@ -326,7 +308,6 @@ pub fn run(opts: &LoadOptions) -> Result<LoadReport, String> {
         shards: opts.shards,
         single,
         sharded,
-        recorder_walls_s,
     })
 }
 

@@ -3,8 +3,9 @@
 //! records live in (the store's single-write append makes concurrent
 //! writers safe).
 //!
-//! Wall-clock telemetry (throughput, latency percentiles) legitimately
-//! varies run to run; the `determinism` object does not. Its hashes are
+//! A record carries request and cache counts plus the `determinism`
+//! object, and no host time (perfbench's `serve` workload measures
+//! throughput and latency). The determinism hashes are
 //! **order-independent multiset hashes** — each served request adds
 //! (wrapping) one FNV-1a hash of its canonical key (and of key+response)
 //! into an accumulator — so two runs that served the same multiset of
@@ -17,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use liquid_simd_perfhist::{record, SERVE_SCHEMA};
-use liquid_simd_trace::{nearest_rank, Json};
+use liquid_simd_trace::Json;
 
 /// Aggregated telemetry of one serve batch, ready to serialize.
 #[derive(Clone, Debug, Default)]
@@ -28,11 +29,6 @@ pub struct BatchStats {
     pub errors: u64,
     /// Requests per op name in this batch.
     pub by_op: BTreeMap<String, u64>,
-    /// Per-request service latencies, microseconds (arrival to response
-    /// enqueue).
-    pub latencies_us: Vec<u64>,
-    /// Batch wall-clock seconds (first arrival to flush).
-    pub wall_s: f64,
 }
 
 /// Cumulative-since-startup identity of the served request stream.
@@ -63,20 +59,12 @@ pub struct CacheStats {
 /// Builds one `perfhist-serve-v1` record.
 #[must_use]
 pub fn build(shards: usize, batch: &BatchStats, cache: &CacheStats, det: &Determinism) -> Json {
-    let mut lat = batch.latencies_us.clone();
-    lat.sort_unstable();
     let hit_rate = if cache.hits + cache.misses == 0 {
         0.0
     } else {
         cache.hits as f64 / (cache.hits + cache.misses) as f64
     };
-    let throughput = if batch.wall_s > 0.0 {
-        batch.requests as f64 / batch.wall_s
-    } else {
-        0.0
-    };
     let by_op = batch.by_op.iter().map(|(k, &v)| (k.clone(), v.into()));
-    let pct = |p: f64| Json::from(nearest_rank(&lat, p));
     Json::obj([
         ("schema", SERVE_SCHEMA.into()),
         (
@@ -117,17 +105,6 @@ pub fn build(shards: usize, batch: &BatchStats, cache: &CacheStats, det: &Determ
                 ("sim_cycles_total", det.sim_cycles_total.into()),
             ]),
         ),
-        (
-            "latency",
-            Json::obj([
-                ("p50_us", pct(50.0)),
-                ("p95_us", pct(95.0)),
-                ("p99_us", pct(99.0)),
-                ("max_us", lat.last().copied().unwrap_or(0).into()),
-            ]),
-        ),
-        ("throughput_rps", Json::f64(throughput)),
-        ("wall_s", Json::f64(batch.wall_s)),
     ])
 }
 
@@ -140,8 +117,6 @@ mod tests {
         let mut batch = BatchStats {
             requests: 10,
             errors: 1,
-            latencies_us: vec![100, 200, 300],
-            wall_s: 2.0,
             ..BatchStats::default()
         };
         batch.by_op.insert("run".to_string(), 9);
@@ -171,12 +146,8 @@ mod tests {
         );
         let c = back.get("cache").unwrap();
         assert_eq!(c.get("hit_rate").and_then(Json::as_f64), Some(0.9));
-        assert_eq!(back.get("throughput_rps").and_then(Json::as_f64), Some(5.0));
-        assert_eq!(
-            back.get("latency")
-                .and_then(|l| l.get("p50_us"))
-                .and_then(Json::as_u64),
-            Some(200)
-        );
+        for gone in ["latency", "throughput_rps", "wall_s"] {
+            assert!(back.get(gone).is_none(), "no host time: {gone}");
+        }
     }
 }

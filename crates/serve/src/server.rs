@@ -67,8 +67,8 @@ pub struct ServeOptions {
     /// daemon throughput (and the backend tag in `explain` output).
     pub backend: liquid_simd::BackendKind,
     /// Per-shard flight-recorder ring capacity in events (`0` disables
-    /// recording — the overhead-measurement escape hatch; the recorder is
-    /// otherwise always on).
+    /// recording, as `bench --serve --measure-recorder`'s recorder-off
+    /// pass does; the recorder is otherwise always on).
     pub flight_capacity: usize,
     /// Directory receiving `flight-v1` dump files (`None` = incidents are
     /// still contained, just not dumped).
@@ -152,28 +152,8 @@ struct State {
     dumps: AtomicU64,
     budget_streak: AtomicU64,
     ops_total: Mutex<BTreeMap<String, u64>>,
-    batch: Mutex<Batch>,
+    batch: Mutex<BatchStats>,
     started: Instant,
-}
-
-struct Batch {
-    requests: u64,
-    errors: u64,
-    by_op: BTreeMap<String, u64>,
-    latencies_us: Vec<u64>,
-    started: Instant,
-}
-
-impl Batch {
-    fn new() -> Batch {
-        Batch {
-            requests: 0,
-            errors: 0,
-            by_op: BTreeMap::new(),
-            latencies_us: Vec::new(),
-            started: Instant::now(),
-        }
-    }
 }
 
 impl State {
@@ -195,7 +175,7 @@ impl State {
             dumps: AtomicU64::new(0),
             budget_streak: AtomicU64::new(0),
             ops_total: Mutex::new(BTreeMap::new()),
-            batch: Mutex::new(Batch::new()),
+            batch: Mutex::new(BatchStats::default()),
             started: Instant::now(),
         }
     }
@@ -203,7 +183,7 @@ impl State {
     /// Tallies one answered request into the cumulative counters and the
     /// current batch, then flushes the batch if it reached the configured
     /// size. `op` is the op name (or `"invalid"` for unparseable lines).
-    fn tally(&self, op: &str, ok: bool, latency_us: u64) {
+    fn tally(&self, op: &str, ok: bool) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         if !ok {
             self.errors.fetch_add(1, Ordering::Relaxed);
@@ -221,7 +201,6 @@ impl State {
                 batch.errors += 1;
             }
             *batch.by_op.entry(op.to_string()).or_insert(0) += 1;
-            batch.latencies_us.push(latency_us);
             self.opts.history_every > 0 && batch.requests >= self.opts.history_every as u64
         };
         if flush_now {
@@ -236,19 +215,12 @@ impl State {
         let Some(history) = self.opts.history.clone() else {
             return;
         };
-        let taken = {
+        let stats = {
             let mut batch = self.batch.lock().expect("batch poisoned");
             if batch.requests == 0 {
                 return;
             }
-            std::mem::replace(&mut *batch, Batch::new())
-        };
-        let stats = BatchStats {
-            requests: taken.requests,
-            errors: taken.errors,
-            by_op: taken.by_op,
-            latencies_us: taken.latencies_us,
-            wall_s: taken.started.elapsed().as_secs_f64(),
+            std::mem::take(&mut *batch)
         };
         let (hits, misses, entries) = self.cache.stats();
         let rec = crate::record::build(
@@ -619,7 +591,7 @@ fn shard_worker(rx: mpsc::Receiver<Job>, shard: usize, state: &State) {
         } else {
             state.budget_streak.store(0, Ordering::Relaxed);
         }
-        state.tally(job.req.op.name(), output.ok, latency);
+        state.tally(job.req.op.name(), output.ok);
         let line = proto::with_id(&output.body, job.req.id.as_ref());
         // A dropped receiver means the client went away; nothing to do.
         let _ = job.reply.send((job.seq, line));
@@ -776,7 +748,7 @@ fn connection(stream: TcpStream, shard_txs: Vec<mpsc::Sender<Job>>, state: &Stat
             Ok(0) => break,
             Ok(_) if line.len() > proto::MAX_REQUEST_LINE => {
                 let msg = format!("request line exceeds {} bytes", proto::MAX_REQUEST_LINE);
-                reject(&msg, seq, state, &reply_tx, Instant::now());
+                reject(&msg, seq, state, &reply_tx);
                 break;
             }
             Ok(_) => {
@@ -819,13 +791,7 @@ fn load(counter: &AtomicU64) -> Json {
 
 /// Answers a line that is not a request (malformed or oversized) with a
 /// `bad-request` error, recorded and tallied under the `invalid` op.
-fn reject(
-    msg: &str,
-    seq: u64,
-    state: &State,
-    reply_tx: &mpsc::Sender<(u64, String)>,
-    arrived: Instant,
-) {
+fn reject(msg: &str, seq: u64, state: &State, reply_tx: &mpsc::Sender<(u64, String)>) {
     state.recorder.record(
         0,
         FlightEvent::new("", "invalid", FlightStage::Parse)
@@ -836,7 +802,7 @@ fn reject(
         0,
         FlightEvent::new("", "invalid", FlightStage::Respond).ok(false),
     );
-    state.tally("invalid", false, arrived.elapsed().as_micros() as u64);
+    state.tally("invalid", false);
     let _ = reply_tx.send((seq, proto::err_body(None, "bad-request", msg)));
 }
 
@@ -859,12 +825,12 @@ fn handle_line(
             0,
             FlightEvent::new(&id_text(id), op, FlightStage::Respond).ok(ok),
         );
-        state.tally(op, ok, arrived.elapsed().as_micros() as u64);
+        state.tally(op, ok);
         let _ = reply_tx.send((seq, proto::with_id(&body, id)));
     };
     let req = match proto::parse_request(line) {
         Ok(req) => req,
-        Err(msg) => return reject(&msg, seq, state, reply_tx, arrived),
+        Err(msg) => return reject(&msg, seq, state, reply_tx),
     };
     if req.inject_panic && !state.opts.inject_faults {
         front(

@@ -225,36 +225,6 @@ pub fn nearest_rank<T: Copy + Default>(sorted: &[T], p: f64) -> T {
     sorted[rank(sorted.len() as u64, p) as usize - 1]
 }
 
-/// Median of a sample set (mean of the middle pair for even counts).
-/// Returns 0.0 for an empty slice. The input need not be sorted.
-#[must_use]
-pub fn median(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut v: Vec<f64> = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        (v[mid - 1] + v[mid]) / 2.0
-    }
-}
-
-/// Median absolute deviation — the robust spread estimator the regression
-/// sentinel uses for noisy wall-clock throughput. A single sample (or an
-/// empty slice) has zero spread by definition.
-#[must_use]
-pub fn mad(samples: &[f64]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
-    }
-    let m = median(samples);
-    let dev: Vec<f64> = samples.iter().map(|s| (s - m).abs()).collect();
-    median(&dev)
-}
-
 impl fmt::Display for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -439,17 +409,6 @@ mod tests {
         assert_eq!(h.percentile(50.0), 100);
         assert_eq!(h.percentile(90.0), 1000);
         assert_eq!(h.percentile(100.0), 9999); // overflow → observed max
-    }
-
-    #[test]
-    fn median_and_mad_edge_cases() {
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(median(&[7.0]), 7.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(mad(&[]), 0.0);
-        assert_eq!(mad(&[42.0]), 0.0, "single-sample MAD is zero spread");
-        assert_eq!(mad(&[1.0, 1.0, 1.0]), 0.0);
-        assert_eq!(mad(&[1.0, 2.0, 9.0]), 1.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! End-to-end coverage of the performance-history subsystem: real
 //! simulator runs become `perfhist-v1` records, identical code passes the
 //! sentinel, a perturbed cycle count fails it (in both the library verdict
-//! and the CLI's exit-code semantics), the wall-clock scrub makes records
-//! from differently-parallel runs byte-identical, and the dashboard is a
-//! genuinely self-contained single file.
+//! and the CLI's exit-code semantics), two measurements of the same code
+//! serialize to the same bytes, and the dashboard is a genuinely
+//! self-contained single file.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -32,7 +32,7 @@ fn meta() -> RecordMeta {
 
 /// Measures the smoke workloads for real and builds one record: scalar
 /// baseline, liquid cycles at 2 and 8 lanes, merged counter snapshot.
-fn measure(wall_s: f64) -> Json {
+fn measure() -> Json {
     let mut rows = Vec::new();
     let mut counters = BTreeMap::new();
     for w in liquid_simd_repro::workloads::smoke() {
@@ -57,18 +57,16 @@ fn measure(wall_s: f64) -> Json {
             baseline_cycles: base.report.cycles,
             sim_cycles: headline,
             cycles_by_width: by_width,
-            wall_s,
-            cycles_per_sec: headline as f64 / wall_s,
             ledger: None,
         });
     }
-    perfhist::record::build(&meta(), &rows, &counters, &[])
+    perfhist::record::build(&meta(), &rows, &counters)
 }
 
 #[test]
 fn same_code_passes_perturbed_cycles_fail() {
-    let baseline = measure(0.5);
-    let rerun = measure(0.25); // different wall clock, same simulated work
+    let baseline = measure();
+    let rerun = measure();
 
     // Two real measurements of the same code: deterministic fields agree,
     // so the sentinel passes.
@@ -104,24 +102,19 @@ fn same_code_passes_perturbed_cycles_fail() {
 }
 
 #[test]
-fn scrubbed_records_are_byte_identical_across_wall_clock() {
-    // The `--jobs 1` vs `--jobs 8` contract: parallelism only moves wall
-    // clock, and scrub_wall removes exactly the wall-clock fields, so two
-    // measurements of the same code serialize identically after the scrub.
-    let mut a = measure(0.5);
-    let mut b = measure(0.125);
-    assert_ne!(a.write(), b.write(), "wall fields differ before the scrub");
-    perfhist::record::scrub_wall(&mut a);
-    perfhist::record::scrub_wall(&mut b);
-    assert_eq!(a.write(), b.write(), "scrubbed records are byte-identical");
+fn measurements_of_the_same_code_are_byte_identical() {
+    // Records hold only simulated results plus identity metadata, so two
+    // real measurements of the same code serialize to the same bytes with
+    // nothing scrubbed.
+    assert_eq!(measure().write(), measure().write());
 }
 
 #[test]
 fn history_file_round_trips_and_sentinel_reads_it() {
     let path = tmpfile("history.jsonl");
     let _ = std::fs::remove_file(&path);
-    perfhist::store::append(&path, &measure(0.5)).unwrap();
-    perfhist::store::append(&path, &measure(0.25)).unwrap();
+    perfhist::store::append(&path, &measure()).unwrap();
+    perfhist::store::append(&path, &measure()).unwrap();
     let on_disk = std::fs::read_to_string(&path).unwrap();
     let records = perfhist::store::load(&path).unwrap();
     assert_eq!(records.len(), 2);
@@ -133,7 +126,7 @@ fn history_file_round_trips_and_sentinel_reads_it() {
 
 #[test]
 fn dashboard_is_single_file_with_real_data() {
-    let mut history = vec![measure(0.5), measure(0.25)];
+    let mut history = vec![measure(), measure()];
     // Nudge one counter so the delta table has a row to show (identical
     // code produces identical counters, which would hide the section).
     let mut counters = history[1]
