@@ -5,8 +5,9 @@
 //! liquid-simd disasm program.lsim             disassemble an object file
 //! liquid-simd run program.{s,lsim} [FLAGS]    simulate to halt
 //!     --lanes N        SIMD accelerator width (default 8; 0 = scalar only)
-//!     --backend B      execution backend: interp (default) or superblock
-//!                      (pre-lowered straight-line blocks, same cycles)
+//!     --backend B      execution backend: superblock (default; pre-lowered
+//!                      straight-line blocks) or interp (the reference
+//!                      interpreter, same cycles)
 //!     --native         no dynamic translation (vector binaries)
 //!     --jit            software-JIT translation (stalls the CPU)
 //!     --report         print cache/translator statistics
@@ -102,8 +103,9 @@
 //!                      responses are byte-identical at every shard count
 //!     --addr A         bind address (default 127.0.0.1:7070)
 //!     --shards N       worker shards (default min(cores, 8))
-//!     --backend B      backend the daemon simulates with (responses are
-//!                      byte-identical either way)
+//!     --backend B      backend the daemon simulates with (default interp;
+//!                      run/translate responses are byte-identical either
+//!                      way, explain names the backend)
 //!     --history F      perfhist-serve-v1 batch telemetry (default
 //!                      bench/history.jsonl; --no-history to disable)
 //!     --history-every N   flush a batch record every N requests
@@ -288,6 +290,18 @@ fn parse_backend(args: &[String]) -> Result<liquid_simd::BackendKind, String> {
         None => Ok(liquid_simd::BackendKind::default()),
         Some(v) => liquid_simd::BackendKind::parse(v)
             .ok_or_else(|| format!("bad --backend `{v}` (interp or superblock)")),
+    }
+}
+
+/// `--backend` for the serving daemon (`serve`, `bench --serve`): the
+/// default is the daemon's own, `ServeOptions::default()` (the
+/// interpreter), not the simulator's. `explain` replies carry the backend
+/// name and block stats, and perfbench's `serve` workload checks them
+/// against an interpreter replay.
+fn parse_daemon_backend(args: &[String]) -> Result<liquid_simd::BackendKind, String> {
+    match option_value(args, "--backend")? {
+        None => Ok(serve::ServeOptions::default().backend),
+        Some(_) => parse_backend(args),
     }
 }
 
@@ -1375,7 +1389,7 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
     let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
     let opts = serve::loadgen::LoadOptions {
         smoke: flag(args, "--smoke"),
-        backend: parse_backend(args)?,
+        backend: parse_daemon_backend(args)?,
         clients: parse_count(args, "--clients", 4)?,
         requests_per_client: match option_value(args, "--requests")? {
             None => 0,
@@ -1450,7 +1464,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         shards,
         history: (!flag(args, "--no-history")).then(|| std::path::PathBuf::from(history_path)),
         history_every: parse_count(args, "--history-every", 64)?,
-        backend: parse_backend(args)?,
+        backend: parse_daemon_backend(args)?,
         flight_capacity,
         flight_dir: option_value(args, "--flight-dir")?.map(std::path::PathBuf::from),
         inject_faults: flag(args, "--inject-faults"),

@@ -16,10 +16,10 @@
 //! point, so an injection at `begin_retired` lands before the translator
 //! is active and would be a vacuous no-op.
 
-use liquid_simd::{build_liquid, gold, verify_against_gold, MachineConfig, Workload};
+use liquid_simd::{build_liquid, gold, verify_against_gold, BackendKind, MachineConfig, Workload};
 
 use crate::gen::LegalSpec;
-use crate::oracle::run_full;
+use crate::oracle::run_reference;
 
 /// The result of sweeping one workload at one lane width.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,7 +59,7 @@ pub fn sweep_workload(workload: &Workload, lanes: usize) -> SweepOutcome {
         Ok(b) => b,
         Err(e) => return fail(format!("liquid build failed: {e}")),
     };
-    let clean = match run_full(&build.program, MachineConfig::liquid(lanes)) {
+    let clean = match run_reference(&build.program, MachineConfig::liquid(lanes)) {
         Ok((report, _, _)) => report,
         Err(e) => return fail(format!("clean run failed: {e}")),
     };
@@ -72,7 +72,7 @@ pub fn sweep_workload(workload: &Workload, lanes: usize) -> SweepOutcome {
     for window in windows {
         for n in window.begin_retired + 1..=window.end_retired {
             points += 1;
-            let mut cfg = MachineConfig::liquid(lanes);
+            let mut cfg = MachineConfig::liquid(lanes).with_backend(BackendKind::Interp);
             cfg.interrupt_at = vec![n];
             let mut m = liquid_simd::Machine::new(&build.program, cfg);
             let report = match m.run() {

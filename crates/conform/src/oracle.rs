@@ -19,8 +19,8 @@
 //! a translator-less scalar machine — abort, never mistranslate.
 
 use liquid_simd::{
-    build_liquid, build_native, build_plain, gold, verify_against_gold, Machine, MachineConfig,
-    RunReport, SimError, F32_RTOL,
+    build_liquid, build_native, build_plain, gold, verify_against_gold, BackendKind, Machine,
+    MachineConfig, RunReport, SimError, F32_RTOL,
 };
 use liquid_simd_isa::{asm, ElemType, Program, SUPPORTED_WIDTHS};
 use liquid_simd_mem::Memory;
@@ -103,6 +103,21 @@ pub fn run_full(
     Ok((report, m.memory().clone(), regs))
 }
 
+/// [`run_full`] on the interpreter: the reference run every other
+/// pipeline and the superblock backend are diffed against. Reference runs
+/// never take the default backend (the superblock), or the backend column
+/// would compare the superblock with itself.
+///
+/// # Errors
+///
+/// Returns [`SimError`] for simulation faults.
+pub fn run_reference(
+    program: &Program,
+    config: MachineConfig,
+) -> Result<(RunReport, Memory, [u32; 16]), SimError> {
+    run_full(program, config.with_backend(BackendKind::Interp))
+}
+
 fn f32_close(a: f32, b: f32) -> bool {
     if a == b {
         return true;
@@ -166,7 +181,7 @@ fn diff_backend(
     config: MachineConfig,
     interp: (&RunReport, &Memory, &[u32; 16]),
 ) -> Option<String> {
-    let sb = config.with_backend(liquid_simd::BackendKind::Superblock);
+    let sb = config.with_backend(BackendKind::Superblock);
     let (report, mem, regs) = match run_full(program, sb) {
         Ok(v) => v,
         Err(e) => return Some(format!("{what} superblock run: {e}")),
@@ -243,7 +258,7 @@ pub fn check_workload(
 
     let plain = try_or_fail!(build_plain(w), "plain build");
     let (plain_report, mem, plain_regs) = try_or_fail!(
-        run_full(&plain.program, MachineConfig::scalar_only()),
+        run_reference(&plain.program, MachineConfig::scalar_only()),
         "plain run"
     );
     try_or_fail!(
@@ -261,7 +276,7 @@ pub fn check_workload(
 
     let liquid = try_or_fail!(build_liquid(w), "liquid build");
     let (scalar_report, scalar_mem, scalar_regs) = try_or_fail!(
-        run_full(&liquid.program, MachineConfig::scalar_only()),
+        run_reference(&liquid.program, MachineConfig::scalar_only()),
         "liquid scalar run"
     );
     try_or_fail!(
@@ -294,7 +309,7 @@ pub fn check_workload(
     let mut abort_tags: Vec<String> = Vec::new();
     for &width in &SUPPORTED_WIDTHS {
         let (report, t_mem, t_regs) = try_or_fail!(
-            run_full(&liquid.program, MachineConfig::liquid(width)),
+            run_reference(&liquid.program, MachineConfig::liquid(width)),
             "liquid translated run"
         );
         translated |= report.translator.successes > 0;
@@ -329,7 +344,7 @@ pub fn check_workload(
 
         let native = try_or_fail!(build_native(w, width), "native build");
         let (_, n_mem, _) = try_or_fail!(
-            run_full(&native.program, MachineConfig::native(width)),
+            run_reference(&native.program, MachineConfig::native(width)),
             "native run"
         );
         try_or_fail!(
@@ -365,14 +380,14 @@ pub fn check_workload(
 /// abort exactly at the final retired instruction of the first translation
 /// window and require a gold-correct run with the abort accounted.
 fn check_inject_last(program: &Program, gold_env: &liquid_simd::DataEnv) -> Option<String> {
-    let clean = match run_full(program, MachineConfig::liquid(8)) {
+    let clean = match run_reference(program, MachineConfig::liquid(8)) {
         Ok((report, _, _)) => report,
         Err(e) => return Some(format!("inject-last clean run: {e}")),
     };
     let Some(window) = clean.windows.iter().find(|w| w.completed) else {
         return Some("inject-last case never completed a translation window".to_string());
     };
-    let mut cfg = MachineConfig::liquid(8);
+    let mut cfg = MachineConfig::liquid(8).with_backend(BackendKind::Interp);
     cfg.interrupt_at = vec![window.end_retired];
     let mut m = Machine::new(program, cfg);
     let report = match m.run() {
@@ -389,10 +404,10 @@ fn check_inject_last(program: &Program, gold_env: &liquid_simd::DataEnv) -> Opti
         return Some(format!("inject-last vs gold: {e}"));
     }
 
-    // The same injection on the superblock backend: the external abort
-    // lands mid-block, so the backend must fall back to the interpreter's
+    // The same injection on the superblock backend: interrupt injection
+    // single-steps, so the backend must reach the interpreter's
     // gold-correct scalar recovery — bit-identically.
-    let mut sb_cfg = MachineConfig::liquid(8).with_backend(liquid_simd::BackendKind::Superblock);
+    let mut sb_cfg = MachineConfig::liquid(8).with_backend(BackendKind::Superblock);
     sb_cfg.interrupt_at = vec![window.end_retired];
     let mut sb = Machine::new(program, sb_cfg);
     let sb_report = match sb.run() {
@@ -443,7 +458,7 @@ pub fn check_untranslatable(name: &str, src: &str, expected_tag: &str) -> CaseOu
         Ok(p) => p,
         Err(e) => return fail(name, kind, format!("illegal case does not assemble: {e}")),
     };
-    let (ref_mem, ref_regs) = match run_full(&program, MachineConfig::scalar_only()) {
+    let (ref_mem, ref_regs) = match run_reference(&program, MachineConfig::scalar_only()) {
         Ok((report, mem, regs)) => {
             if !report.halted {
                 return fail(name, kind, "reference run did not halt".to_string());
@@ -455,7 +470,7 @@ pub fn check_untranslatable(name: &str, src: &str, expected_tag: &str) -> CaseOu
 
     let mut tags: Vec<String> = Vec::new();
     for &width in &SUPPORTED_WIDTHS {
-        let (report, mem, regs) = match run_full(&program, MachineConfig::liquid(width)) {
+        let (report, mem, regs) = match run_reference(&program, MachineConfig::liquid(width)) {
             Ok(v) => v,
             Err(e) => return fail(name, kind, format!("liquid@{width} run failed: {e}")),
         };
@@ -542,6 +557,17 @@ pub fn check_case(spec: &CaseSpec) -> CaseOutcome {
 mod tests {
     use super::*;
     use crate::gen::{generate_case, IllegalKind};
+
+    #[test]
+    fn reference_runs_use_the_interpreter() {
+        // The superblock is the default backend; the backend column only
+        // cross-checks it if the reference it is diffed against is not.
+        assert_eq!(MachineConfig::liquid(8).backend, BackendKind::Superblock);
+        let program = asm::assemble(".text\nmain:\n    mov r0, #1\n    halt\n").unwrap();
+        let (report, _, regs) = run_reference(&program, MachineConfig::liquid(8)).unwrap();
+        assert_eq!(report.backend, BackendKind::Interp);
+        assert_eq!(regs[0], 1);
+    }
 
     #[test]
     fn a_handful_of_generated_cases_pass() {

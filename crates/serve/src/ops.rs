@@ -471,7 +471,9 @@ mod tests {
             widths: vec![2, 8],
             interrupt_every: 0,
             all_calls: false,
-            backend: Default::default(),
+            // `execute` simulates on the interpreter, and explain output
+            // names its backend.
+            backend: BackendKind::Interp,
         };
         let direct = liquid_simd::diagnose::explain_json(
             &liquid_simd::explain(&program, &name, &opts).unwrap(),

@@ -64,7 +64,10 @@ pub struct ServeOptions {
     pub history_every: usize,
     /// Execution backend every shard simulates with (`serve --backend`).
     /// Simulation results are backend-independent, so this only changes
-    /// daemon throughput (and the backend tag in `explain` output).
+    /// daemon throughput (and the backend tag and block stats in `explain`
+    /// output). The default stays the interpreter although the simulator's
+    /// default is the superblock: `explain` replies are compared against
+    /// interpreter replays, and those replies name the backend.
     pub backend: liquid_simd::BackendKind,
     /// Per-shard flight-recorder ring capacity in events (`0` disables
     /// recording, as `bench --serve --measure-recorder`'s recorder-off
@@ -652,7 +655,7 @@ fn answer(job: &Job, shard: usize, state: &State) -> (Arc<CacheEntry>, bool) {
             // response: this entry *is* the service's microcode cache
             // line, preloadable by a future execution layer.
             let micro = if job.req.op == Op::Translate && output.ok {
-                snapshot_microcode(&entry.program, job.req.lanes)
+                snapshot_microcode(&entry.program, job.req.lanes, state.opts.backend)
             } else {
                 Vec::new()
             };
@@ -720,8 +723,10 @@ fn answer(job: &Job, shard: usize, state: &State) -> (Arc<CacheEntry>, bool) {
 fn snapshot_microcode(
     program: &liquid_simd_isa::Program,
     lanes: usize,
+    backend: liquid_simd::BackendKind,
 ) -> Vec<(u32, Vec<liquid_simd_isa::Inst>)> {
-    let mut machine = liquid_simd::Machine::new(program, liquid_simd::MachineConfig::liquid(lanes));
+    let config = liquid_simd::MachineConfig::liquid(lanes).with_backend(backend);
+    let mut machine = liquid_simd::Machine::new(program, config);
     match machine.run() {
         Ok(_) => machine.microcode_snapshot(),
         Err(_) => Vec::new(),

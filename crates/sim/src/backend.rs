@@ -16,13 +16,18 @@
 //!   overwritten, or flushed (tracked by the mcache epoch), so
 //!   translation/abort/retry semantics are untouched.
 //!
-//! The superblock backend single-steps (counted per reason in
-//! [`BlockStats`]) whenever block execution could observably diverge: a
-//! tracer is attached (per-step event stamps), interrupt injection is
-//! configured (exact retire indices), the translator has an open window
-//! (its tap observes every program-stream retire), or the next instruction
-//! is control flow (always interpreted; this is also where calls,
-//! translation begins, and microcode entry/exit happen).
+//! Tracers and translation windows do not leave the superblock backend:
+//! [`crate::block::exec_block`] hands every retire they observe to
+//! [`Machine::post_retire`], the interpreter's own post-retire hook, so
+//! the tracer stream, the translator tap and everything a window's end
+//! changes (JIT stall, replay category, microcode-cache epoch) match the
+//! interpreter retire for retire. The backend single-steps (counted per
+//! reason in [`BlockStats`]) only when interrupt injection is configured
+//! (exact retire indices) or the next instruction is a call, return, halt
+//! or the end of the code (always interpreted; this is where calls,
+//! translation begins, and microcode entry/exit happen). The
+//! `fallback_translator` counter always reads 0; it stays because the
+//! perfbench harness reads it.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -119,26 +124,20 @@ impl SuperblockBackend {
 
 impl ExecBackend for SuperblockBackend {
     fn dispatch(&mut self, m: &mut Machine<'_>) -> Result<bool, SimError> {
-        // Single-step whenever block execution could observably diverge.
-        if m.tracer.is_some() {
-            self.stats.fallback_tracer += 1;
-            return checked_step(m);
-        }
+        // Interrupt injection names exact retire indices: the only reason
+        // left to single-step a whole run.
         if m.config.interrupt_every > 0 || !m.config.interrupt_at.is_empty() {
             self.stats.fallback_interrupts += 1;
             return checked_step(m);
         }
         // Chain blocks: a lowered branch terminator keeps control inside
         // the backend (the common case for hot loops), so one dispatch can
-        // replay an entire loop nest. Nothing inside the chain can flip the
-        // guards above or activate the translator (both need a call, which
-        // exits through the interpreter), and the mcache epoch check at the
-        // top of each iteration is a cheap integer compare.
+        // replay an entire loop nest. Tracers and translation windows ride
+        // along: every retire they observe goes through the interpreter's
+        // post-retire hook inside the block. A translation that commits
+        // mid-chain bumps the mcache epoch, which the check at the top of
+        // each iteration (a cheap integer compare) picks up.
         loop {
-            if m.translator.is_active() {
-                self.stats.fallback_translator += 1;
-                return checked_step(m);
-            }
             self.sync_invalidations(m);
 
             let (code, meta, start, in_micro, key) = match m.stream {
@@ -212,6 +211,7 @@ impl ExecBackend for SuperblockBackend {
 mod tests {
     use super::*;
     use crate::config::{BackendKind, MachineConfig};
+    use crate::report::RunReport;
     use liquid_simd_isa::asm;
 
     const SUM_LOOP: &str = r"
@@ -231,7 +231,35 @@ top:
     halt
 ";
 
-    fn run_both(src: &str, config: &MachineConfig) {
+    /// A vectorizable outlined loop called six times (`bl.v`): the first
+    /// call opens a translation window, later calls run the microcode.
+    const SCALE_CALLS: &str = r"
+.data
+.i32 A: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16
+.i32 B: 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0
+
+.text
+main:
+    mov r5, #0
+again:
+    bl.v scale
+    add r5, r5, #1
+    cmp r5, #6
+    blt again
+    halt
+scale:
+    mov r0, #0
+top:
+    ldw r1, [A + r0]
+    add r1, r1, r1
+    stw [B + r0], r1
+    add r0, r0, #1
+    cmp r0, #16
+    blt top
+    ret
+";
+
+    fn run_both(src: &str, config: &MachineConfig) -> (RunReport, RunReport) {
         let p = asm::assemble(src).expect("assembles");
         let mut mi = Machine::new(&p, config.clone().with_backend(BackendKind::Interp));
         let ri = mi.run().expect("interp runs");
@@ -262,6 +290,7 @@ top:
         assert_eq!(ri.blocks, crate::report::BlockStats::default());
         assert!(rs.blocks.lowered > 0);
         assert!(rs.blocks.hits > 0); // the loop body re-dispatches
+        (ri, rs)
     }
 
     #[test]
@@ -293,7 +322,18 @@ top:
 
     #[test]
     fn superblock_matches_interpreter_with_translation() {
-        run_both(SUM_LOOP, &MachineConfig::liquid(8));
+        for jit in [false, true] {
+            let mut config = MachineConfig::liquid(8);
+            config.translation.jit = jit;
+            let (ri, rs) = run_both(SCALE_CALLS, &config);
+            assert!(ri.translator.successes > 0, "jit={jit}");
+            assert_eq!(ri.translator, rs.translator, "jit={jit}");
+            assert_eq!(ri.windows, rs.windows, "jit={jit}");
+            assert_eq!(ri.translations, rs.translations, "jit={jit}");
+            assert_eq!(ri.calls, rs.calls, "jit={jit}");
+            // No retire single-stepped because a window was open.
+            assert_eq!(rs.blocks.fallback_translator, 0, "jit={jit}");
+        }
     }
 
     #[test]
@@ -311,7 +351,9 @@ top:
         .unwrap();
         let mut cfg = MachineConfig::scalar_only();
         cfg.max_cycles = 10_000;
-        let ei = Machine::new(&p, cfg.clone()).run().unwrap_err();
+        let ei = Machine::new(&p, cfg.clone().with_backend(BackendKind::Interp))
+            .run()
+            .unwrap_err();
         let es = Machine::new(&p, cfg.with_backend(BackendKind::Superblock))
             .run()
             .unwrap_err();
@@ -320,8 +362,9 @@ top:
 
     /// Emits a random-but-legal scalar loop: load, a random ALU mix with
     /// optional forward branches (several superblocks per iteration),
-    /// store, and a counted backedge. Deterministic in `rand`.
-    fn random_program(rand: &mut impl FnMut() -> u64, case: usize) -> String {
+    /// store, and a counted backedge — inline in `main`, or `outlined` as a
+    /// repeatedly called `bl.v` function. Deterministic in `rand`.
+    fn random_program(rand: &mut impl FnMut() -> u64, case: usize, outlined: bool) -> String {
         let n = 8 + (case % 4) * 8;
         let vals: Vec<String> = (0..n)
             .map(|_| ((rand() % 2000) as i64 - 1000).to_string())
@@ -355,20 +398,37 @@ top:
                 skips += 1;
             }
         }
-        format!(
-            ".data\n.i32 A: {}\n.i32 B: {}\n\n.text\nmain:\n    mov r0, #0\n    mov r1, #0\n\
-             top:\n    ldw r2, [A + r0]\n{body}    stw [B + r0], r2\n    add r0, r0, #1\n\
-             \x20   cmp r0, #{n}\n    blt top\n    halt\n",
+        let data = format!(
+            ".data\n.i32 A: {}\n.i32 B: {}\n\n",
             vals.join(", "),
-            zeros.join(", "),
-        )
+            zeros.join(", ")
+        );
+        let lp = format!(
+            "top:\n    ldw r2, [A + r0]\n{body}    stw [B + r0], r2\n    add r0, r0, #1\n\
+             \x20   cmp r0, #{n}\n    blt top\n"
+        );
+        if outlined {
+            // The loop as a `bl.v` function called four times: the first
+            // call opens a translation window (which commits or aborts
+            // mid-loop), later calls may run its microcode.
+            format!(
+                "{data}.text\nmain:\n    mov r1, #0\n    mov r8, #0\nagain:\n    bl.v kern\n\
+                 \x20   add r8, r8, #1\n    cmp r8, #4\n    blt again\n    halt\n\
+                 kern:\n    mov r0, #0\n{lp}    ret\n"
+            )
+        } else {
+            format!("{data}.text\nmain:\n    mov r0, #0\n    mov r1, #0\n{lp}    halt\n")
+        }
     }
 
     /// The lowering property: on a random legal program, every dispatch
     /// boundary of the superblock backend must land exactly where the
     /// interpreter sat after the same number of retired instructions —
     /// the identical `(pc, cycle)` sequence, observed at block
-    /// granularity, with identical final state.
+    /// granularity, with identical final state. The liquid cases call the
+    /// loop through `bl.v`, so checkpoints also land inside open
+    /// translation windows (some JIT-mode, where committing stalls the
+    /// pipeline).
     #[test]
     fn random_programs_retire_identical_pc_cycle_sequences() {
         let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -378,22 +438,27 @@ top:
             state ^= state << 17;
             state
         };
-        for case in 0..24 {
-            let src = random_program(&mut rand, case);
+        let (mut windows, mut translated) = (0, 0);
+        for case in 0..48 {
+            let liquid = case >= 24;
+            let src = random_program(&mut rand, case, liquid);
             let p = asm::assemble(&src).unwrap_or_else(|e| panic!("case {case}: {e}\n{src}"));
+            let mut config = if liquid {
+                MachineConfig::liquid(8)
+            } else {
+                MachineConfig::scalar_only()
+            };
+            config.translation.jit = case % 4 == 3;
 
             // Full per-retire interpreter trace: retired count -> (pc, cycle).
-            let mut mi = Machine::new(&p, MachineConfig::scalar_only());
+            let mut mi = Machine::new(&p, config.clone().with_backend(BackendKind::Interp));
             let mut trace = std::collections::HashMap::new();
             trace.insert(mi.report.retired, (mi.current_pc(), mi.cycle));
             while !mi.step().expect("interp step") {
                 trace.insert(mi.report.retired, (mi.current_pc(), mi.cycle));
             }
 
-            let mut ms = Machine::new(
-                &p,
-                MachineConfig::scalar_only().with_backend(BackendKind::Superblock),
-            );
+            let mut ms = Machine::new(&p, config.with_backend(BackendKind::Superblock));
             let mut backend = SuperblockBackend::new();
             loop {
                 let at = (ms.current_pc(), ms.cycle);
@@ -410,6 +475,12 @@ top:
             assert_eq!(mi.report.retired, ms.report.retired, "case {case}");
             assert_eq!(mi.cycle, ms.cycle, "case {case}");
             assert_eq!(mi.regs().r, ms.regs().r, "case {case}");
+            assert_eq!(mi.report.windows, ms.report.windows, "case {case}");
+            assert_eq!(
+                mi.report.translations, ms.report.translations,
+                "case {case}"
+            );
+            assert_eq!(backend.block_stats().fallback_translator, 0, "case {case}");
             let base = mi.memory().base();
             let len = mi.memory().size();
             assert_eq!(
@@ -417,7 +488,12 @@ top:
                 ms.memory().slice(base, len).ok(),
                 "case {case}"
             );
+            windows += mi.report.windows.len();
+            translated += mi.report.translations.len();
         }
+        // The liquid half really exercised windows, committed and aborted.
+        assert!(translated > 0, "no random loop translated");
+        assert!(windows > translated, "no random loop aborted");
     }
 
     #[test]

@@ -39,15 +39,26 @@
 //!   once per block (also on the error path), producing identical
 //!   `RunReport` totals. Cycles are charged to the ledger per instruction,
 //!   exactly as the interpreter charges them.
+//!
+//! # Observed retires
+//!
+//! A retire that something watches — any retire under an attached tracer,
+//! or a program-stream retire while a translation window is open — skips
+//! the batching and goes through [`Machine::post_retire`], the same hook
+//! [`crate::machine::Machine::step`] ends with. A tapped instruction runs
+//! through [`exec`] rather than its lowered form, because the translator
+//! reads the retired value that only `exec` reports. A window that ends
+//! mid-block is seen by the block's next retire, which is then batched.
 
 use liquid_simd_isa::{
     AluOp, Base, Cond, ElemType, Flags, FpOp, Inst, Operand2, Program, RedOp, ScalarInst,
     ScalarSrc, VAluOp, VectorInst,
 };
 use liquid_simd_mem::Memory;
+use liquid_simd_translator::Retired;
 
 use crate::exec::{exec, load_extend, SimError};
-use crate::machine::Machine;
+use crate::machine::{tap_record, Machine};
 use crate::meta::{InstMeta, RegRef};
 use crate::regfile::RegFile;
 
@@ -1073,20 +1084,48 @@ fn exec_lowered(
     Ok(fx)
 }
 
+fn cycle_limit(pc: u32, max_cycles: u64) -> SimError {
+    SimError::Fault {
+        pc,
+        what: format!("cycle limit {max_cycles} exceeded"),
+    }
+}
+
+/// Whether the machine must see each retire of a block through
+/// [`Machine::post_retire`]: a tracer stamps every retire, and an open
+/// translation window taps every program-stream retire. Within one block
+/// this can only go from `true` to `false` (a window ends mid-block; only a
+/// call, which ends the block, opens one).
+fn observed(m: &Machine<'_>, in_micro: bool) -> bool {
+    m.tracer.is_some() || (!in_micro && m.translator.is_active())
+}
+
 /// Replays a lowered block against the machine with bit-exact scoreboard
 /// timing (see the module docs for the equivalence argument). On a fault the
 /// already-retired prefix's counters and cycles are flushed exactly as the
 /// interpreter would have left them.
 ///
+/// Observed retires (see [`observed`]) go through the interpreter's own
+/// post-retire hook one at a time; a tapped instruction executes through
+/// [`exec`], whose outcome carries the value and branch direction the
+/// translator reads. Unobserved retires batch their counters.
+///
 /// Returns `true` when the block's lowered branch terminator executed (the
 /// machine already advanced to the branch's destination); `false` when the
 /// terminator is the interpreter's job (the caller advances to
 /// [`Block::end`] and steps once).
+#[allow(clippy::too_many_lines)]
 pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, SimError> {
     let lanes = m.config.lanes;
     let i_penalty = u64::from(m.config.icache.miss_penalty);
     let d_penalty = u64::from(m.config.dcache.miss_penalty);
     let max_cycles = m.config.max_cycles;
+    // The interpreter checks the limit before it rotates the exec span.
+    if m.cycle > max_cycles {
+        return Err(cycle_limit(block.start, max_cycles));
+    }
+    m.rotate_exec_span(block.in_micro);
+    let mut observe = observed(m, block.in_micro);
     let mut retired = 0u64;
     let mut vec_retired = 0u64;
     let mut lane_ops = 0u64;
@@ -1094,10 +1133,7 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
     for li in &block.insts {
         // The interpreter's run loop checks the limit before every step.
         if m.cycle > max_cycles {
-            result = Err(SimError::Fault {
-                pc: li.pc,
-                what: format!("cycle limit {max_cycles} exceeded"),
-            });
+            result = Err(cycle_limit(li.pc, max_cycles));
             break;
         }
         // ---- issue: the readiness checks that survived hoisting ----------
@@ -1115,7 +1151,20 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
             issue += i_penalty;
         }
         // ---- execute ------------------------------------------------------
-        let fx = match exec_lowered(&li.kind, li.pc, &mut m.regs, &mut m.mem, m.prog, lanes) {
+        let mut tap = None;
+        let executed = if observe && !block.in_micro && m.translator.is_active() {
+            let inst = m.prog.code[li.pc as usize];
+            exec(&inst, li.pc, &mut m.regs, &mut m.mem, m.prog, lanes).map(|o| {
+                tap = tap_record(li.pc, inst, &o);
+                Fx {
+                    executed: o.executed,
+                    mem: o.mem,
+                }
+            })
+        } else {
+            exec_lowered(&li.kind, li.pc, &mut m.regs, &mut m.mem, m.prog, lanes)
+        };
+        let fx = match executed {
             Ok(fx) => fx,
             Err(e) => {
                 result = Err(e);
@@ -1153,10 +1202,18 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
         m.ledger
             .retire(block.in_micro, li.pc, li.vector, busy - m.cycle);
         m.cycle = busy;
-        retired += 1;
-        if li.vector {
-            vec_retired += 1;
-            lane_ops += u64::from(li.active_lanes);
+        if observe {
+            // Observation only ever stops inside a block, so no batched
+            // retire precedes this one.
+            debug_assert_eq!(retired, 0);
+            m.post_retire(li.pc, li.vector, li.active_lanes, tap);
+            observe = observed(m, block.in_micro);
+        } else {
+            retired += 1;
+            if li.vector {
+                vec_retired += 1;
+                lane_ops += u64::from(li.active_lanes);
+            }
         }
     }
     // ---- lowered branch terminator ----------------------------------------
@@ -1170,10 +1227,7 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
         } = block.term
         {
             if m.cycle > max_cycles {
-                result = Err(SimError::Fault {
-                    pc,
-                    what: format!("cycle limit {max_cycles} exceeded"),
-                });
+                result = Err(cycle_limit(pc, max_cycles));
             } else {
                 let mut issue = m.cycle + 1;
                 if check_flags {
@@ -1189,7 +1243,20 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
                 }
                 m.ledger.retire(block.in_micro, pc, false, busy - m.cycle);
                 m.cycle = busy;
-                retired += 1; // branches are scalar: no def, no flag write
+                // Branches are scalar: no def, no flag write.
+                if observe {
+                    debug_assert_eq!(retired, 0);
+                    let tap = (!block.in_micro && m.translator.is_active()).then_some(Retired {
+                        pc,
+                        inst: ScalarInst::B { cond, target },
+                        executed: true,
+                        value: None,
+                        taken,
+                    });
+                    m.post_retire(pc, false, 0, tap);
+                } else {
+                    retired += 1;
+                }
                 m.advance(if taken { target } else { pc + 1 });
                 jumped = true;
             }

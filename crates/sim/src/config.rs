@@ -83,11 +83,14 @@ impl Default for TranslationConfig {
 /// cross-backend gate both enforce this).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendKind {
-    /// The reference interpreter: one `Machine::step` per instruction.
-    #[default]
+    /// The reference interpreter: one `Machine::step` per instruction. The
+    /// conformance oracle and the backend-equivalence tests run it as the
+    /// reference.
     Interp,
-    /// The superblock engine: straight-line instruction runs are pre-lowered
-    /// once into threaded-code blocks and replayed from a block cache.
+    /// The superblock engine (the default): straight-line instruction runs
+    /// are pre-lowered once into threaded-code blocks and replayed from a
+    /// block cache.
+    #[default]
     Superblock,
 }
 
@@ -338,8 +341,9 @@ mod tests {
 
     #[test]
     fn backend_is_observer_like_not_architectural() {
-        let a = MachineConfig::liquid(8);
+        let a = MachineConfig::liquid(8).with_backend(BackendKind::Interp);
         let b = MachineConfig::liquid(8).with_backend(BackendKind::Superblock);
+        assert_ne!(a.backend, b.backend);
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(BackendKind::parse("interp"), Some(BackendKind::Interp));

@@ -11,7 +11,7 @@ use liquid_simd_translator::{Progress, Retired, Translator, TranslatorConfig};
 
 use crate::backend::{ExecBackend, InterpBackend, SuperblockBackend};
 use crate::config::{BackendKind, MachineConfig};
-use crate::exec::{exec, Control, SimError};
+use crate::exec::{exec, Control, Outcome, SimError};
 use crate::mcache::{Lookup, Mcache};
 use crate::meta::{meta_of_code, InstMeta, RegRef};
 use crate::regfile::RegFile;
@@ -276,24 +276,7 @@ impl<'p> Machine<'p> {
             }
         };
 
-        // Execution-phase spans: open/rotate a `exec:scalar`/`exec:microcode`
-        // segment whenever the stream mode flips. Boundaries land on the
-        // previous retire stamp, so consecutive segments tile the run and
-        // their cycle totals sum to the final cycle count.
-        if let Some(t) = &self.tracer {
-            let rotate = self.exec_span.is_none_or(|(_, micro)| micro != in_micro);
-            if rotate {
-                if let Some((span, _)) = self.exec_span.take() {
-                    t.span_end(span);
-                }
-                let name = if in_micro {
-                    "exec:microcode"
-                } else {
-                    "exec:scalar"
-                };
-                self.exec_span = Some((t.span_begin(Track::Pipeline, name), in_micro));
-            }
-        }
+        self.rotate_exec_span(in_micro);
         let cycle_before = self.cycle;
 
         // ---- issue: operand readiness ------------------------------------
@@ -360,118 +343,13 @@ impl<'p> Machine<'p> {
         self.ledger
             .retire(in_micro, pc, meta.vector, self.cycle - cycle_before);
 
-        // ---- retire counters ------------------------------------------------
-        self.report.retired += 1;
-        if meta.vector {
-            self.report.vector_retired += 1;
-            self.report.lane_ops += u64::from(meta.active_lanes);
+        // ---- retire: counters, tracer, interrupts, translator tap -----------
+        let tap = if !in_micro && self.translator.is_active() {
+            tap_record(pc, inst, &outcome)
         } else {
-            self.report.scalar_retired += 1;
-        }
-        if let Some(t) = &self.tracer {
-            t.set_now(self.cycle);
-            t.emit(TraceEvent::InstrRetired {
-                pc,
-                vector: meta.vector,
-            });
-        }
-        if self.config.interrupt_every > 0
-            && self
-                .report
-                .retired
-                .is_multiple_of(self.config.interrupt_every)
-        {
-            if let Some(t) = &self.tracer {
-                t.emit(TraceEvent::InterruptInjected {
-                    retired: self.report.retired,
-                });
-            }
-            self.close_window(false);
-            self.translator.abort_external("interrupt");
-            self.translating = None;
-        }
-        if !self.config.interrupt_at.is_empty()
-            && self.config.interrupt_at.contains(&self.report.retired)
-        {
-            if let Some(t) = &self.tracer {
-                t.emit(TraceEvent::InterruptInjected {
-                    retired: self.report.retired,
-                });
-            }
-            self.close_window(false);
-            self.translator.abort_external("injected-abort");
-            self.translating = None;
-        }
-
-        // ---- translator tap (post-retirement, program stream only) ---------
-        if !in_micro && self.translator.is_active() {
-            if let Inst::S(s) = inst {
-                let retired = Retired {
-                    pc,
-                    inst: s,
-                    executed: outcome.executed,
-                    value: outcome.value,
-                    taken: outcome.taken,
-                };
-                match self.translator.observe(&retired) {
-                    Progress::Ongoing => {}
-                    Progress::Finished(tr) => {
-                        let work = tr.dynamic_instrs;
-                        let tc = &self.config.translation;
-                        // Hardware translation runs off the critical path:
-                        // the microcode becomes valid `work` translation
-                        // cycles later and the ledger records a 0-cycle
-                        // event. A software JIT shares the CPU and stalls
-                        // the pipeline for the translation work.
-                        let (stall, latency) = if tc.jit {
-                            (work * tc.jit_cycles_per_instr, 0)
-                        } else {
-                            (0, work * tc.cycles_per_instr)
-                        };
-                        self.cycle += stall;
-                        self.ledger.charge(
-                            tr.func_pc,
-                            tr.func_pc,
-                            Category::TranslateOverhead,
-                            stall,
-                        );
-                        if let Some(t) = &self.tracer {
-                            // The clock may have moved after the retire
-                            // stamp; restamp so later events carry the stall.
-                            t.set_now(self.cycle);
-                        }
-                        let valid_at = self.cycle + latency;
-                        self.report.translations.push((tr.func_pc, tr.code.len()));
-                        let uops = tr.code.len() as u64;
-                        let meta = meta_of_code(&tr.code, &self.config.lat, self.config.lanes);
-                        let evicted = self.mcache.insert(tr.func_pc, tr.code, meta, valid_at);
-                        if let Some(t) = &self.tracer {
-                            if let Some(victim) = evicted {
-                                t.emit(TraceEvent::McacheEvict { func_pc: victim });
-                            }
-                            t.emit(TraceEvent::McacheInsert {
-                                func_pc: tr.func_pc,
-                                uops,
-                            });
-                        }
-                        self.close_window(true);
-                        self.translating = None;
-                    }
-                    Progress::Aborted(reason) => {
-                        self.close_window(false);
-                        if !matches!(reason, liquid_simd_translator::AbortReason::External { .. }) {
-                            // Deterministic failure: don't retry every call.
-                            // (External aborts — interrupts — retry later.)
-                            if let Some(f) = self.translating {
-                                self.failed.insert(f);
-                                self.ledger.abort_replay(f);
-                            }
-                        }
-                        self.translating = None;
-                    }
-                }
-            }
-        }
+            None
+        };
+        self.post_retire(pc, meta.vector, meta.active_lanes, tap);
 
         // ---- control flow ----------------------------------------------------
         match outcome.control {
@@ -531,6 +409,150 @@ impl<'p> Machine<'p> {
             Control::Halt => return Ok(true),
         }
         Ok(false)
+    }
+
+    /// Execution-phase spans (tracer only): opens or rotates the
+    /// `exec:scalar` / `exec:microcode` segment whenever the stream mode
+    /// flips. Boundaries land on the previous retire stamp, so consecutive
+    /// segments tile the run and their cycle totals sum to the final cycle
+    /// count. [`Machine::step`] calls this before every instruction, and the
+    /// superblock executor at block entry (a block never changes stream).
+    pub(crate) fn rotate_exec_span(&mut self, in_micro: bool) {
+        let Some(t) = &self.tracer else {
+            return;
+        };
+        if self.exec_span.is_none_or(|(_, micro)| micro != in_micro) {
+            if let Some((span, _)) = self.exec_span.take() {
+                t.span_end(span);
+            }
+            let name = if in_micro {
+                "exec:microcode"
+            } else {
+                "exec:scalar"
+            };
+            self.exec_span = Some((t.span_begin(Track::Pipeline, name), in_micro));
+        }
+    }
+
+    /// Everything that follows a retire once machine time has advanced and
+    /// the cycles are charged: the retire counters, the tracer's
+    /// `InstrRetired` stamp, interrupt injection, and the translator tap.
+    /// `tap` is the retired program-stream scalar instruction when the
+    /// translator has an open window (`None` otherwise).
+    ///
+    /// Both backends call this for every instruction they observe, so a
+    /// window that finishes or aborts mid-block leaves the later retires of
+    /// that block with the interpreter's stall, replay category and
+    /// microcode-cache epoch. Callers must have flushed every earlier
+    /// retire into `report`: windows read `report.retired`.
+    pub(crate) fn post_retire(
+        &mut self,
+        pc: u32,
+        vector: bool,
+        active_lanes: u16,
+        tap: Option<Retired>,
+    ) {
+        self.report.retired += 1;
+        if vector {
+            self.report.vector_retired += 1;
+            self.report.lane_ops += u64::from(active_lanes);
+        } else {
+            self.report.scalar_retired += 1;
+        }
+        if let Some(t) = &self.tracer {
+            t.set_now(self.cycle);
+            t.emit(TraceEvent::InstrRetired { pc, vector });
+        }
+        if self.config.interrupt_every > 0
+            && self
+                .report
+                .retired
+                .is_multiple_of(self.config.interrupt_every)
+        {
+            self.interrupt("interrupt");
+        }
+        if !self.config.interrupt_at.is_empty()
+            && self.config.interrupt_at.contains(&self.report.retired)
+        {
+            self.interrupt("injected-abort");
+        }
+        if let Some(retired) = tap {
+            // An interrupt above may just have closed the window.
+            if self.translator.is_active() {
+                self.translator_tap(&retired);
+            }
+        }
+    }
+
+    /// Injects an interrupt at the current retire: any open translation
+    /// aborts externally (and retries at a later call).
+    fn interrupt(&mut self, why: &'static str) {
+        if let Some(t) = &self.tracer {
+            t.emit(TraceEvent::InterruptInjected {
+                retired: self.report.retired,
+            });
+        }
+        self.close_window(false);
+        self.translator.abort_external(why);
+        self.translating = None;
+    }
+
+    /// The post-retirement translator tap: feeds one retired program-stream
+    /// scalar instruction to the open window and commits or abandons the
+    /// translation when the window ends.
+    fn translator_tap(&mut self, retired: &Retired) {
+        match self.translator.observe(retired) {
+            Progress::Ongoing => {}
+            Progress::Finished(tr) => {
+                let work = tr.dynamic_instrs;
+                let tc = &self.config.translation;
+                // Hardware translation runs off the critical path: the
+                // microcode becomes valid `work` translation cycles later and
+                // the ledger records a 0-cycle event. A software JIT shares
+                // the CPU and stalls the pipeline for the translation work.
+                let (stall, latency) = if tc.jit {
+                    (work * tc.jit_cycles_per_instr, 0)
+                } else {
+                    (0, work * tc.cycles_per_instr)
+                };
+                self.cycle += stall;
+                self.ledger
+                    .charge(tr.func_pc, tr.func_pc, Category::TranslateOverhead, stall);
+                if let Some(t) = &self.tracer {
+                    // The clock may have moved after the retire stamp;
+                    // restamp so later events carry the stall.
+                    t.set_now(self.cycle);
+                }
+                let valid_at = self.cycle + latency;
+                self.report.translations.push((tr.func_pc, tr.code.len()));
+                let uops = tr.code.len() as u64;
+                let meta = meta_of_code(&tr.code, &self.config.lat, self.config.lanes);
+                let evicted = self.mcache.insert(tr.func_pc, tr.code, meta, valid_at);
+                if let Some(t) = &self.tracer {
+                    if let Some(victim) = evicted {
+                        t.emit(TraceEvent::McacheEvict { func_pc: victim });
+                    }
+                    t.emit(TraceEvent::McacheInsert {
+                        func_pc: tr.func_pc,
+                        uops,
+                    });
+                }
+                self.close_window(true);
+                self.translating = None;
+            }
+            Progress::Aborted(reason) => {
+                self.close_window(false);
+                if !matches!(reason, liquid_simd_translator::AbortReason::External { .. }) {
+                    // Deterministic failure: don't retry every call.
+                    // (External aborts — interrupts — retry later.)
+                    if let Some(f) = self.translating {
+                        self.failed.insert(f);
+                        self.ledger.abort_replay(f);
+                    }
+                }
+                self.translating = None;
+            }
+        }
     }
 
     /// Points the ledger at the innermost in-flight scalar call ([`TOP_REGION`]
@@ -637,6 +659,21 @@ impl<'p> Machine<'p> {
         self.enter_region();
         self.stream = Stream::Prog { pc: target };
         Ok(())
+    }
+}
+
+/// The translator tap's record of one executed program-stream instruction
+/// (`None` for vector instructions, which the tap never sees).
+pub(crate) fn tap_record(pc: u32, inst: Inst, outcome: &Outcome) -> Option<Retired> {
+    match inst {
+        Inst::S(s) => Some(Retired {
+            pc,
+            inst: s,
+            executed: outcome.executed,
+            value: outcome.value,
+            taken: outcome.taken,
+        }),
+        Inst::V(_) => None,
     }
 }
 

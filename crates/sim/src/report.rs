@@ -29,11 +29,9 @@ pub struct BlockStats {
     /// Instructions retired through lowered blocks (the rest went through
     /// the interpreter: block terminators and fallback steps).
     pub block_instrs: u64,
-    /// Fallback steps: a tracer is attached (trace-exact event streams
-    /// require the interpreter's per-step stamping).
-    pub fallback_tracer: u64,
-    /// Fallback steps: the translator had an open window (its
-    /// post-retirement tap observes every program-stream retire).
+    /// Fallback steps for an open translation window. Always 0: blocks feed
+    /// the translator tap through the interpreter's post-retire hook. Kept
+    /// because the perfbench harness reads it as a layer count.
     pub fallback_translator: u64,
     /// Fallback steps: interrupt injection is configured (`interrupt_every`
     /// / `interrupt_at` fire on exact retire indices).
@@ -47,10 +45,7 @@ impl BlockStats {
     /// Total single-step fallbacks, all reasons.
     #[must_use]
     pub fn fallbacks(&self) -> u64 {
-        self.fallback_tracer
-            + self.fallback_translator
-            + self.fallback_interrupts
-            + self.fallback_control
+        self.fallback_translator + self.fallback_interrupts + self.fallback_control
     }
 
     /// Average lowered-block length in instructions (0 if none).
@@ -74,7 +69,6 @@ impl BlockStats {
         m.add("blocks.cache_misses", self.misses);
         m.add("blocks.invalidations", self.invalidations);
         m.add("blocks.instrs", self.block_instrs);
-        m.add("blocks.fallback.tracer", self.fallback_tracer);
         m.add("blocks.fallback.translator", self.fallback_translator);
         m.add("blocks.fallback.interrupts", self.fallback_interrupts);
         m.add("blocks.fallback.control", self.fallback_control);
@@ -356,7 +350,6 @@ mod tests {
             misses: 2,
             invalidations: 1,
             block_instrs: 80,
-            fallback_tracer: 0,
             fallback_translator: 3,
             fallback_interrupts: 0,
             fallback_control: 11,
@@ -366,7 +359,7 @@ mod tests {
         assert_eq!(m.counter("blocks.cache_hits"), 7);
         assert_eq!(m.counter("blocks.invalidations"), 1);
         assert_eq!(m.counter("blocks.fallback.control"), 11);
-        assert_eq!(m.with_prefix("blocks.").len(), 10);
+        assert_eq!(m.with_prefix("blocks.").len(), 9);
         assert!((b.avg_block_len() - 5.0).abs() < 1e-12);
         assert_eq!(b.fallbacks(), 14);
     }
@@ -387,8 +380,12 @@ mod tests {
         assert_eq!(m.counter("backend.superblock.cycles"), 500);
         assert_eq!(m.counter("backend.interp.runs"), 0);
         // Merging two runs from different backends keeps both tags.
+        let interp = RunReport {
+            backend: BackendKind::Interp,
+            ..RunReport::default()
+        };
         let mut merged = m;
-        merged.merge(&RunReport::default().metrics());
+        merged.merge(&interp.metrics());
         assert_eq!(merged.counter("backend.superblock.runs"), 1);
         assert_eq!(merged.counter("backend.interp.runs"), 1);
     }

@@ -145,7 +145,10 @@ fn superblock_blocks_are_invalidated_by_evictions_under_tag_pressure() {
     }
     let program = asm::assemble(&format!("{data}\n{text}")).expect("assembles");
 
-    let mut interp = Machine::new(&program, MachineConfig::liquid(8));
+    let mut interp = Machine::new(
+        &program,
+        MachineConfig::liquid(8).with_backend(BackendKind::Interp),
+    );
     let interp_report = interp.run().expect("interp run");
     let mut sb = Machine::new(
         &program,

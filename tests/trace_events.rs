@@ -8,8 +8,11 @@
 
 use liquid_simd_repro::compiler::{build_liquid, ArrayBuilder, KernelBuilder, Workload};
 use liquid_simd_repro::facade::trace::export;
-use liquid_simd_repro::facade::{run, CallMode, Machine, MachineConfig, TraceEvent, Tracer};
-use liquid_simd_repro::isa::{asm, ElemType, VAluOp};
+use liquid_simd_repro::facade::{
+    run, BackendKind, BlockStats, CallMode, Machine, MachineConfig, TraceConfig, TraceEvent, Tracer,
+};
+use liquid_simd_repro::isa::{asm, ElemType, Program, VAluOp};
+use liquid_simd_repro::trace::{SpanRecord, TraceRecord};
 
 // ---------------------------------------------------------------------------
 // Abort paths as trace events
@@ -56,11 +59,9 @@ fn expect_abort_event(src: &str, tag: &str) {
     );
 }
 
-#[test]
-fn illegal_input_abort_is_traced() {
-    // Runtime-indexed permute (VTBL class): the index is loaded data.
-    expect_abort_event(
-        r"
+/// A runtime-indexed permute (VTBL class): the index is loaded data, so
+/// translation aborts with `runtime-indexed-permute`.
+const GATHER: &str = r"
 .data
 .i32 idx: 3, 1, 2, 0, 7, 5, 6, 4, 11, 9, 10, 8, 15, 13, 14, 12
 .i32 A: 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15
@@ -80,9 +81,12 @@ top:
     cmp r0, #16
     blt top
     ret
-",
-        "runtime-indexed-permute",
-    );
+";
+
+#[test]
+fn illegal_input_abort_is_traced() {
+    // Runtime-indexed permute (VTBL class): the index is loaded data.
+    expect_abort_event(GATHER, "runtime-indexed-permute");
 }
 
 #[test]
@@ -427,4 +431,72 @@ fn tracing_does_not_perturb_cycles() {
         .filter(|c| c.mode == CallMode::Microcode)
         .count() as u64;
     assert_eq!(tracer.metrics().counter("calls.simd"), simd_calls);
+}
+
+// ---------------------------------------------------------------------------
+// Trace-stream identity across execution backends
+// ---------------------------------------------------------------------------
+
+/// Runs `program` traced at 8 lanes on `backend`, keeping every event in
+/// the ring (per-instruction retires included). Returns the records, the
+/// spans with their wall-clock fields zeroed, and the run's block stats.
+fn traced_stream(
+    program: &Program,
+    backend: BackendKind,
+) -> (Vec<TraceRecord>, Vec<SpanRecord>, BlockStats) {
+    let tracer = Tracer::with_config(TraceConfig {
+        capacity: usize::MAX,
+        instructions: true,
+        progress: true,
+    });
+    let cfg = MachineConfig::liquid(8)
+        .with_backend(backend)
+        .with_tracer(tracer.clone());
+    let report = Machine::new(program, cfg).run().unwrap();
+    assert_eq!(tracer.dropped(), 0, "{backend}: ring dropped events");
+    let spans = tracer
+        .spans()
+        .into_iter()
+        .map(|s| SpanRecord {
+            begin_wall_ns: 0,
+            end_wall_ns: s.end_wall_ns.map(|_| 0),
+            ..s
+        })
+        .collect();
+    (tracer.records(), spans, report.blocks)
+}
+
+/// Both backends must emit the same event sequence — kind, cycle stamp and
+/// payload, retire by retire — and the same execution spans. The superblock
+/// run must get there in blocks, never by single-stepping for the tracer or
+/// an open translation window.
+fn assert_same_trace(what: &str, program: &Program) {
+    let (ri, si, _) = traced_stream(program, BackendKind::Interp);
+    let (rs, ss, blocks) = traced_stream(program, BackendKind::Superblock);
+    assert_eq!(ri.len(), rs.len(), "{what}: event count");
+    if let Some(i) = (0..ri.len()).find(|&i| ri[i] != rs[i]) {
+        panic!(
+            "{what}: event {i} differs: interp {:?}, superblock {:?}",
+            ri[i], rs[i]
+        );
+    }
+    assert_eq!(si, ss, "{what}: spans");
+    assert_eq!(blocks.fallback_translator, 0, "{what}: window fallbacks");
+    assert!(blocks.block_instrs > 0, "{what}: no retire ran in a block");
+}
+
+#[test]
+fn fir_trace_stream_is_identical_across_backends() {
+    let b = build_liquid(&liquid_simd_repro::workloads::fir()).unwrap();
+    assert_same_trace("fir@8", &b.program);
+}
+
+#[test]
+fn abort_trace_stream_is_identical_across_backends() {
+    let p = asm::assemble(GATHER).unwrap();
+    let (records, _, _) = traced_stream(&p, BackendKind::Superblock);
+    assert!(records
+        .iter()
+        .any(|r| matches!(r.event, TraceEvent::TranslationAbort { .. })));
+    assert_same_trace("gather abort witness", &p);
 }
