@@ -2,13 +2,12 @@
 //! (see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured results).
 //!
-//! Every driver comes in two forms: the original serial name (`table5`,
-//! `figure6`, ...) and a `*_jobs` variant that fans the independent
-//! `(workload, width, mode)` simulation units across worker threads via
-//! [`crate::harness::run_tasks`]. The serial names are thin `jobs = 1`
-//! wrappers, and the parallel variants reassemble results in task order,
-//! so both produce identical rows — see `tests/parallel.rs` for the
-//! byte-identity check.
+//! Every driver is a `*_jobs` function that fans the independent
+//! `(workload, width, mode)` simulation units across `jobs` worker
+//! threads via [`crate::harness::run_tasks`] and reassembles results in
+//! task order, so any job count produces identical rows (`jobs = 1` is the
+//! plain serial loop) — see `tests/parallel.rs` for the byte-identity
+//! check.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -33,16 +32,8 @@ pub struct Table5Row {
     pub max: usize,
 }
 
-/// Runs the Table 5 measurement (static sizes of outlined functions).
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile.
-pub fn table5(workloads: &[Workload]) -> Result<Vec<Table5Row>, VerifyError> {
-    table5_jobs(workloads, 1)
-}
-
-/// [`table5`] with the work spread over `jobs` worker threads.
+/// Runs the Table 5 measurement (static sizes of outlined functions) with
+/// the work spread over `jobs` worker threads.
 ///
 /// # Errors
 ///
@@ -96,16 +87,7 @@ pub struct Table6Row {
 
 /// Runs the Table 6 measurement on the scalar side of a Liquid machine
 /// (gaps are measured between the first two calls, i.e. while translation
-/// would be in flight).
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn table6(workloads: &[Workload]) -> Result<Vec<Table6Row>, VerifyError> {
-    table6_jobs(workloads, 1)
-}
-
-/// [`table6`] with one simulation per worker-thread task.
+/// would be in flight), one simulation per worker-thread task.
 ///
 /// # Errors
 ///
@@ -185,19 +167,11 @@ impl Figure6Row {
     }
 }
 
-/// Runs the Figure 6 sweep.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn figure6(workloads: &[Workload], widths: &[usize]) -> Result<Vec<Figure6Row>, VerifyError> {
-    figure6_jobs(workloads, widths, 1)
-}
-
-/// [`figure6`] decomposed into `(workload, width, mode)` simulation units
-/// and fanned over `jobs` worker threads. This is the heaviest sweep in
-/// the repo — `1 + 3 * widths.len()` simulations per workload — and every
-/// unit is independent, so it scales until cores run out.
+/// Runs the Figure 6 sweep, decomposed into `(workload, width, mode)`
+/// simulation units and fanned over `jobs` worker threads. This is the
+/// heaviest sweep in the repo — `1 + 3 * widths.len()` simulations per
+/// workload — and every unit is independent, so it scales until cores run
+/// out.
 ///
 /// # Errors
 ///
@@ -315,16 +289,8 @@ impl CodeSizeRow {
     }
 }
 
-/// Runs the code-size comparison.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile.
-pub fn code_size(workloads: &[Workload]) -> Result<Vec<CodeSizeRow>, VerifyError> {
-    code_size_jobs(workloads, 1)
-}
-
-/// [`code_size`] with compilation spread over `jobs` worker threads.
+/// Runs the code-size comparison, with compilation spread over `jobs`
+/// worker threads.
 ///
 /// # Errors
 ///
@@ -382,16 +348,7 @@ pub struct McacheRow {
 }
 
 /// Runs the microcode-cache working-set measurement at the paper's 8x64
-/// geometry.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn mcache(workloads: &[Workload]) -> Result<Vec<McacheRow>, VerifyError> {
-    mcache_jobs(workloads, 1)
-}
-
-/// [`mcache`] with one simulation per worker-thread task.
+/// geometry, one simulation per worker-thread task.
 ///
 /// # Errors
 ///
@@ -455,20 +412,9 @@ pub struct LatencyAblationRow {
     pub cycles_by_cost: BTreeMap<u64, u64>,
 }
 
-/// Runs the translation-latency ablation at 8 lanes.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn ablation_latency(
-    workloads: &[Workload],
-    costs: &[u64],
-) -> Result<Vec<LatencyAblationRow>, VerifyError> {
-    ablation_latency_jobs(workloads, costs, 1)
-}
-
-/// [`ablation_latency`] decomposed into `(workload, cost)` simulation
-/// units and fanned over `jobs` worker threads.
+/// Runs the translation-latency ablation at 8 lanes, decomposed into
+/// `(workload, cost)` simulation units and fanned over `jobs` worker
+/// threads.
 ///
 /// # Errors
 ///
@@ -518,20 +464,9 @@ pub struct JitAblationRow {
     pub jit_cycles: u64,
 }
 
-/// Runs the hardware-vs-JIT ablation at 8 lanes.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn ablation_jit(
-    workloads: &[Workload],
-    jit_cost: u64,
-) -> Result<Vec<JitAblationRow>, VerifyError> {
-    ablation_jit_jobs(workloads, jit_cost, 1)
-}
-
-/// [`ablation_jit`] decomposed into `(workload, translator-kind)` units
-/// and fanned over `jobs` worker threads.
+/// Runs the hardware-vs-JIT ablation at 8 lanes, decomposed into
+/// `(workload, translator-kind)` units and fanned over `jobs` worker
+/// threads.
 ///
 /// # Errors
 ///
@@ -634,18 +569,10 @@ impl MetricsRow {
 }
 
 /// Runs each workload's Liquid binary at 8 lanes with a tracer attached
-/// and returns the captured per-benchmark metrics.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn metrics(workloads: &[Workload]) -> Result<Vec<MetricsRow>, VerifyError> {
-    metrics_jobs(workloads, 1)
-}
-
-/// [`metrics`] with one traced simulation per worker-thread task. The
-/// tracer handle is not `Send` (`Rc`-based), so each task creates its own
-/// tracer and ships back only the plain-data [`Metrics`] registry.
+/// and returns the captured per-benchmark metrics, one traced simulation
+/// per worker-thread task. The tracer handle is not `Send` (`Rc`-based),
+/// so each task creates its own tracer and ships back only the plain-data
+/// [`Metrics`] registry.
 ///
 /// [`Metrics`]: liquid_simd_trace::Metrics
 ///

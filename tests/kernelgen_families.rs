@@ -84,6 +84,12 @@ fn full_corpus_passes_the_oracle_with_no_uncovered_abort_tags() {
         "abort tags with no corpus witness: {:?}",
         coverage.uncovered
     );
+    // Exactly two tags are accounted for without a witness: `external`
+    // (reachable only through abort injection, which `gen --check` does
+    // not sweep) and `iteration-mismatch` (pinned unreachable).
+    let mut exempt: Vec<&str> = coverage.exempt.iter().map(|(t, _)| t.as_str()).collect();
+    exempt.sort_unstable();
+    assert_eq!(exempt, ["external", "iteration-mismatch"]);
     // Untranslatable variants hit exactly their pinned tag.
     let by_name: std::collections::BTreeMap<
         &str,

@@ -279,7 +279,7 @@ fn nested_calls_and_program_stream_vectors_split_by_region() {
 }
 
 /// The committed fixture is exactly what `liquid-simd diff 179.art@w8
-/// 179.art@w16 --json` emits: regenerate it through the same library path
+/// 179.art@w16 --json --backend interp` emits: regenerate it through the same library path
 /// and byte-compare, then assert the explanation names a concrete
 /// dominant cost category for the paper suite's one width inversion
 /// (ROADMAP item 4: `179.art` w16 > w8).
@@ -331,6 +331,6 @@ fn pinned_179art_width_inversion_fixture_names_the_dominant_category() {
         rendered, fixture,
         "regenerated diff must match the pinned fixture byte-for-byte \
          (regenerate with: liquid-simd diff 179.art@w8 179.art@w16 --json \
-         --out bench/diff_179art_w8_w16.json)"
+         --backend interp --out bench/diff_179art_w8_w16.json)"
     );
 }
