@@ -94,7 +94,7 @@ fn headline_width(widths: &[usize]) -> usize {
 }
 
 /// The metadata every bench history record carries.
-fn record_meta(widths: &[usize], smoke: bool, backend: BackendKind) -> perfhist::RecordMeta {
+pub fn record_meta(widths: &[usize], smoke: bool, backend: BackendKind) -> perfhist::RecordMeta {
     perfhist::RecordMeta {
         commit: perfhist::record::git_commit(std::path::Path::new(".")),
         timestamp: perfhist::record::unix_now(),
@@ -211,8 +211,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     // differ in nothing but `timestamp`, whatever `--jobs` was.
     if !args.flag("--no-history") {
         let meta = record_meta(&widths, smoke, backend);
-        let record = perfhist::record::build(&meta, &bench.rows, &bench.counters);
-        perfhist::store::append(std::path::Path::new(history_path), &record)?;
+        perfhist::store::append(std::path::Path::new(history_path), &bench.record(&meta))?;
         println!(
             "{history_path}: appended perfhist-v1 record for {}",
             meta.commit
@@ -227,6 +226,13 @@ pub struct BenchRun {
     pub doc: String,
     rows: Vec<perfhist::WorkloadRow>,
     counters: BTreeMap<String, u64>,
+}
+
+impl BenchRun {
+    /// The `perfhist-v1` record `bench` appends to the history.
+    pub fn record(&self, meta: &perfhist::RecordMeta) -> Json {
+        perfhist::record::build(meta, &self.rows, &self.counters)
+    }
 }
 
 /// The liquid build of `w` and the scalar-baseline cycles of its plain
@@ -251,8 +257,9 @@ fn render_rows<T: std::fmt::Display>(rows: &[T]) -> String {
 }
 
 /// Measures `workloads` over `widths` on `backend` and prints one line
-/// per workload. Everything measured is simulated, so the document and
-/// the printed lines are the same bytes on every run, whatever `jobs` is.
+/// per workload, then gates the Figure 6 sweep. Everything measured is
+/// simulated, so the document and the printed lines are the same bytes on
+/// every run, whatever `jobs` is.
 ///
 /// # Errors
 ///
@@ -262,6 +269,34 @@ pub fn measure_suite(
     workloads: &[liquid_simd::Workload],
     widths: &[usize],
     jobs: usize,
+    backend: BackendKind,
+    embed_ledger: bool,
+    smoke: bool,
+) -> Result<BenchRun, String> {
+    let run = measure_rows(workloads, widths, backend, embed_ledger, smoke)?;
+
+    // The Figure 6 sweep, serial then over `jobs` workers: the rendered
+    // rows must be byte-identical (the determinism gate). The sweep runs
+    // on the default backend, whatever `backend` is.
+    let err = |e: liquid_simd::VerifyError| e.to_string();
+    let serial = experiments::figure6_jobs(workloads, widths, 1).map_err(err)?;
+    let parallel = experiments::figure6_jobs(workloads, widths, jobs).map_err(err)?;
+    if render_rows(&serial) != render_rows(&parallel) {
+        return Err("parallel figure6 sweep diverged from the serial sweep".into());
+    }
+    println!("figure6 sweep: parallel rows byte-identical to the serial sweep");
+    Ok(run)
+}
+
+/// [`measure_suite`] without the Figure 6 gate: the per-workload rows,
+/// the merged counters and the snapshot document.
+///
+/// # Errors
+///
+/// Fails on a compile or simulation error.
+pub fn measure_rows(
+    workloads: &[liquid_simd::Workload],
+    widths: &[usize],
     backend: BackendKind,
     embed_ledger: bool,
     smoke: bool,
@@ -325,16 +360,6 @@ pub fn measure_suite(
         .iter()
         .map(|a| anomaly_entry(a, &rows[a.row], &width_snaps[a.row]));
 
-    // The Figure 6 sweep, serial then over `jobs` workers: the rendered
-    // rows must be byte-identical (the determinism gate).
-    let err = |e: liquid_simd::VerifyError| e.to_string();
-    let serial = experiments::figure6_jobs(workloads, widths, 1).map_err(err)?;
-    let parallel = experiments::figure6_jobs(workloads, widths, jobs).map_err(err)?;
-    if render_rows(&serial) != render_rows(&parallel) {
-        return Err("parallel figure6 sweep diverged from the serial sweep".into());
-    }
-    println!("figure6 sweep: parallel rows byte-identical to the serial sweep");
-
     let workload_rows = rows.iter().map(|row| {
         let by_width = row
             .cycles_by_width
@@ -367,7 +392,7 @@ pub fn measure_suite(
 /// fixed fifteen. Every deterministic number (cycles, speedup
 /// percentiles, abort tallies, width anomalies) goes into the snapshot,
 /// and nothing else does, so the snapshot file is byte-identical run to
-/// run — `cmp` of two runs is the CI determinism gate.
+/// run (the tier-1 test `bench_families_snapshot_is_identical_run_to_run`).
 fn cmd_bench_families(args: &Args) -> Result<(), String> {
     use liquid_simd_kernelgen::Payload;
     let smoke = args.flag("--smoke");
@@ -511,16 +536,16 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
 /// with the translation-cache hit rate gated at 90%.
 fn cmd_bench_serve(args: &Args) -> Result<(), String> {
     let history_path = args.value_or("--history", DEFAULT_HISTORY);
+    let defaults = serve::loadgen::LoadOptions::default();
     let opts = serve::loadgen::LoadOptions {
         smoke: args.flag("--smoke"),
-        backend: args.backend_or(serve::ServeOptions::default().backend)?,
-        clients: args.count("--clients", 4, 1)?,
-        requests_per_client: args.count("--requests", 0, 0)?,
-        shards: args.count("--shards", 8, 1)?,
-        min_hit_rate: 0.9,
+        backend: args.backend_or(defaults.backend)?,
+        clients: args.count("--clients", defaults.clients, 1)?,
+        requests_per_client: args.count("--requests", defaults.requests_per_client, 0)?,
+        shards: args.count("--shards", defaults.shards, 1)?,
         history: (!args.flag("--no-history")).then(|| std::path::PathBuf::from(history_path)),
-        seed: 0xC0FFEE,
         measure_recorder: args.flag("--measure-recorder"),
+        ..defaults
     };
     let report = serve::loadgen::run(&opts)?;
     println!(

@@ -63,25 +63,27 @@ pub static TOP: Command = Command {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let shards = args.count("--shards", liquid_simd::default_jobs().clamp(1, 8), 1)?;
     let history_path = args.value_or("--history", DEFAULT_HISTORY);
+    let defaults = serve::ServeOptions::default();
     let opts = serve::ServeOptions {
         addr: args.value_or("--addr", DEFAULT_ADDR).to_string(),
         shards,
         history: (!args.flag("--no-history")).then(|| std::path::PathBuf::from(history_path)),
-        history_every: args.count("--history-every", 64, 1)?,
+        history_every: args.count("--history-every", defaults.history_every, 1)?,
         // The daemon's own default backend (the interpreter), not the
         // simulator's: `explain` replies carry the backend name and block
         // stats, and perfbench's `serve` workload checks them against an
         // interpreter replay.
-        backend: args.backend_or(serve::ServeOptions::default().backend)?,
-        flight_capacity: args.count(
-            "--flight-capacity",
-            liquid_simd_trace::DEFAULT_FLIGHT_CAPACITY,
-            0,
-        )?,
+        backend: args.backend_or(defaults.backend)?,
+        flight_capacity: args.count("--flight-capacity", defaults.flight_capacity, 0)?,
         flight_dir: args.value("--flight-dir").map(std::path::PathBuf::from),
         inject_faults: args.flag("--inject-faults"),
-        burst_threshold: args.parse_or("--burst-threshold", 8, "an integer >= 1", |n| *n >= 1)?,
-        cache_capacity: args.count("--cache-cap", 0, 0)?,
+        burst_threshold: args.parse_or(
+            "--burst-threshold",
+            defaults.burst_threshold,
+            "an integer >= 1",
+            |n| *n >= 1,
+        )?,
+        cache_capacity: args.count("--cache-cap", defaults.cache_capacity, 0)?,
     };
     if opts.inject_faults {
         eprintln!("liquid-simd serve: --inject-faults is on (test-only crash drills enabled)");

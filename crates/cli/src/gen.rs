@@ -48,7 +48,7 @@ pub fn variants(smoke: bool) -> Result<Vec<Variant>, String> {
 
 /// One manifest line per variant: everything the expansion determined,
 /// nothing the clock or host did — two runs must produce byte-identical
-/// manifests (the CI `cmp` gate on expansion determinism).
+/// manifests (`tests/kernelgen_families.rs` pins the expansion).
 fn manifest(variants: &[Variant]) -> String {
     let mut out = String::new();
     for v in variants {

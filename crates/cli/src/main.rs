@@ -262,6 +262,104 @@ mod tests {
         );
     }
 
+    /// The history record `bench --smoke --backend B [--ledger]` appends.
+    /// It comes from the rows [`bench::measure_suite`] records; its Figure 6
+    /// gate, which adds nothing to the record, is
+    /// `bench_snapshot_is_identical_across_jobs_and_backends`'s to run.
+    fn smoke_record(backend: liquid_simd::BackendKind, ledger: bool) -> Json {
+        let (workloads, widths) = bench::suite(true);
+        let run = bench::measure_rows(&workloads, &widths, backend, ledger, true).unwrap();
+        run.record(&bench::record_meta(&widths, true, backend))
+    }
+
+    /// The committed-baseline cycle gate: a fresh smoke measurement
+    /// appended to the committed `bench/history.jsonl` must match its
+    /// interpreter smoke baseline cycle for cycle, and a superblock record
+    /// must match the interpreter's.
+    #[test]
+    fn fresh_smoke_records_pass_the_committed_history_gate() {
+        use liquid_simd::BackendKind::{Interp, Superblock};
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/history.jsonl");
+        let mut history = perfhist::store::load(std::path::Path::new(committed)).unwrap();
+        history.push(smoke_record(Interp, false));
+        let v = perfhist::sentinel::check(&history, &perfhist::SentinelOptions::default());
+        assert!(!v.failed, "sentinel: {}", v.json.write());
+        assert_eq!(v.json.get("status").and_then(Json::as_str), Some("pass"));
+        assert_eq!(
+            v.json.get("workloads_checked").and_then(Json::as_u64),
+            Some(3)
+        );
+
+        history.push(smoke_record(Superblock, false));
+        let v = perfhist::cross_check(&history);
+        assert!(!v.failed, "sentinel --cross-backend: {}", v.json.write());
+        assert_eq!(
+            v.json.get("workloads_checked").and_then(Json::as_u64),
+            Some(3)
+        );
+    }
+
+    /// `diff --history` over two `bench --smoke --ledger` records of the
+    /// same code: every delta is zero, and the report is the same bytes
+    /// on two runs.
+    #[test]
+    fn diff_history_of_the_same_code_is_zero_and_stable() {
+        let dir = scratch("diff-history");
+        let history = dir.join("history.jsonl");
+        let record = smoke_record(liquid_simd::BackendKind::Interp, true);
+        perfhist::store::append(&history, &record).unwrap();
+        perfhist::store::append(&history, &record).unwrap();
+        let diff = |name: &str| {
+            let out = dir.join(name);
+            let (h, o) = (history.to_str().unwrap(), out.to_str().unwrap());
+            run_cli(&argv(&["diff", "--history", h, "--json", "--out", o])).unwrap();
+            std::fs::read_to_string(out).unwrap()
+        };
+        let first = diff("a.json");
+        assert_eq!(first, diff("b.json"), "diff --history is not deterministic");
+        let doc = Json::parse(&first).unwrap();
+        assert_eq!(doc.get("total_delta").and_then(Json::as_u64), Some(0));
+        let rows = |key: &str| doc.get(key).and_then(Json::as_arr).unwrap().to_vec();
+        assert_eq!(rows("regions").len(), 3, "one region per smoke workload");
+        assert!(!rows("categories").is_empty(), "ledger categories missing");
+        for key in ["categories", "regions", "counters"] {
+            for row in rows(key) {
+                assert_eq!(
+                    row.get("delta").and_then(Json::as_u64),
+                    Some(0),
+                    "{key}: {}",
+                    row.write()
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `bench --families --smoke` holds no host facts, so two runs write
+    /// the same snapshot bytes.
+    #[test]
+    fn bench_families_snapshot_is_identical_run_to_run() {
+        let dir = scratch("families");
+        let snapshot = |name: &str| {
+            let out = dir.join(name);
+            let o = out.to_str().unwrap();
+            run_cli(&argv(&[
+                "bench",
+                "--families",
+                "--smoke",
+                "--no-history",
+                "--out",
+                o,
+            ]))
+            .unwrap();
+            std::fs::read_to_string(out).unwrap()
+        };
+        let first = snapshot("a.json");
+        assert!(first.contains("liquid-simd-bench-families-v1"), "{first}");
+        assert_eq!(first, snapshot("b.json"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn asm_output_option_before_the_input() {
         let dir = scratch("asm");
@@ -525,13 +623,14 @@ mod tests {
     /// pipe, redirection, background `&` or comment.
     #[test]
     fn ci_and_readme_invocations_parse() {
+        const CLI: &str = "target/release/liquid-simd ";
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let mut checked = 0;
         for file in [".github/workflows/ci.yml", "README.md"] {
             let text = std::fs::read_to_string(format!("{root}/{file}")).unwrap();
             let joined = text.replace("\\\n", " ");
+            let mut checked = 0;
             for line in joined.lines() {
-                let Some((_, rest)) = line.split_once("target/release/liquid-simd ") else {
+                let Some((_, rest)) = line.split_once(CLI) else {
                     continue;
                 };
                 let rest = rest.replace("\"$w\"", "fir").replace("$w", "fir");
@@ -545,8 +644,13 @@ mod tests {
                 }
                 checked += 1;
             }
+            assert!(checked > 0, "{file}: no `liquid-simd` invocation");
+            assert_eq!(
+                checked,
+                text.matches(CLI).count(),
+                "{file}: an invocation shares its line with another and was not parsed"
+            );
         }
-        assert!(checked >= 40, "only {checked} invocations found");
     }
 
     /// `tables --smoke` prints all nine artifacts, the same bytes at any
@@ -555,8 +659,8 @@ mod tests {
     #[test]
     fn tables_smoke_prints_nine_artifacts_identically_at_any_jobs() {
         let (workloads, widths) = bench::suite(true);
-        // The two renders run side by side: each is ~20 s in a debug build,
-        // most of it the callout's 3,000 FIR calls.
+        // The two renders run side by side: each takes 10-20 s in a debug
+        // build, much of it the callout's 3,000 FIR calls.
         let (serial, parallel) = std::thread::scope(|s| {
             let parallel = s.spawn(|| tables::render(&workloads, &widths, 2));
             let serial = tables::render(&workloads, &widths, 1);

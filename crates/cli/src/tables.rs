@@ -56,7 +56,7 @@ pub fn render(
             &experiments::figure6_jobs(workloads, widths, jobs).map_err(err)?,
             widths,
         ),
-        render_callout()?,
+        render_callout(jobs)?,
         render_code_size(&experiments::code_size_jobs(workloads, jobs).map_err(err)?),
         render_mcache(&experiments::mcache_jobs(workloads, jobs).map_err(err)?),
         render_latency(
@@ -143,10 +143,10 @@ fn render_figure6(rows: &[Figure6Row], widths: &[usize]) -> String {
 
 /// The Figure 6 callout: FIR's liquid-vs-built-in speedup difference at
 /// [`CALLOUT_REPS`] calls (paper: worst case about 0.001).
-fn render_callout() -> Result<String, String> {
+fn render_callout(jobs: usize) -> Result<String, String> {
     let mut w = liquid_simd_workloads::fir();
     w.reps = CALLOUT_REPS;
-    let c = experiments::overhead_callout(&w).map_err(|e| e.to_string())?;
+    let c = experiments::overhead_callout(&w, jobs).map_err(|e| e.to_string())?;
     Ok(format!(
         "Figure 6 callout (FIR, {} calls): liquid {:.4}x, built-in {:.4}x, difference {:.4}\n",
         w.reps,

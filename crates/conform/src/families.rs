@@ -66,7 +66,8 @@ mod tests {
     fn one_variant_per_idiom_class_passes_the_oracle() {
         let variants = expand_corpus().unwrap();
         // First variant of each distinct family = one witness per idiom
-        // configuration; the full sweep runs in `gen --check` and CI.
+        // configuration; the full sweep runs in `gen --check` and
+        // tests/kernelgen_families.rs.
         let mut seen = std::collections::BTreeSet::new();
         let picks: Vec<&Variant> = variants
             .iter()

@@ -331,16 +331,24 @@ mod tests {
         }
     }
 
+    /// A small run, and the `conform --seed 0xC0FFEE --cases 200` run at
+    /// the CLI's defaults: no failures, and the same JSON at any `--jobs`.
     #[test]
     fn small_run_passes_and_is_deterministic_across_jobs() {
-        let serial = run_conform(&small_opts(1));
-        assert!(serial.passed(), "failures: {:?}", serial.failures);
-        let parallel = run_conform(&small_opts(4));
-        assert_eq!(
-            report_to_json(&serial),
-            report_to_json(&parallel),
-            "JSON must be byte-identical at any --jobs"
-        );
+        for (cases, jobs) in [(8, 4), (200, 2)] {
+            let opts = |jobs| ConformOptions {
+                cases,
+                ..small_opts(jobs)
+            };
+            let serial = run_conform(&opts(1));
+            assert!(serial.passed(), "{cases} cases: {:?}", serial.failures);
+            let parallel = run_conform(&opts(jobs));
+            assert_eq!(
+                report_to_json(&serial),
+                report_to_json(&parallel),
+                "{cases} cases: JSON must be byte-identical at --jobs 1 and {jobs}"
+            );
+        }
     }
 
     #[test]

@@ -187,8 +187,8 @@ impl FamilySpec {
                     PermKind::Bfly { block } | PermKind::Rev { block } => block,
                     PermKind::Rot { block, .. } => block,
                 };
-                let b = u32::from(block);
-                if !b.is_power_of_two() || !(2..=16).contains(&b) {
+                let b = usize::from(block);
+                if !SUPPORTED_WIDTHS.contains(&b) {
                     return Err(format!(
                         "{f}: permute block {b} must be a power of two in 2..=16"
                     ));

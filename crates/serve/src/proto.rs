@@ -27,6 +27,7 @@
 //! shard that computed them or whether the cache was hit, because their
 //! bytes must not depend on either.
 
+use liquid_simd_isa::SUPPORTED_WIDTHS;
 use liquid_simd_trace::Json;
 
 /// Schema tag of a successful response.
@@ -188,10 +189,6 @@ fn get_str(obj: &Json, key: &str) -> Result<Option<String>, String> {
     }
 }
 
-fn valid_width(w: usize) -> bool {
-    (2..=16).contains(&w) && w.is_power_of_two()
-}
-
 /// Parses and validates one request line.
 ///
 /// # Errors
@@ -238,7 +235,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
     if mode == Mode::Scalar {
         lanes = 0;
-    } else if !valid_width(lanes) {
+    } else if !SUPPORTED_WIDTHS.contains(&lanes) {
         return Err("`width` must be 0 (scalar) or a power of two in 2..=16".to_string());
     }
     if op == Op::Translate && lanes < 2 {
@@ -253,7 +250,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 let w = item
                     .as_u64()
                     .map(|n| n as usize)
-                    .filter(|&w| valid_width(w))
+                    .filter(|w| SUPPORTED_WIDTHS.contains(w))
                     .ok_or("`widths` entries must be powers of two in 2..=16")?;
                 out.push(w);
             }

@@ -60,7 +60,8 @@ pub struct ServeOptions {
     /// telemetry).
     pub history: Option<PathBuf>,
     /// Flush a batch record every this many requests (`0` = only the
-    /// final flush at shutdown).
+    /// final flush at shutdown; default 64, which `serve --history-every`
+    /// also defaults to).
     pub history_every: usize,
     /// Execution backend every shard simulates with (`serve --backend`).
     /// Simulation results are backend-independent, so this only changes
@@ -93,7 +94,7 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             shards: 4,
             history: None,
-            history_every: 0,
+            history_every: 64,
             backend: liquid_simd::BackendKind::Interp,
             flight_capacity: liquid_simd_trace::DEFAULT_FLIGHT_CAPACITY,
             flight_dir: None,

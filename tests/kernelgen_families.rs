@@ -9,7 +9,8 @@ use liquid_simd_repro::conform::families::{check_corpus, check_variants};
 use liquid_simd_repro::kernelgen::{corpus_specs, expand_corpus, Payload, Variant};
 use liquid_simd_repro::workloads;
 
-/// The smoke cut the CI job benches: short trips, shallow unrolls.
+/// The smoke cut `bench --families --smoke` benches: short trips, shallow
+/// unrolls.
 fn smoke(variants: &[Variant]) -> Vec<Variant> {
     variants
         .iter()

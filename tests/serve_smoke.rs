@@ -142,23 +142,24 @@ fn budgets_reject_gracefully_and_stats_sees_the_cache() {
     assert_eq!(summary.errors, 1, "exactly the budget rejection");
 }
 
+/// `bench --serve --smoke --clients 4 --shards 4 --measure-recorder`: byte
+/// identity at 1 and 4 shards, the 90 % translation-cache hit-rate gate,
+/// and a third pass with the flight recorder off that must answer the
+/// same bytes with the same determinism hashes.
 #[test]
 fn loadgen_history_feeds_the_sentinel() {
     let history = tmpfile("serve-history.jsonl");
     let _ = std::fs::remove_file(&history);
     let report = loadgen::run(&LoadOptions {
         smoke: true,
-        backend: Default::default(),
-        clients: 2,
-        requests_per_client: 12,
-        shards: 3,
-        min_hit_rate: 0.0,
+        shards: 4,
         history: Some(history.clone()),
-        seed: 0x5EED,
-        measure_recorder: false,
+        measure_recorder: true,
+        ..LoadOptions::default()
     })
     .expect("load generator passes");
-    assert_eq!(report.requests, 24);
+    assert_eq!(report.requests, 300);
+    assert!(report.hit_rate >= 0.9, "hit rate {}", report.hit_rate);
     assert_eq!(
         report.single.determinism, report.sharded.determinism,
         "determinism triple equal across shard counts"
