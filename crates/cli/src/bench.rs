@@ -275,12 +275,11 @@ pub fn measure_suite(
 ) -> Result<BenchRun, String> {
     let run = measure_rows(workloads, widths, backend, embed_ledger, smoke)?;
 
-    // The Figure 6 sweep, serial then over `jobs` workers: the rendered
-    // rows must be byte-identical (the determinism gate). The sweep runs
-    // on the default backend, whatever `backend` is.
+    // The Figure 6 sweep on `backend`, serial then over `jobs` workers:
+    // the rendered rows must be byte-identical (the determinism gate).
     let err = |e: liquid_simd::VerifyError| e.to_string();
-    let serial = experiments::figure6_jobs(workloads, widths, 1).map_err(err)?;
-    let parallel = experiments::figure6_jobs(workloads, widths, jobs).map_err(err)?;
+    let serial = experiments::figure6_jobs(workloads, widths, 1, backend).map_err(err)?;
+    let parallel = experiments::figure6_jobs(workloads, widths, jobs, backend).map_err(err)?;
     if render_rows(&serial) != render_rows(&parallel) {
         return Err("parallel figure6 sweep diverged from the serial sweep".into());
     }

@@ -10,6 +10,7 @@ use liquid_simd::experiments::{
     Table6Row,
 };
 use liquid_simd::translator::area::{estimate, TranslatorGeometry};
+use liquid_simd::BackendKind;
 
 use crate::args::{flag, Args, Command, JOBS};
 
@@ -53,7 +54,8 @@ pub fn render(
         render_table5(&experiments::table5_jobs(workloads, jobs).map_err(err)?),
         render_table6(&experiments::table6_jobs(workloads, jobs).map_err(err)?),
         render_figure6(
-            &experiments::figure6_jobs(workloads, widths, jobs).map_err(err)?,
+            &experiments::figure6_jobs(workloads, widths, jobs, BackendKind::default())
+                .map_err(err)?,
             widths,
         ),
         render_callout(jobs)?,

@@ -14,7 +14,7 @@ use std::fmt;
 
 use liquid_simd_compiler::Workload;
 use liquid_simd_isa::SUPPORTED_WIDTHS;
-use liquid_simd_sim::{Machine, MachineConfig};
+use liquid_simd_sim::{BackendKind, Machine, MachineConfig};
 
 use crate::harness::{run_tasks, BuildCache};
 use crate::VerifyError;
@@ -171,7 +171,7 @@ impl Figure6Row {
 /// simulation units and fanned over `jobs` worker threads. This is the
 /// heaviest sweep in the repo — `1 + 3 * widths.len()` simulations per
 /// workload — and every unit is independent, so it scales until cores run
-/// out.
+/// out. Every unit simulates on `backend`; backends give identical cycles.
 ///
 /// # Errors
 ///
@@ -180,6 +180,7 @@ pub fn figure6_jobs(
     workloads: &[Workload],
     widths: &[usize],
     jobs: usize,
+    backend: BackendKind,
 ) -> Result<Vec<Figure6Row>, VerifyError> {
     let cache = BuildCache::new(workloads, widths);
     // Unit layout per workload: [baseline, then (liquid, pretranslated,
@@ -193,20 +194,21 @@ pub fn figure6_jobs(
             let (wi, unit) = (i / per, i % per);
             if unit == 0 {
                 let plain = cache.plain(wi)?;
-                let out = crate::run(&plain.program, MachineConfig::scalar_only())?;
+                let out = crate::run(
+                    &plain.program,
+                    MachineConfig::scalar_only().with_backend(backend),
+                )?;
                 return Ok(out.report.cycles);
             }
             let k = unit - 1;
             let width = widths[k / 3];
+            let liquid = MachineConfig::liquid(width).with_backend(backend);
             let out = match k % 3 {
-                0 => crate::run(&cache.liquid(wi)?.program, MachineConfig::liquid(width))?,
-                1 => crate::run_pretranslated(
-                    &cache.liquid(wi)?.program,
-                    MachineConfig::liquid(width),
-                )?,
+                0 => crate::run(&cache.liquid(wi)?.program, liquid)?,
+                1 => crate::run_pretranslated(&cache.liquid(wi)?.program, liquid)?,
                 _ => crate::run(
                     &cache.native(wi, width)?.program,
-                    MachineConfig::native(width),
+                    MachineConfig::native(width).with_backend(backend),
                 )?,
             };
             Ok(out.report.cycles)

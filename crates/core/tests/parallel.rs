@@ -3,7 +3,7 @@
 //! must be stable. Scheduling decides only *when* a simulation unit runs,
 //! never *what* it computes — these tests pin that invariant.
 
-use liquid_simd::{experiments, verify_workloads};
+use liquid_simd::{experiments, verify_workloads, BackendKind};
 
 /// Renders rows exactly as the CLI prints them, one per line.
 fn render<T: std::fmt::Display>(rows: &[T]) -> String {
@@ -14,16 +14,24 @@ fn render<T: std::fmt::Display>(rows: &[T]) -> String {
 fn figure6_is_identical_at_any_job_count_and_stable_across_runs() {
     let workloads = liquid_simd_workloads::smoke();
     let widths = [2usize, 8];
-    let serial = render(&experiments::figure6_jobs(&workloads, &widths, 1).expect("serial"));
+    let sweep = |jobs: usize, backend: BackendKind| {
+        render(&experiments::figure6_jobs(&workloads, &widths, jobs, backend).expect("sweep"))
+    };
+    let serial = sweep(1, BackendKind::default());
     assert!(!serial.is_empty());
     for jobs in [2, 8] {
-        let parallel =
-            render(&experiments::figure6_jobs(&workloads, &widths, jobs).expect("parallel"));
+        let parallel = sweep(jobs, BackendKind::default());
         assert_eq!(serial, parallel, "figure6 diverged at jobs={jobs}");
     }
     // Repeated parallel runs: same bytes again (no run-to-run drift).
-    let again = render(&experiments::figure6_jobs(&workloads, &widths, 8).expect("repeat"));
+    let again = sweep(8, BackendKind::default());
     assert_eq!(serial, again, "figure6 unstable across repeated runs");
+    // The interpreter simulates the same cycles.
+    assert_eq!(
+        serial,
+        sweep(2, BackendKind::Interp),
+        "figure6 differs on interp"
+    );
 }
 
 #[test]

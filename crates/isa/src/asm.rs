@@ -26,7 +26,7 @@
 //! [`assemble`]`(`[`disassemble`]`(p))` reproduces the program's code and
 //! symbols (round-trip tested).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::builder::ProgramBuilder;
 use crate::cond::Cond;
@@ -204,6 +204,8 @@ pub fn assemble(source: &str) -> Result<Program, IsaError> {
 struct Assembler {
     builder: ProgramBuilder,
     labels: HashMap<String, crate::builder::Label>,
+    /// Labels already bound: the builder panics on a second binding.
+    bound: HashSet<crate::builder::Label>,
 }
 
 fn perr(line: usize, message: impl Into<String>) -> IsaError {
@@ -218,6 +220,7 @@ impl Assembler {
         Assembler {
             builder: ProgramBuilder::new(),
             labels: HashMap::new(),
+            bound: HashSet::new(),
         }
     }
 
@@ -257,6 +260,11 @@ impl Assembler {
             if let Some(name) = line.strip_suffix(':') {
                 let name = name.trim();
                 let l = self.label(name);
+                if !self.bound.insert(l) {
+                    return Err(IsaError::DuplicateLabel {
+                        name: name.to_string(),
+                    });
+                }
                 self.builder.bind_named(l, name);
                 continue;
             }
@@ -294,6 +302,12 @@ impl Assembler {
             .ok_or_else(|| perr(lineno, "directive needs `name: values`"))?;
         let name = name.trim();
         let values = values.trim();
+        // The builder panics on a second definition.
+        if self.builder.symbol_named(name).is_some() {
+            return Err(IsaError::DuplicateSymbol {
+                name: name.to_string(),
+            });
+        }
         match kind {
             "i8" => {
                 let vals = parse_list::<i8>(lineno, values)?;
@@ -912,6 +926,22 @@ main:
             IsaError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn duplicate_definitions_are_errors_not_panics() {
+        assert_eq!(
+            assemble(".data\n.i32 A: 1\n.f32 A: 2.0\n.text\nmain:\n    halt\n"),
+            Err(IsaError::DuplicateSymbol {
+                name: "A".to_string()
+            })
+        );
+        assert_eq!(
+            assemble(".text\nmain:\n    nop\nmain:\n    halt\n"),
+            Err(IsaError::DuplicateLabel {
+                name: "main".to_string()
+            })
+        );
     }
 
     #[test]

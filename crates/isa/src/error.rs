@@ -48,6 +48,11 @@ pub enum IsaError {
         /// The symbol name.
         name: String,
     },
+    /// An assembler label was bound twice in one program.
+    DuplicateLabel {
+        /// The label name.
+        name: String,
+    },
     /// A referenced symbol does not exist.
     UnknownSymbol {
         /// The symbol name or id as text.
@@ -82,6 +87,7 @@ impl fmt::Display for IsaError {
             }
             IsaError::UnboundLabel { label } => write!(f, "label L{label} was never bound"),
             IsaError::DuplicateSymbol { name } => write!(f, "symbol `{name}` defined twice"),
+            IsaError::DuplicateLabel { name } => write!(f, "label `{name}` bound twice"),
             IsaError::UnknownSymbol { name } => write!(f, "unknown symbol `{name}`"),
             IsaError::Parse { line, message } => write!(f, "parse error on line {line}: {message}"),
         }

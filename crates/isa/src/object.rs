@@ -64,6 +64,18 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    /// Reads a header count of items at least `each` bytes long and checks
+    /// that they fit in the bytes that remain, so a corrupt count is an
+    /// error rather than an allocation the caller cannot catch.
+    fn count(&mut self, each: usize, what: &'static str) -> Result<usize, IsaError> {
+        let n = self.u32()?;
+        let remaining = self.bytes.len() - self.pos;
+        match (n as usize).checked_mul(each) {
+            Some(len) if len <= remaining => Ok(n as usize),
+            _ => Err(IsaError::Decode { what, value: n }),
+        }
+    }
+
     fn string(&mut self) -> Result<String, IsaError> {
         let len = self.u32()? as usize;
         let raw = self.bytes(len)?;
@@ -131,10 +143,13 @@ pub fn read(bytes: &[u8]) -> Result<Program, IsaError> {
     }
     let entry = r.u32()?;
     let data_base = r.u32()?;
-    let n_code = r.u32()? as usize;
-    let n_data = r.u32()? as usize;
-    let n_syms = r.u32()? as usize;
-    let n_labels = r.u32()? as usize;
+    // Every count is checked before anything is allocated. A symbol is at
+    // least its three fields and a name length; a label, its index and a
+    // name length.
+    let n_code = r.count(4, "object file (code word count)")?;
+    let n_data = r.count(1, "object file (data byte count)")?;
+    let n_syms = r.count(16, "object file (symbol count)")?;
+    let n_labels = r.count(8, "object file (label count)")?;
     let mut words = Vec::with_capacity(n_code);
     for _ in 0..n_code {
         words.push(r.u32()?);

@@ -1,4 +1,9 @@
 //! Timing-only set-associative cache with true-LRU replacement.
+//!
+//! Every access is O(1): a line → way residency index finds a resident
+//! line, and each set keeps its ways on a doubly linked recency list, so
+//! a hit moves its way to the MRU end and a miss fills the way at the LRU
+//! end without scanning the set.
 
 use std::fmt;
 
@@ -134,15 +139,15 @@ impl Residency {
         i
     }
 
-    fn find(&self, line: u32) -> Option<usize> {
+    fn find(&self, line: u32) -> Option<u32> {
         let (_, slot) = self.table[self.position(line)];
-        (slot != EMPTY).then_some(slot as usize)
+        (slot != EMPTY).then_some(slot)
     }
 
     /// Records `line` (not already present) as held by `slot`.
-    fn insert(&mut self, line: u32, slot: usize) {
+    fn insert(&mut self, line: u32, slot: u32) {
         let i = self.position(line);
-        self.table[i] = (line, slot as u32);
+        self.table[i] = (line, slot);
     }
 
     /// Removes `line` (present), shifting later entries of its probe run
@@ -177,29 +182,39 @@ impl Residency {
     }
 }
 
+/// Ends a recency list: no newer (or no older) way.
+const NIL: u32 = u32::MAX;
+
 /// A set-associative cache timing model.
 ///
 /// [`Cache::access`] classifies an access as hit or miss, updates residency
 /// and LRU state, and returns the hit flag; the caller charges
 /// [`CacheConfig::miss_penalty`] for misses.
 ///
-/// A hit costs O(1): the last line touched is memoised, and every other
-/// resident line is found through a line → way index. Only a miss scans
-/// its set, to pick the victim.
+/// Every access is O(1). The last line touched is memoised, and every
+/// other resident line is found through a line → way index. Each set keeps
+/// its ways on a doubly linked recency list: a hit moves its way to the MRU
+/// end, and a miss fills the way at the LRU end. Invalid ways sit at the
+/// LRU end in way order, so a set fills its first invalid way first.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: u32,
+    set_mask: u32,
     line_shift: u32,
-    /// Line number held by each way (`set * ways + way`).
-    lines: Vec<u32>,
-    /// Tick of each way's last touch, for true LRU; `0` marks an invalid
-    /// way (ticks start at 1).
-    last_use: Vec<u64>,
+    /// Line number held by each way (`set * ways + way`); `None` marks an
+    /// invalid way.
+    lines: Vec<Option<u32>>,
+    /// Recency links of each way slot: the next more recently used way of
+    /// its set, and the next less recently used one (`NIL` past an end).
+    newer: Vec<u32>,
+    older: Vec<u32>,
+    /// Most and least recently used way slot of each set.
+    mru: Vec<u32>,
+    lru: Vec<u32>,
     residency: Residency,
-    /// `(line, way slot)` of the most recent access, if still resident.
-    last: Option<(u32, usize)>,
-    tick: u64,
+    /// Line of the most recent access (the MRU way of its set), if still
+    /// resident.
+    last: Option<u32>,
     stats: CacheStats,
     /// Optional event recorder; set with [`Cache::attach_tracer`]. Without
     /// it, the access path pays one branch.
@@ -212,18 +227,22 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Cache {
         let sets = config.sets();
         let slots = sets * config.ways;
-        Cache {
+        let mut cache = Cache {
             config,
-            sets,
+            set_mask: sets - 1,
             line_shift: config.line_bytes.trailing_zeros(),
-            lines: vec![0; slots as usize],
-            last_use: vec![0; slots as usize],
+            lines: vec![None; slots as usize],
+            newer: vec![NIL; slots as usize],
+            older: vec![NIL; slots as usize],
+            mru: vec![NIL; sets as usize],
+            lru: vec![NIL; sets as usize],
             residency: Residency::new(slots),
             last: None,
-            tick: 0,
             stats: CacheStats::default(),
             tracer: None,
-        }
+        };
+        cache.order_ways();
+        cache
     }
 
     /// Attaches a tracer; every miss then emits a
@@ -249,46 +268,60 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// The way slot holding `line`, if resident.
-    fn lookup(&self, line: u32) -> Option<usize> {
-        match self.last {
-            Some((l, slot)) if l == line => Some(slot),
-            _ => self.residency.find(line),
+    /// Moves way `slot` of `set` to the MRU end of the set's recency list.
+    fn make_mru(&mut self, set: usize, slot: u32) {
+        let mru = self.mru[set];
+        if mru == slot {
+            return;
         }
+        // Unlink: `slot` is not the MRU way, so a newer way exists.
+        let (newer, older) = (self.newer[slot as usize], self.older[slot as usize]);
+        self.older[newer as usize] = older;
+        if older == NIL {
+            self.lru[set] = newer;
+        } else {
+            self.newer[older as usize] = newer;
+        }
+        self.newer[mru as usize] = slot;
+        self.older[slot as usize] = mru;
+        self.newer[slot as usize] = NIL;
+        self.mru[set] = slot;
     }
 
     /// Accesses one byte address; returns `true` on a hit. Both reads and
     /// writes allocate (write-allocate, which is what the timing model of a
     /// write-back cache needs).
+    #[inline]
     pub fn access(&mut self, addr: u32) -> bool {
-        self.tick += 1;
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
-        if let Some(slot) = self.lookup(line) {
-            self.last_use[slot] = self.tick;
-            self.last = Some((line, slot));
+        if self.last == Some(line) {
+            // Already the MRU way of its set.
             self.stats.hits += 1;
             return true;
         }
-        // Miss: fill into the first invalid or least-recently-used way.
+        self.access_other(line, addr)
+    }
+
+    /// [`Cache::access`] of a line other than the last one accessed.
+    fn access_other(&mut self, line: u32, addr: u32) -> bool {
+        self.last = Some(line);
+        let set = (line & self.set_mask) as usize;
+        if let Some(slot) = self.residency.find(line) {
+            self.make_mru(set, slot);
+            self.stats.hits += 1;
+            return true;
+        }
+        // Miss: fill the LRU way, which is the first invalid way if any.
         if let Some((tracer, kind)) = &self.tracer {
             tracer.emit(TraceEvent::CacheMiss { cache: *kind, addr });
         }
-        let ways = self.config.ways as usize;
-        let start = (line % self.sets) as usize * ways;
-        let mut victim = start;
-        for slot in start + 1..start + ways {
-            if self.last_use[slot] < self.last_use[victim] {
-                victim = slot;
-            }
+        let victim = self.lru[set];
+        if let Some(old) = self.lines[victim as usize].replace(line) {
+            self.residency.remove(old);
         }
-        if self.last_use[victim] != 0 {
-            self.residency.remove(self.lines[victim]);
-        }
-        self.lines[victim] = line;
-        self.last_use[victim] = self.tick;
         self.residency.insert(line, victim);
-        self.last = Some((line, victim));
+        self.make_mru(set, victim);
         false
     }
 
@@ -300,11 +333,11 @@ impl Cache {
         if len == 0 {
             return 0;
         }
-        let first = addr / self.config.line_bytes;
-        let last = (addr + len - 1) / self.config.line_bytes;
+        let first = addr >> self.line_shift;
+        let last = (addr + len - 1) >> self.line_shift;
         let mut misses = 0;
         for line in first..=last {
-            if !self.access(line * self.config.line_bytes) {
+            if !self.access(line << self.line_shift) {
                 misses += 1;
             }
         }
@@ -314,14 +347,32 @@ impl Cache {
     /// Whether an address is currently resident (no state change).
     #[must_use]
     pub fn probe(&self, addr: u32) -> bool {
-        self.lookup(addr >> self.line_shift).is_some()
+        self.residency.find(addr >> self.line_shift).is_some()
     }
 
     /// Invalidates everything (e.g. on simulated context switch).
     pub fn flush(&mut self) {
-        self.last_use.fill(0);
+        self.lines.fill(None);
         self.residency.clear();
         self.last = None;
+        self.order_ways();
+    }
+
+    /// Links every set's ways in way order, from way 0 (LRU) to its last
+    /// way (MRU): the recency lists of an all-invalid cache, whose fills
+    /// then take the invalid ways first to last.
+    fn order_ways(&mut self) {
+        let ways = self.config.ways;
+        for set in 0..self.mru.len() {
+            let base = set as u32 * ways;
+            for way in 0..ways {
+                let slot = (base + way) as usize;
+                self.older[slot] = if way == 0 { NIL } else { base + way - 1 };
+                self.newer[slot] = if way + 1 == ways { NIL } else { base + way + 1 };
+            }
+            self.lru[set] = base;
+            self.mru[set] = base + ways - 1;
+        }
     }
 }
 

@@ -9,12 +9,14 @@
 //!   [`Machine::step`] per instruction.
 //! - [`SuperblockBackend`] — pre-lowers straight-line runs (program stream
 //!   and microcode alike) into threaded-code blocks (see [`crate::block`])
-//!   and replays them from a block cache keyed by `(stream, start PC,
-//!   code generation)`. Program code is immutable, so program blocks live
-//!   forever; microcode blocks are keyed by the microcode cache's
-//!   per-insert generation and dropped the moment the entry is evicted,
-//!   overwritten, or flushed (tracked by the mcache epoch), so
-//!   translation/abort/retry semantics are untouched.
+//!   and replays them from dense block tables indexed by start PC, so a
+//!   lookup is one bounds-checked load. Program code is immutable, so the
+//!   program table lives forever. Each resident microcode entry has its
+//!   own table, tagged with the microcode cache's per-insert generation;
+//!   when the mcache epoch moves, the tables are re-paired with the
+//!   entries by generation, and a table whose generation was evicted,
+//!   overwritten, or flushed is dropped, so translation/abort/retry
+//!   semantics are untouched.
 //!
 //! Tracers and translation windows do not leave the superblock backend:
 //! [`crate::block::exec_block`] hands every retire they observe to
@@ -29,8 +31,6 @@
 //! `fallback_translator` counter always reads 0; it stays because the
 //! perfbench harness reads it.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::block::{discover, exec_block, needs_interp, Block};
@@ -76,22 +76,17 @@ impl ExecBackend for InterpBackend {
     }
 }
 
-/// Identity of a lowered block: where its code lives and which immutable
-/// image it was lowered from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum BlockKey {
-    /// Program stream — the binary never changes, so the PC suffices.
-    Prog { pc: u32 },
-    /// Microcode — `gen` is the mcache's per-insert generation stamp, so a
-    /// retranslated (overwritten) or evicted-and-refilled entry never
-    /// aliases stale lowered code.
-    Micro { func_pc: u32, gen: u64, pos: u32 },
-}
+/// Lowered blocks of one immutable code image, indexed by start position.
+type BlockTable = Vec<Option<Rc<Block>>>;
 
 /// The superblock execution backend (see the module docs).
 #[derive(Debug, Default)]
 pub struct SuperblockBackend {
-    cache: HashMap<BlockKey, Rc<Block>>,
+    /// Program-stream blocks by start PC: the binary never changes.
+    prog: BlockTable,
+    /// Microcode blocks: per resident mcache entry, in mcache index order,
+    /// the entry's generation and its table by microcode position.
+    micro: Vec<(u64, BlockTable)>,
     stats: BlockStats,
     /// Mcache epoch the block cache was last reconciled against.
     synced_epoch: u64,
@@ -104,20 +99,31 @@ impl SuperblockBackend {
         SuperblockBackend::default()
     }
 
-    /// Drops lowered microcode blocks whose source entry is gone. The
-    /// mcache bumps its epoch on every insert, overwrite, eviction, and
-    /// flush, so this runs only when microcode actually changed.
+    /// Re-pairs the microcode tables with the mcache's entries and drops
+    /// the tables of generations that are no longer resident. The mcache
+    /// bumps its epoch on every insert, overwrite, eviction, and flush, so
+    /// this runs only when microcode actually changed.
     fn sync_invalidations(&mut self, m: &Machine<'_>) {
         let epoch = m.mcache.epoch();
         if epoch == self.synced_epoch {
             return;
         }
-        let before = self.cache.len();
-        self.cache.retain(|k, _| match k {
-            BlockKey::Prog { .. } => true,
-            BlockKey::Micro { func_pc, gen, .. } => m.mcache.resident_gen(*func_pc) == Some(*gen),
-        });
-        self.stats.invalidations += (before - self.cache.len()) as u64;
+        let mut stale = std::mem::take(&mut self.micro);
+        self.micro = (0..m.mcache.len())
+            .map(|idx| {
+                let gen = m.mcache.gen(idx);
+                let table = match stale.iter().position(|&(g, _)| g == gen) {
+                    Some(i) => stale.swap_remove(i).1,
+                    None => BlockTable::new(),
+                };
+                (gen, table)
+            })
+            .collect();
+        self.stats.invalidations += stale
+            .iter()
+            .flat_map(|(_, table)| table)
+            .filter(|b| b.is_some())
+            .count() as u64;
         self.synced_epoch = epoch;
     }
 }
@@ -140,24 +146,20 @@ impl ExecBackend for SuperblockBackend {
         loop {
             self.sync_invalidations(m);
 
-            let (code, meta, start, in_micro, key) = match m.stream {
+            let (code, meta, start, in_micro, table) = match m.stream {
                 Stream::Prog { pc } => (
                     &m.prog.code[..],
                     &m.prog_meta[..],
                     pc,
                     false,
-                    BlockKey::Prog { pc },
+                    &mut self.prog,
                 ),
                 Stream::Micro { idx, pos, .. } => (
                     m.mcache.code(idx),
                     m.mcache.meta(idx),
                     pos,
                     true,
-                    BlockKey::Micro {
-                        func_pc: m.mcache.func_pc(idx),
-                        gen: m.mcache.gen(idx),
-                        pos,
-                    },
+                    &mut self.micro[idx].1,
                 ),
             };
             // Calls, returns, halt, and running off the end of the code are
@@ -171,25 +173,26 @@ impl ExecBackend for SuperblockBackend {
                     return checked_step(m);
                 }
             }
-            let block = match self.cache.entry(key) {
-                Entry::Occupied(e) => {
-                    self.stats.hits += 1;
-                    Rc::clone(e.get())
-                }
-                Entry::Vacant(v) => {
-                    self.stats.misses += 1;
-                    let b = Rc::new(discover(
-                        code,
-                        meta,
-                        start,
-                        in_micro,
-                        m.prog,
-                        m.config.lanes,
-                    ));
-                    self.stats.lowered += 1;
-                    self.stats.lowered_instrs += b.insts.len() as u64;
-                    Rc::clone(v.insert(b))
-                }
+            if table.len() < code.len() {
+                table.resize(code.len(), None);
+            }
+            let slot = &mut table[start as usize];
+            let block = if let Some(b) = slot {
+                self.stats.hits += 1;
+                Rc::clone(b)
+            } else {
+                self.stats.misses += 1;
+                let b = Rc::new(discover(
+                    code,
+                    meta,
+                    start,
+                    in_micro,
+                    m.prog,
+                    m.config.lanes,
+                ));
+                self.stats.lowered += 1;
+                self.stats.lowered_instrs += b.insts.len() as u64;
+                Rc::clone(slot.insert(b))
             };
             let jumped = exec_block(m, &block)?;
             self.stats.block_instrs += block.insts.len() as u64;
@@ -494,6 +497,132 @@ top:
         // The liquid half really exercised windows, committed and aborted.
         assert!(translated > 0, "no random loop translated");
         assert!(windows > translated, "no random loop aborted");
+    }
+
+    /// Two outlined loops, each called three times in a row, twice over:
+    /// with a one-entry mcache each first call evicts the other loop's
+    /// microcode and refills mcache index 0.
+    const TWO_KERNELS: &str = r"
+.data
+.i32 A: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16
+.i32 B: 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0
+
+.text
+main:
+    mov r5, #0
+again:
+    bl.v scale
+    bl.v scale
+    bl.v scale
+    bl.v shift
+    bl.v shift
+    bl.v shift
+    add r5, r5, #1
+    cmp r5, #2
+    blt again
+    halt
+scale:
+    mov r0, #0
+top:
+    ldw r1, [A + r0]
+    add r1, r1, r1
+    stw [B + r0], r1
+    add r0, r0, #1
+    cmp r0, #16
+    blt top
+    ret
+shift:
+    mov r0, #0
+loop:
+    ldw r1, [B + r0]
+    add r1, r1, #3
+    stw [A + r0], r1
+    add r0, r0, #1
+    cmp r0, #16
+    blt loop
+    ret
+";
+
+    /// Runs `backend`, and once the run's `reload_at`-th call has
+    /// retired (if set), overwrites every resident microcode entry in place with
+    /// its own code (a fresh generation at the same mcache index).
+    struct Reload<B> {
+        backend: B,
+        reload_at: Option<usize>,
+    }
+
+    impl<B: ExecBackend> ExecBackend for Reload<B> {
+        fn dispatch(&mut self, m: &mut Machine<'_>) -> Result<bool, SimError> {
+            let halted = self.backend.dispatch(m)?;
+            if self.reload_at == Some(m.report.calls.len()) {
+                self.reload_at = None;
+                let resident = m.microcode_snapshot();
+                m.preload_microcode(&resident);
+            }
+            Ok(halted)
+        }
+
+        fn block_stats(&self) -> BlockStats {
+            self.backend.block_stats()
+        }
+    }
+
+    #[test]
+    fn replaced_microcode_drops_its_block_table() {
+        let p = asm::assemble(TWO_KERNELS).expect("assembles");
+        let mut config = MachineConfig::liquid(8);
+        config.mcache_entries = 1;
+        // JIT translation makes microcode valid the moment a window
+        // commits, so the second and third calls run it.
+        config.translation.jit = true;
+        let run = |backend: BackendKind, reload_at: Option<usize>| {
+            let mut m = Machine::new(&p, config.clone().with_backend(backend));
+            let report = match backend {
+                BackendKind::Interp => m.run_with(&mut Reload {
+                    backend: InterpBackend,
+                    reload_at,
+                }),
+                BackendKind::Superblock => m.run_with(&mut Reload {
+                    backend: SuperblockBackend::new(),
+                    reload_at,
+                }),
+            };
+            let (base, len) = (m.memory().base(), m.memory().size());
+            let image = m.memory().slice(base, len).expect("image").to_vec();
+            (report.expect("runs"), (m.regs().r, image))
+        };
+        // Without a reload, only evictions replace microcode; with one
+        // after the third call (the second run of `scale`'s first
+        // microcode), an in-place overwrite does too.
+        let mut dropped = Vec::new();
+        for reload_at in [None, Some(3)] {
+            let (ri, state_i) = run(BackendKind::Interp, reload_at);
+            let (mut rs, state_s) = run(BackendKind::Superblock, reload_at);
+            assert_eq!(ri.mcache.evictions, 3, "reload at {reload_at:?}");
+            assert_eq!(
+                ri.mcache.conflicts,
+                u64::from(reload_at.is_some()),
+                "reload at {reload_at:?}"
+            );
+            assert_eq!(
+                ri.ledger.to_json(),
+                rs.ledger.to_json(),
+                "reload at {reload_at:?}"
+            );
+            assert_eq!(state_i, state_s, "reload at {reload_at:?}");
+            dropped.push(rs.blocks.invalidations);
+            rs.backend = ri.backend;
+            rs.blocks = ri.blocks;
+            assert_eq!(
+                format!("{ri:?}"),
+                format!("{rs:?}"),
+                "reload at {reload_at:?}"
+            );
+        }
+        // Every eviction drops lowered microcode blocks, and the in-place
+        // overwrite drops more.
+        assert!(dropped[0] >= 3, "{dropped:?}");
+        assert!(dropped[1] > dropped[0], "{dropped:?}");
     }
 
     #[test]

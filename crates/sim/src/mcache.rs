@@ -134,16 +134,6 @@ impl Mcache {
         self.entries[idx].gen
     }
 
-    /// The generation of the resident entry for `func_pc`, if any — the
-    /// revalidation probe for derived structures (no LRU tick, no stats).
-    #[must_use]
-    pub fn resident_gen(&self, func_pc: u32) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|e| e.func_pc == func_pc)
-            .map(|e| e.gen)
-    }
-
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> McacheStats {
@@ -324,6 +314,13 @@ mod tests {
         meta_of_code(code, &LatencyModel::default(), 8)
     }
 
+    /// The generation of the resident entry for `func_pc`, if any.
+    fn resident_gen(mc: &Mcache, func_pc: u32) -> Option<u64> {
+        (0..mc.len())
+            .find(|&idx| mc.func_pc(idx) == func_pc)
+            .map(|idx| mc.gen(idx))
+    }
+
     fn insert(mc: &mut Mcache, pc: u32, code: Vec<Inst>, valid_at: u64) -> Option<u32> {
         let m = meta(&code);
         mc.insert(pc, code, m, valid_at)
@@ -388,10 +385,10 @@ mod tests {
         insert(&mut mc, 1, code(1), 0);
         let e1 = mc.epoch();
         assert!(e1 > 0);
-        let g1 = mc.resident_gen(1).unwrap();
+        let g1 = resident_gen(&mc, 1).unwrap();
         // In-place overwrite must change the generation AND the epoch.
         insert(&mut mc, 1, code(2), 0);
-        let g2 = mc.resident_gen(1).unwrap();
+        let g2 = resident_gen(&mc, 1).unwrap();
         assert_ne!(g1, g2);
         assert!(mc.epoch() > e1);
         // A lookup moves neither.
@@ -407,14 +404,14 @@ mod tests {
         insert(&mut mc, 2, code(1), 0);
         insert(&mut mc, 3, code(1), 0); // capacity 2: evicts LRU (1)
         assert!(mc.epoch() > before);
-        assert_eq!(mc.resident_gen(1), None);
+        assert_eq!(resident_gen(&mc, 1), None);
         // Distinct entries never share a generation.
-        assert_ne!(mc.resident_gen(2), mc.resident_gen(3));
+        assert_ne!(resident_gen(&mc, 2), resident_gen(&mc, 3));
         // Flush bumps the epoch once more.
         let before = mc.epoch();
         mc.flush();
         assert!(mc.epoch() > before);
-        assert_eq!(mc.resident_gen(2), None);
+        assert_eq!(resident_gen(&mc, 2), None);
     }
 
     #[test]

@@ -336,8 +336,10 @@ impl Translator {
     }
 
     /// Feeds one retired instruction; returns the translation progress.
+    /// The automaton steps in place; its state is dropped only when the
+    /// window commits or aborts.
     pub fn observe(&mut self, r: &Retired) -> Progress {
-        let Some(mut active) = self.active.take() else {
+        let Some(active) = self.active.as_mut() else {
             return Progress::Ongoing;
         };
         active.dynamic += 1;
@@ -349,7 +351,7 @@ impl Translator {
             Phase::Loop(_) => self.stats.loop_observed += 1,
         }
         let func_pc = active.func_pc;
-        let outcome = step(&mut active, r, &self.config);
+        let outcome = step(active, r, &self.config);
         self.stats.buffer_high_water = self.stats.buffer_high_water.max(active.buffer.len() as u64);
         match outcome {
             Ok(None) => {
@@ -359,10 +361,10 @@ impl Translator {
                         observed: active.dynamic,
                     });
                 }
-                self.active = Some(active);
                 Progress::Ongoing
             }
             Ok(Some(translation)) => {
+                self.active = None;
                 self.stats.successes += 1;
                 self.stats.uops_emitted += translation.code.len() as u64;
                 if let Some(tracer) = &self.tracer {
@@ -376,8 +378,9 @@ impl Translator {
                 Progress::Finished(translation)
             }
             Err(reason) => {
-                self.stats
-                    .record_abort_with(abort_record(&active, reason.clone()));
+                let record = abort_record(active, reason.clone());
+                self.active = None;
+                self.stats.record_abort_with(record);
                 if let Some(tracer) = &self.tracer {
                     tracer.emit(TraceEvent::TranslationAbort {
                         func_pc,

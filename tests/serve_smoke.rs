@@ -213,6 +213,35 @@ fn hostile_nesting_gets_an_error_reply_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn inline_asm_with_duplicate_definitions_gets_an_error_reply() {
+    let handle = spawn_daemon(1, None);
+    let replies = talk(
+        handle.addr,
+        &[
+            r#"{"op":"run","program":".text\nmain:\nmain:\n    halt\n","id":1}"#,
+            r#"{"op":"run","program":".data\n.i32 A: 1\n.i32 A: 2\n.text\nmain:\n    halt\n","id":2}"#,
+            r#"{"op":"run","program":".text\nmain:\n    halt\n","id":3}"#,
+        ],
+    );
+    // Each used to reach a `ProgramBuilder` assert: a `panic` reply.
+    assert_eq!(error_kind(&replies[0]).as_deref(), Some("bad-request"));
+    assert!(
+        replies[0].contains("label `main` bound twice"),
+        "{}",
+        replies[0]
+    );
+    assert_eq!(error_kind(&replies[1]).as_deref(), Some("bad-request"));
+    assert!(
+        replies[1].contains("symbol `A` defined twice"),
+        "{}",
+        replies[1]
+    );
+    assert_eq!(error_kind(&replies[2]), None, "{}", replies[2]);
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
+#[test]
 fn oversized_line_is_refused_without_disturbing_other_connections() {
     let handle = spawn_daemon(2, None);
     let connect = || {
