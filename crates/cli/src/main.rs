@@ -262,6 +262,22 @@ mod tests {
         );
     }
 
+    /// The paper's full result as a tier-1 gate: `bench --jobs 2` over
+    /// every workload and width, serial-vs-parallel Figure 6 gate
+    /// included, reproduces the committed `BENCH_sim.json` byte for byte.
+    #[test]
+    fn full_bench_reproduces_the_committed_snapshot() {
+        let (workloads, widths) = bench::suite(false);
+        let backend = liquid_simd::BackendKind::default();
+        let run = bench::measure_suite(&workloads, &widths, 2, backend, false, false).unwrap();
+        let committed = include_str!("../../../BENCH_sim.json");
+        assert_eq!(
+            run.doc, committed,
+            "regenerate BENCH_sim.json (`liquid-simd bench --jobs 1 --no-history`) \
+             only for a change meant to move simulated cycles"
+        );
+    }
+
     /// The history record `bench --smoke --backend B [--ledger]` appends.
     /// It comes from the rows [`bench::measure_suite`] records; its Figure 6
     /// gate, which adds nothing to the record, is

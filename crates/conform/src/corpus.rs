@@ -18,15 +18,29 @@
 //! input signed
 //! op ssatadd v0 imm 100
 //! ```
+//!
+//! An illegal case names an untranslatable idiom on the same `idiom`
+//! line a `kernel-v1` family file uses (one parser reads both), plus
+//! its trip; `kernelgen` renders the region:
+//!
+//! ```text
+//! # conform-case-v1
+//! name case7_oversized
+//! kind illegal
+//! trip 16
+//! data-seed 0x1f2e3d4c
+//! idiom oversized 70
+//! ```
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-use liquid_simd_isa::{ElemType, PermKind, RedOp, VAluOp};
-
-use crate::gen::{
-    CaseSpec, IllegalKind, IllegalSpec, InputSpec, LegalSpec, OpSpec, ReduceSpec, Rhs,
+use liquid_simd_isa::{ElemType, PermKind, VAluOp};
+use liquid_simd_kernelgen::format::{
+    elem_name, elem_value, idiom_text, parse_idiom, red_name, red_value,
 };
+
+use crate::gen::{CaseSpec, IllegalSpec, InputSpec, LegalSpec, OpSpec, ReduceSpec, Rhs};
 
 /// Magic first line of every corpus file.
 pub const MAGIC: &str = "# conform-case-v1";
@@ -70,44 +84,7 @@ fn op_name(op: VAluOp) -> &'static str {
 }
 
 fn op_from_name(s: &str) -> Option<VAluOp> {
-    Some(match s {
-        "add" => VAluOp::Add,
-        "sub" => VAluOp::Sub,
-        "mul" => VAluOp::Mul,
-        "div" => VAluOp::Div,
-        "and" => VAluOp::And,
-        "orr" => VAluOp::Orr,
-        "eor" => VAluOp::Eor,
-        "min" => VAluOp::Min,
-        "max" => VAluOp::Max,
-        "satadd" => VAluOp::SatAdd,
-        "satsub" => VAluOp::SatSub,
-        "ssatadd" => VAluOp::SSatAdd,
-        "ssatsub" => VAluOp::SSatSub,
-        "lsl" => VAluOp::Lsl,
-        "lsr" => VAluOp::Lsr,
-        "asr" => VAluOp::Asr,
-        _ => return None,
-    })
-}
-
-fn elem_name(e: ElemType) -> &'static str {
-    match e {
-        ElemType::I8 => "i8",
-        ElemType::I16 => "i16",
-        ElemType::I32 => "i32",
-        ElemType::F32 => "f32",
-    }
-}
-
-fn elem_from_name(s: &str) -> Option<ElemType> {
-    Some(match s {
-        "i8" => ElemType::I8,
-        "i16" => ElemType::I16,
-        "i32" => ElemType::I32,
-        "f32" => ElemType::F32,
-        _ => return None,
-    })
+    VAluOp::ALL.into_iter().find(|&op| op_name(op) == s)
 }
 
 fn perm_text(p: PermKind) -> String {
@@ -133,23 +110,6 @@ fn perm_from_text(s: &str) -> Option<PermKind> {
         }),
         _ => None,
     }
-}
-
-fn red_name(r: RedOp) -> &'static str {
-    match r {
-        RedOp::Sum => "sum",
-        RedOp::Min => "min",
-        RedOp::Max => "max",
-    }
-}
-
-fn red_from_name(s: &str) -> Option<RedOp> {
-    Some(match s {
-        "sum" => RedOp::Sum,
-        "min" => RedOp::Min,
-        "max" => RedOp::Max,
-        _ => return None,
-    })
 }
 
 /// Serialises a case to `conform-case-v1` text.
@@ -210,26 +170,9 @@ pub fn to_text(case: &CaseSpec) -> String {
             }
         }
         CaseSpec::Illegal(i) => {
+            let _ = writeln!(s, "trip {}", i.trip);
             let _ = writeln!(s, "data-seed {:#x}", i.data_seed);
-            let family = match &i.kind {
-                IllegalKind::Strided { stride } => format!("strided {stride}"),
-                IllegalKind::Oversized { adds } => format!("oversized {adds}"),
-                IllegalKind::TripOdd { trip } => format!("trip-odd {trip}"),
-                IllegalKind::WideOffset { offset } => format!("wide-offset {offset}"),
-                k => k.family().to_string(),
-            };
-            let _ = writeln!(s, "family {family}");
-            if let IllegalKind::CamMiss { offsets } = &i.kind {
-                let _ = writeln!(
-                    s,
-                    "offsets {}",
-                    offsets
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                );
-            }
+            let _ = writeln!(s, "idiom {}", idiom_text(i.idiom));
         }
     }
     s
@@ -283,8 +226,7 @@ pub fn parse(what: &str, text: &str) -> Result<CaseSpec, CorpusError> {
     let mut mid_perm = None;
     let mut reduce = None;
     let mut inject_last = false;
-    let mut family: Option<String> = None;
-    let mut offsets: Option<Vec<i32>> = None;
+    let mut idiom = None;
 
     for line in lines {
         if line.is_empty() || line.starts_with('#') {
@@ -297,7 +239,7 @@ pub fn parse(what: &str, text: &str) -> Result<CaseSpec, CorpusError> {
             "trip" => trip = parse_u64(what, rest)? as u32,
             "reps" => reps = parse_u64(what, rest)? as u32,
             "elem" => {
-                elem = elem_from_name(rest).ok_or_else(|| err(format!("bad elem `{rest}`")))?;
+                elem = elem_value(rest).ok_or_else(|| err(format!("bad elem `{rest}`")))?;
             }
             "data-seed" => data_seed = parse_u64(what, rest)?,
             "input" => {
@@ -369,16 +311,12 @@ pub fn parse(what: &str, text: &str) -> Result<CaseSpec, CorpusError> {
                     .split_once(' ')
                     .ok_or_else(|| err(format!("bad reduce line `{line}`")))?;
                 reduce = Some(ReduceSpec {
-                    op: red_from_name(r).ok_or_else(|| err(format!("bad reduction `{r}`")))?,
+                    op: red_value(r).ok_or_else(|| err(format!("bad reduction `{r}`")))?,
                     target: parse_vref(what, t.trim())?,
                 });
             }
             "inject-last" => inject_last = true,
-            "family" => family = Some(rest.to_string()),
-            "offsets" => {
-                let parsed: Result<Vec<i32>, _> = rest.split(',').map(str::parse).collect();
-                offsets = Some(parsed.map_err(|_| err(format!("bad offsets `{rest}`")))?);
-            }
+            "idiom" => idiom = Some(parse_idiom(rest).map_err(err)?),
             _ => return Err(err(format!("unknown key `{key}`"))),
         }
     }
@@ -403,38 +341,15 @@ pub fn parse(what: &str, text: &str) -> Result<CaseSpec, CorpusError> {
             }))
         }
         Some("illegal") => {
-            let family = family.ok_or_else(|| err("illegal case needs `family`".into()))?;
-            let (fam, arg) = family.split_once(' ').unwrap_or((family.as_str(), ""));
-            let kind = match fam {
-                "strided" => IllegalKind::Strided {
-                    stride: parse_u64(what, arg)? as u32,
-                },
-                "runtime-permute" => IllegalKind::RuntimePermute,
-                "scalar-store" => IllegalKind::ScalarStore,
-                "cam-miss" => IllegalKind::CamMiss {
-                    offsets: offsets.ok_or_else(|| err("cam-miss needs `offsets`".into()))?,
-                },
-                "oversized" => IllegalKind::Oversized {
-                    adds: parse_u64(what, arg)? as u32,
-                },
-                "nested-call" => IllegalKind::NestedCall,
-                "no-loop" => IllegalKind::NoLoop,
-                "trip-odd" => IllegalKind::TripOdd {
-                    trip: parse_u64(what, arg)? as u32,
-                },
-                "bound-drift" => IllegalKind::BoundDrift,
-                "wide-offset" => IllegalKind::WideOffset {
-                    offset: arg
-                        .parse()
-                        .map_err(|_| err(format!("bad offset `{arg}`")))?,
-                },
-                "many-live" => IllegalKind::ManyLive,
-                "cond-alu" => IllegalKind::CondAlu,
-                _ => return Err(err(format!("unknown family `{fam}`"))),
-            };
+            let idiom = idiom.ok_or_else(|| err("illegal case needs `idiom`".into()))?;
+            if idiom.is_translatable() {
+                return Err(err(format!("idiom {} is translatable", idiom.keyword())));
+            }
+            idiom.check(trip).map_err(err)?;
             Ok(CaseSpec::Illegal(IllegalSpec {
                 name,
-                kind,
+                idiom,
+                trip,
                 data_seed,
             }))
         }
@@ -530,6 +445,10 @@ mod tests {
         assert!(parse("t", "nonsense").is_err());
         assert!(parse("t", "# conform-case-v1\nname x\nkind legal\n").is_err());
         assert!(parse("t", "# conform-case-v1\nname x\nkind illegal\n").is_err());
+        for idiom in ["map", "strided 9", "trip-skew", "bogus"] {
+            let text = format!("{MAGIC}\nname x\nkind illegal\ntrip 17\nidiom {idiom}\n");
+            assert!(parse("t", &text).is_err(), "{idiom}");
+        }
         assert!(parse(
             "t",
             &format!("{MAGIC}\nname x\nkind legal\ninput signed\nop frob v0 imm 1\n")

@@ -10,6 +10,8 @@
 use liquid_simd::{ArrayBuilder, CompileError, Kernel, KernelBuilder, ReduceInit, Workload};
 use liquid_simd_compiler::NodeId;
 use liquid_simd_isa::{ElemType, PermKind, RedOp, VAluOp, SUPPORTED_WIDTHS};
+use liquid_simd_kernelgen::spec::GATHER_TILE;
+use liquid_simd_kernelgen::Idiom;
 use liquid_simd_workloads::util::XorShift64;
 
 /// One generated conformance case.
@@ -270,278 +272,38 @@ impl LegalSpec {
     }
 }
 
-/// The untranslatable-region families, each modelled on one abort rule of
-/// the paper's translator (§3.3): the translation must abort — with the
-/// family's tag — and the scalar fallback must stay bit-correct.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum IllegalKind {
-    /// Induction step other than 1 (non-affine for the translator).
-    Strided {
-        /// The induction increment (≥ 2).
-        stride: u32,
-    },
-    /// A loaded value used directly as a memory index (the VTBL class).
-    RuntimePermute,
-    /// A scalar (non-induction-indexed) store inside the loop.
-    ScalarStore,
-    /// An offset array that structurally looks like a permutation but
-    /// matches no CAM entry at any supported width.
-    CamMiss {
-        /// 16 per-element offsets; `i + offsets[i]` stays in `0..16`.
-        offsets: Vec<i32>,
-    },
-    /// A straight-line body exceeding the 64-uop microcode entry.
-    Oversized {
-        /// Number of filler `add` instructions (> 64).
-        adds: u32,
-    },
-    /// A nested call inside the outlined region.
-    NestedCall,
-    /// A straight-line region with no loop at all.
-    NoLoop,
-    /// A loop whose trip count is not a multiple of any vector width.
-    TripOdd {
-        /// The (odd) trip count.
-        trip: u32,
-    },
-    /// A two-counter loop: the induction's bound compare names one
-    /// count while a separate scalar counter actually exits the loop,
-    /// so the recorded bound disagrees with the observed trip.
-    BoundDrift,
-    /// A gather whose offsets exceed the hardware value tracker's
-    /// 12-bit signed range, overflowing the offset CAM field.
-    WideOffset {
-        /// The out-of-range offset (|offset| ≥ 2048).
-        offset: i32,
-    },
-    /// More simultaneously-live vector values than the 16 hardware
-    /// vector registers.
-    ManyLive,
-    /// A predicated ALU op inside the loop body — the partial decoder
-    /// only recognises unconditional data processing.
-    CondAlu,
-}
-
-impl IllegalKind {
-    /// The translator abort tag this family must raise.
-    #[must_use]
-    pub fn expected_tag(&self) -> &'static str {
-        match self {
-            IllegalKind::Strided { .. } => "unsupported-shape",
-            IllegalKind::RuntimePermute => "runtime-indexed-permute",
-            IllegalKind::ScalarStore => "scalar-store",
-            IllegalKind::CamMiss { .. } => "cam-miss",
-            IllegalKind::Oversized { .. } => "too-many-uops",
-            IllegalKind::NestedCall => "nested-call",
-            IllegalKind::NoLoop => "no-loop",
-            IllegalKind::TripOdd { .. } => "trip-not-multiple",
-            IllegalKind::BoundDrift => "bound-mismatch",
-            IllegalKind::WideOffset { .. } => "value-too-wide",
-            IllegalKind::ManyLive => "register-pressure",
-            IllegalKind::CondAlu => "unsupported-opcode",
-        }
-    }
-
-    /// The family's corpus keyword.
-    #[must_use]
-    pub fn family(&self) -> &'static str {
-        match self {
-            IllegalKind::Strided { .. } => "strided",
-            IllegalKind::RuntimePermute => "runtime-permute",
-            IllegalKind::ScalarStore => "scalar-store",
-            IllegalKind::CamMiss { .. } => "cam-miss",
-            IllegalKind::Oversized { .. } => "oversized",
-            IllegalKind::NestedCall => "nested-call",
-            IllegalKind::NoLoop => "no-loop",
-            IllegalKind::TripOdd { .. } => "trip-odd",
-            IllegalKind::BoundDrift => "bound-drift",
-            IllegalKind::WideOffset { .. } => "wide-offset",
-            IllegalKind::ManyLive => "many-live",
-            IllegalKind::CondAlu => "cond-alu",
-        }
-    }
-
-    /// Every family, instantiated with canonical parameters — used by
-    /// `coverage_specs` and the family tests.
-    #[must_use]
-    pub fn all_canonical() -> Vec<IllegalKind> {
-        vec![
-            IllegalKind::Strided { stride: 2 },
-            IllegalKind::RuntimePermute,
-            IllegalKind::ScalarStore,
-            IllegalKind::CamMiss {
-                offsets: (0..ILLEGAL_TRIP).map(|i| [0, 2, -1, -1][i % 4]).collect(),
-            },
-            IllegalKind::Oversized { adds: 70 },
-            IllegalKind::NestedCall,
-            IllegalKind::NoLoop,
-            IllegalKind::TripOdd { trip: 17 },
-            IllegalKind::BoundDrift,
-            IllegalKind::WideOffset { offset: 2500 },
-            IllegalKind::ManyLive,
-            IllegalKind::CondAlu,
-        ]
-    }
-}
-
-/// A deliberately untranslatable region, emitted as assembly.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A deliberately untranslatable region: one of `kernelgen`'s
+/// untranslatable idioms at one trip, rendered by
+/// [`emit_region`](liquid_simd_kernelgen::emit_region).
+#[derive(Clone, Debug, PartialEq)]
 pub struct IllegalSpec {
     /// Case name.
     pub name: String,
-    /// Which abort family.
-    pub kind: IllegalKind,
+    /// The untranslatable shape and its parameters.
+    pub idiom: Idiom,
+    /// Loop trip count.
+    pub trip: u32,
     /// Seeds the deterministic data arrays.
     pub data_seed: u64,
 }
 
-/// Trip count of every illegal region (one hardware-maximal vector).
-pub const ILLEGAL_TRIP: usize = 16;
+/// Trip count of every illegal region but `trip-skew`'s (one
+/// hardware-maximal vector).
+pub const ILLEGAL_TRIP: u32 = 16;
 
-fn data_line(name: &str, values: &[i64]) -> String {
-    let body: Vec<String> = values.iter().map(ToString::to_string).collect();
-    format!(".i32 {name}: {}\n", body.join(", "))
-}
-
-impl IllegalSpec {
-    /// Renders the region as assembly source (a `main` that `bl.v`-calls
-    /// the region once, then halts).
-    #[must_use]
-    pub fn to_asm(&self) -> String {
-        let mut rng = XorShift64::new(self.data_seed);
-        let a: Vec<i64> = (0..ILLEGAL_TRIP).map(|_| rng.range_i64(-50, 50)).collect();
-        let zero = vec![0i64; ILLEGAL_TRIP];
-        match &self.kind {
-            IllegalKind::Strided { stride } => format!(
-                ".data\n{}\n.text\nmain:\n    bl.v strided\n    halt\nstrided:\n    mov r0, #0\ntop:\n    ldw r1, [A + r0]\n    add r1, r1, #1\n    stw [A + r0], r1\n    add r0, r0, #{stride}\n    cmp r0, #16\n    blt top\n    ret\n",
-                data_line("A", &a),
-            ),
-            IllegalKind::RuntimePermute => {
-                // A data-dependent gather: indices come from memory, so the
-                // translator cannot prove them affine in the induction.
-                let idx: Vec<i64> = (0..ILLEGAL_TRIP as i64)
-                    .map(|i| (i ^ rng.range_i64(1, 4)) & 15)
-                    .collect();
-                format!(
-                    ".data\n{}{}{}\n.text\nmain:\n    bl.v gather\n    halt\ngather:\n    mov r0, #0\ntop:\n    ldw r1, [idx + r0]\n    ldw r2, [A + r1]\n    stw [B + r0], r2\n    add r0, r0, #1\n    cmp r0, #16\n    blt top\n    ret\n",
-                    data_line("idx", &idx),
-                    data_line("A", &a),
-                    data_line("B", &zero),
-                )
-            }
-            IllegalKind::ScalarStore => format!(
-                ".data\n{}\n.text\nmain:\n    bl.v splat\n    halt\nsplat:\n    mov r1, #{}\n    mov r0, #0\ntop:\n    stw [A + r0], r1\n    add r0, r0, #1\n    cmp r0, #16\n    blt top\n    ret\n",
-                data_line("A", &zero),
-                rng.range_i64(1, 100),
-            ),
-            IllegalKind::CamMiss { offsets } => {
-                let offs: Vec<i64> = offsets.iter().map(|&o| i64::from(o)).collect();
-                format!(
-                    ".data\n{}{}{}\n.text\nmain:\n    bl.v weird\n    halt\nweird:\n    mov r0, #0\ntop:\n    ldw r1, [off + r0]\n    add r1, r0, r1\n    ldw r2, [A + r1]\n    stw [B + r0], r2\n    add r0, r0, #1\n    cmp r0, #16\n    blt top\n    ret\n",
-                    data_line("off", &offs),
-                    data_line("A", &a),
-                    data_line("B", &zero),
-                )
-            }
-            IllegalKind::Oversized { adds } => {
-                let mut body = String::new();
-                for _ in 0..*adds {
-                    body.push_str("    add r1, r1, #1\n");
-                }
-                format!(
-                    ".data\n{}\n.text\nmain:\n    bl.v huge\n    halt\nhuge:\n    mov r0, #0\ntop:\n    ldw r1, [A + r0]\n{body}    stw [A + r0], r1\n    add r0, r0, #1\n    cmp r0, #16\n    blt top\n    ret\n",
-                    data_line("A", &a),
-                )
-            }
-            IllegalKind::NestedCall => format!(
-                ".data\n{}\n.text\nmain:\n    bl.v outer\n    halt\nouter:\n    mov r13, r14\n    mov r0, #0\ntop:\n    bl helper\n    stw [A + r0], r1\n    add r0, r0, #1\n    cmp r0, #16\n    blt top\n    mov r14, r13\n    ret\nhelper:\n    ldw r1, [A + r0]\n    add r1, r1, #1\n    ret\n",
-                data_line("A", &a),
-            ),
-            IllegalKind::NoLoop => format!(
-                ".data\n{}\n.text\nmain:\n    bl.v straight\n    halt\nstraight:\n    mov r1, #5\n    add r1, r1, #7\n    ret\n",
-                data_line("A", &a),
-            ),
-            IllegalKind::TripOdd { trip } => {
-                let n = *trip as usize;
-                let odd: Vec<i64> = (0..n).map(|_| rng.range_i64(-50, 50)).collect();
-                format!(
-                    ".data\n{}\n.text\nmain:\n    bl.v oddloop\n    halt\noddloop:\n    mov r0, #0\ntop:\n    ldw r1, [A + r0]\n    add r1, r1, #1\n    stw [A + r0], r1\n    add r0, r0, #1\n    cmp r0, #{trip}\n    blt top\n    ret\n",
-                    data_line("A", &odd),
-                )
-            }
-            IllegalKind::BoundDrift => format!(
-                // The induction compare claims 64 iterations; the r2
-                // counter exits after 16. The bound the translator
-                // records (64) disagrees with the trip it observes (16).
-                ".data\n{}{}\n.text\nmain:\n    bl.v drift\n    halt\ndrift:\n    mov r2, #0\n    mov r0, #0\ntop:\n    ldw r1, [A + r0]\n    add r1, r1, #1\n    stw [B + r0], r1\n    add r0, r0, #1\n    cmp r0, #64\n    add r2, r2, #1\n    cmp r2, #16\n    blt top\n    ret\n",
-                data_line("A", &a),
-                data_line("B", &zero),
-            ),
-            IllegalKind::WideOffset { offset } => {
-                // One offset beyond the 12-bit tracker range; the gather
-                // target is sized so the scalar reference stays in bounds.
-                let off: Vec<i64> = (0..ILLEGAL_TRIP)
-                    .map(|i| if i == 1 { i64::from(*offset) } else { 0 })
-                    .collect();
-                let alen = ILLEGAL_TRIP + offset.unsigned_abs() as usize + 4;
-                let big: Vec<i64> = (0..alen).map(|_| rng.range_i64(-50, 50)).collect();
-                format!(
-                    ".data\n{}{}{}\n.text\nmain:\n    bl.v wide\n    halt\nwide:\n    mov r0, #0\ntop:\n    ldw r1, [off + r0]\n    add r1, r0, r1\n    ldw r2, [A + r1]\n    stw [B + r0], r2\n    add r0, r0, #1\n    cmp r0, #16\n    blt top\n    ret\n",
-                    data_line("off", &off),
-                    data_line("A", &big),
-                    data_line("B", &zero),
-                )
-            }
-            IllegalKind::ManyLive => {
-                // 13 int + 4 fp loads = 17 live vector values, one more
-                // than the hardware register file (r14/r15 stay clear
-                // for the link register).
-                let mut data = String::new();
-                for i in 0..13 {
-                    let v: Vec<i64> = (0..ILLEGAL_TRIP).map(|_| rng.range_i64(-50, 50)).collect();
-                    data.push_str(&data_line(&format!("A{i}"), &v));
-                }
-                for i in 0..4 {
-                    let v: Vec<String> = (0..ILLEGAL_TRIP)
-                        .map(|_| format!("{:?}", (rng.range_i64(-400, 400) as f32) / 100.0))
-                        .collect();
-                    data.push_str(&format!(".f32 F{i}: {}\n", v.join(", ")));
-                }
-                data.push_str(&data_line("B", &zero));
-                let mut body = String::new();
-                for i in 0..13 {
-                    body.push_str(&format!("    ldw r{}, [A{i} + r0]\n", i + 1));
-                }
-                for i in 0..4 {
-                    body.push_str(&format!("    ldf f{i}, [F{i} + r0]\n"));
-                }
-                format!(
-                    ".data\n{data}\n.text\nmain:\n    bl.v pressure\n    halt\npressure:\n    mov r0, #0\ntop:\n{body}    stw [B + r0], r1\n    add r0, r0, #1\n    cmp r0, #16\n    blt top\n    ret\n",
-                )
-            }
-            IllegalKind::CondAlu => format!(
-                // `addge` is a no-op either way (adds zero), but the
-                // partial decoder only accepts unconditional data
-                // processing inside the body.
-                ".data\n{}{}\n.text\nmain:\n    bl.v predicated\n    halt\npredicated:\n    mov r0, #0\ntop:\n    ldw r1, [A + r0]\n    add r1, r1, #3\n    addge r1, r1, #0\n    stw [B + r0], r1\n    add r0, r0, #1\n    cmp r0, #16\n    blt top\n    ret\n",
-                data_line("A", &a),
-                data_line("B", &zero),
-            ),
-        }
-    }
-}
-
-/// One deterministic spec per illegal family, appended to every
+/// One deterministic spec per untranslatable idiom, appended to every
 /// conform run so the `abort_coverage` section always has a witness
-/// for each family regardless of what the random mix drew.
+/// for each abort shape regardless of what the random mix drew.
 #[must_use]
 pub fn coverage_specs() -> Vec<IllegalSpec> {
-    IllegalKind::all_canonical()
+    Idiom::ALL
         .into_iter()
+        .filter(|idiom| !idiom.is_translatable())
         .enumerate()
-        .map(|(i, kind)| IllegalSpec {
-            name: format!("cov_{}", kind.family()),
-            kind,
+        .map(|(i, idiom)| IllegalSpec {
+            name: format!("cov_{}", idiom.keyword()),
+            idiom,
+            trip: ILLEGAL_TRIP,
             data_seed: 0xC0DE_0000 + i as u64,
         })
         .collect()
@@ -566,15 +328,13 @@ fn random_perm(rng: &mut XorShift64) -> PermKind {
 
 /// Offsets that structurally resemble a permutation but miss the CAM at
 /// every supported width. `i + offsets[i]` always stays inside `0..16`.
-fn cam_missing_offsets(rng: &mut XorShift64) -> Vec<i32> {
+fn cam_missing_offsets(rng: &mut XorShift64) -> [i32; 16] {
     for _ in 0..64 {
-        let offsets: Vec<i32> = (0..ILLEGAL_TRIP)
-            .map(|i| {
-                let lo = -(i.min(3) as i32);
-                let hi = (ILLEGAL_TRIP - 1 - i).min(3) as i32;
-                rng.range_i64(i64::from(lo), i64::from(hi) + 1) as i32
-            })
-            .collect();
+        let offsets: [i32; 16] = std::array::from_fn(|i| {
+            let lo = -(i.min(3) as i32);
+            let hi = (15 - i).min(3) as i32;
+            rng.range_i64(i64::from(lo), i64::from(hi) + 1) as i32
+        });
         let misses_everywhere = SUPPORTED_WIDTHS
             .iter()
             .all(|&w| PermKind::match_offsets(&offsets, w).is_none());
@@ -582,8 +342,8 @@ fn cam_missing_offsets(rng: &mut XorShift64) -> Vec<i32> {
             return offsets;
         }
     }
-    // Deterministic fallback: the known-miss pattern from the abort tests.
-    (0..ILLEGAL_TRIP).map(|i| [0, 2, -1, -1][i % 4]).collect()
+    // Deterministic fallback: the corpus's known-miss tile.
+    GATHER_TILE
 }
 
 /// Generates case `index` of a conform run seeded with `seed`. Roughly one
@@ -596,33 +356,35 @@ pub fn generate_case(seed: u64, index: u64) -> CaseSpec {
     let data_seed = rng.next_u64();
 
     if rng.range_usize(0, 4) == 0 {
-        let kind = match rng.range_usize(0, 12) {
-            0 => IllegalKind::Strided {
+        let shapes: Vec<Idiom> = Idiom::ALL
+            .into_iter()
+            .filter(|idiom| !idiom.is_translatable())
+            .collect();
+        let mut trip = ILLEGAL_TRIP;
+        let idiom = match shapes[rng.range_usize(0, shapes.len())] {
+            Idiom::Strided { .. } => Idiom::Strided {
                 stride: rng.range_i64(2, 5) as u32,
             },
-            1 => IllegalKind::RuntimePermute,
-            2 => IllegalKind::ScalarStore,
-            3 => IllegalKind::CamMiss {
+            Idiom::Gather { .. } => Idiom::Gather {
                 offsets: cam_missing_offsets(&mut rng),
             },
-            4 => IllegalKind::Oversized {
+            Idiom::Oversized { .. } => Idiom::Oversized {
                 adds: rng.range_i64(66, 96) as u32,
             },
-            5 => IllegalKind::NestedCall,
-            6 => IllegalKind::NoLoop,
-            7 => IllegalKind::TripOdd {
-                trip: 2 * rng.range_i64(8, 16) as u32 + 1,
+            Idiom::WideOffset { .. } => Idiom::WideOffset {
+                offset: rng.range_i64(2100, 3000) as u32,
             },
-            8 => IllegalKind::BoundDrift,
-            9 => IllegalKind::WideOffset {
-                offset: rng.range_i64(2100, 3000) as i32,
-            },
-            10 => IllegalKind::ManyLive,
-            _ => IllegalKind::CondAlu,
+            Idiom::TripSkew => {
+                // The loop runs trip + 1 times: an odd count in 17..=31.
+                trip = 2 * rng.range_i64(8, 16) as u32;
+                Idiom::TripSkew
+            }
+            other => other,
         };
         return CaseSpec::Illegal(IllegalSpec {
-            name: format!("case{index}_{}", kind.family()),
-            kind,
+            name: format!("case{index}_{}", idiom.keyword()),
+            idiom,
+            trip,
             data_seed,
         });
     }
@@ -746,7 +508,6 @@ mod tests {
         let mut rng = XorShift64::new(7);
         for _ in 0..16 {
             let offs = cam_missing_offsets(&mut rng);
-            assert_eq!(offs.len(), ILLEGAL_TRIP);
             for (i, &o) in offs.iter().enumerate() {
                 let dst = i as i32 + o;
                 assert!((0..16).contains(&dst), "offset escapes the array");
@@ -754,6 +515,24 @@ mod tests {
             for w in SUPPORTED_WIDTHS {
                 assert!(PermKind::match_offsets(&offs, w).is_none());
             }
+        }
+    }
+
+    #[test]
+    fn illegal_draws_cover_every_shape_and_vary_its_parameters() {
+        let mut seen: std::collections::BTreeMap<&str, std::collections::BTreeSet<String>> =
+            std::collections::BTreeMap::new();
+        for i in 0..2000 {
+            if let CaseSpec::Illegal(s) = generate_case(0xC0FFEE, i) {
+                let params = format!("{:?} trip {}", s.idiom, s.trip);
+                seen.entry(s.idiom.keyword()).or_default().insert(params);
+            }
+        }
+        let shapes = Idiom::ALL.iter().filter(|i| !i.is_translatable()).count();
+        assert_eq!(seen.len(), shapes, "drawn shapes: {:?}", seen.keys());
+        assert!(seen.contains_key("index-gather"));
+        for randomized in ["strided", "gather", "oversized", "trip-skew", "wide-offset"] {
+            assert!(seen[randomized].len() > 1, "{randomized} never varies");
         }
     }
 

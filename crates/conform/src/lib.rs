@@ -8,9 +8,9 @@
 //! 1. **Generate** ([`gen`]): a seeded stream of random-but-valid
 //!    vectorizable kernels (saturating idioms, reductions, butterfly
 //!    permutations, constant patterns, fission-forcing shapes) plus a
-//!    deliberate population of *illegal* regions (non-affine strides,
-//!    runtime-indexed permutes, scalar stores, CAM-missing offset maps,
-//!    oversized bodies, nested calls).
+//!    deliberate population of *illegal* regions: `kernelgen`'s
+//!    untranslatable idioms (one per translator abort rule) with their
+//!    parameters drawn at random.
 //! 2. **Check** ([`oracle`]): each case runs through every pipeline — gold
 //!    evaluator, plain scalar, Liquid untranslated, Liquid translated at
 //!    every supported width, native SIMD — and final memory plus live-out
@@ -158,7 +158,8 @@ pub struct ConformReport {
     /// Seed the run used.
     pub seed: u64,
     /// Per-case verdicts, in case-index order: the seeded random cases
-    /// first, then one deterministic `cov_*` witness per illegal family.
+    /// first, then one deterministic `cov_*` witness per untranslatable
+    /// idiom.
     pub cases: Vec<CaseOutcome>,
     /// Minimised failures (empty on a clean run).
     pub failures: Vec<Failure>,
@@ -189,8 +190,8 @@ impl ConformReport {
 #[must_use]
 pub fn run_conform(opts: &ConformOptions) -> ConformReport {
     // The seeded random stream, then one deterministic witness per
-    // illegal family so the coverage section never depends on what the
-    // random mix happened to draw.
+    // untranslatable idiom so the coverage section never depends on what
+    // the random mix happened to draw.
     let mut specs: Vec<CaseSpec> = (0..opts.cases)
         .map(|i| gen::generate_case(opts.seed, i))
         .collect();
@@ -379,8 +380,8 @@ mod tests {
             "coverage: {:?}",
             report.coverage.by_family
         );
-        // 12 illegal families + the sweep credit, at minimum (legal
-        // cases may add a "legal" family when any width aborts).
+        // 13 untranslatable idioms + the sweep credit, at minimum
+        // (legal cases may add a "legal" family when any width aborts).
         assert!(report.coverage.by_family.len() >= 13);
         let exempt: Vec<&str> = report
             .coverage

@@ -15,7 +15,7 @@
 //!
 //! For an **illegal** case the oracle asserts the translator *never*
 //! commits microcode (zero successes at every width), aborts at least
-//! once with the family's tag, and that execution stays bit-identical to
+//! once with its idiom's tag, and that execution stays bit-identical to
 //! a translator-less scalar machine — abort, never mistranslate.
 
 use liquid_simd::{
@@ -23,6 +23,7 @@ use liquid_simd::{
     MachineConfig, RunReport, SimError, F32_RTOL,
 };
 use liquid_simd_isa::{asm, ElemType, Program, SUPPORTED_WIDTHS};
+use liquid_simd_kernelgen::emit_region;
 use liquid_simd_mem::Memory;
 
 use crate::gen::{CaseSpec, IllegalSpec, LegalSpec};
@@ -59,9 +60,9 @@ pub struct CaseOutcome {
     pub name: String,
     /// `"legal"` or `"illegal"`.
     pub kind: &'static str,
-    /// Case family: `"legal"` for random legal cases, the illegal
-    /// family keyword (`strided`, `cam-miss`, …) for illegal cases,
-    /// or the kernelgen family name for generated variants.
+    /// Case family: `"legal"` for random legal cases, the idiom
+    /// keyword (`strided`, `gather`, …) for illegal cases, or the
+    /// kernelgen family name for generated variants.
     pub family: String,
     /// Whether every check passed.
     pub passed: bool,
@@ -435,14 +436,20 @@ fn check_inject_last(program: &Program, gold_env: &liquid_simd::DataEnv) -> Opti
     None
 }
 
-/// Checks one illegal case: must abort with the family's tag at some
+/// Checks one illegal case: must abort with its idiom's tag at some
 /// width, commit nothing anywhere, and stay bit-identical to the
 /// translator-less machine.
 #[must_use]
 pub fn check_illegal(spec: &IllegalSpec) -> CaseOutcome {
-    let src = spec.to_asm();
-    let mut outcome = check_untranslatable(&spec.name, &src, spec.kind.expected_tag());
-    outcome.family = spec.kind.family().to_string();
+    let mut outcome = match emit_region(spec.idiom, spec.trip, spec.data_seed) {
+        Ok((src, tag)) => check_untranslatable(&spec.name, &src, tag),
+        Err(e) => fail(
+            &spec.name,
+            "illegal",
+            format!("illegal case does not emit: {e}"),
+        ),
+    };
+    outcome.family = spec.idiom.keyword().to_string();
     outcome
 }
 
@@ -556,7 +563,7 @@ pub fn check_case(spec: &CaseSpec) -> CaseOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{generate_case, IllegalKind};
+    use crate::gen::{coverage_specs, generate_case};
 
     #[test]
     fn reference_runs_use_the_interpreter() {
@@ -580,23 +587,21 @@ mod tests {
 
     #[test]
     fn every_illegal_family_aborts_and_matches_scalar() {
-        for kind in IllegalKind::all_canonical() {
+        for canonical in coverage_specs() {
             let spec = IllegalSpec {
-                name: format!("unit_{}", kind.family()),
-                kind,
+                name: format!("unit_{}", canonical.idiom.keyword()),
                 data_seed: 42,
+                ..canonical
             };
+            let tag = spec.idiom.expected_abort().unwrap();
             let outcome = check_illegal(&spec);
             assert!(outcome.passed, "{}: {}", outcome.name, outcome.detail);
             assert!(
-                outcome
-                    .abort_tags
-                    .iter()
-                    .any(|t| t == spec.kind.expected_tag()),
+                outcome.abort_tags.iter().any(|t| t == tag),
                 "{}: tags {:?} missing {}",
                 outcome.name,
                 outcome.abort_tags,
-                spec.kind.expected_tag()
+                tag
             );
         }
     }

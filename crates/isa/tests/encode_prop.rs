@@ -1,10 +1,10 @@
 //! Property-based round-trip testing of the binary encoding and the
 //! assembler over the full instruction space.
 //!
-//! Random instructions come from a small inline xorshift generator (the
-//! ISA crate is dependency-free, so no external PRNG). Each case is
-//! reproducible from its printed seed; build with `--features fuzz` for a
-//! deeper sweep.
+//! Random instructions come from the workspace's xorshift generator,
+//! `workloads::util::XorShift64` (a dev-dependency; the ISA crate itself
+//! stays dependency-free). Each case is reproducible from its printed
+//! seed; build with `--features fuzz` for a deeper sweep.
 
 use liquid_simd_isa::{
     asm,
@@ -15,103 +15,66 @@ use liquid_simd_isa::{
     AluOp, Base, Cond, ElemType, FReg, FpOp, Inst, MemWidth, Operand2, PermKind, ProgramBuilder,
     RedOp, Reg, ScalarInst, ScalarSrc, SymId, VAluOp, VReg, VectorInst,
 };
+use liquid_simd_workloads::util::XorShift64;
 
 const CASES: u64 = if cfg!(feature = "fuzz") { 16_384 } else { 2048 };
 
-/// Inline xorshift64* — enough randomness for instruction fuzzing.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(if seed == 0 {
-            0x9E37_79B9_7F4A_7C15
-        } else {
-            seed
-        })
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: i64, hi: i64) -> i64 {
-        assert!(lo < hi);
-        lo.wrapping_add((self.next() % hi.wrapping_sub(lo) as u64) as i64)
-    }
-
-    fn index(&mut self, len: usize) -> usize {
-        (self.next() % len as u64) as usize
-    }
-
-    fn bool(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
-
-    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-        items[self.index(items.len())]
-    }
+fn reg(rng: &mut XorShift64) -> Reg {
+    Reg::of(rng.range_i64(0, 16) as u8)
 }
 
-fn reg(rng: &mut Rng) -> Reg {
-    Reg::of(rng.range(0, 16) as u8)
+fn freg(rng: &mut XorShift64) -> FReg {
+    FReg::of(rng.range_i64(0, 16) as u8)
 }
 
-fn freg(rng: &mut Rng) -> FReg {
-    FReg::of(rng.range(0, 16) as u8)
+fn vreg(rng: &mut XorShift64) -> VReg {
+    VReg::of(rng.range_i64(0, 16) as u8)
 }
 
-fn vreg(rng: &mut Rng) -> VReg {
-    VReg::of(rng.range(0, 16) as u8)
-}
-
-fn cond(rng: &mut Rng) -> Cond {
+fn cond(rng: &mut XorShift64) -> Cond {
     rng.pick(&Cond::ALL)
 }
 
-fn elem(rng: &mut Rng) -> ElemType {
+fn elem(rng: &mut XorShift64) -> ElemType {
     rng.pick(&ElemType::ALL)
 }
 
-fn base(rng: &mut Rng) -> Base {
-    if rng.bool() {
+fn base(rng: &mut XorShift64) -> Base {
+    if rng.coin() {
         Base::Reg(reg(rng))
     } else {
-        Base::Sym(SymId::new(rng.range(0, i64::from(SymId::MAX) + 1) as u16))
+        Base::Sym(SymId::new(
+            rng.range_i64(0, i64::from(SymId::MAX) + 1) as u16
+        ))
     }
 }
 
-fn operand2(rng: &mut Rng) -> Operand2 {
-    if rng.bool() {
+fn operand2(rng: &mut XorShift64) -> Operand2 {
+    if rng.coin() {
         Operand2::Reg(reg(rng))
     } else {
-        Operand2::Imm(rng.range(i64::from(ALU_IMM_MIN), i64::from(ALU_IMM_MAX) + 1) as i32)
+        Operand2::Imm(rng.range_i64(i64::from(ALU_IMM_MIN), i64::from(ALU_IMM_MAX) + 1) as i32)
     }
 }
 
-fn perm_kind(rng: &mut Rng) -> PermKind {
+fn perm_kind(rng: &mut XorShift64) -> PermKind {
     let block = rng.pick(&[2u8, 4, 8, 16]);
-    match rng.index(3) {
+    match rng.range_usize(0, 3) {
         0 => PermKind::Bfly { block },
         1 => PermKind::Rev { block },
         _ => PermKind::Rot {
             block,
-            amt: rng.range(1, i64::from(block)) as u8,
+            amt: rng.range_i64(1, i64::from(block)) as u8,
         },
     }
 }
 
-fn scalar_inst(rng: &mut Rng) -> ScalarInst {
-    match rng.index(13) {
+fn scalar_inst(rng: &mut XorShift64) -> ScalarInst {
+    match rng.range_usize(0, 13) {
         0 => ScalarInst::MovImm {
             cond: cond(rng),
             rd: reg(rng),
-            imm: rng.range(i64::from(MOV_IMM_MIN), i64::from(MOV_IMM_MAX) + 1) as i32,
+            imm: rng.range_i64(i64::from(MOV_IMM_MIN), i64::from(MOV_IMM_MAX) + 1) as i32,
         },
         1 => ScalarInst::Mov {
             cond: cond(rng),
@@ -142,7 +105,7 @@ fn scalar_inst(rng: &mut Rng) -> ScalarInst {
         },
         6 => ScalarInst::LdInt {
             width: rng.pick(&MemWidth::ALL),
-            signed: rng.bool(),
+            signed: rng.coin(),
             rd: reg(rng),
             base: base(rng),
             index: reg(rng),
@@ -169,7 +132,7 @@ fn scalar_inst(rng: &mut Rng) -> ScalarInst {
     }
 }
 
-fn valu_with_elem(rng: &mut Rng) -> (VAluOp, ElemType) {
+fn valu_with_elem(rng: &mut XorShift64) -> (VAluOp, ElemType) {
     loop {
         let op = rng.pick(&VAluOp::ALL);
         let e = elem(rng);
@@ -179,11 +142,11 @@ fn valu_with_elem(rng: &mut Rng) -> (VAluOp, ElemType) {
     }
 }
 
-fn vector_inst(rng: &mut Rng) -> VectorInst {
-    match rng.index(10) {
+fn vector_inst(rng: &mut XorShift64) -> VectorInst {
+    match rng.range_usize(0, 10) {
         0 => VectorInst::VLd {
             elem: elem(rng),
-            signed: rng.bool(),
+            signed: rng.coin(),
             vd: vreg(rng),
             base: base(rng),
             index: reg(rng),
@@ -211,7 +174,7 @@ fn vector_inst(rng: &mut Rng) -> VectorInst {
                 elem,
                 vd: vreg(rng),
                 vn: vreg(rng),
-                imm: rng.range(i64::from(VALU_IMM_MIN), i64::from(VALU_IMM_MAX) + 1) as i32,
+                imm: rng.range_i64(i64::from(VALU_IMM_MIN), i64::from(VALU_IMM_MAX) + 1) as i32,
             }
         }
         4 => {
@@ -221,7 +184,7 @@ fn vector_inst(rng: &mut Rng) -> VectorInst {
                 elem,
                 vd: vreg(rng),
                 vn: vreg(rng),
-                cnst: SymId::new(rng.range(0, 512) as u16),
+                cnst: SymId::new(rng.range_i64(0, 512) as u16),
             }
         }
         5 => {
@@ -231,7 +194,7 @@ fn vector_inst(rng: &mut Rng) -> VectorInst {
                 elem,
                 vd: vreg(rng),
                 vn: vreg(rng),
-                src: if rng.bool() {
+                src: if rng.coin() {
                     ScalarSrc::R(reg(rng))
                 } else {
                     ScalarSrc::F(freg(rng))
@@ -258,17 +221,17 @@ fn vector_inst(rng: &mut Rng) -> VectorInst {
         _ => VectorInst::VSplat {
             elem: elem(rng),
             vd: vreg(rng),
-            imm: rng.range(-(1 << 16), 1 << 16) as i32,
+            imm: rng.range_i64(-(1 << 16), 1 << 16) as i32,
         },
     }
 }
 
 #[test]
 fn scalar_encoding_roundtrips() {
-    let mut rng = Rng::new(0x5CA1);
+    let mut rng = XorShift64::new(0x5CA1);
     for case in 0..CASES {
         let i = Inst::S(scalar_inst(&mut rng));
-        let pc = rng.range(0, 100_000) as u32;
+        let pc = rng.range_i64(0, 100_000) as u32;
         let word = encode(&i, pc).expect("encodes");
         let back = decode(word, pc).expect("decodes");
         assert_eq!(back, i, "case {case} at pc {pc}");
@@ -277,10 +240,10 @@ fn scalar_encoding_roundtrips() {
 
 #[test]
 fn vector_encoding_roundtrips() {
-    let mut rng = Rng::new(0x7EC7);
+    let mut rng = XorShift64::new(0x7EC7);
     for case in 0..CASES {
         let i = Inst::V(vector_inst(&mut rng));
-        let pc = rng.range(0, 100_000) as u32;
+        let pc = rng.range_i64(0, 100_000) as u32;
         let word = encode(&i, pc).expect("encodes");
         let back = decode(word, pc).expect("decodes");
         assert_eq!(back, i, "case {case} at pc {pc}");
@@ -289,11 +252,11 @@ fn vector_encoding_roundtrips() {
 
 #[test]
 fn branches_roundtrip_with_relative_offsets() {
-    let mut rng = Rng::new(0xB4A9);
+    let mut rng = XorShift64::new(0xB4A9);
     let mut cases = 0;
     while cases < CASES {
-        let pc = rng.range(0, 1_000_000) as u32;
-        let delta = rng.range(-100_000, 100_000);
+        let pc = rng.range_i64(0, 1_000_000) as u32;
+        let delta = rng.range_i64(-100_000, 100_000);
         let target = i64::from(pc) + delta;
         if target < 0 {
             continue;
@@ -316,10 +279,10 @@ fn branches_roundtrip_with_relative_offsets() {
 
 #[test]
 fn decode_never_panics_on_garbage() {
-    let mut rng = Rng::new(0xDEAD);
+    let mut rng = XorShift64::new(0xDEAD);
     for _ in 0..CASES * 4 {
-        let word = rng.next() as u32;
-        let pc = rng.range(0, 1_000_000) as u32;
+        let word = rng.next_u64() as u32;
+        let pc = rng.range_i64(0, 1_000_000) as u32;
         let _ = decode(word, pc); // must return Ok or Err, never panic
     }
 }
@@ -328,12 +291,12 @@ fn decode_never_panics_on_garbage() {
 /// disassemble → assemble intact.
 #[test]
 fn assembler_roundtrips_programs() {
-    let mut rng = Rng::new(0xA53B);
+    let mut rng = XorShift64::new(0xA53B);
     for case in 0..CASES / 8 {
-        let len = rng.range(1, 40) as usize;
+        let len = rng.range_i64(1, 40) as usize;
         let insts: Vec<Inst> = (0..len)
             .map(|_| {
-                if rng.bool() {
+                if rng.coin() {
                     Inst::S(scalar_inst(&mut rng))
                 } else {
                     Inst::V(vector_inst(&mut rng))

@@ -226,301 +226,229 @@ fn data_line(name: &str, values: &[i64]) -> String {
     format!(".i32 {name}: {}", vals.join(", "))
 }
 
-/// The offset tile used by the `gather` idiom: tiled to any multiple
-/// of 4 it matches no hardware permute pattern at any supported width,
-/// so the translator's CAM lookup must miss.
-pub const GATHER_TILE: [i32; 4] = [0, 2, -1, -1];
+/// A random input `A` of `a_len` words and a zeroed output `B` of
+/// `b_len` words.
+fn a_to_b(rng: &mut XorShift64, a_len: usize, b_len: usize) -> Vec<String> {
+    vec![
+        data_line("A", &ivalues(rng, ElemType::I32, a_len)),
+        data_line("B", &vec![0; b_len]),
+    ]
+}
 
-fn gather_offsets(trip: u32) -> Vec<i64> {
-    (0..trip as usize)
-        .map(|i| i64::from(GATHER_TILE[i % 4]))
+/// One indented line per instruction.
+fn code<S: AsRef<str>>(instrs: &[S]) -> String {
+    instrs
+        .iter()
+        .map(|i| format!("    {}\n", i.as_ref()))
         .collect()
 }
 
-fn emit_asm(spec: &FamilySpec, trip: u32, rng: &mut XorShift64) -> (String, &'static str) {
-    let tag = spec
-        .idiom
-        .expected_abort()
-        .expect("emit_asm is only called for untranslatable idioms");
+/// The loop most regions share: `r0` counts from 0 by `step` while it
+/// is below `bound`, and `setup` runs once before the loop.
+fn counted_loop(setup: &str, body: &str, step: usize, bound: usize) -> String {
+    format!(
+        "    mov r0, #0\n{setup}top:\n{body}    add r0, r0, #{step}\n    cmp r0, #{bound}\n    \
+         blt top\n    ret\n"
+    )
+}
+
+/// The gather body shared by `gather` and `wide-offset`:
+/// `B[i] = A[i + off[i]]`.
+const GATHER_BODY: [&str; 4] = [
+    "ldw r1, [off + r0]",
+    "add r1, r0, r1",
+    "ldw r2, [A + r1]",
+    "stw [B + r0], r2",
+];
+
+fn emit_asm(idiom: Idiom, trip: u32, rng: &mut XorShift64) -> String {
     let t = trip as usize;
-    let (data, body) = match spec.idiom {
+    let (data, body) = match idiom {
         Idiom::Strided { stride } => {
             let n = t * stride as usize;
-            let data = format!(
-                "{}\n{}",
-                data_line("A", &ivalues(rng, ElemType::I32, n)),
-                data_line("B", &vec![0; n]),
-            );
-            let body = format!(
-                "    mov r0, #0\n\
-                 top:\n\
-                 \x20   ldw r1, [A + r0]\n\
-                 \x20   add r1, r1, #3\n\
-                 \x20   stw [B + r0], r1\n\
-                 \x20   add r0, r0, #{stride}\n\
-                 \x20   cmp r0, #{bound}\n\
-                 \x20   blt top\n\
-                 \x20   ret\n",
-                bound = n
-            );
-            (data, body)
+            let body = code(&["ldw r1, [A + r0]", "add r1, r1, #3", "stw [B + r0], r1"]);
+            (
+                a_to_b(rng, n, n),
+                counted_loop("", &body, stride as usize, n),
+            )
         }
         Idiom::Histogram => {
             // Bucket index is idx[i]+1 (the +1 launders the load's
             // value tracker, forcing the runtime-indexed classification
             // rather than a CAM lookup).
             let idx: Vec<i64> = (0..t).map(|_| rng.range_i64(-1, 14)).collect();
-            let data = format!("{}\n{}", data_line("idx", &idx), data_line("H", &[0; 16]),);
-            let body = format!(
-                "    mov r0, #0\n\
-                 top:\n\
-                 \x20   ldw r1, [idx + r0]\n\
-                 \x20   add r1, r1, #1\n\
-                 \x20   ldw r2, [H + r1]\n\
-                 \x20   add r2, r2, #1\n\
-                 \x20   stw [H + r1], r2\n\
-                 \x20   add r0, r0, #1\n\
-                 \x20   cmp r0, #{trip}\n\
-                 \x20   blt top\n\
-                 \x20   ret\n"
-            );
-            (data, body)
+            let body = code(&[
+                "ldw r1, [idx + r0]",
+                "add r1, r1, #1",
+                "ldw r2, [H + r1]",
+                "add r2, r2, #1",
+                "stw [H + r1], r2",
+            ]);
+            let data = vec![data_line("idx", &idx), data_line("H", &[0; 16])];
+            (data, counted_loop("", &body, 1, t))
+        }
+        Idiom::IndexGather => {
+            // The index is the loaded value itself: a permutation of
+            // each 16-element block, so the scalar run stays in bounds.
+            let idx: Vec<i64> = (0..t as i64)
+                .map(|i| (i & !15) | ((i ^ rng.range_i64(1, 3)) & 15))
+                .collect();
+            let body = code(&["ldw r1, [idx + r0]", "ldw r2, [A + r1]", "stw [B + r0], r2"]);
+            let mut data = vec![data_line("idx", &idx)];
+            data.extend(a_to_b(rng, t, t));
+            (data, counted_loop("", &body, 1, t))
         }
         Idiom::Scatter => {
             let splat = rng.range_i64(1, 100);
-            let data = format!(
-                "{}\n{}",
-                data_line("A", &ivalues(rng, ElemType::I32, t)),
-                data_line("B", &vec![0; t]),
-            );
-            let body = format!(
-                "    mov r0, #0\n\
-                 \x20   mov r2, #{splat}\n\
-                 top:\n\
-                 \x20   ldw r1, [A + r0]\n\
-                 \x20   add r1, r1, #1\n\
-                 \x20   stw [B + r0], r2\n\
-                 \x20   add r0, r0, #1\n\
-                 \x20   cmp r0, #{trip}\n\
-                 \x20   blt top\n\
-                 \x20   ret\n"
-            );
-            (data, body)
+            let body = code(&["ldw r1, [A + r0]", "add r1, r1, #1", "stw [B + r0], r2"]);
+            let setup = code(&[format!("mov r2, #{splat}")]);
+            (a_to_b(rng, t, t), counted_loop(&setup, &body, 1, t))
         }
-        Idiom::Gather => {
-            let data = format!(
-                "{}\n{}\n{}",
-                data_line("off", &gather_offsets(trip)),
-                data_line("A", &ivalues(rng, ElemType::I32, t)),
-                data_line("B", &vec![0; t]),
-            );
-            let body = format!(
-                "    mov r0, #0\n\
-                 top:\n\
-                 \x20   ldw r1, [off + r0]\n\
-                 \x20   add r1, r0, r1\n\
-                 \x20   ldw r2, [A + r1]\n\
-                 \x20   stw [B + r0], r2\n\
-                 \x20   add r0, r0, #1\n\
-                 \x20   cmp r0, #{trip}\n\
-                 \x20   blt top\n\
-                 \x20   ret\n"
-            );
-            (data, body)
+        Idiom::Gather { offsets } => {
+            let off: Vec<i64> = (0..t).map(|i| i64::from(offsets[i % 16])).collect();
+            let mut data = vec![data_line("off", &off)];
+            data.extend(a_to_b(rng, t, t));
+            (data, counted_loop("", &code(&GATHER_BODY), 1, t))
         }
         Idiom::CondAlu => {
             // `addge` adds zero either way; it is there purely because
             // the partial decoder only accepts unconditional data
             // processing inside the body.
-            let data = format!(
-                "{}\n{}",
-                data_line("A", &ivalues(rng, ElemType::I32, t)),
-                data_line("B", &vec![0; t]),
-            );
-            let body = format!(
-                "    mov r0, #0\n\
-                 top:\n\
-                 \x20   ldw r1, [A + r0]\n\
-                 \x20   add r1, r1, #3\n\
-                 \x20   addge r1, r1, #0\n\
-                 \x20   stw [B + r0], r1\n\
-                 \x20   add r0, r0, #1\n\
-                 \x20   cmp r0, #{trip}\n\
-                 \x20   blt top\n\
-                 \x20   ret\n"
-            );
-            (data, body)
+            let body = code(&[
+                "ldw r1, [A + r0]",
+                "add r1, r1, #3",
+                "addge r1, r1, #0",
+                "stw [B + r0], r1",
+            ]);
+            (a_to_b(rng, t, t), counted_loop("", &body, 1, t))
         }
         Idiom::NestedCall => {
-            let data = data_line("A", &ivalues(rng, ElemType::I32, t));
+            let data = vec![data_line("A", &ivalues(rng, ElemType::I32, t))];
             let body = format!(
-                "    mov r13, r14\n\
-                 \x20   mov r0, #0\n\
-                 top:\n\
-                 \x20   bl helper\n\
-                 \x20   stw [A + r0], r1\n\
-                 \x20   add r0, r0, #1\n\
-                 \x20   cmp r0, #{trip}\n\
-                 \x20   blt top\n\
-                 \x20   mov r14, r13\n\
-                 \x20   ret\n\
-                 helper:\n\
-                 \x20   ldw r1, [A + r0]\n\
-                 \x20   add r1, r1, #1\n\
-                 \x20   ret\n"
+                "{}top:\n{}helper:\n{}",
+                code(&["mov r13, r14", "mov r0, #0"]),
+                code(&[
+                    "bl helper",
+                    "stw [A + r0], r1",
+                    "add r0, r0, #1",
+                    format!("cmp r0, #{trip}").as_str(),
+                    "blt top",
+                    "mov r14, r13",
+                    "ret",
+                ]),
+                code(&["ldw r1, [A + r0]", "add r1, r1, #1", "ret"]),
             );
             (data, body)
         }
         Idiom::NoLoop => {
-            let data = data_line("A", &ivalues(rng, ElemType::I32, t));
+            let data = vec![data_line("A", &ivalues(rng, ElemType::I32, t))];
             let splat = rng.range_i64(1, 100);
-            let body = format!(
-                "    mov r1, #{splat}\n\
-                 \x20   add r1, r1, #7\n\
-                 \x20   ret\n"
-            );
-            (data, body)
+            (
+                data,
+                code(&[
+                    format!("mov r1, #{splat}").as_str(),
+                    "add r1, r1, #7",
+                    "ret",
+                ]),
+            )
         }
-        Idiom::Oversized => {
-            // 80 single-uop adds: past the microcode-buffer budget on
-            // its own, before the loads/stores even count.
-            let data = data_line("A", &ivalues(rng, ElemType::I32, t));
-            let mut adds = String::new();
-            for _ in 0..80 {
-                adds.push_str("    add r1, r1, #1\n");
-            }
-            let body = format!(
-                "    mov r0, #0\n\
-                 top:\n\
-                 \x20   ldw r1, [A + r0]\n\
-                 {adds}\
-                 \x20   stw [A + r0], r1\n\
-                 \x20   add r0, r0, #1\n\
-                 \x20   cmp r0, #{trip}\n\
-                 \x20   blt top\n\
-                 \x20   ret\n"
-            );
-            (data, body)
+        Idiom::Oversized { adds } => {
+            // Single-uop adds past the microcode-buffer budget on their
+            // own, before the loads/stores even count.
+            let data = vec![data_line("A", &ivalues(rng, ElemType::I32, t))];
+            let mut body = vec!["ldw r1, [A + r0]"];
+            body.extend(std::iter::repeat_n("add r1, r1, #1", adds as usize));
+            body.push("stw [A + r0], r1");
+            (data, counted_loop("", &code(&body), 1, t))
         }
         Idiom::TripSkew => {
-            // The loop runs trip+1 iterations; trip is a multiple of
-            // 16, so trip+1 is odd and divides no SIMD width.
+            // The loop runs trip+1 iterations; the trip is even, so
+            // trip+1 is odd and divides no SIMD width.
             let bound = t + 1;
-            let data = data_line("A", &ivalues(rng, ElemType::I32, bound));
-            let body = format!(
-                "    mov r0, #0\n\
-                 top:\n\
-                 \x20   ldw r1, [A + r0]\n\
-                 \x20   add r1, r1, #1\n\
-                 \x20   stw [A + r0], r1\n\
-                 \x20   add r0, r0, #1\n\
-                 \x20   cmp r0, #{bound}\n\
-                 \x20   blt top\n\
-                 \x20   ret\n"
-            );
-            (data, body)
+            let data = vec![data_line("A", &ivalues(rng, ElemType::I32, bound))];
+            let body = code(&["ldw r1, [A + r0]", "add r1, r1, #1", "stw [A + r0], r1"]);
+            (data, counted_loop("", &body, 1, bound))
         }
         Idiom::BoundDrift => {
             // The induction compare claims 2*trip iterations; the r2
             // counter exits after trip. The bound the translator
             // records disagrees with the trip it observes.
-            let data = format!(
-                "{}\n{}",
-                data_line("A", &ivalues(rng, ElemType::I32, t)),
-                data_line("B", &vec![0; t]),
-            );
             let body = format!(
-                "    mov r2, #0\n\
-                 \x20   mov r0, #0\n\
-                 top:\n\
-                 \x20   ldw r1, [A + r0]\n\
-                 \x20   add r1, r1, #1\n\
-                 \x20   stw [B + r0], r1\n\
-                 \x20   add r0, r0, #1\n\
-                 \x20   cmp r0, #{claim}\n\
-                 \x20   add r2, r2, #1\n\
-                 \x20   cmp r2, #{trip}\n\
-                 \x20   blt top\n\
-                 \x20   ret\n",
-                claim = 2 * t
+                "{}top:\n{}",
+                code(&["mov r2, #0", "mov r0, #0"]),
+                code(&[
+                    "ldw r1, [A + r0]",
+                    "add r1, r1, #1",
+                    "stw [B + r0], r1",
+                    "add r0, r0, #1",
+                    format!("cmp r0, #{}", 2 * t).as_str(),
+                    "add r2, r2, #1",
+                    format!("cmp r2, #{trip}").as_str(),
+                    "blt top",
+                    "ret",
+                ]),
             );
-            (data, body)
+            (a_to_b(rng, t, t), body)
         }
-        Idiom::WideOffset => {
+        Idiom::WideOffset { offset } => {
             // One offset beyond the 12-bit value-tracker range; the
             // gather target is sized so the scalar reference stays in
             // bounds.
-            let wide = WIDE_OFFSET as usize;
+            let wide = offset as usize;
             let off: Vec<i64> = (0..t)
-                .map(|i| if i == 1 { WIDE_OFFSET as i64 } else { 0 })
+                .map(|i| if i == 1 { i64::from(offset) } else { 0 })
                 .collect();
-            let data = format!(
-                "{}\n{}\n{}",
-                data_line("off", &off),
-                data_line("A", &ivalues(rng, ElemType::I32, t + wide + 4)),
-                data_line("B", &vec![0; t]),
-            );
-            let body = format!(
-                "    mov r0, #0\n\
-                 top:\n\
-                 \x20   ldw r1, [off + r0]\n\
-                 \x20   add r1, r0, r1\n\
-                 \x20   ldw r2, [A + r1]\n\
-                 \x20   stw [B + r0], r2\n\
-                 \x20   add r0, r0, #1\n\
-                 \x20   cmp r0, #{trip}\n\
-                 \x20   blt top\n\
-                 \x20   ret\n"
-            );
-            (data, body)
+            let mut data = vec![data_line("off", &off)];
+            data.extend(a_to_b(rng, t + wide + 4, t));
+            (data, counted_loop("", &code(&GATHER_BODY), 1, t))
         }
         Idiom::ManyLive => {
             // 13 int + 4 fp loads = 17 live vector values, one more
             // than the hardware register file (r14/r15 stay clear for
             // the link register).
-            let mut data = String::new();
-            for i in 0..13 {
-                data.push_str(&data_line(
-                    &format!("A{i}"),
-                    &ivalues(rng, ElemType::I32, t),
-                ));
-                data.push('\n');
-            }
+            let mut data: Vec<String> = (0..13)
+                .map(|i| data_line(&format!("A{i}"), &ivalues(rng, ElemType::I32, t)))
+                .collect();
             for i in 0..4 {
                 let v: Vec<String> = (0..t)
                     .map(|_| format!("{:?}", (rng.range_i64(-400, 400) as f32) / 100.0))
                     .collect();
-                data.push_str(&format!(".f32 F{i}: {}\n", v.join(", ")));
+                data.push(format!(".f32 F{i}: {}", v.join(", ")));
             }
-            data.push_str(&data_line("B", &vec![0; t]));
-            let mut loads = String::new();
-            for i in 0..13 {
-                loads.push_str(&format!("    ldw r{}, [A{i} + r0]\n", i + 1));
-            }
-            for i in 0..4 {
-                loads.push_str(&format!("    ldf f{i}, [F{i} + r0]\n"));
-            }
-            let body = format!(
-                "    mov r0, #0\n\
-                 top:\n\
-                 {loads}\
-                 \x20   stw [B + r0], r1\n\
-                 \x20   add r0, r0, #1\n\
-                 \x20   cmp r0, #{trip}\n\
-                 \x20   blt top\n\
-                 \x20   ret\n"
-            );
-            (data, body)
+            data.push(data_line("B", &vec![0; t]));
+            let mut body: Vec<String> = (0..13)
+                .map(|i| format!("ldw r{}, [A{i} + r0]", i + 1))
+                .collect();
+            body.extend((0..4).map(|i| format!("ldf f{i}, [F{i} + r0]")));
+            body.push("stw [B + r0], r1".to_string());
+            (data, counted_loop("", &code(&body), 1, t))
         }
-        _ => unreachable!(),
+        Idiom::Map | Idiom::Stencil { .. } | Idiom::Dot | Idiom::Permute { .. } => {
+            unreachable!("emit_asm is only called for untranslatable idioms")
+        }
     };
-    let src = format!(".data\n{data}\n.text\nmain:\n    bl.v body\n    halt\nbody:\n{body}");
-    (src, tag)
+    format!(
+        ".data\n{}\n.text\nmain:\n    bl.v body\n    halt\nbody:\n{body}",
+        data.join("\n")
+    )
 }
 
-/// The single out-of-range offset used by the `wide-offset` idiom —
-/// past the translator's value-tracker range (2048) with margin.
-pub const WIDE_OFFSET: i32 = 2500;
+/// Renders an untranslatable idiom at `trip` as a scalar program whose
+/// `main` `bl.v`-calls the region once, plus the abort tag the
+/// translator must report. This is the one emitter of untranslatable
+/// regions: corpus variants and `conform`'s illegal cases both come
+/// from here.
+pub fn emit_region(
+    idiom: Idiom,
+    trip: u32,
+    data_seed: u64,
+) -> Result<(String, &'static str), String> {
+    let tag = idiom
+        .expected_abort()
+        .ok_or_else(|| format!("idiom {} is translatable", idiom.keyword()))?;
+    idiom.check(trip)?;
+    Ok((emit_asm(idiom, trip, &mut XorShift64::new(data_seed)), tag))
+}
 
 /// Instantiate one grid point of a family.
 pub fn emit(
@@ -530,13 +458,13 @@ pub fn emit(
     unroll: u32,
     data_seed: u64,
 ) -> Result<Payload, String> {
-    let mut rng = XorShift64::new(data_seed);
     if spec.idiom.is_translatable() {
+        let mut rng = XorShift64::new(data_seed);
         Ok(Payload::Kernel(Box::new(emit_kernel(
             spec, name, trip, unroll, &mut rng,
         )?)))
     } else {
-        let (src, expected_tag) = emit_asm(spec, trip, &mut rng);
+        let (src, expected_tag) = emit_region(spec.idiom, trip, data_seed)?;
         Ok(Payload::Asm { src, expected_tag })
     }
 }

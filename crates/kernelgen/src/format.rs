@@ -17,7 +17,7 @@
 
 use liquid_simd_isa::{ElemType, PermKind, RedOp, VAluOp};
 
-use crate::spec::{FamilySpec, Idiom};
+use crate::spec::{FamilySpec, Idiom, GATHER_TILE, OVERSIZED_ADDS, WIDE_OFFSET};
 
 /// First line of every `kernel-v1` file.
 pub const MAGIC: &str = "# kernel-v1";
@@ -47,7 +47,8 @@ fn op_value(name: &str) -> Option<VAluOp> {
     VAluOp::ALL.iter().copied().find(|&op| op_name(op) == name)
 }
 
-fn elem_name(e: ElemType) -> &'static str {
+/// Shared with the `conform-case-v1` reader and writer.
+pub fn elem_name(e: ElemType) -> &'static str {
     match e {
         ElemType::I8 => "i8",
         ElemType::I16 => "i16",
@@ -56,7 +57,8 @@ fn elem_name(e: ElemType) -> &'static str {
     }
 }
 
-fn elem_value(name: &str) -> Option<ElemType> {
+/// Shared with the `conform-case-v1` reader and writer.
+pub fn elem_value(name: &str) -> Option<ElemType> {
     match name {
         "i8" => Some(ElemType::I8),
         "i16" => Some(ElemType::I16),
@@ -66,7 +68,8 @@ fn elem_value(name: &str) -> Option<ElemType> {
     }
 }
 
-fn red_name(r: RedOp) -> &'static str {
+/// Shared with the `conform-case-v1` reader and writer.
+pub fn red_name(r: RedOp) -> &'static str {
     match r {
         RedOp::Min => "min",
         RedOp::Max => "max",
@@ -74,7 +77,8 @@ fn red_name(r: RedOp) -> &'static str {
     }
 }
 
-fn red_value(name: &str) -> Option<RedOp> {
+/// Shared with the `conform-case-v1` reader and writer.
+pub fn red_value(name: &str) -> Option<RedOp> {
     match name {
         "min" => Some(RedOp::Min),
         "max" => Some(RedOp::Max),
@@ -83,76 +87,101 @@ fn red_value(name: &str) -> Option<RedOp> {
     }
 }
 
-fn idiom_line(idiom: Idiom) -> String {
+/// An `idiom` line's value: the keyword, then each argument. An
+/// untranslatable idiom's argument is printed only when it differs
+/// from its default, so the corpus files carry none.
+#[must_use]
+pub fn idiom_text(idiom: Idiom) -> String {
+    let kw = idiom.keyword();
     match idiom {
-        Idiom::Map => "map".into(),
-        Idiom::Stencil { taps } => format!("stencil {taps}"),
-        Idiom::Dot => "dot".into(),
+        Idiom::Stencil { taps } => format!("{kw} {taps}"),
         Idiom::Permute { kind } => match kind {
-            PermKind::Bfly { block } => format!("permute bfly {block}"),
-            PermKind::Rev { block } => format!("permute rev {block}"),
-            PermKind::Rot { block, amt } => format!("permute rot {block} {amt}"),
+            PermKind::Bfly { block } => format!("{kw} bfly {block}"),
+            PermKind::Rev { block } => format!("{kw} rev {block}"),
+            PermKind::Rot { block, amt } => format!("{kw} rot {block} {amt}"),
         },
-        Idiom::Strided { stride } => format!("strided {stride}"),
-        Idiom::Histogram => "histogram".into(),
-        Idiom::Scatter => "scatter".into(),
-        Idiom::Gather => "gather".into(),
-        Idiom::CondAlu => "cond-alu".into(),
-        Idiom::NestedCall => "nested-call".into(),
-        Idiom::NoLoop => "no-loop".into(),
-        Idiom::Oversized => "oversized".into(),
-        Idiom::TripSkew => "trip-skew".into(),
-        Idiom::BoundDrift => "bound-drift".into(),
-        Idiom::WideOffset => "wide-offset".into(),
-        Idiom::ManyLive => "many-live".into(),
+        Idiom::Strided { stride } => format!("{kw} {stride}"),
+        Idiom::Gather { offsets } if offsets != GATHER_TILE => {
+            let offs: Vec<String> = offsets.iter().map(i32::to_string).collect();
+            format!("{kw} {}", offs.join(","))
+        }
+        Idiom::Oversized { adds } if adds != OVERSIZED_ADDS => format!("{kw} {adds}"),
+        Idiom::WideOffset { offset } if offset != WIDE_OFFSET => format!("{kw} {offset}"),
+        _ => kw.to_string(),
     }
 }
 
-fn parse_idiom(rest: &[&str]) -> Result<Idiom, String> {
+/// Parses an `idiom` line's value (the inverse of [`idiom_text`]). The
+/// `kernel-v1` and `conform-case-v1` readers both call it. Parameter
+/// ranges are [`Idiom::check`]'s job.
+pub fn parse_idiom(text: &str) -> Result<Idiom, String> {
+    let toks: Vec<&str> = text.split_whitespace().collect();
+    let kw = toks.first().copied().unwrap_or_default();
+    let proto = Idiom::ALL
+        .into_iter()
+        .find(|i| i.keyword() == kw)
+        .ok_or_else(|| format!("unknown idiom {kw:?}"))?;
     let arg = |i: usize| -> Result<u32, String> {
-        rest.get(i)
-            .ok_or_else(|| format!("idiom {} needs an argument", rest[0]))?
+        toks.get(i)
+            .ok_or_else(|| format!("idiom {kw} needs an argument"))?
             .parse::<u32>()
-            .map_err(|_| format!("bad idiom argument in {rest:?}"))
+            .map_err(|_| format!("bad idiom argument in {text:?}"))
     };
-    match rest.first().copied() {
-        Some("map") => Ok(Idiom::Map),
-        Some("stencil") => Ok(Idiom::Stencil { taps: arg(1)? }),
-        Some("dot") => Ok(Idiom::Dot),
-        Some("permute") => {
-            let block =
-                u8::try_from(arg(2)?).map_err(|_| "permute block out of range".to_string())?;
-            match rest.get(1).copied() {
-                Some("bfly") => Ok(Idiom::Permute {
-                    kind: PermKind::Bfly { block },
-                }),
-                Some("rev") => Ok(Idiom::Permute {
-                    kind: PermKind::Rev { block },
-                }),
-                Some("rot") => Ok(Idiom::Permute {
-                    kind: PermKind::Rot {
-                        block,
-                        amt: u8::try_from(arg(3)?)
-                            .map_err(|_| "permute amt out of range".to_string())?,
-                    },
-                }),
-                other => Err(format!("unknown permute kind {other:?}")),
-            }
+    let byte = |i: usize| u8::try_from(arg(i)?).map_err(|_| format!("{kw} argument out of range"));
+    // An optional argument: the default when absent.
+    let or = |default: u32| if toks.len() > 1 { arg(1) } else { Ok(default) };
+    let idiom = match proto {
+        Idiom::Stencil { .. } => Idiom::Stencil { taps: arg(1)? },
+        Idiom::Permute { .. } => {
+            let block = byte(2)?;
+            let kind = match toks.get(1).copied() {
+                Some("bfly") => PermKind::Bfly { block },
+                Some("rev") => PermKind::Rev { block },
+                Some("rot") => PermKind::Rot {
+                    block,
+                    amt: byte(3)?,
+                },
+                other => return Err(format!("unknown permute kind {other:?}")),
+            };
+            Idiom::Permute { kind }
         }
-        Some("strided") => Ok(Idiom::Strided { stride: arg(1)? }),
-        Some("histogram") => Ok(Idiom::Histogram),
-        Some("scatter") => Ok(Idiom::Scatter),
-        Some("gather") => Ok(Idiom::Gather),
-        Some("cond-alu") => Ok(Idiom::CondAlu),
-        Some("nested-call") => Ok(Idiom::NestedCall),
-        Some("no-loop") => Ok(Idiom::NoLoop),
-        Some("oversized") => Ok(Idiom::Oversized),
-        Some("trip-skew") => Ok(Idiom::TripSkew),
-        Some("bound-drift") => Ok(Idiom::BoundDrift),
-        Some("wide-offset") => Ok(Idiom::WideOffset),
-        Some("many-live") => Ok(Idiom::ManyLive),
-        other => Err(format!("unknown idiom {other:?}")),
+        Idiom::Strided { .. } => Idiom::Strided { stride: arg(1)? },
+        Idiom::Gather { .. } => match toks.get(1) {
+            None => proto,
+            Some(list) => {
+                let offs: Vec<i32> = list
+                    .split(',')
+                    .map(str::parse)
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| format!("bad gather offsets {list:?}"))?;
+                Idiom::Gather {
+                    offsets: offs
+                        .try_into()
+                        .map_err(|_| format!("gather needs 16 offsets, got {list:?}"))?,
+                }
+            }
+        },
+        Idiom::Oversized { .. } => Idiom::Oversized {
+            adds: or(OVERSIZED_ADDS)?,
+        },
+        Idiom::WideOffset { .. } => Idiom::WideOffset {
+            offset: or(WIDE_OFFSET)?,
+        },
+        other => other,
+    };
+    let takes = match idiom {
+        Idiom::Permute {
+            kind: PermKind::Rot { .. },
+        } => 4,
+        Idiom::Permute { .. } => 3,
+        Idiom::Stencil { .. } | Idiom::Strided { .. } => 2,
+        Idiom::Gather { .. } | Idiom::Oversized { .. } | Idiom::WideOffset { .. } => 2,
+        _ => 1,
+    };
+    if toks.len() > takes {
+        return Err(format!("too many idiom arguments in {text:?}"));
     }
+    Ok(idiom)
 }
 
 /// Serialize a spec to canonical `kernel-v1` text (keys in fixed
@@ -163,7 +192,7 @@ pub fn print(spec: &FamilySpec) -> String {
     s.push_str(MAGIC);
     s.push('\n');
     s.push_str(&format!("family {}\n", spec.family));
-    s.push_str(&format!("idiom {}\n", idiom_line(spec.idiom)));
+    s.push_str(&format!("idiom {}\n", idiom_text(spec.idiom)));
     s.push_str(&format!("elem {}\n", elem_name(spec.elem)));
     let join = |v: &[u32]| v.iter().map(u32::to_string).collect::<Vec<_>>().join(" ");
     s.push_str(&format!("trips {}\n", join(&spec.trips)));
@@ -211,7 +240,7 @@ pub fn parse(what: &str, text: &str) -> Result<FamilySpec, String> {
         };
         match toks[0] {
             "family" if toks.len() == 2 => family = Some(toks[1].to_string()),
-            "idiom" => idiom = Some(parse_idiom(&toks[1..]).map_err(ctx)?),
+            "idiom" => idiom = Some(parse_idiom(&line["idiom".len()..]).map_err(ctx)?),
             "elem" if toks.len() == 2 => {
                 elem = Some(
                     elem_value(toks[1])
@@ -301,34 +330,37 @@ mod tests {
         for &op in &VAluOp::ALL {
             assert_eq!(op_value(op_name(op)), Some(op));
         }
-        let idioms = [
-            Idiom::Map,
-            Idiom::Stencil { taps: 3 },
-            Idiom::Dot,
-            Idiom::Permute {
-                kind: PermKind::Bfly { block: 4 },
-            },
+        let mut idioms = Idiom::ALL.to_vec();
+        idioms.extend([
             Idiom::Permute {
                 kind: PermKind::Rot { block: 4, amt: 1 },
             },
-            Idiom::Strided { stride: 2 },
-            Idiom::Histogram,
-            Idiom::Scatter,
-            Idiom::Gather,
-            Idiom::CondAlu,
-            Idiom::NestedCall,
-            Idiom::NoLoop,
-            Idiom::Oversized,
-            Idiom::TripSkew,
-            Idiom::BoundDrift,
-            Idiom::WideOffset,
-            Idiom::ManyLive,
-        ];
+            Idiom::Gather {
+                offsets: [1, -1, 0, 3, 2, -2, 1, -1, 0, 0, 1, -1, 3, -3, 0, 0],
+            },
+            Idiom::Oversized { adds: 70 },
+            Idiom::WideOffset { offset: 2100 },
+        ]);
         for idiom in idioms {
-            let line = idiom_line(idiom);
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            assert_eq!(parse_idiom(&toks).unwrap(), idiom, "{line}");
+            let line = idiom_text(idiom);
+            assert_eq!(parse_idiom(&line).unwrap(), idiom, "{line}");
         }
+    }
+
+    #[test]
+    fn default_idiom_arguments_are_omitted_and_extra_ones_rejected() {
+        for idiom in Idiom::ALL.into_iter().filter(|i| !i.is_translatable()) {
+            let expected = match idiom {
+                Idiom::Strided { stride } => format!("strided {stride}"),
+                _ => idiom.keyword().to_string(),
+            };
+            assert_eq!(idiom_text(idiom), expected);
+        }
+        assert!(parse_idiom("oversized 70 80").is_err());
+        assert!(parse_idiom("map 1").is_err());
+        assert!(parse_idiom("gather 1,2")
+            .unwrap_err()
+            .contains("16 offsets"));
     }
 
     #[test]

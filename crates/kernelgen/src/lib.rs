@@ -10,7 +10,8 @@
 //! same triple `crates/workloads` provides (vector IR → scalarized
 //! loop → gold-native reference); untranslatable families lower to
 //! scalar assembly pinned to the exact [`AbortReason`] tag the
-//! translator must report.
+//! translator must report. [`emit_region`] is the one emitter of such
+//! regions: `conform` draws its illegal cases from the same idioms.
 //!
 //! Everything is deterministic: same spec text ⇒ byte-identical
 //! family set, at any `--jobs`, on any host.
@@ -28,7 +29,7 @@ pub mod format;
 mod rng;
 pub mod spec;
 
-pub use emit::Payload;
+pub use emit::{emit_region, Payload};
 pub use expand::{expand, expand_all, variant_name, Variant};
 pub use format::{parse, print, MAGIC};
 pub use spec::{FamilySpec, Idiom};
@@ -204,10 +205,9 @@ mod tests {
         // The gather idiom relies on this tile matching no PermKind at
         // any supported width (the translator tracks the first `lanes`
         // offsets).
-        let tile: Vec<i32> = (0..16).map(|i| emit::GATHER_TILE[i % 4]).collect();
         for &w in &SUPPORTED_WIDTHS {
             assert!(
-                PermKind::match_offsets(&tile[..w], w).is_none(),
+                PermKind::match_offsets(&spec::GATHER_TILE[..w], w).is_none(),
                 "tile unexpectedly matches a permute at width {w}"
             );
         }

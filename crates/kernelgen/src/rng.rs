@@ -1,7 +1,11 @@
-//! Minimal xorshift64* PRNG, private to the generator so `kernelgen`
-//! depends only on `isa` + `compiler` (it cannot reuse
-//! `workloads::util` without creating a dependency cycle: `workloads`
-//! depends on this crate for `generated()`).
+//! The generator's private xorshift64* PRNG.
+//!
+//! This is not a copy of `workloads::util::XorShift64`: it shifts by
+//! 13/7/17 where that one shifts by 12/25/27, and its ranges are
+//! inclusive. Every `bench/families/` variant's data comes from this
+//! stream, so switching generators would re-seed the whole corpus (and
+//! `workloads` depends on this crate for `generated()`, so this crate
+//! cannot depend on it).
 
 /// Deterministic 64-bit PRNG (xorshift64*), seed 0 remapped.
 pub struct XorShift64(u64);

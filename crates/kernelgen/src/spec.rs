@@ -8,10 +8,17 @@ use liquid_simd_isa::{ElemType, PermKind, RedOp, VAluOp, SUPPORTED_WIDTHS};
 ///
 /// The first four idioms are translatable: they lower to vector IR
 /// through `KernelBuilder` and exercise the full triple (vector IR,
-/// scalarized loop, gold-native). The remaining twelve are
+/// scalarized loop, gold-native). The remaining thirteen are
 /// *deliberately* untranslatable shapes — each emits a scalar assembly
 /// loop the translator must abort on (never mistranslate), and each one
-/// pins a specific [`AbortReason`] tag.
+/// pins a specific [`AbortReason`] tag. They are the one description of
+/// an untranslatable region: corpus families and `conform`'s illegal
+/// cases are both drawn from them.
+///
+/// A parameter of an untranslatable idiom that the corpus leaves at its
+/// default (the `kernel-v1` line omits it) is one `conform` randomizes.
+///
+/// [`AbortReason`]: Idiom::expected_abort
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Idiom {
     /// Element-wise op chain over two input arrays.
@@ -37,12 +44,21 @@ pub enum Idiom {
     /// Data-dependent read-modify-write of a bucket array — aborts
     /// `runtime-indexed-permute`.
     Histogram,
+    /// A gather through a loaded index (`B[i] = A[idx[i]]`) — aborts
+    /// `runtime-indexed-permute`. No corpus family uses it; `conform`
+    /// draws it.
+    IndexGather,
     /// Splat of a loop-invariant scalar into the output — aborts
     /// `scalar-store`.
     Scatter,
     /// Gather through an offset table that matches no hardware permute
     /// — aborts `cam-miss`.
-    Gather,
+    Gather {
+        /// Per-element offsets, tiled over the trip: element `i` reads
+        /// `A[i + offsets[i % 16]]`. Each `j + offsets[j]` stays in
+        /// `0..16`. Default [`GATHER_TILE`].
+        offsets: [i32; 16],
+    },
     /// A predicated ALU op in the loop body; the partial decoder only
     /// accepts unconditional data processing — aborts
     /// `unsupported-opcode`.
@@ -54,9 +70,13 @@ pub enum Idiom {
     NoLoop,
     /// A loop body too large for the microcode buffer — aborts
     /// `too-many-uops`.
-    Oversized,
-    /// Loop bound one past the trip grid (`trip + 1` iterations), so
-    /// the observed trip divides no SIMD width — aborts
+    Oversized {
+        /// Filler `add`s in the body, `65..=128` (past the 64-uop
+        /// microcode entry on their own). Default [`OVERSIZED_ADDS`].
+        adds: u32,
+    },
+    /// Loop bound one past the trip (`trip + 1` iterations); the trip
+    /// is even, so the observed trip divides no SIMD width — aborts
     /// `trip-not-multiple`.
     TripSkew,
     /// The recorded induction bound disagrees with the trip a second
@@ -64,20 +84,89 @@ pub enum Idiom {
     BoundDrift,
     /// One gather offset beyond the value tracker's range — aborts
     /// `value-too-wide`.
-    WideOffset,
+    WideOffset {
+        /// The out-of-range offset, `2048..=4095` (past the 12-bit
+        /// signed value field). Default [`WIDE_OFFSET`].
+        offset: u32,
+    },
     /// More live vector values than the hardware register file — aborts
     /// `register-pressure`.
     ManyLive,
 }
 
+/// The `gather` idiom's default offsets: the period-4 tile
+/// `[0, 2, -1, -1]`, which matches no hardware permute pattern at any
+/// supported width, so the translator's CAM lookup must miss.
+pub const GATHER_TILE: [i32; 16] = [0, 2, -1, -1, 0, 2, -1, -1, 0, 2, -1, -1, 0, 2, -1, -1];
+
+/// The `oversized` idiom's default body: 80 single-uop adds.
+pub const OVERSIZED_ADDS: u32 = 80;
+
+/// The `wide-offset` idiom's default offset — past the translator's
+/// value-tracker range (2048) with margin.
+pub const WIDE_OFFSET: u32 = 2500;
+
 impl Idiom {
+    /// One instance of every idiom, in declaration order. The
+    /// untranslatable ones carry their default parameters: these are
+    /// the canonical witnesses, one per abort shape.
+    pub const ALL: [Idiom; 17] = [
+        Idiom::Map,
+        Idiom::Stencil { taps: 3 },
+        Idiom::Dot,
+        Idiom::Permute {
+            kind: PermKind::Bfly { block: 4 },
+        },
+        Idiom::Strided { stride: 2 },
+        Idiom::Histogram,
+        Idiom::IndexGather,
+        Idiom::Scatter,
+        Idiom::Gather {
+            offsets: GATHER_TILE,
+        },
+        Idiom::CondAlu,
+        Idiom::NestedCall,
+        Idiom::NoLoop,
+        Idiom::Oversized {
+            adds: OVERSIZED_ADDS,
+        },
+        Idiom::TripSkew,
+        Idiom::BoundDrift,
+        Idiom::WideOffset {
+            offset: WIDE_OFFSET,
+        },
+        Idiom::ManyLive,
+    ];
+
+    /// The idiom's `kernel-v1` keyword (the first word of its `idiom`
+    /// line), which also names an illegal `conform` case's family.
+    #[must_use]
+    pub fn keyword(self) -> &'static str {
+        match self {
+            Idiom::Map => "map",
+            Idiom::Stencil { .. } => "stencil",
+            Idiom::Dot => "dot",
+            Idiom::Permute { .. } => "permute",
+            Idiom::Strided { .. } => "strided",
+            Idiom::Histogram => "histogram",
+            Idiom::IndexGather => "index-gather",
+            Idiom::Scatter => "scatter",
+            Idiom::Gather { .. } => "gather",
+            Idiom::CondAlu => "cond-alu",
+            Idiom::NestedCall => "nested-call",
+            Idiom::NoLoop => "no-loop",
+            Idiom::Oversized { .. } => "oversized",
+            Idiom::TripSkew => "trip-skew",
+            Idiom::BoundDrift => "bound-drift",
+            Idiom::WideOffset { .. } => "wide-offset",
+            Idiom::ManyLive => "many-live",
+        }
+    }
+
     /// True if this idiom lowers to vector IR (translatable).
     #[must_use]
     pub fn is_translatable(self) -> bool {
-        matches!(
-            self,
-            Idiom::Map | Idiom::Stencil { .. } | Idiom::Dot | Idiom::Permute { .. }
-        )
+        self.expected_abort().is_none()
     }
 
     /// The abort tag an untranslatable idiom must hit (None for
@@ -85,20 +174,67 @@ impl Idiom {
     #[must_use]
     pub fn expected_abort(self) -> Option<&'static str> {
         match self {
+            Idiom::Map | Idiom::Stencil { .. } | Idiom::Dot | Idiom::Permute { .. } => None,
             Idiom::Strided { .. } => Some("unsupported-shape"),
-            Idiom::Histogram => Some("runtime-indexed-permute"),
+            Idiom::Histogram | Idiom::IndexGather => Some("runtime-indexed-permute"),
             Idiom::Scatter => Some("scalar-store"),
-            Idiom::Gather => Some("cam-miss"),
+            Idiom::Gather { .. } => Some("cam-miss"),
             Idiom::CondAlu => Some("unsupported-opcode"),
             Idiom::NestedCall => Some("nested-call"),
             Idiom::NoLoop => Some("no-loop"),
-            Idiom::Oversized => Some("too-many-uops"),
+            Idiom::Oversized { .. } => Some("too-many-uops"),
             Idiom::TripSkew => Some("trip-not-multiple"),
             Idiom::BoundDrift => Some("bound-mismatch"),
-            Idiom::WideOffset => Some("value-too-wide"),
+            Idiom::WideOffset { .. } => Some("value-too-wide"),
             Idiom::ManyLive => Some("register-pressure"),
-            _ => None,
         }
+    }
+
+    /// Checks the idiom's parameters and, for an untranslatable idiom,
+    /// that its region can be emitted at `trip` (`16..=MAX_TRIP`).
+    pub fn check(self, trip: u32) -> Result<(), String> {
+        match self {
+            Idiom::Stencil { taps } if !(2..=8).contains(&taps) => {
+                return Err(format!("stencil taps {taps} must be in 2..=8"));
+            }
+            Idiom::Permute { kind } => {
+                let block = match kind {
+                    PermKind::Bfly { block } | PermKind::Rev { block } => block,
+                    PermKind::Rot { block, .. } => block,
+                };
+                let b = usize::from(block);
+                if !SUPPORTED_WIDTHS.contains(&b) {
+                    return Err(format!(
+                        "permute block {b} must be a power of two in 2..=16"
+                    ));
+                }
+            }
+            Idiom::Strided { stride } if !(2..=8).contains(&stride) => {
+                return Err(format!("stride {stride} must be in 2..=8"));
+            }
+            Idiom::Gather { offsets } => {
+                if (0..16).any(|j| !(0..16).contains(&(j + offsets[j as usize]))) {
+                    return Err(format!("gather offsets {offsets:?} leave their 16-block"));
+                }
+                if !trip.is_multiple_of(16) {
+                    return Err(format!("gather trip {trip} must be a multiple of 16"));
+                }
+            }
+            Idiom::Oversized { adds } if !(65..=128).contains(&adds) => {
+                return Err(format!("oversized adds {adds} must be in 65..=128"));
+            }
+            Idiom::TripSkew if !trip.is_multiple_of(2) => {
+                return Err(format!("trip-skew trip {trip} must be even"));
+            }
+            Idiom::WideOffset { offset } if !(2048..=4095).contains(&offset) => {
+                return Err(format!("wide offset {offset} must be in 2048..=4095"));
+            }
+            _ => {}
+        }
+        if !self.is_translatable() && !(16..=MAX_TRIP).contains(&trip) {
+            return Err(format!("trip {trip} must be in 16..={MAX_TRIP}"));
+        }
+        Ok(())
     }
 }
 
@@ -129,6 +265,9 @@ pub struct FamilySpec {
 
 /// Largest trip the expander accepts (keeps bench wall time bounded).
 pub const MAX_TRIP: u32 = 4096;
+
+// The strided idiom's bound compare carries trip × stride.
+const _: () = assert!(MAX_TRIP * 8 <= liquid_simd_isa::encode::CMP_IMM_MAX as u32);
 
 fn float_ok(op: VAluOp) -> bool {
     matches!(
@@ -165,6 +304,7 @@ impl FamilySpec {
                     "{f}: trip {t} must be a positive multiple of 16 and <= {MAX_TRIP}"
                 ));
             }
+            self.idiom.check(t).map_err(|e| format!("{f}: {e}"))?;
         }
         if self.unrolls.is_empty() || self.unrolls.iter().any(|&u| !(1..=8).contains(&u)) {
             return Err(format!("{f}: unrolls must be non-empty, each in 1..=8"));
@@ -176,26 +316,8 @@ impl FamilySpec {
             Idiom::Map | Idiom::Permute { .. } if self.ops.is_empty() => {
                 return Err(format!("{f}: map/permute idioms need at least one op"));
             }
-            Idiom::Stencil { taps } if !(2..=8).contains(&taps) => {
-                return Err(format!("{f}: stencil taps {taps} must be in 2..=8"));
-            }
             Idiom::Dot if self.reduce.is_none() => {
                 return Err(format!("{f}: dot idiom requires a reduce"));
-            }
-            Idiom::Permute { kind } => {
-                let block = match kind {
-                    PermKind::Bfly { block } | PermKind::Rev { block } => block,
-                    PermKind::Rot { block, .. } => block,
-                };
-                let b = usize::from(block);
-                if !SUPPORTED_WIDTHS.contains(&b) {
-                    return Err(format!(
-                        "{f}: permute block {b} must be a power of two in 2..=16"
-                    ));
-                }
-            }
-            Idiom::Strided { stride } if !(2..=8).contains(&stride) => {
-                return Err(format!("{f}: stride {stride} must be in 2..=8"));
             }
             _ => {}
         }
@@ -220,23 +342,6 @@ impl FamilySpec {
             }
             if !self.ops.is_empty() || self.reduce.is_some() {
                 return Err(format!("{f}: untranslatable idioms take no ops/reduce"));
-            }
-            if let Idiom::Strided { stride } = self.idiom {
-                // The scalar loop's bound compare carries trip*stride.
-                let max = liquid_simd_isa::encode::CMP_IMM_MAX as u32;
-                for &t in &self.trips {
-                    if t.checked_mul(stride).is_none_or(|b| b > max) {
-                        return Err(format!("{f}: trip {t} x stride {stride} overflows"));
-                    }
-                }
-            }
-            if self.idiom == Idiom::Gather {
-                // The miss-everything offset tile has period 4.
-                for &t in &self.trips {
-                    if t % 4 != 0 {
-                        return Err(format!("{f}: gather trips must be multiples of 4"));
-                    }
-                }
             }
         }
         // Narrowest supported width must divide every trip (guaranteed

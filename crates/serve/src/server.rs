@@ -22,12 +22,14 @@
 //! flight recorder and per-shard metric registries observe requests, they
 //! never touch response bytes, so recording is always on.
 //!
-//! Failure containment: a worker wraps request execution in
-//! `catch_unwind`, so a panicking request yields a `serve-err-v1` response
-//! of kind `panic` and the shard lives on — and the daemon drains the
-//! flight recorder into a `flight-v1` black-box dump (same for a
-//! configurable streak of budget-exceeded responses, and on demand via
-//! the `dump` op for external triggers like a sentinel-drift alarm).
+//! Failure containment: program resolution (assembly, compilation) on
+//! the connection thread and request execution on a worker both run
+//! under `catch_unwind`, so a panicking request yields a `serve-err-v1`
+//! response of kind `panic` and the connection and shard live on. A
+//! worker panic also makes the daemon drain the flight recorder into a
+//! `flight-v1` black-box dump (same for a configurable streak of
+//! budget-exceeded responses, and on demand via the `dump` op for
+//! external triggers like a sentinel-drift alarm).
 //! Budget violations and simulation faults are ordinary error responses
 //! from [`ops::execute`].
 
@@ -616,6 +618,21 @@ fn report_dump(state: &State, result: Result<(PathBuf, u64), String>, what: &str
     }
 }
 
+/// Runs `f`, containing a panic as `Err` with the panic's message (or a
+/// placeholder for a non-string payload). Every stage that runs request
+/// code on a daemon thread goes through here, so a panic becomes a
+/// `panic` reply instead of a dead thread or a dropped connection.
+fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("opaque panic payload")
+            .to_string()
+    })
+}
+
 /// Computes (or cache-hits) the response for one shard job, containing
 /// any panic as a `serve-err-v1` of kind `panic`. Returns the entry and
 /// whether it was freshly computed (false = translation-cache hit).
@@ -644,7 +661,7 @@ fn answer(job: &Job, shard: usize, state: &State) -> (Arc<CacheEntry>, bool) {
     state
         .recorder
         .record(shard, FlightEvent::new(&id, op, FlightStage::Translate));
-    let computed = catch_unwind(AssertUnwindSafe(|| match &job.program {
+    let computed = contain(|| match &job.program {
         Some(entry) => {
             let output = ops::execute_with_backend(
                 &job.req,
@@ -677,7 +694,7 @@ fn answer(job: &Job, shard: usize, state: &State) -> (Arc<CacheEntry>, bool) {
             ),
             microcode: Vec::new(),
         },
-    }));
+    });
     let entry = match computed {
         Ok(entry) => {
             state.recorder.record(
@@ -689,21 +706,16 @@ fn answer(job: &Job, shard: usize, state: &State) -> (Arc<CacheEntry>, bool) {
             );
             entry
         }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic payload");
+        Err(msg) => {
             state.recorder.record(
                 shard,
                 FlightEvent::new(&id, op, FlightStage::Panic)
                     .ok(false)
-                    .detail(msg),
+                    .detail(&msg),
             );
             CacheEntry {
                 output: OpOutput {
-                    body: proto::err_body(Some(job.req.op), "panic", msg),
+                    body: proto::err_body(Some(job.req.op), "panic", &msg),
                     ok: false,
                     cycles: 0,
                     kind: "panic".to_string(),
@@ -896,26 +908,28 @@ fn handle_line(
             let program = if req.op == Op::Conform {
                 None
             } else {
-                let resolved = match (&req.workload, &req.program) {
+                // Assembly and compilation run request input on this
+                // connection thread, inside the workers' panic boundary.
+                let resolved = match contain(|| match (&req.workload, &req.program) {
                     (Some(name), _) => state.builds.workload(name),
                     (None, Some(src)) => state.builds.inline(src, req.name.as_deref()),
                     (None, None) => Err("missing program".to_string()),
+                }) {
+                    Ok(Ok(entry)) => Ok(entry),
+                    Ok(Err(msg)) => Err((FlightStage::Build, "bad-request", msg)),
+                    Err(msg) => Err((FlightStage::Panic, "panic", msg)),
                 };
                 match resolved {
                     Ok(entry) => Some(entry),
-                    Err(msg) => {
+                    Err((stage, kind, msg)) => {
                         state.recorder.record(
                             0,
-                            FlightEvent::new(
-                                &id_text(req.id.as_ref()),
-                                req.op.name(),
-                                FlightStage::Build,
-                            )
-                            .ok(false)
-                            .detail(&msg),
+                            FlightEvent::new(&id_text(req.id.as_ref()), req.op.name(), stage)
+                                .ok(false)
+                                .detail(&msg),
                         );
                         front(
-                            proto::err_body(Some(req.op), "bad-request", &msg),
+                            proto::err_body(Some(req.op), kind, &msg),
                             req.id.as_ref(),
                             req.op.name(),
                             false,
@@ -1105,6 +1119,24 @@ mod tests {
         assert!(err.contains("--inject-faults"), "{err}");
         handle.shutdown();
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn contain_turns_a_panic_into_its_message() {
+        assert_eq!(contain(|| 7), Ok(7));
+        assert_eq!(
+            contain(|| -> u32 { panic!("static message") }),
+            Err("static message".to_string())
+        );
+        let n = 3;
+        assert_eq!(
+            contain(|| -> u32 { panic!("formatted {n}") }),
+            Err("formatted 3".to_string())
+        );
+        assert_eq!(
+            contain(|| -> u32 { std::panic::panic_any(5u8) }),
+            Err("opaque panic payload".to_string())
+        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! encodable instruction, at every lane count, and for every microcode
 //! sequence the machine inserts (and evicts) at runtime.
 //!
-//! Random instructions come from a small inline xorshift generator (the
-//! workspace is dependency-free, so no external PRNG); every case is
-//! reproducible from its printed seed.
+//! Random instructions come from the workspace's xorshift generator,
+//! `workloads::util::XorShift64`; every case is reproducible from its
+//! printed seed.
 
 use liquid_simd_compiler::build_liquid;
 use liquid_simd_isa::{
@@ -15,72 +15,39 @@ use liquid_simd_isa::{
 };
 use liquid_simd_sim::meta::{collect_uses, def_of, latency_of, meta_of_code, InstMeta};
 use liquid_simd_sim::{LatencyModel, Machine, MachineConfig};
+use liquid_simd_workloads::util::XorShift64;
 
 const CASES: u64 = 4096;
 
-/// Inline xorshift64* — enough randomness for instruction fuzzing.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(if seed == 0 {
-            0x9E37_79B9_7F4A_7C15
-        } else {
-            seed
-        })
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn index(&mut self, len: usize) -> usize {
-        (self.next() % len as u64) as usize
-    }
-
-    fn bool(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
-
-    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-        items[self.index(items.len())]
-    }
+fn reg(rng: &mut XorShift64) -> Reg {
+    Reg::of(rng.range_usize(0, 16) as u8)
 }
 
-fn reg(rng: &mut Rng) -> Reg {
-    Reg::of(rng.index(16) as u8)
+fn freg(rng: &mut XorShift64) -> FReg {
+    FReg::of(rng.range_usize(0, 16) as u8)
 }
 
-fn freg(rng: &mut Rng) -> FReg {
-    FReg::of(rng.index(16) as u8)
+fn vreg(rng: &mut XorShift64) -> VReg {
+    VReg::of(rng.range_usize(0, 16) as u8)
 }
 
-fn vreg(rng: &mut Rng) -> VReg {
-    VReg::of(rng.index(16) as u8)
-}
-
-fn base(rng: &mut Rng) -> Base {
-    if rng.bool() {
+fn base(rng: &mut XorShift64) -> Base {
+    if rng.coin() {
         Base::Reg(reg(rng))
     } else {
-        Base::Sym(SymId::new(rng.index(8) as u16))
+        Base::Sym(SymId::new(rng.range_usize(0, 8) as u16))
     }
 }
 
-fn operand2(rng: &mut Rng) -> Operand2 {
-    if rng.bool() {
+fn operand2(rng: &mut XorShift64) -> Operand2 {
+    if rng.coin() {
         Operand2::Reg(reg(rng))
     } else {
-        Operand2::Imm(rng.index(256) as i32 - 128)
+        Operand2::Imm(rng.range_usize(0, 256) as i32 - 128)
     }
 }
 
-fn valu_with_elem(rng: &mut Rng) -> (VAluOp, ElemType) {
+fn valu_with_elem(rng: &mut XorShift64) -> (VAluOp, ElemType) {
     loop {
         let op = rng.pick(&VAluOp::ALL);
         let e = rng.pick(&ElemType::ALL);
@@ -92,13 +59,13 @@ fn valu_with_elem(rng: &mut Rng) -> (VAluOp, ElemType) {
 
 /// One random instruction covering every `Inst` variant, including the
 /// control-flow forms the encode property test routes through programs.
-fn random_inst(rng: &mut Rng) -> Inst {
-    if rng.bool() {
-        Inst::S(match rng.index(16) {
+fn random_inst(rng: &mut XorShift64) -> Inst {
+    if rng.coin() {
+        Inst::S(match rng.range_usize(0, 16) {
             0 => ScalarInst::MovImm {
                 cond: rng.pick(&Cond::ALL),
                 rd: reg(rng),
-                imm: rng.index(1024) as i32 - 512,
+                imm: rng.range_usize(0, 1024) as i32 - 512,
             },
             1 => ScalarInst::Mov {
                 cond: rng.pick(&Cond::ALL),
@@ -129,7 +96,7 @@ fn random_inst(rng: &mut Rng) -> Inst {
             },
             6 => ScalarInst::LdInt {
                 width: rng.pick(&MemWidth::ALL),
-                signed: rng.bool(),
+                signed: rng.coin(),
                 rd: reg(rng),
                 base: base(rng),
                 index: reg(rng),
@@ -152,21 +119,21 @@ fn random_inst(rng: &mut Rng) -> Inst {
             },
             10 => ScalarInst::B {
                 cond: rng.pick(&Cond::ALL),
-                target: rng.index(4096) as u32,
+                target: rng.range_usize(0, 4096) as u32,
             },
             11 => ScalarInst::Bl {
-                target: rng.index(4096) as u32,
-                vectorizable: rng.bool(),
+                target: rng.range_usize(0, 4096) as u32,
+                vectorizable: rng.coin(),
             },
             12 => ScalarInst::Ret,
             13 => ScalarInst::Halt,
             _ => ScalarInst::Nop,
         })
     } else {
-        Inst::V(match rng.index(9) {
+        Inst::V(match rng.range_usize(0, 9) {
             0 => VectorInst::VLd {
                 elem: rng.pick(&ElemType::ALL),
-                signed: rng.bool(),
+                signed: rng.coin(),
                 vd: vreg(rng),
                 base: base(rng),
                 index: reg(rng),
@@ -194,7 +161,7 @@ fn random_inst(rng: &mut Rng) -> Inst {
                     elem,
                     vd: vreg(rng),
                     vn: vreg(rng),
-                    imm: rng.index(64) as i32 - 32,
+                    imm: rng.range_usize(0, 64) as i32 - 32,
                 }
             }
             4 => {
@@ -204,7 +171,7 @@ fn random_inst(rng: &mut Rng) -> Inst {
                     elem,
                     vd: vreg(rng),
                     vn: vreg(rng),
-                    cnst: SymId::new(rng.index(8) as u16),
+                    cnst: SymId::new(rng.range_usize(0, 8) as u16),
                 }
             }
             5 => {
@@ -214,7 +181,7 @@ fn random_inst(rng: &mut Rng) -> Inst {
                     elem,
                     vd: vreg(rng),
                     vn: vreg(rng),
-                    src: if rng.bool() {
+                    src: if rng.coin() {
                         ScalarSrc::R(reg(rng))
                     } else {
                         ScalarSrc::F(freg(rng))
@@ -235,12 +202,12 @@ fn random_inst(rng: &mut Rng) -> Inst {
             _ => {
                 let block = rng.pick(&[2u8, 4, 8, 16]);
                 VectorInst::VPerm {
-                    kind: match rng.index(3) {
+                    kind: match rng.range_usize(0, 3) {
                         0 => PermKind::Bfly { block },
                         1 => PermKind::Rev { block },
                         _ => PermKind::Rot {
                             block,
-                            amt: 1 + rng.index(usize::from(block) - 1) as u8,
+                            amt: 1 + rng.range_usize(0, usize::from(block) - 1) as u8,
                         },
                     },
                     elem: rng.pick(&ElemType::ALL),
@@ -252,15 +219,15 @@ fn random_inst(rng: &mut Rng) -> Inst {
     }
 }
 
-fn random_latency_model(rng: &mut Rng) -> LatencyModel {
+fn random_latency_model(rng: &mut XorShift64) -> LatencyModel {
     LatencyModel {
-        int_alu: 1 + rng.index(4) as u32,
-        int_mul: 1 + rng.index(8) as u32,
-        fp_alu: 1 + rng.index(8) as u32,
-        fp_mul: 1 + rng.index(8) as u32,
-        fp_div: 1 + rng.index(30) as u32,
-        load: 1 + rng.index(4) as u32,
-        branch_taken: 1 + rng.index(4) as u32,
+        int_alu: 1 + rng.range_usize(0, 4) as u32,
+        int_mul: 1 + rng.range_usize(0, 8) as u32,
+        fp_alu: 1 + rng.range_usize(0, 8) as u32,
+        fp_mul: 1 + rng.range_usize(0, 8) as u32,
+        fp_div: 1 + rng.range_usize(0, 30) as u32,
+        load: 1 + rng.range_usize(0, 4) as u32,
+        branch_taken: 1 + rng.range_usize(0, 4) as u32,
     }
 }
 
@@ -270,7 +237,7 @@ fn random_latency_model(rng: &mut Rng) -> LatencyModel {
 #[test]
 fn meta_matches_fresh_derivation_for_random_instructions() {
     let seed = 0xC0FF_EE00_D15C_0B01u64;
-    let mut rng = Rng::new(seed);
+    let mut rng = XorShift64::new(seed);
     for case in 0..CASES {
         let inst = random_inst(&mut rng);
         let lat = random_latency_model(&mut rng);

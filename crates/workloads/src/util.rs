@@ -66,6 +66,20 @@ impl XorShift64 {
     pub fn range_f32(&mut self, lo: f32, hi: f32) -> f32 {
         lo + (self.next_f64() as f32) * (hi - lo)
     }
+
+    /// A fair coin: the low bit of the next raw value.
+    pub fn coin(&mut self) -> bool {
+        self.next_u64() & 1 == 1
+    }
+
+    /// A uniformly chosen element of `items`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` is empty.
+    pub fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.range_usize(0, items.len())]
+    }
 }
 
 /// A deterministic `f32` vector in `[lo, hi)`.
