@@ -13,7 +13,17 @@ use liquid_simd_trace::Json;
 
 use crate::args::{flag, opt, Args, Command, Opt, BACKEND, DEFAULT_HISTORY, HISTORY, JOBS};
 
+/// Where each mode writes its snapshot unless `--out` says otherwise. A
+/// plain `bench --families` must not replace the committed Figure 6
+/// snapshot, so the two differ.
+const SUITE_SNAPSHOT: &str = "BENCH_sim.json";
+const FAMILIES_SNAPSHOT: &str = "BENCH_families.json";
 const OUT: Opt = opt("--out", "FILE", "snapshot path (default BENCH_sim.json)");
+const FAMILIES_OUT: Opt = opt(
+    "--out",
+    "FILE",
+    "snapshot path (default BENCH_families.json)",
+);
 const NO_HISTORY: Opt = flag("--no-history", "skip the history append");
 
 #[rustfmt::skip]
@@ -56,7 +66,7 @@ pub static BENCH_FAMILIES: Command = Command {
     opts: &[
         flag("--smoke", "variants with trip <= 64, unroll <= 2; widths 2 and 8"),
         BACKEND,
-        OUT,
+        FAMILIES_OUT,
         HISTORY,
         NO_HISTORY,
     ],
@@ -118,9 +128,10 @@ pub struct WidthAnomaly {
     pub message: String,
 }
 
-/// Flags every width inversion. Legal (strip-mining remainders,
-/// width-dependent abort fallbacks) but always worth a human look — e.g.
-/// `179.art` at width 16 costing more cycles than at width 8.
+/// Flags every width inversion. Legal but always worth a human look —
+/// e.g. `179.art` at width 16 costing more cycles than at width 8: the
+/// wider translation's microcode is still pending when one more call
+/// arrives, so that call runs the scalar body (ROADMAP item 8).
 pub fn width_anomalies(rows: &[perfhist::WorkloadRow]) -> Vec<WidthAnomaly> {
     let mut out = Vec::new();
     for (ri, row) in rows.iter().enumerate() {
@@ -193,7 +204,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let smoke = args.flag("--smoke");
     let (workloads, widths) = suite(smoke);
     let backend = args.backend()?;
-    let out_path = args.value_or("--out", "BENCH_sim.json");
+    let out_path = args.value_or("--out", SUITE_SNAPSHOT);
     let history_path = args.value_or("--history", DEFAULT_HISTORY);
     let bench = measure_suite(
         &workloads,
@@ -324,10 +335,7 @@ pub fn measure_rows(
                     .map_err(|e| e.to_string())?;
             if width == headline {
                 row.sim_cycles = out.report.cycles;
-                perfhist::counters::merge(
-                    &mut counters,
-                    &perfhist::counters::snapshot(&out.report),
-                );
+                perfhist::counters::merge(&mut counters, &out.report.counters());
             }
             let names = liquid_simd::ledger_region_labels(&program, &out.report.ledger);
             let label = format!("{}@w{width}", w.name);
@@ -398,7 +406,7 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
     let backend = args.backend()?;
     let widths = sweep_widths(smoke);
     let headline = headline_width(&widths);
-    let out_path = args.value_or("--out", "BENCH_sim.json");
+    let out_path = args.value_or("--out", FAMILIES_SNAPSHOT);
     let history_path = args.value_or("--history", DEFAULT_HISTORY);
     let variants = crate::gen::variants(smoke)?;
 
@@ -582,4 +590,24 @@ fn cmd_bench_serve(args: &Args) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn families_and_suite_snapshots_default_to_different_files() {
+        assert_ne!(SUITE_SNAPSHOT, FAMILIES_SNAPSHOT);
+        let out_help = |c: &Command| {
+            c.opts
+                .iter()
+                .find(|o| o.name == "--out")
+                .expect("--out")
+                .help
+        };
+        assert!(out_help(&BENCH).contains(SUITE_SNAPSHOT));
+        assert!(out_help(&BENCH_FAMILIES).contains(FAMILIES_SNAPSHOT));
+        assert!(!out_help(&BENCH_FAMILIES).contains(SUITE_SNAPSHOT));
+    }
 }

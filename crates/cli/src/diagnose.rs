@@ -76,7 +76,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     let top = args.count("--top", 10, 1)?;
     let report = liquid_simd::profile(&program, &name, lanes).map_err(|e| e.to_string())?;
     if let Some(path) = args.value("--trace-out") {
-        let text = export::chrome_trace_with_spans(&report.records, &report.spans);
+        let text = export::chrome_trace(&report.records, &report.spans);
         fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
         eprintln!(
             "{path}: {} events, {} spans written",

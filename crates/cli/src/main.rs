@@ -449,9 +449,6 @@ mod tests {
                 "--native",
                 "--jit",
                 "--report",
-                "--trace",
-                "--trace-out",
-                "t.json",
             ],
             &["translate", "t.s", "--lanes", "4"],
             &[

@@ -3,7 +3,7 @@
 
 use std::fs;
 
-use liquid_simd::{Machine, MachineConfig};
+use liquid_simd::{diagnose, Machine, MachineConfig};
 use liquid_simd_isa::{asm, object, Program};
 use liquid_simd_serve as serve;
 use liquid_simd_trace::{export, TraceConfig, Tracer};
@@ -40,8 +40,6 @@ pub static RUN: Command = Command {
         NATIVE,
         JIT,
         flag("--report", "print cache/translator statistics"),
-        flag("--trace", "record dynamic events; print the trace summary"),
-        opt("--trace-out", "FILE", "also write the events (.json: Chrome trace)"),
     ],
     run: cmd_run,
 };
@@ -57,13 +55,13 @@ pub static TRANSLATE: Command = Command {
 #[rustfmt::skip]
 pub static TRACE: Command = Command {
     usage: "trace <prog.s|prog.lsim>",
-    about: "traced run: write the event stream and print its summary",
+    about: "traced run: write the event stream; print the run's counters and the trace summary",
     opts: &[
         LANES,
         BACKEND,
         NATIVE,
         JIT,
-        opt("--out", "FILE", "events (default trace.json; .json: Chrome trace)"),
+        opt("--out", "FILE", "events (default trace.json; .json: Chrome trace with spans)"),
         flag("--instructions", "also record every retired instruction"),
     ],
     run: cmd_trace,
@@ -150,35 +148,34 @@ fn config_from(args: &Args) -> Result<MachineConfig, String> {
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     let program = load_program(args.input())?;
-    let mut cfg = config_from(args)?;
-    let trace_out = args.value("--trace-out");
-    let tracing = args.flag("--trace") || trace_out.is_some();
-    let tracer = tracing.then(Tracer::new);
-    if let Some(t) = &tracer {
-        cfg = cfg.with_tracer(t.clone());
-    }
-    let mut machine = Machine::new(&program, cfg);
+    let mut machine = Machine::new(&program, config_from(args)?);
     let report = machine.run().map_err(|e| e.to_string())?;
     if args.flag("--report") {
         print!("{}", serve::ops::report_text(&report));
     } else {
         print!("{}", serve::ops::run_summary(&report));
     }
-    if let Some(t) = &tracer {
-        if let Some(path) = trace_out {
-            write_trace(t, path)?;
-        }
-        print!("{}", export::summary(t));
-    }
     Ok(())
 }
 
-/// Writes the recorded event stream: Chrome trace-event JSON for `.json`
+/// `trace`: runs with a tracer attached and writes the recorded event
+/// stream — Chrome trace-event JSON with the run's spans for `.json`
 /// paths (loadable in Perfetto / chrome://tracing), JSON-lines otherwise.
-fn write_trace(tracer: &Tracer, path: &str) -> Result<(), String> {
+/// Then prints the run's counters and the tracer's ring and span summary.
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    let program = load_program(args.input())?;
+    let tracer = Tracer::with_config(TraceConfig {
+        instructions: args.flag("--instructions"),
+        ..TraceConfig::default()
+    });
+    let cfg = config_from(args)?.with_tracer(tracer.clone());
+    let report = Machine::new(&program, cfg)
+        .run()
+        .map_err(|e| e.to_string())?;
+    let path = args.value_or("--out", "trace.json");
     let records = tracer.records();
     let text = if path.ends_with(".json") {
-        export::chrome_trace(&records)
+        export::chrome_trace(&records, &tracer.spans())
     } else {
         export::json_lines(&records)
     };
@@ -192,19 +189,8 @@ fn write_trace(tracer: &Tracer, path: &str) -> Result<(), String> {
             String::new()
         }
     );
-    Ok(())
-}
-
-fn cmd_trace(args: &Args) -> Result<(), String> {
-    let program = load_program(args.input())?;
-    let tracer = Tracer::with_config(TraceConfig {
-        instructions: args.flag("--instructions"),
-        ..TraceConfig::default()
-    });
-    let cfg = config_from(args)?.with_tracer(tracer.clone());
-    let mut machine = Machine::new(&program, cfg);
-    machine.run().map_err(|e| e.to_string())?;
-    write_trace(&tracer, args.value_or("--out", "trace.json"))?;
+    println!("counters:");
+    print!("{}", diagnose::render_counter_table(&report.counters()));
     print!("{}", export::summary(&tracer));
     Ok(())
 }

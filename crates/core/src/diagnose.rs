@@ -388,11 +388,10 @@ pub fn explain_json(report: &ExplainReport) -> String {
         .enumerate()
         .zip(report.cycles.iter().zip(&report.mcache))
         .map(|((i, &w), (&c, m))| {
-            let b = report.blocks.get(i).copied().unwrap_or_default().metrics();
+            let b = report.blocks.get(i).copied().unwrap_or_default();
             let blocks = b
                 .counters()
-                .iter()
-                .map(|(k, &v)| (k.trim_start_matches("blocks.").to_string(), v.into()));
+                .map(|(k, v)| (k.trim_start_matches("blocks."), v.into()));
             Json::obj([
                 ("width", w.into()),
                 ("cycles", c.into()),

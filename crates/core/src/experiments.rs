@@ -561,74 +561,6 @@ pub fn overhead_callout(w: &Workload, jobs: usize) -> Result<OverheadCallout, Ve
     })
 }
 
-/// Per-benchmark dynamic metrics captured through the tracing subsystem:
-/// calls by mode, translation outcomes, abort-reason tallies, mcache and
-/// memory behaviour — everything the end-of-run aggregates flatten away.
-#[derive(Clone, Debug)]
-pub struct MetricsRow {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Cycles of the traced run.
-    pub cycles: u64,
-    /// The full metrics registry (counters + histograms) of the run.
-    pub metrics: liquid_simd_trace::Metrics,
-    /// Per-kind event tallies (`"translation-commit"` → count, ...).
-    pub events: BTreeMap<&'static str, u64>,
-}
-
-impl MetricsRow {
-    /// Abort-reason tallies, keyed by `AbortReason::tag()` strings.
-    #[must_use]
-    pub fn aborts(&self) -> BTreeMap<String, u64> {
-        self.metrics.with_prefix("translator.abort.")
-    }
-}
-
-/// Runs each workload's Liquid binary at 8 lanes with a tracer attached
-/// and returns the captured per-benchmark metrics, one traced simulation
-/// per worker-thread task. The tracer handle is not `Send` (`Rc`-based),
-/// so each task creates its own tracer and ships back only the plain-data
-/// [`Metrics`] registry.
-///
-/// [`Metrics`]: liquid_simd_trace::Metrics
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn metrics_jobs(workloads: &[Workload], jobs: usize) -> Result<Vec<MetricsRow>, VerifyError> {
-    let cache = BuildCache::new(workloads, &[]);
-    run_tasks(
-        jobs,
-        workloads.len(),
-        |i| -> Result<MetricsRow, VerifyError> {
-            let b = cache.liquid(i)?;
-            let tracer = liquid_simd_trace::Tracer::new();
-            let cfg = MachineConfig::liquid(8).with_tracer(tracer.clone());
-            let out = crate::run(&b.program, cfg)?;
-            Ok(MetricsRow {
-                benchmark: cache.workload(i).name.clone(),
-                cycles: out.report.cycles,
-                metrics: tracer.metrics(),
-                events: tracer.kind_counts(),
-            })
-        },
-    )
-}
-
-impl fmt::Display for MetricsRow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:<14} {:>10} cycles, {:>4} commits, {:>4} aborts, {:>5} simd calls",
-            self.benchmark,
-            self.cycles,
-            self.events.get("translation-commit").copied().unwrap_or(0),
-            self.events.get("translation-abort").copied().unwrap_or(0),
-            self.metrics.counter("calls.simd"),
-        )
-    }
-}
-
 /// Convenience: the paper's width sweep.
 #[must_use]
 pub fn paper_widths() -> Vec<usize> {

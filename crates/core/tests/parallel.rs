@@ -58,10 +58,6 @@ fn remaining_drivers_are_identical_at_any_job_count() {
     let parallel = render(&experiments::mcache_jobs(&workloads, 4).expect("parallel"));
     assert_eq!(serial, parallel, "mcache diverged");
 
-    let serial = render(&experiments::metrics_jobs(&workloads, 1).expect("serial"));
-    let parallel = render(&experiments::metrics_jobs(&workloads, 4).expect("parallel"));
-    assert_eq!(serial, parallel, "metrics diverged");
-
     let costs = [1u64, 40];
     let serial = experiments::ablation_latency_jobs(&workloads, &costs, 1).expect("serial");
     let parallel = experiments::ablation_latency_jobs(&workloads, &costs, 4).expect("parallel");

@@ -1,8 +1,9 @@
-//! Counter telemetry: one flat, dotted-name snapshot of everything a run
-//! measured — the "counters" object embedded in each `perfhist-v1` record.
+//! Counter telemetry across runs: the labelled ledger snapshot behind
+//! `liquid-simd diff`, and [`merge`] for suite-wide sums.
 //!
-//! The names form a stable public surface (the dashboard diffs them
-//! against a baseline record), so they are chosen once and documented in
+//! One run's counters are [`RunReport::counters`], the one place their
+//! dotted names are chosen. They form a stable public surface (the
+//! dashboard diffs them against a baseline record), documented in
 //! EXPERIMENTS.md: `translator.*` for the automaton, `mcache.*` for the
 //! microcode cache, `icache.*`/`dcache.*` for the memory system, and
 //! `lanes.*` for SIMD lane utilization.
@@ -10,59 +11,6 @@
 use std::collections::BTreeMap;
 
 use liquid_simd_sim::RunReport;
-
-/// Flattens one run's [`RunReport`] into dotted counter names. Everything
-/// is a monotonic count, so snapshots from several workloads can be summed
-/// with [`merge`] into a suite-wide registry.
-///
-/// The headline, `backend.*`, `blocks.*` and `ledger.*` counters are
-/// [`RunReport::metrics`]; the `ledger.*.cycles` sum to `cycles`. The
-/// `blocks.*` telemetry is kept only when the backend actually did block
-/// work, so interpreter records stay byte-compatible with pre-backend
-/// history baselines.
-#[must_use]
-pub fn snapshot(report: &RunReport) -> BTreeMap<String, u64> {
-    let mut out = report.metrics().counters().clone();
-    if report.blocks == liquid_simd_sim::BlockStats::default() {
-        out.retain(|k, _| !k.starts_with("blocks."));
-    }
-    let mut put = |k: &str, v: u64| {
-        out.insert(k.to_string(), v);
-    };
-    put("icache.accesses", report.icache.accesses);
-    put("icache.hits", report.icache.hits);
-    put("dcache.accesses", report.dcache.accesses);
-    put("dcache.hits", report.dcache.hits);
-    put("mcache.lookups", report.mcache.lookups);
-    put("mcache.hits", report.mcache.hits);
-    put(
-        "mcache.misses",
-        report
-            .mcache
-            .lookups
-            .saturating_sub(report.mcache.hits + report.mcache.pending),
-    );
-    put("mcache.pending", report.mcache.pending);
-    put("mcache.inserts", report.mcache.inserts);
-    put("mcache.evictions", report.mcache.evictions);
-    put("mcache.conflicts", report.mcache.conflicts);
-    let t = &report.translator;
-    put("translator.attempts", t.attempts);
-    put("translator.successes", t.successes);
-    put("translator.aborted", t.aborted());
-    put("translator.uops_emitted", t.uops_emitted);
-    put("translator.instrs_observed", t.instrs_observed);
-    put("translator.phase.collect", t.collect_observed);
-    put("translator.phase.loop", t.loop_observed);
-    put("translator.buffer_high_water", t.buffer_high_water);
-    put("phases.scalar_cycles", report.phases.scalar_cycles);
-    put("phases.micro_cycles", report.phases.micro_cycles);
-    put("phases.jit_stall_cycles", report.phases.jit_stall_cycles);
-    for (tag, &n) in &t.aborts {
-        out.insert(format!("translator.abort.{tag}"), n);
-    }
-    out
-}
 
 /// Builds a labelled ledger [`Snapshot`](liquid_simd_sim::LedgerSnapshot)
 /// from one run: the attribution buckets plus the run's deterministic
@@ -78,7 +26,7 @@ pub fn ledger_snapshot(
     names: &BTreeMap<u32, String>,
 ) -> liquid_simd_sim::LedgerSnapshot {
     let mut snap = liquid_simd_sim::LedgerSnapshot::from_ledger(label, &report.ledger, names);
-    for (k, v) in snapshot(report) {
+    for (k, v) in report.counters() {
         if !k.starts_with("ledger.") && !k.starts_with("backend.") {
             snap.counters.insert(k, v);
         }
@@ -119,7 +67,7 @@ mod tests {
             translator,
             ..Default::default()
         };
-        let a = snapshot(&r);
+        let a = r.counters();
         assert_eq!(a["cycles"], 100);
         assert_eq!(a["lanes.ops"], 32);
         assert_eq!(a["mcache.misses"], 2);
@@ -144,7 +92,7 @@ mod tests {
             ledger,
             ..Default::default()
         };
-        let c = snapshot(&r);
+        let c = r.counters();
         assert_eq!(c["ledger.vector-execute.cycles"], 64);
         assert_eq!(c["ledger.vector-execute.events"], 1);
         assert_eq!(c["ledger.mcache-probe.cycles"], 0);
@@ -163,7 +111,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let c = snapshot(&r);
+        let c = r.counters();
         assert_eq!(c["blocks.lowered"], 3);
         assert_eq!(c["blocks.cache_hits"], 40);
         assert_eq!(c["blocks.fallback.control"], 0);

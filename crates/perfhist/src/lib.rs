@@ -11,10 +11,12 @@
 //!   bench` run appends one [`record`]-built `perfhist-v1` line keyed by
 //!   git commit, timestamp, host fingerprint, and machine-config hash.
 //!   Loading preserves unknown fields and future schemas byte-for-byte.
-//! * [`counters`] — one flat, dotted-name snapshot per record of
-//!   everything the run counted: translator automaton phase occupancy and
-//!   abort tallies, mcache hit/miss/eviction/conflict counts, SIMD lane
-//!   utilization, microcode-buffer high-water.
+//! * [`counters`] — suite-wide sums of each run's
+//!   [`RunReport::counters`](liquid_simd_sim::RunReport::counters) (the
+//!   flat, dotted-name `counters` object of a record: translator phase
+//!   occupancy and abort tallies, mcache hit/miss/eviction/conflict
+//!   counts, SIMD lane utilization, microcode-buffer high-water), and the
+//!   labelled ledger snapshots `diff` compares.
 //! * [`sentinel`] — the regression gate. Deterministic `sim_cycles` are
 //!   compared *exactly* against a comparable baseline record (same
 //!   backend, config hash, suite, and widths) and any drift — regression

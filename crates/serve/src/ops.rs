@@ -159,7 +159,7 @@ pub struct OpOutput {
     /// flight recorder and burst detector read it without re-parsing the
     /// body.
     pub kind: String,
-    /// The run's canonical counter snapshot (`cycles`, `translator.*`,
+    /// The run's [`RunReport::counters`] (`cycles`, `translator.*`,
     /// `mcache.*`, `blocks.*`, …) — a pure function of the request, so
     /// shard workers can merge it into per-shard registries without
     /// breaking cross-shard determinism. Empty for errors and for ops
@@ -174,7 +174,7 @@ impl OpOutput {
             ok: true,
             cycles: report.cycles,
             kind: String::new(),
-            counters: liquid_simd_perfhist::counters::snapshot(report),
+            counters: report.counters(),
         }
     }
 

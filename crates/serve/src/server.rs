@@ -1005,6 +1005,22 @@ mod tests {
             .collect()
     }
 
+    /// Like [`client`], but sends each line only after the previous reply
+    /// arrived, so no two requests of the connection are in flight at once.
+    fn client_in_turn(addr: SocketAddr, lines: &[String]) -> Vec<String> {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        lines
+            .iter()
+            .map(|l| {
+                stream.write_all(format!("{l}\n").as_bytes()).unwrap();
+                let mut reply = String::new();
+                reader.read_line(&mut reply).expect("response line");
+                reply.trim_end().to_string()
+            })
+            .collect()
+    }
+
     #[test]
     fn responses_preserve_request_order_and_echo_ids() {
         let handle = spawn(ServeOptions {
@@ -1156,7 +1172,12 @@ mod tests {
             r#"{"op":"run","workload":"fir","inject":"panic","id":"boom"}"#.to_string(),
             r#"{"op":"run","workload":"fir","id":"healthy-2"}"#.to_string(),
         ];
-        let responses = client(handle.addr, &lines);
+        // One request at a time: the worker records `respond` before it
+        // sends the reply, so the connection thread's `accept`/`parse` of
+        // the next request never collides with a worker write on the same
+        // flight ring (a collision drops the event by design). Ordering
+        // under pipelining is `responses_preserve_request_order_and_echo_ids`.
+        let responses = client_in_turn(handle.addr, &lines);
         let kind_of = |r: &str| {
             Json::parse(r)
                 .unwrap()
@@ -1180,6 +1201,7 @@ mod tests {
         let header = lines.next().unwrap();
         assert!(header.contains("\"schema\":\"flight-v1\""));
         assert!(header.contains("\"reason\":\"worker-panic\""));
+        assert!(header.contains("\"contended\":0"), "{header}");
         // The failing request's lifecycle is in the dump, through panic.
         for stage in ["accept", "parse", "build", "probe", "translate", "panic"] {
             assert!(

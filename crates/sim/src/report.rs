@@ -58,28 +58,21 @@ impl BlockStats {
         }
     }
 
-    /// Records the counters into a trace-metrics registry under dotted
-    /// `blocks.*` names — the canonical spelling every observability
-    /// surface shares (perfhist counters, `explain --json`, the dashboard
-    /// delta table).
-    pub fn record_metrics(&self, m: &mut liquid_simd_trace::Metrics) {
-        m.add("blocks.lowered", self.lowered);
-        m.add("blocks.lowered_instrs", self.lowered_instrs);
-        m.add("blocks.cache_hits", self.hits);
-        m.add("blocks.cache_misses", self.misses);
-        m.add("blocks.invalidations", self.invalidations);
-        m.add("blocks.instrs", self.block_instrs);
-        m.add("blocks.fallback.translator", self.fallback_translator);
-        m.add("blocks.fallback.interrupts", self.fallback_interrupts);
-        m.add("blocks.fallback.control", self.fallback_control);
-    }
-
-    /// The `blocks.*` counters as a fresh registry (see [`Self::record_metrics`]).
+    /// The counters under their dotted `blocks.*` names, sorted by name
+    /// (the spelling [`RunReport::counters`] and `explain --json` share).
     #[must_use]
-    pub fn metrics(&self) -> liquid_simd_trace::Metrics {
-        let mut m = liquid_simd_trace::Metrics::new();
-        self.record_metrics(&mut m);
-        m
+    pub fn counters(&self) -> [(&'static str, u64); 9] {
+        [
+            ("blocks.cache_hits", self.hits),
+            ("blocks.cache_misses", self.misses),
+            ("blocks.fallback.control", self.fallback_control),
+            ("blocks.fallback.interrupts", self.fallback_interrupts),
+            ("blocks.fallback.translator", self.fallback_translator),
+            ("blocks.instrs", self.block_instrs),
+            ("blocks.invalidations", self.invalidations),
+            ("blocks.lowered", self.lowered),
+            ("blocks.lowered_instrs", self.lowered_instrs),
+        ]
     }
 }
 
@@ -242,37 +235,72 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Records the report's headline counters into a trace-metrics
-    /// registry: cycles and retire mix under their canonical dotted names,
-    /// the backend that executed the run as a `backend.<name>.runs` count
-    /// (so a registry merged across many runs — or across serve shards —
-    /// shows how work split between backends), and the `blocks.*`
-    /// telemetry via [`BlockStats::record_metrics`].
-    pub fn record_metrics(&self, m: &mut liquid_simd_trace::Metrics) {
-        m.add("cycles", self.cycles);
-        m.add("retired", self.retired);
-        m.add("retired.scalar", self.scalar_retired);
-        m.add("retired.vector", self.vector_retired);
-        m.add("lanes.ops", self.lane_ops);
-        m.add(&format!("backend.{}.runs", self.backend.name()), 1);
-        m.add(
-            &format!("backend.{}.cycles", self.backend.name()),
-            self.cycles,
-        );
-        self.blocks.record_metrics(m);
-        for (cat, bucket) in self.ledger.category_totals() {
-            m.add(&format!("ledger.{}.cycles", cat.name()), bucket.cycles);
-            m.add(&format!("ledger.{}.events", cat.name()), bucket.events);
-        }
-    }
-
-    /// The headline counters as a fresh registry (see
-    /// [`Self::record_metrics`]).
+    /// Flattens the report into dotted counter names: the one place a
+    /// run's counts are named. This map is the `counters` object of a
+    /// `perfhist-v1` record and of a serve reply's telemetry, the evidence
+    /// in a ledger snapshot, and what `liquid-simd trace` prints.
+    ///
+    /// Everything is a monotonic count, so maps from several runs can be
+    /// summed. The backend that executed the run is a
+    /// `backend.<name>.runs` count, so a sum across runs (or serve shards)
+    /// shows how work split between backends. The `ledger.*.cycles` sum to
+    /// `cycles`. The `blocks.*` counters are kept only when the backend
+    /// did block work, so interpreter records stay byte-compatible with
+    /// pre-backend history baselines.
     #[must_use]
-    pub fn metrics(&self) -> liquid_simd_trace::Metrics {
-        let mut m = liquid_simd_trace::Metrics::new();
-        self.record_metrics(&mut m);
-        m
+    pub fn counters(&self) -> BTreeMap<String, u64> {
+        let mut out = BTreeMap::new();
+        let mut put = |k: &str, v: u64| {
+            out.insert(k.to_string(), v);
+        };
+        put("cycles", self.cycles);
+        put("retired", self.retired);
+        put("retired.scalar", self.scalar_retired);
+        put("retired.vector", self.vector_retired);
+        put("lanes.ops", self.lane_ops);
+        let backend = self.backend.name();
+        put(&format!("backend.{backend}.runs"), 1);
+        put(&format!("backend.{backend}.cycles"), self.cycles);
+        if self.blocks != BlockStats::default() {
+            for (k, v) in self.blocks.counters() {
+                put(k, v);
+            }
+        }
+        for (cat, bucket) in self.ledger.category_totals() {
+            put(&format!("ledger.{}.cycles", cat.name()), bucket.cycles);
+            put(&format!("ledger.{}.events", cat.name()), bucket.events);
+        }
+        put("icache.accesses", self.icache.accesses);
+        put("icache.hits", self.icache.hits);
+        put("dcache.accesses", self.dcache.accesses);
+        put("dcache.hits", self.dcache.hits);
+        let m = &self.mcache;
+        put("mcache.lookups", m.lookups);
+        put("mcache.hits", m.hits);
+        put(
+            "mcache.misses",
+            m.lookups.saturating_sub(m.hits + m.pending),
+        );
+        put("mcache.pending", m.pending);
+        put("mcache.inserts", m.inserts);
+        put("mcache.evictions", m.evictions);
+        put("mcache.conflicts", m.conflicts);
+        let t = &self.translator;
+        put("translator.attempts", t.attempts);
+        put("translator.successes", t.successes);
+        put("translator.aborted", t.aborted());
+        put("translator.uops_emitted", t.uops_emitted);
+        put("translator.instrs_observed", t.instrs_observed);
+        put("translator.phase.collect", t.collect_observed);
+        put("translator.phase.loop", t.loop_observed);
+        put("translator.buffer_high_water", t.buffer_high_water);
+        for (tag, &n) in &t.aborts {
+            put(&format!("translator.abort.{tag}"), n);
+        }
+        put("phases.scalar_cycles", self.phases.scalar_cycles);
+        put("phases.micro_cycles", self.phases.micro_cycles);
+        put("phases.jit_stall_cycles", self.phases.jit_stall_cycles);
+        out
     }
 
     /// Per-call-target attribution, keyed by entry PC: call counts from the
@@ -354,14 +382,23 @@ mod tests {
             fallback_interrupts: 0,
             fallback_control: 11,
         };
-        let m = b.metrics();
-        assert_eq!(m.counter("blocks.lowered"), 2);
-        assert_eq!(m.counter("blocks.cache_hits"), 7);
-        assert_eq!(m.counter("blocks.invalidations"), 1);
-        assert_eq!(m.counter("blocks.fallback.control"), 11);
-        assert_eq!(m.with_prefix("blocks.").len(), 9);
+        let r = RunReport {
+            blocks: b,
+            ..RunReport::default()
+        };
+        let c = r.counters();
+        assert_eq!(c["blocks.lowered"], 2);
+        assert_eq!(c["blocks.cache_hits"], 7);
+        assert_eq!(c["blocks.invalidations"], 1);
+        assert_eq!(c["blocks.fallback.control"], 11);
+        assert_eq!(c.keys().filter(|k| k.starts_with("blocks.")).count(), 9);
+        let names: Vec<&str> = b.counters().iter().map(|(k, _)| *k).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted: {names:?}");
         assert!((b.avg_block_len() - 5.0).abs() < 1e-12);
         assert_eq!(b.fallbacks(), 14);
+        // Interpreter runs (all-zero block stats) name no blocks.* counter.
+        let interp = RunReport::default().counters();
+        assert!(!interp.keys().any(|k| k.starts_with("blocks.")));
     }
 
     #[test]
@@ -374,20 +411,17 @@ mod tests {
             backend: BackendKind::Superblock,
             ..RunReport::default()
         };
-        let m = r.metrics();
-        assert_eq!(m.counter("cycles"), 500);
-        assert_eq!(m.counter("backend.superblock.runs"), 1);
-        assert_eq!(m.counter("backend.superblock.cycles"), 500);
-        assert_eq!(m.counter("backend.interp.runs"), 0);
-        // Merging two runs from different backends keeps both tags.
+        let c = r.counters();
+        assert_eq!(c["cycles"], 500);
+        assert_eq!(c["retired.vector"], 40);
+        assert_eq!(c["backend.superblock.runs"], 1);
+        assert_eq!(c["backend.superblock.cycles"], 500);
+        assert!(!c.contains_key("backend.interp.runs"));
         let interp = RunReport {
             backend: BackendKind::Interp,
             ..RunReport::default()
         };
-        let mut merged = m;
-        merged.merge(&interp.metrics());
-        assert_eq!(merged.counter("backend.superblock.runs"), 1);
-        assert_eq!(merged.counter("backend.interp.runs"), 1);
+        assert_eq!(interp.counters()["backend.interp.runs"], 1);
     }
 
     #[test]

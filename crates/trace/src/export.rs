@@ -84,23 +84,18 @@ fn chrome_name(event: &TraceEvent) -> String {
     }
 }
 
-/// Renders records in Chrome trace-event format (`chrome://tracing`,
-/// Perfetto). Cycles map to microseconds one-to-one. Durations are emitted
-/// as `B`/`E` pairs: call enter→exit on the pipeline track and translation
-/// begin→commit/abort on the translator track; everything else is an
-/// instant. Each subsystem gets its own named thread track.
+/// Renders records and spans in Chrome trace-event format
+/// (`chrome://tracing`, Perfetto). Cycles map to microseconds one-to-one.
+/// Durations are emitted as `B`/`E` pairs: call enter→exit on the
+/// pipeline track and translation begin→commit/abort on the translator
+/// track; everything else is an instant. Each subsystem gets its own named
+/// thread track. Spans render on their track's thread, stacked by nesting
+/// depth; the begin/end order counters recorded by the tracer guarantee a
+/// valid chronological interleaving even when several spans share a cycle
+/// stamp. Still-open spans emit their `B` only (the viewer extends them to
+/// the end of the trace).
 #[must_use]
-pub fn chrome_trace(records: &[TraceRecord]) -> String {
-    chrome_trace_with_spans(records, &[])
-}
-
-/// [`chrome_trace`] plus span `B`/`E` events. Spans render on their
-/// track's thread, stacked by nesting depth; the begin/end order counters
-/// recorded by the tracer guarantee a valid chronological interleaving
-/// even when several spans share a cycle stamp. Still-open spans emit
-/// their `B` only (the viewer extends them to the end of the trace).
-#[must_use]
-pub fn chrome_trace_with_spans(records: &[TraceRecord], spans: &[SpanRecord]) -> String {
+pub fn chrome_trace(records: &[TraceRecord], spans: &[SpanRecord]) -> String {
     let name_arg = |name: &str| Json::obj([("name", name.into())]);
     let mut events: Vec<Json> = Vec::with_capacity(records.len() + 2 * spans.len() + 8);
     events.push(Json::obj([
@@ -222,44 +217,20 @@ pub fn folded_stacks(spans: &[SpanRecord]) -> String {
     out
 }
 
-/// Renders a human-readable summary of everything the tracer recorded:
-/// buffered/dropped record counts, per-kind event tallies, counters, and
-/// histograms.
+/// Renders a human-readable summary of what the tracer recorded: the
+/// ring's emitted/buffered/dropped record counts, then the span table.
+/// A run's counts are its report's (`RunReport::counters`), not the
+/// tracer's.
 #[must_use]
 pub fn summary(tracer: &Tracer) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "trace: {} events emitted, {} buffered, {} dropped (last cycle {})",
+    let mut out = format!(
+        "trace: {} events emitted, {} buffered, {} dropped (last cycle {})\n",
         tracer.emitted(),
         tracer.len(),
         tracer.dropped(),
         tracer.now()
     );
-    let kinds = tracer.kind_counts();
-    if !kinds.is_empty() {
-        let _ = writeln!(out, "events:");
-        for (kind, n) in &kinds {
-            let _ = writeln!(out, "  {kind:<22} {n}");
-        }
-    }
-    let metrics = tracer.metrics();
-    if !metrics.counters().is_empty() {
-        let _ = writeln!(out, "counters:");
-        for (name, n) in metrics.counters() {
-            let _ = writeln!(out, "  {name:<30} {n}");
-        }
-    }
-    if !metrics.histograms().is_empty() {
-        let _ = writeln!(out, "histograms:");
-        for (name, h) in metrics.histograms() {
-            let _ = writeln!(out, "  {name:<30} {h}");
-        }
-    }
-    let spans = tracer.spans();
-    if !spans.is_empty() {
-        out.push_str(&span_summary(&spans));
-    }
+    out.push_str(&span_summary(&tracer.spans()));
     out
 }
 
@@ -338,7 +309,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_pairs_and_metadata() {
-        let text = chrome_trace(&sample_records());
+        let text = chrome_trace(&sample_records(), &[]);
         assert!(text.starts_with("{\"traceEvents\":["));
         assert!(text.contains("\"thread_name\""));
         assert!(text.contains("\"ph\":\"B\""));
@@ -350,14 +321,16 @@ mod tests {
     }
 
     #[test]
-    fn summary_lists_tallies_and_metrics() {
-        let t = Tracer::new();
+    fn summary_reports_the_ring_and_spans() {
+        let t = Tracer::with_config(crate::TraceConfig {
+            capacity: 1,
+            ..crate::TraceConfig::default()
+        });
         t.emit(TraceEvent::McacheHit { func_pc: 4 });
         t.emit(TraceEvent::McacheHit { func_pc: 4 });
         let text = summary(&t);
-        assert!(text.contains("mcache-hit"));
-        assert!(text.contains("mcache.hit"));
-        assert!(text.contains("2 events emitted"));
+        assert!(text.contains("2 events emitted, 1 buffered, 1 dropped"));
+        assert!(!text.contains("spans:"), "no spans, no table");
     }
 
     #[test]
@@ -371,7 +344,7 @@ mod tests {
         t.span_end(inner);
         t.set_now(40);
         t.span_end(outer);
-        let text = chrome_trace_with_spans(&[], &t.spans());
+        let text = chrome_trace(&[], &t.spans());
         // Inner's B after outer's B, inner's E before outer's E.
         let pos = |needle: &str| text.find(needle).unwrap();
         let outer_b = pos("\"name\":\"outer\",\"cat\":\"span\",\"ph\":\"B\"");

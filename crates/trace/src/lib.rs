@@ -1,4 +1,4 @@
-//! Unified tracing and metrics for the Liquid SIMD pipeline.
+//! Tracing for the Liquid SIMD pipeline.
 //!
 //! The simulator's correctness story (and the paper's argument) is built on
 //! *dynamic* events: the post-retirement translator shadowing a retired
@@ -10,11 +10,11 @@
 //! * [`TraceEvent`] — the event schema, from instruction retire to
 //!   interrupt injection, each tagged with a subsystem [`Track`].
 //! * [`Tracer`] — a cheaply cloneable handle over a bounded ring-buffer
-//!   recorder plus per-kind tallies. A machine built *without* a tracer
-//!   pays only a branch per emit site.
-//! * [`Metrics`] — named counters and fixed-bucket [`Histogram`]s
-//!   (translation latency, cycles between calls, abort-reason tallies),
-//!   maintained by the tracer as events stream through it.
+//!   recorder. A machine built *without* a tracer pays only a branch per
+//!   emit site. The tracer records; it counts nothing. A run's counts are
+//!   its `RunReport::counters()`.
+//! * [`Metrics`] — named counters and fixed-bucket [`Histogram`]s that
+//!   merge across registries; the serve daemon keeps one per shard.
 //! * [`span`] — named durations with per-track nesting and both sim-cycle
 //!   and wall-clock deltas ([`Tracer::span_begin`]/[`Tracer::span_end`] or
 //!   the RAII [`Tracer::span`]), aggregated by name for profile reports.
@@ -41,10 +41,12 @@
 //!     uops: 9,
 //!     dynamic_instrs: 130,
 //! });
-//! assert_eq!(tracer.kind_count("translation-commit"), 1);
-//! let lat = tracer.metrics();
-//! let lat = lat.histogram("translation.latency.cycles").unwrap();
-//! assert_eq!(lat.max(), 330);
+//! let commits = tracer
+//!     .records()
+//!     .iter()
+//!     .filter(|r| r.event.kind() == "translation-commit")
+//!     .count();
+//! assert_eq!(commits, 1);
 //! println!("{}", liquid_simd_trace::export::summary(&tracer));
 //! ```
 

@@ -1,6 +1,7 @@
 //! A lightweight metrics registry: named counters and fixed-bucket
-//! histograms. No background threads, no atomics — the simulator is
-//! single-threaded and metrics are read after (or between) runs.
+//! histograms that merge across registries. No background threads, no
+//! atomics — the serve daemon keeps one registry per shard behind a lock
+//! and merges them for `inspect`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -249,7 +250,7 @@ impl fmt::Display for Histogram {
 }
 
 /// A registry of counters and histograms keyed by dotted names
-/// (`"mcache.hit"`, `"translation.latency.cycles"`).
+/// (`"sim.mcache.hits"`, `"wall.latency_us"`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
@@ -313,16 +314,6 @@ impl Metrics {
         &self.histograms
     }
 
-    /// Counters whose name starts with `prefix`, with the prefix stripped.
-    /// Useful for abort-reason tallies (`metrics.with_prefix("translator.abort.")`).
-    #[must_use]
-    pub fn with_prefix(&self, prefix: &str) -> BTreeMap<String, u64> {
-        self.counters
-            .iter()
-            .filter_map(|(k, &v)| k.strip_prefix(prefix).map(|rest| (rest.to_string(), v)))
-            .collect()
-    }
-
     /// Folds another registry into this one: counters add, histograms
     /// merge via [`Histogram::merge`] (names absent here are cloned in).
     /// Disjoint registries simply union.
@@ -375,10 +366,9 @@ mod tests {
         m.add("mcache.hit", 7);
         assert_eq!(m.counter("translator.abort.cam-miss"), 3);
         assert_eq!(m.counter("missing"), 0);
-        let aborts = m.with_prefix("translator.abort.");
-        assert_eq!(aborts.len(), 2);
-        assert_eq!(aborts["cam-miss"], 3);
-        assert_eq!(aborts["no-loop"], 1);
+        // Names that share a prefix are separate counters.
+        assert_eq!(m.counter("translator.abort.no-loop"), 1);
+        assert_eq!(m.counters().len(), 3);
     }
 
     #[test]

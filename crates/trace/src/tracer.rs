@@ -10,25 +10,16 @@
 //! emit site — no event is constructed, no clock is stamped.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 use std::time::Instant;
 
 use crate::event::{TraceEvent, TraceRecord, Track};
-use crate::metrics::Metrics;
 use crate::span::{SpanGuard, SpanId, SpanRecord};
 
 /// Default ring-buffer capacity (records).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-/// Bucket edges for translation latency in cycles (begin → commit).
-const LATENCY_BOUNDS: [u64; 7] = [10, 30, 100, 300, 1_000, 3_000, 10_000];
-/// Bucket edges for microcode length in instructions.
-const UOPS_BOUNDS: [u64; 5] = [4, 8, 16, 32, 64];
-/// Bucket edges for cycles between consecutive calls of the same target
-/// (the paper's Table 6 buckets, extended).
-const CALL_GAP_BOUNDS: [u64; 5] = [150, 300, 1_000, 10_000, 100_000];
 
 /// Recorder configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +28,7 @@ pub struct TraceConfig {
     /// (and counted) once full.
     pub capacity: usize,
     /// Record per-instruction retire events in the ring buffer. Off by
-    /// default — they are high-volume; tallies are kept either way.
+    /// default — they are high-volume.
     pub instructions: bool,
     /// Record per-instruction translation-progress events in the ring
     /// buffer. On by default (translation windows are short).
@@ -60,14 +51,6 @@ struct Inner {
     seq: u64,
     ring: VecDeque<TraceRecord>,
     dropped: u64,
-    /// Per-kind tallies, independent of ring capacity: these never disagree
-    /// with the subsystem aggregate counters even after ring drops.
-    kind_counts: BTreeMap<&'static str, u64>,
-    metrics: Metrics,
-    /// Begin cycle of the in-flight translation per function, for latency.
-    translation_begin: BTreeMap<u32, u64>,
-    /// Last call-enter cycle per target, for call-gap histograms.
-    last_call: BTreeMap<u32, u64>,
     /// Wall-clock reference point for span wall deltas.
     epoch: Instant,
     /// Append-only span list; a [`SpanId`] indexes into it.
@@ -79,7 +62,7 @@ struct Inner {
 }
 
 /// The shared tracing handle. Clone freely — all clones record into the
-/// same buffer and registry.
+/// same buffer.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Rc<RefCell<Inner>>,
@@ -120,10 +103,6 @@ impl Tracer {
                 seq: 0,
                 ring: VecDeque::with_capacity(config.capacity.min(4096)),
                 dropped: 0,
-                kind_counts: BTreeMap::new(),
-                metrics: Metrics::new(),
-                translation_begin: BTreeMap::new(),
-                last_call: BTreeMap::new(),
                 epoch: Instant::now(),
                 spans: Vec::new(),
                 span_order: 0,
@@ -144,68 +123,12 @@ impl Tracer {
         self.inner.borrow().now
     }
 
-    /// Records one event at the current clock, updating tallies and
-    /// derived metrics.
+    /// Records one event at the current clock. It enters the ring buffer
+    /// unless its kind is gated off by the [`TraceConfig`]; either way it
+    /// takes a sequence number.
     pub fn emit(&self, event: TraceEvent) {
         let mut inner = self.inner.borrow_mut();
         let now = inner.now;
-        let kind = event.kind();
-        *inner.kind_counts.entry(kind).or_insert(0) += 1;
-
-        // Derived metrics.
-        match &event {
-            TraceEvent::CallEnter { target, mode } => {
-                inner.metrics.add("calls.total", 1);
-                let name = format!("calls.{}", mode.as_str());
-                inner.metrics.add(&name, 1);
-                if let Some(prev) = inner.last_call.insert(*target, now) {
-                    inner
-                        .metrics
-                        .observe("call.gap.cycles", now - prev, &CALL_GAP_BOUNDS);
-                }
-            }
-            TraceEvent::TranslationBegin { func_pc } => {
-                inner.metrics.add("translation.attempts", 1);
-                inner.translation_begin.insert(*func_pc, now);
-            }
-            TraceEvent::TranslationCommit { func_pc, uops, .. } => {
-                inner.metrics.add("translation.commits", 1);
-                inner
-                    .metrics
-                    .observe("translation.uops", *uops, &UOPS_BOUNDS);
-                if let Some(begin) = inner.translation_begin.remove(func_pc) {
-                    inner.metrics.observe(
-                        "translation.latency.cycles",
-                        now - begin,
-                        &LATENCY_BOUNDS,
-                    );
-                }
-            }
-            TraceEvent::TranslationAbort { func_pc, reason } => {
-                let name = format!("translator.abort.{reason}");
-                inner.metrics.add(&name, 1);
-                inner.translation_begin.remove(func_pc);
-            }
-            TraceEvent::McacheHit { .. } => inner.metrics.add("mcache.hit", 1),
-            TraceEvent::McacheMiss { .. } => inner.metrics.add("mcache.miss", 1),
-            TraceEvent::McachePending { .. } => inner.metrics.add("mcache.pending", 1),
-            TraceEvent::McacheInsert { .. } => inner.metrics.add("mcache.insert", 1),
-            TraceEvent::McacheEvict { .. } => inner.metrics.add("mcache.evict", 1),
-            TraceEvent::McacheInvalidate { .. } => inner.metrics.add("mcache.invalidate", 1),
-            TraceEvent::CacheMiss { cache, .. } => {
-                let name = format!("{}.miss", cache.as_str());
-                inner.metrics.add(&name, 1);
-            }
-            TraceEvent::InstrRetired { vector, .. } => {
-                inner.metrics.add("instr.retired", 1);
-                if *vector {
-                    inner.metrics.add("instr.vector", 1);
-                }
-            }
-            TraceEvent::InterruptInjected { .. } => inner.metrics.add("interrupts", 1),
-            TraceEvent::CallExit { .. } | TraceEvent::TranslationProgress { .. } => {}
-        }
-
         // Ring-buffer admission (high-volume kinds are gated).
         let admit = match &event {
             TraceEvent::InstrRetired { .. } => inner.config.instructions,
@@ -255,31 +178,6 @@ impl Tracer {
     #[must_use]
     pub fn emitted(&self) -> u64 {
         self.inner.borrow().seq
-    }
-
-    /// How many events of `kind` were emitted — unaffected by ring drops
-    /// or admission gating, so these tallies can be compared against the
-    /// subsystem aggregate counters.
-    #[must_use]
-    pub fn kind_count(&self, kind: &str) -> u64 {
-        self.inner
-            .borrow()
-            .kind_counts
-            .get(kind)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// All per-kind tallies.
-    #[must_use]
-    pub fn kind_counts(&self) -> BTreeMap<&'static str, u64> {
-        self.inner.borrow().kind_counts.clone()
-    }
-
-    /// A snapshot of the metrics registry.
-    #[must_use]
-    pub fn metrics(&self) -> Metrics {
-        self.inner.borrow().metrics.clone()
     }
 
     /// The recorder configuration.
@@ -370,7 +268,6 @@ fn wall_ns(epoch: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CacheKind, CallMode};
 
     #[test]
     fn clock_stamps_and_sequences() {
@@ -400,9 +297,6 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.dropped(), 6);
         assert_eq!(t.emitted(), 10);
-        // Tallies are unaffected by drops.
-        assert_eq!(t.kind_count("mcache-miss"), 10);
-        assert_eq!(t.metrics().counter("mcache.miss"), 10);
         // The survivors are the newest records.
         assert_eq!(t.records()[0].seq, 6);
     }
@@ -415,8 +309,11 @@ mod tests {
             vector: false,
         });
         assert!(t.is_empty());
-        assert_eq!(t.kind_count("instr-retired"), 1);
-        assert_eq!(t.metrics().counter("instr.retired"), 1);
+        assert_eq!(
+            t.emitted(),
+            1,
+            "a gated event still takes a sequence number"
+        );
 
         let t = Tracer::with_config(TraceConfig {
             instructions: true,
@@ -427,65 +324,6 @@ mod tests {
             vector: true,
         });
         assert_eq!(t.len(), 1);
-        assert_eq!(t.metrics().counter("instr.vector"), 1);
-    }
-
-    #[test]
-    fn translation_latency_and_call_gap_metrics() {
-        let t = Tracer::new();
-        t.set_now(100);
-        t.emit(TraceEvent::CallEnter {
-            target: 7,
-            mode: CallMode::Scalar,
-        });
-        t.emit(TraceEvent::TranslationBegin { func_pc: 7 });
-        t.set_now(350);
-        t.emit(TraceEvent::TranslationCommit {
-            func_pc: 7,
-            uops: 9,
-            dynamic_instrs: 120,
-        });
-        t.set_now(400);
-        t.emit(TraceEvent::CallEnter {
-            target: 7,
-            mode: CallMode::Simd,
-        });
-        let m = t.metrics();
-        let lat = m.histogram("translation.latency.cycles").unwrap();
-        assert_eq!(lat.count(), 1);
-        assert_eq!(lat.max(), 250);
-        let gap = m.histogram("call.gap.cycles").unwrap();
-        assert_eq!(gap.max(), 300);
-        assert_eq!(m.counter("calls.total"), 2);
-        assert_eq!(m.counter("calls.simd"), 1);
-    }
-
-    #[test]
-    fn abort_tallies_by_reason() {
-        let t = Tracer::new();
-        t.emit(TraceEvent::TranslationBegin { func_pc: 1 });
-        t.emit(TraceEvent::TranslationAbort {
-            func_pc: 1,
-            reason: "cam-miss",
-        });
-        t.emit(TraceEvent::CacheMiss {
-            cache: CacheKind::Instruction,
-            addr: 4,
-        });
-        let m = t.metrics();
-        assert_eq!(m.counter("translator.abort.cam-miss"), 1);
-        assert_eq!(m.counter("icache.miss"), 1);
-        // A later commit for the same pc must not produce a bogus latency
-        // sample (the begin record was consumed by the abort).
-        t.emit(TraceEvent::TranslationCommit {
-            func_pc: 1,
-            uops: 3,
-            dynamic_instrs: 10,
-        });
-        assert!(t
-            .metrics()
-            .histogram("translation.latency.cycles")
-            .is_none());
     }
 
     #[test]

@@ -234,8 +234,8 @@ fn conform_trace_flight_and_histogram_surfaces_parse() {
     for line in lines.lines() {
         Json::parse(line).expect("JSON-lines record parses");
     }
-    let chrome = Json::parse(&export::chrome_trace_with_spans(&records, &tracer.spans()))
-        .expect("Chrome trace parses");
+    let chrome =
+        Json::parse(&export::chrome_trace(&records, &tracer.spans())).expect("Chrome trace parses");
     assert!(chrome.get("traceEvents").and_then(Json::as_arr).is_some());
 
     // Flight dumps: ids and details carry arbitrary client text, so the

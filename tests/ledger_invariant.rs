@@ -148,7 +148,7 @@ fn smoke_counter_snapshots_sum_ledger_cycles_to_cycles() {
     for w in liquid_simd_workloads::smoke() {
         let b = liquid::build_liquid(&w).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let report = run_and_check(&w.name, &b.program, 8, BackendKind::Interp);
-        let counters = counters::snapshot(&report);
+        let counters = report.counters();
         assert!(
             counters.keys().any(|k| k.starts_with("ledger.")),
             "{}",

@@ -45,10 +45,7 @@ fn measure() -> Json {
             let out = run(&b.program, MachineConfig::liquid(width)).unwrap();
             if width == 8 {
                 headline = out.report.cycles;
-                perfhist::counters::merge(
-                    &mut counters,
-                    &perfhist::counters::snapshot(&out.report),
-                );
+                perfhist::counters::merge(&mut counters, &out.report.counters());
             }
             by_width.push((width, out.report.cycles));
         }

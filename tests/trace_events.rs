@@ -12,7 +12,27 @@ use liquid_simd_repro::facade::{
     run, BackendKind, BlockStats, CallMode, Machine, MachineConfig, TraceConfig, TraceEvent, Tracer,
 };
 use liquid_simd_repro::isa::{asm, ElemType, Program, VAluOp};
-use liquid_simd_repro::trace::{SpanRecord, TraceRecord};
+use liquid_simd_repro::trace::{CallMode as TraceCallMode, SpanRecord, TraceRecord};
+
+/// How many recorded events of `kind` the ring holds. The tracer keeps no
+/// tallies of its own, so a comparison with the report's counts first
+/// asserts that the ring dropped nothing.
+fn recorded(tracer: &Tracer, kind: &str) -> u64 {
+    assert_eq!(tracer.dropped(), 0, "ring dropped events");
+    tracer
+        .records()
+        .iter()
+        .filter(|r| r.event.kind() == kind)
+        .count() as u64
+}
+
+/// How many `CallEnter` records of `mode` the ring holds.
+fn call_enters(records: &[TraceRecord], mode: TraceCallMode) -> usize {
+    records
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::CallEnter { mode: m, .. } if m == mode))
+        .count()
+}
 
 // ---------------------------------------------------------------------------
 // Abort paths as trace events
@@ -43,17 +63,17 @@ fn expect_abort_event(src: &str, tag: &str) {
     // Aggregates and trace must never disagree.
     let stat_aborts: u64 = report.translator.aborts.values().sum();
     assert_eq!(
-        tracer.kind_count("translation-abort"),
+        recorded(&tracer, "translation-abort"),
         stat_aborts,
         "abort event tally vs TranslatorStats"
     );
     assert_eq!(
-        tracer.metrics().counter(&format!("translator.abort.{tag}")),
-        report.translator.aborts.get(tag).copied().unwrap_or(0),
-        "per-reason abort counter vs TranslatorStats"
+        aborts.iter().filter(|&&r| r == tag).count() as u64,
+        report.counters()[&format!("translator.abort.{tag}")],
+        "per-reason abort events vs the report's counter"
     );
     assert_eq!(
-        tracer.kind_count("translation-begin"),
+        recorded(&tracer, "translation-begin"),
         report.translator.attempts,
         "begin event tally vs attempts"
     );
@@ -212,7 +232,7 @@ top:
     let report = m.run().unwrap();
 
     assert!(
-        tracer.kind_count("interrupt") > 0,
+        recorded(&tracer, "interrupt") > 0,
         "interrupts should have been injected"
     );
     let external_aborts = tracer
@@ -284,11 +304,11 @@ fn mcache_lifecycle_events_match_stats() {
     assert!(stats.evictions > 0, "12 loops must not fit 8 entries");
 
     // Aggregates and trace must never disagree, event kind by event kind.
-    assert_eq!(tracer.kind_count("mcache-hit"), stats.hits);
-    assert_eq!(tracer.kind_count("mcache-pending"), stats.pending);
-    assert_eq!(tracer.kind_count("mcache-insert"), stats.inserts);
-    assert_eq!(tracer.kind_count("mcache-evict"), stats.evictions);
-    let misses = tracer.kind_count("mcache-miss");
+    assert_eq!(recorded(&tracer, "mcache-hit"), stats.hits);
+    assert_eq!(recorded(&tracer, "mcache-pending"), stats.pending);
+    assert_eq!(recorded(&tracer, "mcache-insert"), stats.inserts);
+    assert_eq!(recorded(&tracer, "mcache-evict"), stats.evictions);
+    let misses = recorded(&tracer, "mcache-miss");
     assert_eq!(stats.hits + stats.pending + misses, stats.lookups);
 
     // Every eviction names a function that was inserted earlier.
@@ -317,7 +337,7 @@ fn mcache_invalidate_is_traced() {
     let cfg = MachineConfig::liquid(8).with_tracer(tracer.clone());
     let mut m = Machine::new(&b.program, cfg);
     m.run().unwrap();
-    let resident = tracer.kind_count("mcache-insert") - tracer.kind_count("mcache-evict");
+    let resident = recorded(&tracer, "mcache-insert") - recorded(&tracer, "mcache-evict");
     assert!(resident > 0, "expected resident microcode after the run");
 
     m.flush_microcode();
@@ -363,7 +383,7 @@ fn fir_commit_precedes_first_simd_call() {
             matches!(
                 r.event,
                 TraceEvent::CallEnter {
-                    mode: liquid_simd_repro::facade::trace::CallMode::Simd,
+                    mode: TraceCallMode::Simd,
                     ..
                 }
             )
@@ -377,7 +397,7 @@ fn fir_commit_precedes_first_simd_call() {
     );
 
     // The same ordering must be visible in the Chrome-trace export.
-    let chrome = export::chrome_trace(&records);
+    let chrome = export::chrome_trace(&records, &tracer.spans());
     assert!(chrome.starts_with("{\"traceEvents\":["));
     let commit_pos = chrome
         .find("\"cat\":\"translation-commit\"")
@@ -386,8 +406,8 @@ fn fir_commit_precedes_first_simd_call() {
     assert!(commit_pos < simd_call_pos);
 
     // And the scalar warm-up calls are on record too.
-    assert!(tracer.metrics().counter("calls.scalar") > 0);
-    assert!(tracer.metrics().counter("calls.simd") > 0);
+    assert!(call_enters(&records, TraceCallMode::Scalar) > 0);
+    assert!(call_enters(&records, TraceCallMode::Simd) > 0);
 }
 
 #[test]
@@ -398,7 +418,11 @@ fn tracing_does_not_perturb_cycles() {
     let b = build_liquid(&w).unwrap();
 
     let plain = run(&b.program, MachineConfig::liquid(8)).unwrap();
-    let tracer = Tracer::new();
+    let tracer = Tracer::with_config(TraceConfig {
+        capacity: usize::MAX,
+        instructions: true,
+        progress: true,
+    });
     let traced = run(
         &b.program,
         MachineConfig::liquid(8).with_tracer(tracer.clone()),
@@ -412,16 +436,13 @@ fn tracing_does_not_perturb_cycles() {
     assert_eq!(plain.report.dcache, traced.report.dcache);
     assert!(tracer.emitted() > 0);
 
-    // Retired-instruction tallies are kept even though the ring (by
-    // default) does not record the per-instruction events.
-    assert_eq!(
-        tracer.metrics().counter("instr.retired"),
-        traced.report.retired
-    );
+    // With per-instruction events recorded, the ring holds one retire
+    // event per retired instruction.
+    assert_eq!(recorded(&tracer, "instr-retired"), traced.report.retired);
 
     // Call events mirror the report's call log exactly.
     assert_eq!(
-        tracer.kind_count("call-enter"),
+        recorded(&tracer, "call-enter"),
         traced.report.calls.len() as u64
     );
     let simd_calls = traced
@@ -429,8 +450,9 @@ fn tracing_does_not_perturb_cycles() {
         .calls
         .iter()
         .filter(|c| c.mode == CallMode::Microcode)
-        .count() as u64;
-    assert_eq!(tracer.metrics().counter("calls.simd"), simd_calls);
+        .count();
+    let simd_events = call_enters(&tracer.records(), TraceCallMode::Simd);
+    assert_eq!(simd_events, simd_calls);
 }
 
 // ---------------------------------------------------------------------------
