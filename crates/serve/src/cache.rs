@@ -17,8 +17,9 @@
 //! Correctness under concurrency is free because entries are *derived
 //! deterministically from their key*: two workers that race on the same
 //! miss compute byte-identical entries, so whichever insert wins is
-//! indistinguishable. Only the hit/miss counters are schedule-dependent,
-//! and they are advisory telemetry, never part of a response.
+//! indistinguishable. The caches count nothing themselves: the daemon
+//! tallies each request's hit or miss where it answers the request (see
+//! `record::Tally`).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -129,16 +130,13 @@ struct TranslationInner {
     order: VecDeque<String>,
 }
 
-/// The global cross-request translation cache with hit/miss/eviction
-/// telemetry and a monotonic generation stamp (insert count) — the
-/// service-level analogue of the simulator's mcache generation, used by
-/// the flight recorder to tie each event to the cache state it saw.
+/// The global cross-request translation cache with a monotonic
+/// generation stamp (insert count) — the service-level analogue of the
+/// simulator's mcache generation, used by the flight recorder to tie each
+/// event to the cache state it saw.
 #[derive(Default)]
 pub struct TranslationCache {
-    entries: Mutex<TranslationInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    inner: Mutex<TranslationInner>,
     generation: AtomicU64,
     capacity: AtomicU64,
 }
@@ -169,20 +167,17 @@ impl TranslationCache {
         self.generation.load(Ordering::Relaxed)
     }
 
-    /// Looks up `key` without computing, counting a hit or miss.
+    /// Live entries.
+    #[must_use]
+    pub fn entries(&self) -> u64 {
+        self.inner.lock().expect("cache poisoned").map.len() as u64
+    }
+
+    /// Looks up `key` without computing.
     #[must_use]
     pub fn lookup(&self, key: &str) -> Option<Arc<CacheEntry>> {
-        let inner = self.entries.lock().expect("cache poisoned");
-        match inner.map.get(key) {
-            Some(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(hit))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let inner = self.inner.lock().expect("cache poisoned");
+        inner.map.get(key).map(Arc::clone)
     }
 
     /// Inserts a computed entry (first insert wins under a race),
@@ -191,7 +186,7 @@ impl TranslationCache {
     /// entries this call evicted.
     pub fn insert(&self, key: &str, entry: CacheEntry) -> (Arc<CacheEntry>, bool, u64) {
         let capacity = self.capacity();
-        let mut inner = self.entries.lock().expect("cache poisoned");
+        let mut inner = self.inner.lock().expect("cache poisoned");
         if let Some(existing) = inner.map.get(key) {
             return (Arc::clone(existing), false, 0);
         }
@@ -210,53 +205,7 @@ impl TranslationCache {
         inner.map.insert(key.to_string(), Arc::clone(&arc));
         inner.order.push_back(key.to_string());
         self.generation.fetch_add(1, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
         (arc, true, evicted)
-    }
-
-    /// Looks up `key`, computing and inserting the entry on a miss.
-    /// `compute` runs outside the map lock (a translation can take a
-    /// while; lookups must not stall behind it).
-    pub fn get_or_compute(
-        &self,
-        key: &str,
-        compute: impl FnOnce() -> CacheEntry,
-    ) -> Arc<CacheEntry> {
-        if let Some(hit) = self.lookup(key) {
-            return hit;
-        }
-        let (arc, _, _) = self.insert(key, compute());
-        arc
-    }
-
-    /// `(hits, misses, entries)` counters. Hit/miss tallies are advisory:
-    /// two workers racing the same miss may both count a miss, but the
-    /// cached bytes (and thus every response) are unaffected.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64, u64) {
-        let entries = self.entries.lock().expect("cache poisoned").map.len() as u64;
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            entries,
-        )
-    }
-
-    /// Entries evicted over the cache's lifetime (0 while unbounded).
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Hits as a fraction of all lookups (0.0 when nothing was looked up).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m, _) = self.stats();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
     }
 }
 
@@ -285,49 +234,46 @@ mod tests {
         assert_eq!(a.hash, crate::fnv1a(src.as_bytes()));
     }
 
-    #[test]
-    fn translation_cache_counts_hits_and_shares_entries() {
-        let cache = TranslationCache::default();
-        let make = || CacheEntry {
+    fn entry(cycles: u64) -> CacheEntry {
+        CacheEntry {
             output: OpOutput {
                 body: "{}".to_string(),
                 ok: true,
-                cycles: 5,
+                cycles,
                 kind: String::new(),
                 counters: std::collections::BTreeMap::new(),
             },
             microcode: Vec::new(),
-        };
-        let a = cache.get_or_compute("k", make);
-        let b = cache.get_or_compute("k", || panic!("hit must not recompute"));
+        }
+    }
+
+    #[test]
+    fn translation_cache_counts_hits_and_shares_entries() {
+        let cache = TranslationCache::default();
+        assert!(cache.lookup("k").is_none(), "a cold lookup misses");
+        let (a, inserted, evicted) = cache.insert("k", entry(5));
+        assert_eq!((inserted, evicted), (true, 0));
+        let b = cache.lookup("k").expect("a warm lookup hits");
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats(), (1, 1, 1));
-        cache.get_or_compute("k2", make);
-        assert_eq!(cache.stats(), (1, 2, 2));
-        assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(cache.generation(), 2, "one bump per insert");
-        assert_eq!(cache.evictions(), 0, "unbounded cache never evicts");
+        // A racing worker's identical entry loses the insert and gets the
+        // cached one back.
+        let (c, inserted, _) = cache.insert("k", entry(5));
+        assert!(!inserted);
+        assert!(Arc::ptr_eq(&a, &c));
+        cache.insert("k2", entry(5));
+        assert_eq!(cache.entries(), 2);
+        assert_eq!(cache.generation(), 2, "one bump per winning insert");
     }
 
     #[test]
     fn bounded_cache_evicts_fifo_and_counts() {
         let cache = TranslationCache::with_capacity(2);
-        let make = || CacheEntry {
-            output: OpOutput {
-                body: "{}".to_string(),
-                ok: true,
-                cycles: 0,
-                kind: String::new(),
-                counters: std::collections::BTreeMap::new(),
-            },
-            microcode: Vec::new(),
-        };
-        for k in ["a", "b", "c"] {
-            cache.get_or_compute(k, make);
-        }
-        let (_, _, entries) = cache.stats();
-        assert_eq!(entries, 2, "capacity bound holds");
-        assert_eq!(cache.evictions(), 1);
+        let evicted: Vec<u64> = ["a", "b", "c"]
+            .iter()
+            .map(|k| cache.insert(k, entry(0)).2)
+            .collect();
+        assert_eq!(evicted, [0, 0, 1], "the third insert evicts one entry");
+        assert_eq!(cache.entries(), 2, "capacity bound holds");
         assert_eq!(cache.generation(), 3);
         // "a" was inserted first, so it was the FIFO victim.
         assert!(cache.lookup("a").is_none());

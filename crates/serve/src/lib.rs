@@ -25,10 +25,10 @@
 //!   carry per-request cycle/abort budgets; exceeding one yields a graceful
 //!   `serve-err-v1` response, never a worker death (worker panics are
 //!   caught and answered the same way).
-//! * [`record`] — per-batch `perfhist-serve-v1` telemetry records
-//!   (request and cache counts, and the order-independent determinism
-//!   hashes the sentinel gates on), appended
-//!   to the same history file the bench records live in.
+//! * [`record`] — the daemon's one `Tally` of request
+//!   and cache counts and the order-independent determinism hashes the
+//!   sentinel gates on, and the per-batch `perfhist-serve-v1` records built
+//!   from it, appended to the same history file the bench records live in.
 //! * [`inspect`] — the `metrics-v1` live-introspection snapshot behind the
 //!   `inspect` op (unified counters, power-of-two histograms, cache and
 //!   flight-recorder state) and the scrubber that makes snapshots

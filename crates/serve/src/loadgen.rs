@@ -214,15 +214,6 @@ fn one_pass(
     Ok((merged, summary))
 }
 
-fn hit_rate(s: &ServeSummary) -> f64 {
-    let total = s.cache_hits + s.cache_misses;
-    if total == 0 {
-        0.0
-    } else {
-        s.cache_hits as f64 / total as f64
-    }
-}
-
 /// Runs the full two-pass load generation and verification.
 ///
 /// # Errors
@@ -275,7 +266,7 @@ pub fn run(opts: &LoadOptions) -> Result<LoadReport, String> {
             single.determinism, sharded.determinism, opts.shards
         ));
     }
-    let worst = hit_rate(&single).min(hit_rate(&sharded));
+    let worst = single.hit_rate().min(sharded.hit_rate());
     if worst < opts.min_hit_rate {
         return Err(format!(
             "translation-cache hit rate {:.1}% below the {:.1}% gate",

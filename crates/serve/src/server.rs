@@ -45,11 +45,10 @@ use std::time::{Duration, Instant};
 use liquid_simd_trace::{FlightEvent, FlightRecorder, FlightStage, Json, Metrics};
 
 use crate::cache::{BuildCache, CacheEntry, ProgramEntry, TranslationCache};
-use crate::fnv1a;
 use crate::inspect;
 use crate::ops::{self, OpOutput};
 use crate::proto::{self, Op, Request};
-use crate::record::{BatchStats, CacheStats, Determinism};
+use crate::record::{Lookup, Tally};
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -126,19 +125,27 @@ pub struct ServeSummary {
     pub determinism: (u64, u64, u64),
 }
 
-/// Per-shard telemetry: request tallies, this shard's contribution to the
-/// translation cache, and a metric registry (counters + histograms)
-/// merged from every request the shard answered. Registries merge across
-/// shards in ascending shard order for the `inspect` snapshot.
+impl ServeSummary {
+    /// Translation-cache hits as a fraction of all lookups.
+    #[must_use]
+    pub(crate) fn hit_rate(&self) -> f64 {
+        Tally {
+            hits: self.cache_hits,
+            misses: self.cache_misses,
+            ..Tally::default()
+        }
+        .hit_rate()
+    }
+}
+
+/// One shard's telemetry: the tally of the requests it answered and a
+/// metric registry (counters + histograms) merged from them, under one
+/// lock. Registries merge across shards in ascending shard order for the
+/// `inspect` snapshot.
 #[derive(Default)]
 struct ShardStat {
-    requests: AtomicU64,
-    errors: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    metrics: Mutex<Metrics>,
+    tally: Tally,
+    metrics: Metrics,
 }
 
 /// Shared daemon state.
@@ -147,18 +154,16 @@ struct State {
     builds: BuildCache,
     cache: TranslationCache,
     recorder: FlightRecorder,
-    shard_stats: Vec<ShardStat>,
+    shard_stats: Vec<Mutex<ShardStat>>,
+    /// Requests answered on a connection thread: stats, inspect, dump,
+    /// shutdown, invalid lines and build failures.
+    front: Mutex<Tally>,
+    /// The totals at the last batch flush.
+    flushed: Mutex<Tally>,
     shutdown: AtomicBool,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    req_hash: AtomicU64,
-    resp_hash: AtomicU64,
-    sim_cycles: AtomicU64,
     records_appended: AtomicU64,
     dumps: AtomicU64,
     budget_streak: AtomicU64,
-    ops_total: Mutex<BTreeMap<String, u64>>,
-    batch: Mutex<BatchStats>,
     started: Instant,
 }
 
@@ -167,83 +172,75 @@ impl State {
         let shards = opts.shards.max(1);
         State {
             recorder: FlightRecorder::new(shards, opts.flight_capacity, opts.backend.name()),
-            shard_stats: (0..shards).map(|_| ShardStat::default()).collect(),
+            shard_stats: (0..shards).map(|_| Mutex::default()).collect(),
             cache: TranslationCache::with_capacity(opts.cache_capacity),
             opts,
             builds: BuildCache::default(),
+            front: Mutex::default(),
+            flushed: Mutex::default(),
             shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            req_hash: AtomicU64::new(0),
-            resp_hash: AtomicU64::new(0),
-            sim_cycles: AtomicU64::new(0),
             records_appended: AtomicU64::new(0),
             dumps: AtomicU64::new(0),
             budget_streak: AtomicU64::new(0),
-            ops_total: Mutex::new(BTreeMap::new()),
-            batch: Mutex::new(BatchStats::default()),
             started: Instant::now(),
         }
     }
 
-    /// Tallies one answered request into the cumulative counters and the
-    /// current batch, then flushes the batch if it reached the configured
-    /// size. `op` is the op name (or `"invalid"` for unparseable lines).
-    fn tally(&self, op: &str, ok: bool) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        *self
-            .ops_total
+    fn shard(&self, shard: usize) -> std::sync::MutexGuard<'_, ShardStat> {
+        self.shard_stats[shard]
             .lock()
-            .expect("ops_total poisoned")
-            .entry(op.to_string())
-            .or_insert(0) += 1;
-        let flush_now = {
-            let mut batch = self.batch.lock().expect("batch poisoned");
-            batch.requests += 1;
-            if !ok {
-                batch.errors += 1;
-            }
-            *batch.by_op.entry(op.to_string()).or_insert(0) += 1;
-            self.opts.history_every > 0 && batch.requests >= self.opts.history_every as u64
-        };
-        if flush_now {
-            self.flush_batch();
+            .expect("shard stats poisoned")
+    }
+
+    /// The daemon's totals (the front tally merged with every shard's)
+    /// and each shard's own tally, in shard order.
+    fn tallies(&self) -> (Tally, Vec<Tally>) {
+        let mut totals = self.front.lock().expect("front tally poisoned").clone();
+        let shards: Vec<Tally> = (0..self.shard_stats.len())
+            .map(|i| self.shard(i).tally.clone())
+            .collect();
+        for t in &shards {
+            totals.merge(t);
+        }
+        (totals, shards)
+    }
+
+    /// Tallies one request answered on a connection thread.
+    fn answered_front(&self, op: &str, ok: bool) {
+        self.front
+            .lock()
+            .expect("front tally poisoned")
+            .answered(op, ok);
+        self.flush_due();
+    }
+
+    /// Flushes a batch record once `history_every` requests were answered
+    /// since the last flush.
+    fn flush_due(&self) {
+        if self.opts.history_every > 0 {
+            self.flush_batch(self.opts.history_every as u64);
         }
     }
 
-    /// Appends one `perfhist-serve-v1` record covering the current batch
-    /// (no-op when the batch is empty or telemetry is off) and starts a
-    /// fresh batch.
-    fn flush_batch(&self) {
-        let Some(history) = self.opts.history.clone() else {
+    /// Appends one `perfhist-serve-v1` record — the totals minus the
+    /// totals at the last flush — when at least `min` (≥ 1) requests were
+    /// answered since. No-op when telemetry is off.
+    fn flush_batch(&self, min: u64) {
+        let Some(history) = &self.opts.history else {
             return;
         };
-        let stats = {
-            let mut batch = self.batch.lock().expect("batch poisoned");
-            if batch.requests == 0 {
+        let rec = {
+            let mut flushed = self.flushed.lock().expect("flushed tally poisoned");
+            let (totals, _) = self.tallies();
+            if totals.requests - flushed.requests < min {
                 return;
             }
-            std::mem::take(&mut *batch)
+            let rec =
+                crate::record::build(self.opts.shards, &totals, &flushed, self.cache.entries());
+            *flushed = totals;
+            rec
         };
-        let (hits, misses, entries) = self.cache.stats();
-        let rec = crate::record::build(
-            self.opts.shards,
-            &stats,
-            &CacheStats {
-                hits,
-                misses,
-                entries,
-            },
-            &Determinism {
-                requests_hash: self.req_hash.load(Ordering::Relaxed),
-                responses_hash: self.resp_hash.load(Ordering::Relaxed),
-                sim_cycles_total: self.sim_cycles.load(Ordering::Relaxed),
-            },
-        );
-        match liquid_simd_perfhist::store::append(&history, &rec) {
+        match liquid_simd_perfhist::store::append(history, &rec) {
             Ok(()) => {
                 self.records_appended.fetch_add(1, Ordering::Relaxed);
             }
@@ -252,24 +249,19 @@ impl State {
     }
 
     fn stats_body(&self) -> String {
-        let (hits, misses, entries) = self.cache.stats();
-        let hit_rate = if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        };
-        let per_shard = self.shard_stats.iter().enumerate().map(|(i, s)| {
+        let (totals, shards) = self.tallies();
+        let per_shard = shards.iter().enumerate().map(|(i, t)| {
             Json::obj([
                 ("shard", i.into()),
-                ("requests", load(&s.requests)),
-                ("errors", load(&s.errors)),
+                ("requests", t.requests.into()),
+                ("errors", t.errors.into()),
                 (
                     "cache",
                     Json::obj([
-                        ("hits", load(&s.hits)),
-                        ("misses", load(&s.misses)),
-                        ("inserts", load(&s.inserts)),
-                        ("evictions", load(&s.evictions)),
+                        ("hits", t.hits.into()),
+                        ("misses", t.misses.into()),
+                        ("inserts", t.inserts.into()),
+                        ("evictions", t.evictions.into()),
                     ]),
                 ),
             ])
@@ -279,18 +271,18 @@ impl State {
             vec![
                 ("backend", self.opts.backend.name().into()),
                 ("shards", self.opts.shards.into()),
-                ("requests", load(&self.requests)),
-                ("errors", load(&self.errors)),
+                ("requests", totals.requests.into()),
+                ("errors", totals.errors.into()),
                 (
                     "cache",
                     Json::obj([
-                        ("hits", hits.into()),
-                        ("misses", misses.into()),
-                        ("entries", entries.into()),
+                        ("hits", totals.hits.into()),
+                        ("misses", totals.misses.into()),
+                        ("entries", self.cache.entries().into()),
                         ("capacity", self.cache.capacity().into()),
                         ("generation", self.cache.generation().into()),
-                        ("evictions", self.cache.evictions().into()),
-                        ("hit_rate", Json::f64(hit_rate)),
+                        ("evictions", totals.evictions.into()),
+                        ("hit_rate", Json::f64(totals.hit_rate())),
                     ]),
                 ),
                 ("builds", self.builds.len().into()),
@@ -305,25 +297,14 @@ impl State {
     /// itself is tallied, so a snapshot after a fixed load reflects
     /// exactly that load.
     fn inspect_body(&self) -> String {
-        let (hits, misses, entries) = self.cache.stats();
-        let hit_rate = if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        };
-        let by_op = Json::obj(
-            self.ops_total
-                .lock()
-                .expect("ops_total poisoned")
-                .iter()
-                .map(|(k, &v)| (k.clone(), v.into())),
-        );
+        let (totals, _) = self.tallies();
+        let by_op = Json::obj(totals.by_op.iter().map(|(k, &v)| (k.clone(), v.into())));
         // Deterministic merge order: ascending shard index. Counter and
         // bucket addition is commutative, so the merged registry is also
         // independent of how requests were scheduled onto shards.
         let mut merged = Metrics::new();
-        for s in &self.shard_stats {
-            merged.merge(&s.metrics.lock().expect("shard metrics poisoned"));
+        for i in 0..self.shard_stats.len() {
+            merged.merge(&self.shard(i).metrics);
         }
         let (counters, histograms) = inspect::registry_json(&merged);
         let uptime_us = self.started.elapsed().as_micros() as u64;
@@ -335,17 +316,17 @@ impl State {
             (
                 "requests",
                 Json::obj([
-                    ("total", load(&self.requests)),
-                    ("errors", load(&self.errors)),
+                    ("total", totals.requests.into()),
+                    ("errors", totals.errors.into()),
                     ("by_op", by_op),
                 ]),
             ),
             (
                 "determinism",
                 Json::obj([
-                    ("requests_hash", load(&self.req_hash)),
-                    ("responses_hash", load(&self.resp_hash)),
-                    ("sim_cycles_total", load(&self.sim_cycles)),
+                    ("requests_hash", totals.requests_hash.into()),
+                    ("responses_hash", totals.responses_hash.into()),
+                    ("sim_cycles_total", totals.sim_cycles_total.into()),
                 ]),
             ),
             (
@@ -355,13 +336,13 @@ impl State {
                     (
                         "translations",
                         Json::obj([
-                            ("entries", entries.into()),
+                            ("entries", self.cache.entries().into()),
                             ("capacity", self.cache.capacity().into()),
                             ("generation", self.cache.generation().into()),
-                            ("evictions", self.cache.evictions().into()),
-                            ("hits", hits.into()),
-                            ("misses", misses.into()),
-                            ("hit_rate", Json::f64(hit_rate)),
+                            ("evictions", totals.evictions.into()),
+                            ("hits", totals.hits.into()),
+                            ("misses", totals.misses.into()),
+                            ("hit_rate", Json::f64(totals.hit_rate())),
                         ]),
                     ),
                 ]),
@@ -405,18 +386,18 @@ impl State {
     }
 
     fn summary(&self) -> ServeSummary {
-        let (hits, misses, _) = self.cache.stats();
+        let (totals, _) = self.tallies();
         ServeSummary {
-            requests: self.requests.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            cache_hits: hits,
-            cache_misses: misses,
+            requests: totals.requests,
+            errors: totals.errors,
+            cache_hits: totals.hits,
+            cache_misses: totals.misses,
             records_appended: self.records_appended.load(Ordering::Relaxed),
             dumps: self.dumps.load(Ordering::Relaxed),
             determinism: (
-                self.req_hash.load(Ordering::Relaxed),
-                self.resp_hash.load(Ordering::Relaxed),
-                self.sim_cycles.load(Ordering::Relaxed),
+                totals.requests_hash,
+                totals.responses_hash,
+                totals.sim_cycles_total,
             ),
         }
     }
@@ -489,16 +470,6 @@ pub fn spawn(opts: ServeOptions) -> Result<ServerHandle, String> {
     Ok(ServerHandle { addr, join, state })
 }
 
-/// Binds, serves until shutdown, and returns the summary — the blocking
-/// form the CLI `serve` command uses.
-///
-/// # Errors
-///
-/// Returns a message if the address cannot be bound.
-pub fn serve_blocking(opts: ServeOptions) -> Result<ServeSummary, String> {
-    spawn(opts)?.join()
-}
-
 fn run_loop(listener: &TcpListener, state: &Arc<State>) -> ServeSummary {
     let shards = state.opts.shards;
     let mut senders = Vec::with_capacity(shards);
@@ -534,38 +505,24 @@ fn run_loop(listener: &TcpListener, state: &Arc<State>) -> ServeSummary {
         // exit once the connection threads (which hold clones) finish.
         drop(senders);
     });
-    state.flush_batch();
+    state.flush_batch(1);
     state.summary()
 }
 
 fn shard_worker(rx: mpsc::Receiver<Job>, shard: usize, state: &State) {
     while let Ok(job) = rx.recv() {
-        let (entry, fresh) = answer(&job, shard, state);
+        let (entry, lookup) = answer(&job, shard, state);
         let output = &entry.output;
         let latency = job.arrived.elapsed().as_micros() as u64;
-        // Stats/shutdown never reach a shard, so every job here is a
-        // deterministic op: fold it into the determinism accumulators.
-        // Wrapping sums (not XOR) so the multiset hash is both
-        // order-independent and multiplicity-sensitive — N clients
-        // repeating one request must not cancel out of the hash.
-        state
-            .req_hash
-            .fetch_add(fnv1a(job.key.as_bytes()), Ordering::Relaxed);
-        let mut pair = job.key.clone().into_bytes();
-        pair.extend_from_slice(output.body.as_bytes());
-        state.resp_hash.fetch_add(fnv1a(&pair), Ordering::Relaxed);
-        state.sim_cycles.fetch_add(output.cycles, Ordering::Relaxed);
-        // Per-shard telemetry. The counter snapshot inside the entry is a
-        // pure function of the request, so merging it per *request* (hit
-        // or miss alike) keeps the merged registry independent of shard
-        // count and cache schedule.
-        let stat = &state.shard_stats[shard];
-        stat.requests.fetch_add(1, Ordering::Relaxed);
-        if !output.ok {
-            stat.errors.fetch_add(1, Ordering::Relaxed);
-        }
+        // The counter snapshot inside the entry is a pure function of the
+        // request, so merging it per *request* (hit or miss alike) keeps
+        // the merged registry independent of shard count and cache
+        // schedule.
         {
-            let mut m = stat.metrics.lock().expect("shard metrics poisoned");
+            let mut stat = state.shard(shard);
+            stat.tally
+                .served(job.req.op.name(), &job.key, output, lookup);
+            let m = &mut stat.metrics;
             for (name, &v) in &output.counters {
                 m.add(&format!("sim.{name}"), v);
             }
@@ -586,18 +543,18 @@ fn shard_worker(rx: mpsc::Receiver<Job>, shard: usize, state: &State) {
         );
         // Black-box triggers. A panic entry dumps only when freshly
         // computed — a cache hit on an old panic is not a new incident.
-        if fresh && output.kind == "panic" {
-            report_dump(state, state.dump_flight("worker-panic"), "worker panic");
+        if lookup != Lookup::Hit && output.kind == "panic" {
+            report_dump(state.dump_flight("worker-panic"), "worker panic");
         }
         if output.kind == "budget-exceeded" {
             let streak = state.budget_streak.fetch_add(1, Ordering::Relaxed) + 1;
             if state.opts.burst_threshold > 0 && streak == state.opts.burst_threshold {
-                report_dump(state, state.dump_flight("budget-burst"), "budget burst");
+                report_dump(state.dump_flight("budget-burst"), "budget burst");
             }
         } else {
             state.budget_streak.store(0, Ordering::Relaxed);
         }
-        state.tally(job.req.op.name(), output.ok);
+        state.flush_due();
         let line = proto::with_id(&output.body, job.req.id.as_ref());
         // A dropped receiver means the client went away; nothing to do.
         let _ = job.reply.send((job.seq, line));
@@ -605,8 +562,7 @@ fn shard_worker(rx: mpsc::Receiver<Job>, shard: usize, state: &State) {
 }
 
 /// Logs a dump attempt's outcome without failing the request path.
-fn report_dump(state: &State, result: Result<(PathBuf, u64), String>, what: &str) {
-    let _ = state;
+fn report_dump(result: Result<(PathBuf, u64), String>, what: &str) {
     match result {
         Ok((path, events)) => {
             eprintln!(
@@ -635,23 +591,20 @@ fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 
 /// Computes (or cache-hits) the response for one shard job, containing
 /// any panic as a `serve-err-v1` of kind `panic`. Returns the entry and
-/// whether it was freshly computed (false = translation-cache hit).
-fn answer(job: &Job, shard: usize, state: &State) -> (Arc<CacheEntry>, bool) {
+/// what the request did at the translation cache.
+fn answer(job: &Job, shard: usize, state: &State) -> (Arc<CacheEntry>, Lookup) {
     let id = id_text(job.req.id.as_ref());
     let op = job.req.op.name();
-    let stat = &state.shard_stats[shard];
     let probe_gen = state.cache.generation();
     if let Some(hit) = state.cache.lookup(&job.key) {
-        stat.hits.fetch_add(1, Ordering::Relaxed);
         state.recorder.record(
             shard,
             FlightEvent::new(&id, op, FlightStage::Probe)
                 .detail("hit")
                 .generation(probe_gen),
         );
-        return (hit, false);
+        return (hit, Lookup::Hit);
     }
-    stat.misses.fetch_add(1, Ordering::Relaxed);
     state.recorder.record(
         shard,
         FlightEvent::new(&id, op, FlightStage::Probe)
@@ -726,11 +679,7 @@ fn answer(job: &Job, shard: usize, state: &State) -> (Arc<CacheEntry>, bool) {
         }
     };
     let (arc, inserted, evicted) = state.cache.insert(&job.key, entry);
-    if inserted {
-        stat.inserts.fetch_add(1, Ordering::Relaxed);
-    }
-    stat.evictions.fetch_add(evicted, Ordering::Relaxed);
-    (arc, true)
+    (arc, Lookup::Miss { inserted, evicted })
 }
 
 fn snapshot_microcode(
@@ -802,11 +751,6 @@ fn connection(stream: TcpStream, shard_txs: Vec<mpsc::Sender<Job>>, state: &Stat
     let _ = writer.join();
 }
 
-/// A relaxed read of a shared counter, as a JSON number.
-fn load(counter: &AtomicU64) -> Json {
-    counter.load(Ordering::Relaxed).into()
-}
-
 /// Answers a line that is not a request (malformed or oversized) with a
 /// `bad-request` error, recorded and tallied under the `invalid` op.
 fn reject(msg: &str, seq: u64, state: &State, reply_tx: &mpsc::Sender<(u64, String)>) {
@@ -820,7 +764,7 @@ fn reject(msg: &str, seq: u64, state: &State, reply_tx: &mpsc::Sender<(u64, Stri
         0,
         FlightEvent::new("", "invalid", FlightStage::Respond).ok(false),
     );
-    state.tally("invalid", false);
+    state.answered_front("invalid", false);
     let _ = reply_tx.send((seq, proto::err_body(None, "bad-request", msg)));
 }
 
@@ -843,7 +787,7 @@ fn handle_line(
             0,
             FlightEvent::new(&id_text(id), op, FlightStage::Respond).ok(ok),
         );
-        state.tally(op, ok);
+        state.answered_front(op, ok);
         let _ = reply_tx.send((seq, proto::with_id(&body, id)));
     };
     let req = match proto::parse_request(line) {
