@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::fs;
 
-use liquid_simd::{experiments, BackendKind, MachineConfig};
+use liquid_simd::{experiments, BackendKind, Binary, BuildCache, MachineConfig};
 use liquid_simd_isa::asm;
 use liquid_simd_perfhist as perfhist;
 use liquid_simd_serve as serve;
@@ -246,36 +246,16 @@ impl BenchRun {
     }
 }
 
-/// The liquid build of `w` and the scalar-baseline cycles of its plain
-/// build (the speedup denominator); `label` names any error.
-fn liquid_and_baseline(
-    w: &liquid_simd::Workload,
-    label: &str,
-    backend: BackendKind,
-) -> Result<(liquid_simd_isa::Program, u64), String> {
-    let err = |e: &dyn std::fmt::Display| format!("{label}: {e}");
-    let plain = liquid_simd::build_plain(w).map_err(|e| err(&e))?;
-    let scalar = MachineConfig::scalar_only().with_backend(backend);
-    let base = liquid_simd::run(&plain.program, scalar).map_err(|e| err(&e))?;
-    let liquid = liquid_simd::build_liquid(w).map_err(|e| err(&e))?;
-    Ok((liquid.program, base.report.cycles))
-}
-
-/// Renders experiment rows to the exact text a user would see, so serial
-/// and parallel sweeps can be compared byte for byte.
-fn render_rows<T: std::fmt::Display>(rows: &[T]) -> String {
-    rows.iter().map(|r| format!("{r}\n")).collect()
-}
-
 /// Measures `workloads` over `widths` on `backend` and prints one line
-/// per workload, then gates the Figure 6 sweep. Everything measured is
-/// simulated, so the document and the printed lines are the same bytes on
-/// every run, whatever `jobs` is.
+/// per workload, then gates the Figure 6 sweep: serial and over `jobs`
+/// workers, its rows must be identical. Everything measured is simulated,
+/// so the document and the printed lines are the same bytes on every run,
+/// whatever `jobs` is.
 ///
 /// # Errors
 ///
 /// Fails on a compile or simulation error, and when the Figure 6 sweep
-/// over `jobs` workers renders differently from the serial sweep.
+/// over `jobs` workers differs from the serial sweep.
 pub fn measure_suite(
     workloads: &[liquid_simd::Workload],
     widths: &[usize],
@@ -284,14 +264,16 @@ pub fn measure_suite(
     embed_ledger: bool,
     smoke: bool,
 ) -> Result<BenchRun, String> {
-    let run = measure_rows(workloads, widths, backend, embed_ledger, smoke)?;
-
-    // The Figure 6 sweep on `backend`, serial then over `jobs` workers:
-    // the rendered rows must be byte-identical (the determinism gate).
+    // The serial sweep's cache also serves the per-workload rows; the
+    // parallel sweep gets a cache of its own, so the gate compares two
+    // independent computations.
     let err = |e: liquid_simd::VerifyError| e.to_string();
-    let serial = experiments::figure6_jobs(workloads, widths, 1, backend).map_err(err)?;
-    let parallel = experiments::figure6_jobs(workloads, widths, jobs, backend).map_err(err)?;
-    if render_rows(&serial) != render_rows(&parallel) {
+    let cache = BuildCache::new(workloads);
+    let serial = experiments::figure6_jobs(&cache, widths, 1, backend).map_err(err)?;
+    let run = measure_rows(&cache, widths, backend, embed_ledger, smoke)?;
+    let fresh = BuildCache::new(workloads);
+    let parallel = experiments::figure6_jobs(&fresh, widths, jobs, backend).map_err(err)?;
+    if serial != parallel {
         return Err("parallel figure6 sweep diverged from the serial sweep".into());
     }
     println!("figure6 sweep: parallel rows byte-identical to the serial sweep");
@@ -299,13 +281,15 @@ pub fn measure_suite(
 }
 
 /// [`measure_suite`] without the Figure 6 gate: the per-workload rows,
-/// the merged counters and the snapshot document.
+/// the merged counters and the snapshot document, over `cache`'s
+/// workloads at `widths`. Its runs are the sweep's baseline and liquid
+/// units, so on a cache the sweep has filled it simulates nothing.
 ///
 /// # Errors
 ///
 /// Fails on a compile or simulation error.
 pub fn measure_rows(
-    workloads: &[liquid_simd::Workload],
+    cache: &BuildCache,
     widths: &[usize],
     backend: BackendKind,
     embed_ledger: bool,
@@ -319,25 +303,27 @@ pub fn measure_rows(
     let mut rows: Vec<perfhist::WorkloadRow> = Vec::new();
     let mut width_snaps = Vec::new();
     let mut counters = BTreeMap::new();
-    for w in workloads {
-        let (program, baseline_cycles) = liquid_and_baseline(w, &w.name, backend)?;
+    for (wi, w) in cache.workloads().iter().enumerate() {
+        let err = |e: liquid_simd::VerifyError| format!("{}: {e}", w.name);
+        let baseline = experiments::figure6_baseline(backend);
+        let baseline = cache.run(wi, baseline).map_err(err)?;
+        let program = &cache.build(wi, Binary::Liquid).map_err(err)?.program;
         let mut row = perfhist::WorkloadRow {
             name: w.name.clone(),
-            baseline_cycles,
+            baseline_cycles: baseline.report.cycles,
             sim_cycles: 0,
             cycles_by_width: Vec::new(),
             ledger: None,
         };
         let mut snaps = Vec::new();
         for &width in widths {
-            let out =
-                liquid_simd::run(&program, MachineConfig::liquid(width).with_backend(backend))
-                    .map_err(|e| e.to_string())?;
+            let [liquid, ..] = experiments::figure6_width_units(width, backend);
+            let out = cache.run(wi, liquid).map_err(err)?;
             if width == headline {
                 row.sim_cycles = out.report.cycles;
                 perfhist::counters::merge(&mut counters, &out.report.counters());
             }
-            let names = liquid_simd::ledger_region_labels(&program, &out.report.ledger);
+            let names = liquid_simd::ledger_region_labels(program, &out.report.ledger);
             let label = format!("{}@w{width}", w.name);
             let snap = perfhist::counters::ledger_snapshot(&label, &out.report, &names);
             // Embedded snapshots make a record about four times larger,
@@ -367,18 +353,7 @@ pub fn measure_rows(
         .iter()
         .map(|a| anomaly_entry(a, &rows[a.row], &width_snaps[a.row]));
 
-    let workload_rows = rows.iter().map(|row| {
-        let by_width = row
-            .cycles_by_width
-            .iter()
-            .map(|(w, c)| (w.to_string(), (*c).into()));
-        Json::obj([
-            ("name", (&row.name).into()),
-            ("baseline_cycles", row.baseline_cycles.into()),
-            ("sim_cycles", row.sim_cycles.into()),
-            ("cycles_by_width", Json::obj(by_width)),
-        ])
-    });
+    let workload_rows = rows.iter().map(perfhist::WorkloadRow::cycles_json);
     let doc = Json::obj([
         ("schema", "liquid-simd-bench-v1".into()),
         ("backend", backend.to_string().into()),
@@ -425,10 +400,17 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
         // untranslatable assembly idioms run per width only for their
         // abort tallies (their speedup is 1 by construction — they
         // always fall back to the scalar loop).
+        let err = |e: &dyn std::fmt::Display| format!("{}: {e}", v.name);
         let (program, baseline_cycles) = match &v.payload {
-            Payload::Kernel(w) => liquid_and_baseline(w, &v.name, backend)?,
+            Payload::Kernel(w) => {
+                let plain = liquid_simd::build_plain(w).map_err(|e| err(&e))?;
+                let scalar = MachineConfig::scalar_only().with_backend(backend);
+                let base = liquid_simd::run(&plain.program, scalar).map_err(|e| err(&e))?;
+                let liquid = liquid_simd::build_liquid(w).map_err(|e| err(&e))?;
+                (liquid.program, base.report.cycles)
+            }
             Payload::Asm { src, .. } => {
-                let program = asm::assemble(src).map_err(|e| format!("{}: {e}", v.name))?;
+                let program = asm::assemble(src).map_err(|e| err(&e))?;
                 (program, 0)
             }
         };

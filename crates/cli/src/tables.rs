@@ -10,7 +10,7 @@ use liquid_simd::experiments::{
     Table6Row,
 };
 use liquid_simd::translator::area::{estimate, TranslatorGeometry};
-use liquid_simd::BackendKind;
+use liquid_simd::{BackendKind, BuildCache};
 
 use crate::args::{flag, Args, Command, JOBS};
 
@@ -48,23 +48,29 @@ pub fn render(
     widths: &[usize],
     jobs: usize,
 ) -> Result<String, String> {
+    render_cached(&BuildCache::new(workloads), widths, jobs)
+}
+
+/// [`render`] over `cache`'s workloads. The artifacts share the cache's
+/// runs: the microcode-cache table, A1 at cost 1 and A2's hardware column
+/// read Figure 6's 8-lane liquid run.
+fn render_cached(cache: &BuildCache, widths: &[usize], jobs: usize) -> Result<String, String> {
     let err = |e: liquid_simd::VerifyError| e.to_string();
     let blocks = [
         render_table2(),
-        render_table5(&experiments::table5_jobs(workloads, jobs).map_err(err)?),
-        render_table6(&experiments::table6_jobs(workloads, jobs).map_err(err)?),
+        render_table5(&experiments::table5(cache).map_err(err)?),
+        render_table6(&experiments::table6_jobs(cache, jobs).map_err(err)?),
         render_figure6(
-            &experiments::figure6_jobs(workloads, widths, jobs, BackendKind::default())
-                .map_err(err)?,
+            &experiments::figure6_jobs(cache, widths, jobs, BackendKind::default()).map_err(err)?,
             widths,
         ),
         render_callout(jobs)?,
-        render_code_size(&experiments::code_size_jobs(workloads, jobs).map_err(err)?),
-        render_mcache(&experiments::mcache_jobs(workloads, jobs).map_err(err)?),
+        render_code_size(&experiments::code_size(cache).map_err(err)?),
+        render_mcache(&experiments::mcache_jobs(cache, jobs).map_err(err)?),
         render_latency(
-            &experiments::ablation_latency_jobs(workloads, &LATENCY_COSTS, jobs).map_err(err)?,
+            &experiments::ablation_latency_jobs(cache, &LATENCY_COSTS, jobs).map_err(err)?,
         ),
-        render_jit(&experiments::ablation_jit_jobs(workloads, JIT_COST, jobs).map_err(err)?),
+        render_jit(&experiments::ablation_jit_jobs(cache, JIT_COST, jobs).map_err(err)?),
     ];
     Ok(blocks.iter().map(|b| format!("{b}\n")).collect())
 }
@@ -209,4 +215,27 @@ fn render_jit(rows: &[JitAblationRow]) -> String {
             )
         }),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A smoke render simulates each distinct (workload, binary, machine,
+    /// backend) once: Figure 6's `1 + 3 * widths` units per workload,
+    /// Table 6's scalar-side run, A1's costs above 1 and A2's JIT run. The
+    /// microcode-cache table, A1 at cost 1 and A2's hardware column read
+    /// Figure 6's 8-lane liquid run, and a second render on the same cache
+    /// simulates nothing. The callout runs on a cache of its own.
+    #[test]
+    fn a_tables_render_simulates_each_run_once() {
+        let (workloads, widths) = crate::bench::suite(true);
+        let cache = BuildCache::new(&workloads);
+        let text = render_cached(&cache, &widths, 2).unwrap();
+        let per_workload = (1 + 3 * widths.len()) + 1 + (LATENCY_COSTS.len() - 1) + 1;
+        assert_eq!(per_workload, 12);
+        assert_eq!(cache.simulations(), workloads.len() * per_workload);
+        assert_eq!(render_cached(&cache, &widths, 1).unwrap(), text);
+        assert_eq!(cache.simulations(), workloads.len() * per_workload);
+    }
 }

@@ -2,22 +2,46 @@
 //! (see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured results).
 //!
-//! Every driver is a `*_jobs` function that fans the independent
-//! `(workload, width, mode)` simulation units across `jobs` worker
-//! threads via [`crate::harness::run_tasks`] and reassembles results in
-//! task order, so any job count produces identical rows (`jobs = 1` is the
-//! plain serial loop) — see `tests/parallel.rs` for the byte-identity
-//! check.
+//! Every driver reads one [`BuildCache`]. A driver that simulates is a
+//! `*_jobs` function: it lists the [`Unit`]s it reads, runs them on every
+//! workload over `jobs` worker threads, then reads its rows from the
+//! cache's memoized runs ([`BuildCache::run`]); Table 5 and code size read
+//! builds only. Drivers that share a cache share their runs (Figure 6's
+//! 8-lane liquid run serves the microcode-cache table and both
+//! ablations), and any job count produces identical rows — see
+//! `tests/parallel.rs` for the byte-identity check.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use liquid_simd_compiler::Workload;
 use liquid_simd_isa::SUPPORTED_WIDTHS;
-use liquid_simd_sim::{BackendKind, Machine, MachineConfig};
+use liquid_simd_sim::{BackendKind, MachineConfig};
 
-use crate::harness::{run_tasks, BuildCache};
+use crate::harness::{run_tasks, Binary, BuildCache, Unit};
 use crate::VerifyError;
+
+/// Runs every unit on every workload of `cache`, unit by unit over `jobs`
+/// worker threads, then builds one row per workload with `row`, which
+/// reads its runs back from the memo.
+fn rows<R>(
+    cache: &BuildCache,
+    units: &[Unit],
+    jobs: usize,
+    row: impl Fn(usize, &Workload) -> Result<R, VerifyError>,
+) -> Result<Vec<R>, VerifyError> {
+    let runs: Vec<(usize, Unit)> = units
+        .iter()
+        .flat_map(|&unit| (0..cache.workloads().len()).map(move |wi| (wi, unit)))
+        .collect();
+    run_tasks(jobs, runs.len(), |i| cache.run(runs[i].0, runs[i].1))?;
+    cache
+        .workloads()
+        .iter()
+        .enumerate()
+        .map(|(wi, w)| row(wi, w))
+        .collect()
+}
 
 /// Table 5: scalar instructions per outlined function, per benchmark.
 #[derive(Clone, Debug)]
@@ -32,31 +56,24 @@ pub struct Table5Row {
     pub max: usize,
 }
 
-/// Runs the Table 5 measurement (static sizes of outlined functions) with
-/// the work spread over `jobs` worker threads.
+/// Runs the Table 5 measurement: static sizes of outlined functions, read
+/// from the liquid builds.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile.
-pub fn table5_jobs(workloads: &[Workload], jobs: usize) -> Result<Vec<Table5Row>, VerifyError> {
-    let cache = BuildCache::new(workloads, &[]);
-    run_tasks(
-        jobs,
-        workloads.len(),
-        |i| -> Result<Table5Row, VerifyError> {
-            let b = cache.liquid(i)?;
-            let sizes: Vec<usize> = b.outlined.iter().map(|f| f.instrs).collect();
-            let functions = sizes.len();
-            let mean = sizes.iter().sum::<usize>() as f64 / functions.max(1) as f64;
-            let max = sizes.iter().copied().max().unwrap_or(0);
-            Ok(Table5Row {
-                benchmark: cache.workload(i).name.clone(),
-                functions,
-                mean,
-                max,
-            })
-        },
-    )
+pub fn table5(cache: &BuildCache) -> Result<Vec<Table5Row>, VerifyError> {
+    rows(cache, &[], 1, |wi, w| {
+        let b = cache.build(wi, Binary::Liquid)?;
+        let sizes: Vec<usize> = b.outlined.iter().map(|f| f.instrs).collect();
+        let functions = sizes.len();
+        Ok(Table5Row {
+            benchmark: w.name.clone(),
+            functions,
+            mean: sizes.iter().sum::<usize>() as f64 / functions.max(1) as f64,
+            max: sizes.iter().copied().max().unwrap_or(0),
+        })
+    })
 }
 
 impl fmt::Display for Table5Row {
@@ -87,46 +104,36 @@ pub struct Table6Row {
 
 /// Runs the Table 6 measurement on the scalar side of a Liquid machine
 /// (gaps are measured between the first two calls, i.e. while translation
-/// would be in flight), one simulation per worker-thread task.
+/// would be in flight).
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn table6_jobs(workloads: &[Workload], jobs: usize) -> Result<Vec<Table6Row>, VerifyError> {
-    let cache = BuildCache::new(workloads, &[]);
-    run_tasks(
-        jobs,
-        workloads.len(),
-        |i| -> Result<Table6Row, VerifyError> {
-            let b = cache.liquid(i)?;
-            // Translation disabled: we want raw call spacing of the scalar
-            // binary, exactly the paper's measurement setup.
-            let mut cfg = MachineConfig::scalar_only();
-            cfg.max_cycles = 50_000_000_000;
-            let out = crate::run(&b.program, cfg)?;
-            let mut gaps = Vec::new();
-            for f in &b.outlined {
-                if let Some(gap) = out.report.first_call_gap(f.entry) {
-                    gaps.push(gap);
-                }
-            }
-            let lt150 = gaps.iter().filter(|&&g| g < 150).count();
-            let lt300 = gaps.iter().filter(|&&g| (150..300).contains(&g)).count();
-            let ge300 = gaps.iter().filter(|&&g| g >= 300).count();
-            let mean = if gaps.is_empty() {
-                0.0
-            } else {
-                gaps.iter().sum::<u64>() as f64 / gaps.len() as f64
-            };
-            Ok(Table6Row {
-                benchmark: cache.workload(i).name.clone(),
-                lt150,
-                lt300,
-                ge300,
-                mean,
-            })
-        },
-    )
+pub fn table6_jobs(cache: &BuildCache, jobs: usize) -> Result<Vec<Table6Row>, VerifyError> {
+    // Translation disabled: we want raw call spacing of the scalar
+    // binary, exactly the paper's measurement setup.
+    let mut cfg = MachineConfig::scalar_only();
+    cfg.max_cycles = 50_000_000_000;
+    let scalar_side = Unit::new(Binary::Liquid, &cfg);
+    rows(cache, &[scalar_side], jobs, |wi, w| {
+        let out = cache.run(wi, scalar_side)?;
+        let gaps: Vec<u64> = cache
+            .build(wi, Binary::Liquid)?
+            .outlined
+            .iter()
+            .filter_map(|f| out.report.first_call_gap(f.entry))
+            .collect();
+        let lt150 = gaps.iter().filter(|&&g| g < 150).count();
+        let lt300 = gaps.iter().filter(|&&g| (150..300).contains(&g)).count();
+        let ge300 = gaps.iter().filter(|&&g| g >= 300).count();
+        Ok(Table6Row {
+            benchmark: w.name.clone(),
+            lt150,
+            lt300,
+            ge300,
+            mean: gaps.iter().sum::<u64>() as f64 / gaps.len().max(1) as f64,
+        })
+    })
 }
 
 impl fmt::Display for Table6Row {
@@ -139,10 +146,10 @@ impl fmt::Display for Table6Row {
     }
 }
 
-/// Figure 6: speedup over the scalar baseline at each accelerator width,
-/// for both the Liquid binary (dynamic translation) and the native binary,
-/// plus the translation-overhead callout.
-#[derive(Clone, Debug)]
+/// Figure 6: speedup over the scalar baseline at each accelerator width
+/// for the Liquid binary (dynamic translation), the same binary with
+/// built-in ISA support, and the native binary.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Figure6Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -167,78 +174,74 @@ impl Figure6Row {
     }
 }
 
-/// Runs the Figure 6 sweep, decomposed into `(workload, width, mode)`
-/// simulation units and fanned over `jobs` worker threads. This is the
-/// heaviest sweep in the repo — `1 + 3 * widths.len()` simulations per
-/// workload — and every unit is independent, so it scales until cores run
-/// out. Every unit simulates on `backend`; backends give identical cycles.
+/// The Figure 6 sweep's units at `widths` on `backend`: the plain build on
+/// the scalar baseline, then per width [`figure6_width_units`].
+#[must_use]
+pub fn figure6_units(widths: &[usize], backend: BackendKind) -> Vec<Unit> {
+    let mut units = vec![figure6_baseline(backend)];
+    units.extend(widths.iter().flat_map(|&w| figure6_width_units(w, backend)));
+    units
+}
+
+/// Figure 6's scalar baseline (its denominator) on `backend`.
+#[must_use]
+pub fn figure6_baseline(backend: BackendKind) -> Unit {
+    Unit::new(
+        Binary::Plain,
+        &MachineConfig::scalar_only().with_backend(backend),
+    )
+}
+
+/// Figure 6's units at `width` on `backend`: the liquid build translated
+/// dynamically, the same build with that run's microcode resident
+/// (built-in ISA) and the native build.
+#[must_use]
+pub fn figure6_width_units(width: usize, backend: BackendKind) -> [Unit; 3] {
+    let liquid = MachineConfig::liquid(width).with_backend(backend);
+    let native = MachineConfig::native(width).with_backend(backend);
+    [
+        Unit::new(Binary::Liquid, &liquid),
+        Unit::new(Binary::Resident, &liquid),
+        Unit::new(Binary::Native(width), &native),
+    ]
+}
+
+/// Runs the Figure 6 sweep over the cache's workloads at `widths`:
+/// [`figure6_units`], `1 + 3 * widths` simulations per workload, fanned
+/// over `jobs` worker threads. It is the heaviest sweep in the repo, and
+/// every run but the resident one, which reads its liquid run's
+/// microcode, is independent. Every unit simulates on `backend`; backends
+/// give identical cycles.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile or simulate.
 pub fn figure6_jobs(
-    workloads: &[Workload],
+    cache: &BuildCache,
     widths: &[usize],
     jobs: usize,
     backend: BackendKind,
 ) -> Result<Vec<Figure6Row>, VerifyError> {
-    let cache = BuildCache::new(workloads, widths);
-    // Unit layout per workload: [baseline, then (liquid, pretranslated,
-    // native) per width]. Reassembly below depends on this order, and
-    // perfbench's `figure6` workload mirrors it.
-    let per = 1 + widths.len() * 3;
-    let cycles = run_tasks(
-        jobs,
-        workloads.len() * per,
-        |i| -> Result<u64, VerifyError> {
-            let (wi, unit) = (i / per, i % per);
-            if unit == 0 {
-                let plain = cache.plain(wi)?;
-                let out = crate::run(
-                    &plain.program,
-                    MachineConfig::scalar_only().with_backend(backend),
-                )?;
-                return Ok(out.report.cycles);
-            }
-            let k = unit - 1;
-            let width = widths[k / 3];
-            let liquid = MachineConfig::liquid(width).with_backend(backend);
-            let out = match k % 3 {
-                0 => crate::run(&cache.liquid(wi)?.program, liquid)?,
-                1 => crate::run_pretranslated(&cache.liquid(wi)?.program, liquid)?,
-                _ => crate::run(
-                    &cache.native(wi, width)?.program,
-                    MachineConfig::native(width).with_backend(backend),
-                )?,
-            };
-            Ok(out.report.cycles)
-        },
-    )?;
-
-    let rows = workloads
-        .iter()
-        .enumerate()
-        .map(|(wi, w)| {
-            let chunk = &cycles[wi * per..(wi + 1) * per];
-            let baseline_cycles = chunk[0];
-            let mut liquid = BTreeMap::new();
-            let mut pretranslated = BTreeMap::new();
-            let mut native = BTreeMap::new();
-            for (k, &width) in widths.iter().enumerate() {
-                liquid.insert(width, baseline_cycles as f64 / chunk[1 + 3 * k] as f64);
-                pretranslated.insert(width, baseline_cycles as f64 / chunk[2 + 3 * k] as f64);
-                native.insert(width, baseline_cycles as f64 / chunk[3 + 3 * k] as f64);
-            }
-            Figure6Row {
-                benchmark: w.name.clone(),
-                baseline_cycles,
-                liquid,
-                pretranslated,
-                native,
-            }
-        })
-        .collect();
-    Ok(rows)
+    let units = figure6_units(widths, backend);
+    rows(cache, &units, jobs, |wi, w| {
+        let cycles = |unit| cache.run(wi, unit).map(|r| r.report.cycles);
+        let baseline_cycles = cycles(figure6_baseline(backend))?;
+        let speedup = |unit| cycles(unit).map(|c| baseline_cycles as f64 / c as f64);
+        let mut row = Figure6Row {
+            benchmark: w.name.clone(),
+            baseline_cycles,
+            liquid: BTreeMap::new(),
+            pretranslated: BTreeMap::new(),
+            native: BTreeMap::new(),
+        };
+        for &width in widths {
+            let [liquid, resident, native] = figure6_width_units(width, backend);
+            row.liquid.insert(width, speedup(liquid)?);
+            row.pretranslated.insert(width, speedup(resident)?);
+            row.native.insert(width, speedup(native)?);
+        }
+        Ok(row)
+    })
 }
 
 impl fmt::Display for Figure6Row {
@@ -291,32 +294,22 @@ impl CodeSizeRow {
     }
 }
 
-/// Runs the code-size comparison, with compilation spread over `jobs`
-/// worker threads.
+/// Runs the code-size comparison of the plain and liquid builds.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile.
-pub fn code_size_jobs(
-    workloads: &[Workload],
-    jobs: usize,
-) -> Result<Vec<CodeSizeRow>, VerifyError> {
-    let cache = BuildCache::new(workloads, &[]);
-    run_tasks(
-        jobs,
-        workloads.len(),
-        |i| -> Result<CodeSizeRow, VerifyError> {
-            let plain = cache.plain(i)?;
-            let liquid = cache.liquid(i)?;
-            Ok(CodeSizeRow {
-                benchmark: cache.workload(i).name.clone(),
-                plain_bytes: plain.program.code_bytes(),
-                liquid_bytes: liquid.program.code_bytes(),
-                extra_data_bytes: liquid.program.data_bytes() as i64
-                    - plain.program.data_bytes() as i64,
-            })
-        },
-    )
+pub fn code_size(cache: &BuildCache) -> Result<Vec<CodeSizeRow>, VerifyError> {
+    rows(cache, &[], 1, |wi, w| {
+        let plain = &cache.build(wi, Binary::Plain)?.program;
+        let liquid = &cache.build(wi, Binary::Liquid)?.program;
+        Ok(CodeSizeRow {
+            benchmark: w.name.clone(),
+            plain_bytes: plain.code_bytes(),
+            liquid_bytes: liquid.code_bytes(),
+            extra_data_bytes: liquid.data_bytes() as i64 - plain.data_bytes() as i64,
+        })
+    })
 }
 
 impl fmt::Display for CodeSizeRow {
@@ -350,43 +343,29 @@ pub struct McacheRow {
 }
 
 /// Runs the microcode-cache working-set measurement at the paper's 8x64
-/// geometry, one simulation per worker-thread task.
+/// geometry: it reads the 8-lane liquid run, Figure 6's unit.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn mcache_jobs(workloads: &[Workload], jobs: usize) -> Result<Vec<McacheRow>, VerifyError> {
-    let cache = BuildCache::new(workloads, &[]);
-    run_tasks(
-        jobs,
-        workloads.len(),
-        |i| -> Result<McacheRow, VerifyError> {
-            let b = cache.liquid(i)?;
-            let out = crate::run(&b.program, MachineConfig::liquid(8))?;
-            let hot_loops = out.report.translations.len();
-            let max_uops = out
-                .report
-                .translations
-                .iter()
-                .map(|&(_, n)| n)
-                .max()
-                .unwrap_or(0);
-            let micro = out
-                .report
-                .calls
-                .iter()
-                .filter(|c| c.mode == crate::CallMode::Microcode)
-                .count();
-            let total = out.report.calls.len().max(1);
-            Ok(McacheRow {
-                benchmark: cache.workload(i).name.clone(),
-                hot_loops,
-                max_uops,
-                evictions: out.report.mcache.evictions,
-                microcode_call_fraction: micro as f64 / total as f64,
-            })
-        },
-    )
+pub fn mcache_jobs(cache: &BuildCache, jobs: usize) -> Result<Vec<McacheRow>, VerifyError> {
+    let liquid = Unit::new(Binary::Liquid, &MachineConfig::liquid(8));
+    rows(cache, &[liquid], jobs, |wi, w| {
+        let report = &cache.run(wi, liquid)?.report;
+        let max_uops = report.translations.iter().map(|&(_, n)| n).max();
+        let micro = report
+            .calls
+            .iter()
+            .filter(|c| c.mode == crate::CallMode::Microcode)
+            .count();
+        Ok(McacheRow {
+            benchmark: w.name.clone(),
+            hot_loops: report.translations.len(),
+            max_uops: max_uops.unwrap_or(0),
+            evictions: report.mcache.evictions,
+            microcode_call_fraction: micro as f64 / report.calls.len().max(1) as f64,
+        })
+    })
 }
 
 impl fmt::Display for McacheRow {
@@ -414,44 +393,33 @@ pub struct LatencyAblationRow {
     pub cycles_by_cost: BTreeMap<u64, u64>,
 }
 
-/// Runs the translation-latency ablation at 8 lanes, decomposed into
-/// `(workload, cost)` simulation units and fanned over `jobs` worker
-/// threads.
+/// Runs the translation-latency ablation at 8 lanes: one liquid unit per
+/// cost, where cost 1 is Figure 6's 8-lane liquid unit.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile or simulate.
 pub fn ablation_latency_jobs(
-    workloads: &[Workload],
+    cache: &BuildCache,
     costs: &[u64],
     jobs: usize,
 ) -> Result<Vec<LatencyAblationRow>, VerifyError> {
-    let cache = BuildCache::new(workloads, &[]);
-    let per = costs.len();
-    let cycles = run_tasks(
-        jobs,
-        workloads.len() * per,
-        |i| -> Result<u64, VerifyError> {
-            let (wi, ci) = (i / per, i % per);
-            let b = cache.liquid(wi)?;
-            let mut cfg = MachineConfig::liquid(8);
-            cfg.translation.cycles_per_instr = costs[ci];
-            let out = crate::run(&b.program, cfg)?;
-            Ok(out.report.cycles)
-        },
-    )?;
-    Ok(workloads
-        .iter()
-        .enumerate()
-        .map(|(wi, w)| LatencyAblationRow {
+    let at_cost = |cost| {
+        let mut cfg = MachineConfig::liquid(8);
+        cfg.translation.cycles_per_instr = cost;
+        Unit::new(Binary::Liquid, &cfg)
+    };
+    let units: Vec<Unit> = costs.iter().map(|&cost| at_cost(cost)).collect();
+    rows(cache, &units, jobs, |wi, w| {
+        let cycles_by_cost = costs
+            .iter()
+            .map(|&cost| Ok((cost, cache.run(wi, at_cost(cost))?.report.cycles)))
+            .collect::<Result<_, VerifyError>>()?;
+        Ok(LatencyAblationRow {
             benchmark: w.name.clone(),
-            cycles_by_cost: costs
-                .iter()
-                .enumerate()
-                .map(|(ci, &cost)| (cost, cycles[wi * per + ci]))
-                .collect(),
+            cycles_by_cost,
         })
-        .collect())
+    })
 }
 
 /// Ablation A2: hardware translator vs software JIT (which stalls the CPU
@@ -466,40 +434,30 @@ pub struct JitAblationRow {
     pub jit_cycles: u64,
 }
 
-/// Runs the hardware-vs-JIT ablation at 8 lanes, decomposed into
-/// `(workload, translator-kind)` units and fanned over `jobs` worker
-/// threads.
+/// Runs the hardware-vs-JIT ablation at 8 lanes: Figure 6's 8-lane
+/// liquid unit against the same machine with the software JIT.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile or simulate.
 pub fn ablation_jit_jobs(
-    workloads: &[Workload],
+    cache: &BuildCache,
     jit_cost: u64,
     jobs: usize,
 ) -> Result<Vec<JitAblationRow>, VerifyError> {
-    let cache = BuildCache::new(workloads, &[]);
-    let cycles = run_tasks(jobs, workloads.len() * 2, |i| -> Result<u64, VerifyError> {
-        let (wi, unit) = (i / 2, i % 2);
-        let b = cache.liquid(wi)?;
-        let mut cfg = MachineConfig::liquid(8);
-        if unit == 1 {
-            cfg.translation.jit = true;
-            cfg.translation.jit_cycles_per_instr = jit_cost;
-            cfg.translation.hw_value_limit = false; // JITs keep full-width values
-        }
-        let out = crate::run(&b.program, cfg)?;
-        Ok(out.report.cycles)
-    })?;
-    Ok(workloads
-        .iter()
-        .enumerate()
-        .map(|(wi, w)| JitAblationRow {
+    let mut jit = MachineConfig::liquid(8);
+    jit.translation.jit = true;
+    jit.translation.jit_cycles_per_instr = jit_cost;
+    jit.translation.hw_value_limit = false; // JITs keep full-width values
+    let hw = Unit::new(Binary::Liquid, &MachineConfig::liquid(8));
+    let jit = Unit::new(Binary::Liquid, &jit);
+    rows(cache, &[hw, jit], jobs, |wi, w| {
+        Ok(JitAblationRow {
             benchmark: w.name.clone(),
-            hw_cycles: cycles[wi * 2],
-            jit_cycles: cycles[wi * 2 + 1],
+            hw_cycles: cache.run(wi, hw)?.report.cycles,
+            jit_cycles: cache.run(wi, jit)?.report.cycles,
         })
-        .collect())
+    })
 }
 
 /// The Figure 6 callout: the paper measured the worst-case speedup
@@ -526,39 +484,27 @@ impl OverheadCallout {
     }
 }
 
-/// Runs the overhead callout on a (typically high-repetition) workload at
-/// 8 lanes, as two independent chains over `jobs` worker threads: the
-/// scalar baseline, and the liquid run followed by a resident pass that
-/// starts with the liquid run's microcode preloaded. The resident pass is
-/// [`crate::run_pretranslated`]'s second pass; its first pass would be an
-/// exact repeat of the liquid run, so the chain takes the snapshot from
-/// the liquid run itself.
+/// Runs the overhead callout on a (typically high-repetition) workload,
+/// on a cache of its own: Figure 6's baseline, 8-lane liquid and resident
+/// units, as two independent chains over `jobs` worker threads (the
+/// resident run starts from the liquid run's microcode).
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if the workload fails to compile or simulate.
 pub fn overhead_callout(w: &Workload, jobs: usize) -> Result<OverheadCallout, VerifyError> {
-    let workloads = std::slice::from_ref(w);
-    let cache = BuildCache::new(workloads, &[]);
-    let chains = run_tasks(jobs, 2, |i| -> Result<Vec<u64>, VerifyError> {
-        if i == 0 {
-            let plain = cache.plain(0)?;
-            let base = crate::run(&plain.program, MachineConfig::scalar_only())?;
-            return Ok(vec![base.report.cycles]);
-        }
-        let program = &cache.liquid(0)?.program;
-        let mut liquid = Machine::new(program, MachineConfig::liquid(8));
-        let liquid_cycles = liquid.run()?.cycles;
-        let mut resident = Machine::new(program, MachineConfig::liquid(8));
-        resident.preload_microcode(&liquid.microcode_snapshot());
-        Ok(vec![liquid_cycles, resident.run()?.cycles])
-    })?;
-    let (base, liquid, builtin) = (chains[0][0], chains[1][0], chains[1][1]);
-    Ok(OverheadCallout {
-        benchmark: w.name.clone(),
-        liquid_speedup: base as f64 / liquid as f64,
-        builtin_speedup: base as f64 / builtin as f64,
-    })
+    let cache = BuildCache::new(std::slice::from_ref(w));
+    let base = figure6_baseline(BackendKind::default());
+    let [liquid, resident, _] = figure6_width_units(8, BackendKind::default());
+    let callout = rows(&cache, &[base, resident], jobs, |_, w| {
+        let cycles = |unit| cache.run(0, unit).map(|r| r.report.cycles as f64);
+        Ok(OverheadCallout {
+            benchmark: w.name.clone(),
+            liquid_speedup: cycles(base)? / cycles(liquid)?,
+            builtin_speedup: cycles(base)? / cycles(resident)?,
+        })
+    });
+    Ok(callout?.remove(0))
 }
 
 /// Convenience: the paper's width sweep.

@@ -1,34 +1,26 @@
-//! Dependency-free parallel experiment harness.
+//! Dependency-free parallel experiment harness (`std` only, no `unsafe`):
 //!
-//! Every experiment driver in [`crate::experiments`] decomposes into
-//! independent `(workload, width, mode)` simulation units. This module
-//! provides the two pieces that let them fan out across cores with zero
-//! new dependencies (`std` only, no `unsafe`):
+//! * [`run_tasks`] — a scoped-thread work queue whose results come back
+//!   **in task order**, so a parallel run is byte-identical to the serial
+//!   one.
+//! * [`BuildCache`] — the run table: memoized builds and simulation
+//!   [`Unit`]s, each computed once by the first task that needs it.
 //!
-//! * [`run_tasks`] — a scoped-thread work-queue scheduler. Workers claim
-//!   task indices from a shared atomic counter; each result lands in its
-//!   own slot, and the caller reassembles them **in task order**, so the
-//!   output of a parallel run is byte-identical to the serial run.
-//! * [`BuildCache`] — [`OnceLock`]-memoized compilation. A width sweep
-//!   needs each workload's plain/liquid build once, not once per width;
-//!   the first task to need a build compiles it, everyone else blocks
-//!   briefly and shares the result.
-//!
-//! Determinism argument: scheduling only decides *when* a unit runs, never
-//! *what* it computes — units share no mutable state (each simulation owns
-//! its [`Machine`](liquid_simd_sim::Machine)) and results are indexed, so
-//! reassembly order is fixed. Errors are deterministic too: the caller
-//! always sees the error of the **lowest-indexed** failing task, matching
-//! what a serial loop would have returned first.
+//! Determinism: scheduling decides only *when* a task runs, never *what*
+//! it computes. Tasks share nothing mutable but the memo, whose every value
+//! is a deterministic function of its key, and the caller always sees the
+//! error of the **lowest-indexed** failing task, as a serial loop would.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use liquid_simd_compiler::{
     build_liquid, build_native, build_plain, gold, Build, DataEnv, Workload,
 };
+use liquid_simd_isa::{Inst, SUPPORTED_WIDTHS};
+use liquid_simd_sim::{BackendKind, MachineConfig, RunReport, TranslationConfig};
 
 use crate::VerifyError;
 
@@ -43,10 +35,9 @@ pub fn default_jobs() -> usize {
 /// returns their results **in task order** (index `i` of the output is
 /// `task(i)`).
 ///
-/// With `jobs <= 1` this degenerates to a plain serial loop — no threads
-/// are spawned, so `--jobs 1` is exactly the pre-parallel behaviour. With
-/// more jobs, workers claim indices from a shared atomic counter (dynamic
-/// load balancing: a slow simulation does not hold up the queue).
+/// Workers claim indices from a shared atomic counter (dynamic load
+/// balancing: a slow simulation does not hold up the queue). With
+/// `jobs <= 1` one worker runs the tasks in index order: a serial loop.
 ///
 /// # Errors
 ///
@@ -81,37 +72,12 @@ where
         }
     };
 
-    if jobs <= 1 || count <= 1 {
-        let mut out = Vec::with_capacity(count);
-        let mut first_err = None;
-        for i in 0..count {
-            match contained(i) {
-                Some(Ok(value)) => out.push(value),
-                // An Err stops claiming new tasks, exactly as the parallel
-                // path's `failed` flag does.
-                Some(Err(e)) => {
-                    first_err = Some(e);
-                    break;
-                }
-                // A panic drains: keep running the remaining tasks.
-                None => {}
-            }
-        }
-        if let Some((_, payload)) = first_panic.into_inner().expect("panic slot poisoned") {
-            resume_unwind(payload);
-        }
-        return match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        };
-    }
-
     let slots: Vec<Mutex<Option<Result<T, E>>>> = (0..count).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        for _ in 0..jobs.min(count) {
+        for _ in 0..jobs.max(1).min(count) {
             let (slots, next, failed, contained) = (&slots, &next, &failed, &contained);
             scope.spawn(move || loop {
                 if failed.load(Ordering::Relaxed) {
@@ -153,87 +119,157 @@ where
     Ok(out)
 }
 
-/// Memoized compilation results shared by all tasks of one experiment.
-///
-/// Each build is compiled at most once, by whichever task needs it first
-/// ([`OnceLock::get_or_init`] makes racing tasks block rather than
-/// duplicate the work), and errors are memoized the same way — every task
-/// that needs a broken build sees the same [`VerifyError`].
+/// Which binary of a workload a [`Unit`] simulates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Binary {
+    /// The plain build: scalar code, no outlining.
+    Plain,
+    /// The liquid build: outlined scalar loops, translated at run time.
+    Liquid,
+    /// The liquid build with the microcode of its [`Binary::Liquid`] run
+    /// on the same machine resident from cycle 0: the paper's built-in
+    /// ISA support.
+    Resident,
+    /// The native SIMD build at this many lanes.
+    Native(usize),
+}
+
+/// What to simulate on a workload: one of its binaries on a machine. The
+/// machine is the default [`MachineConfig`] with its lanes, translation,
+/// cycle limit and backend set, which covers every machine the
+/// experiments use. Unlike a `MachineConfig`, whose tracer is
+/// single-threaded, a unit can be shared by worker threads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Unit {
+    /// Which binary runs.
+    pub binary: Binary,
+    lanes: usize,
+    translation: TranslationConfig,
+    max_cycles: u64,
+    backend: BackendKind,
+}
+
+impl Unit {
+    /// `binary` on `config`.
+    ///
+    /// # Panics
+    ///
+    /// If `config` carries a tracer or differs from the default machine in
+    /// anything but its lanes, translation, cycle limit and backend.
+    #[must_use]
+    pub fn new(binary: Binary, config: &MachineConfig) -> Unit {
+        let unit = Unit {
+            binary,
+            lanes: config.lanes,
+            translation: config.translation,
+            max_cycles: config.max_cycles,
+            backend: config.backend,
+        };
+        assert!(
+            config.tracer.is_none() && unit.config() == *config,
+            "a unit's machine is the default one with lanes, translation, \
+             cycle limit and backend set"
+        );
+        unit
+    }
+
+    pub(crate) fn config(&self) -> MachineConfig {
+        MachineConfig {
+            lanes: self.lanes,
+            translation: self.translation,
+            max_cycles: self.max_cycles,
+            backend: self.backend,
+            ..MachineConfig::default()
+        }
+    }
+}
+
+/// A memoized simulation: its report and the microcode resident at halt.
+#[derive(Debug)]
+pub struct Simulated {
+    /// Cycle counts, cache and translator stats, call log, ledger.
+    pub report: RunReport,
+    /// The machine's `microcode_snapshot()` after the run.
+    pub microcode: Vec<(u32, Vec<Inst>)>,
+}
+
+/// One memoized value: computed by the first task that asks, shared by
+/// every later one.
+type Slot<T> = Arc<OnceLock<Result<Arc<T>, VerifyError>>>;
+/// A memo table: each key once, with its slot.
+type Memo<K, T> = Mutex<Vec<(K, Slot<T>)>>;
+
+/// Memoized builds and runs shared by all tasks of one or more
+/// experiments: each build is compiled, and each [`Unit`] simulated on a
+/// workload, at most once, by whichever task needs it first (racing tasks
+/// block on its [`OnceLock`]). Errors are memoized too, so every task sees
+/// the same [`VerifyError`]. Runs keep their report, not their memory.
 pub struct BuildCache<'w> {
     workloads: &'w [Workload],
-    widths: Vec<usize>,
-    plain: Vec<OnceLock<Result<Build, VerifyError>>>,
-    liquid: Vec<OnceLock<Result<Build, VerifyError>>>,
-    /// `native[workload][width index]`, parallel to `widths`.
-    native: Vec<Vec<OnceLock<Result<Build, VerifyError>>>>,
-    gold: Vec<OnceLock<Result<DataEnv, VerifyError>>>,
+    builds: Memo<(usize, Binary), Build>,
+    gold: Memo<usize, DataEnv>,
+    runs: Memo<(usize, Unit), Simulated>,
+}
+
+/// The value of `key` in `table`, computed with `compute` on first use.
+fn memo<K: PartialEq, T>(
+    table: &Memo<K, T>,
+    key: K,
+    compute: impl FnOnce() -> Result<T, VerifyError>,
+) -> Result<Arc<T>, VerifyError> {
+    let slot = {
+        let mut table = table.lock().expect("memo table poisoned");
+        let i = table
+            .iter()
+            .position(|(k, _)| *k == key)
+            .unwrap_or_else(|| {
+                table.push((key, Slot::default()));
+                table.len() - 1
+            });
+        Arc::clone(&table[i].1)
+    };
+    slot.get_or_init(|| compute().map(Arc::new)).clone()
 }
 
 impl<'w> BuildCache<'w> {
-    /// Creates an empty cache over `workloads`. Native builds are
-    /// width-specific, so the accelerator widths the experiment will
-    /// request must be registered up front.
+    /// Creates an empty cache over `workloads`.
     #[must_use]
-    pub fn new(workloads: &'w [Workload], widths: &[usize]) -> BuildCache<'w> {
-        fn locks<T>(n: usize) -> Vec<OnceLock<T>> {
-            std::iter::repeat_with(OnceLock::new).take(n).collect()
-        }
+    pub fn new(workloads: &'w [Workload]) -> BuildCache<'w> {
         BuildCache {
             workloads,
-            widths: widths.to_vec(),
-            plain: locks(workloads.len()),
-            liquid: locks(workloads.len()),
-            native: (0..workloads.len()).map(|_| locks(widths.len())).collect(),
-            gold: locks(workloads.len()),
+            builds: Memo::default(),
+            gold: Memo::default(),
+            runs: Memo::default(),
         }
     }
 
-    /// The workload at `index`.
+    /// The workloads, in index order.
     #[must_use]
-    pub fn workload(&self, index: usize) -> &'w Workload {
-        &self.workloads[index]
+    pub fn workloads(&self) -> &'w [Workload] {
+        self.workloads
     }
 
-    /// The plain (scalar, no outlining) build of workload `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the memoized compile error, if compilation failed.
-    pub fn plain(&self, index: usize) -> Result<&Build, VerifyError> {
-        self.plain[index]
-            .get_or_init(|| build_plain(&self.workloads[index]).map_err(Into::into))
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
-    /// The Liquid (outlined scalar) build of workload `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the memoized compile error, if compilation failed.
-    pub fn liquid(&self, index: usize) -> Result<&Build, VerifyError> {
-        self.liquid[index]
-            .get_or_init(|| build_liquid(&self.workloads[index]).map_err(Into::into))
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
-    /// The native SIMD build of workload `index` at `width` lanes.
+    /// The build of workload `index` that `binary` runs (a resident run
+    /// runs the liquid build).
     ///
     /// # Errors
     ///
     /// Returns the memoized compile error, or a [`VerifyError::Compile`]
-    /// if `width` was not registered in [`BuildCache::new`].
-    pub fn native(&self, index: usize, width: usize) -> Result<&Build, VerifyError> {
-        let Some(wi) = self.widths.iter().position(|&w| w == width) else {
-            return Err(VerifyError::Compile(format!(
-                "width {width} not registered in the build cache"
-            )));
+    /// for a native width outside [`SUPPORTED_WIDTHS`].
+    pub fn build(&self, index: usize, binary: Binary) -> Result<Arc<Build>, VerifyError> {
+        let w = &self.workloads[index];
+        let binary = match binary {
+            Binary::Resident => Binary::Liquid,
+            other => other,
         };
-        self.native[index][wi]
-            .get_or_init(|| build_native(&self.workloads[index], width).map_err(Into::into))
-            .as_ref()
-            .map_err(Clone::clone)
+        memo(&self.builds, (index, binary), || match binary {
+            Binary::Native(width) if !SUPPORTED_WIDTHS.contains(&width) => Err(
+                VerifyError::Compile(format!("no native build at width {width}")),
+            ),
+            Binary::Native(width) => Ok(build_native(w, width)?),
+            Binary::Plain => Ok(build_plain(w)?),
+            Binary::Liquid | Binary::Resident => Ok(build_liquid(w)?),
+        })
     }
 
     /// The gold (reference evaluator) data environment of workload `index`.
@@ -241,11 +277,41 @@ impl<'w> BuildCache<'w> {
     /// # Errors
     ///
     /// Returns the memoized gold-evaluation error.
-    pub fn gold(&self, index: usize) -> Result<&DataEnv, VerifyError> {
-        self.gold[index]
-            .get_or_init(|| gold::run_gold(&self.workloads[index]).map_err(Into::into))
-            .as_ref()
-            .map_err(Clone::clone)
+    pub fn gold(&self, index: usize) -> Result<Arc<DataEnv>, VerifyError> {
+        memo(&self.gold, index, || {
+            gold::run_gold(&self.workloads[index]).map_err(Into::into)
+        })
+    }
+
+    /// The memoized run of `unit` on workload `index`, simulated on first
+    /// use.
+    ///
+    /// # Errors
+    ///
+    /// Returns the memoized compile or simulation error.
+    pub fn run(&self, index: usize, unit: Unit) -> Result<Arc<Simulated>, VerifyError> {
+        memo(&self.runs, (index, unit), || {
+            let build = self.build(index, unit.binary)?;
+            let liquid = Unit {
+                binary: Binary::Liquid,
+                ..unit
+            };
+            let resident = match unit.binary {
+                Binary::Resident => self.run(index, liquid)?.microcode.clone(),
+                _ => Vec::new(),
+            };
+            let (report, machine) = crate::simulate(&build.program, unit.config(), &resident)?;
+            Ok(Simulated {
+                report,
+                microcode: machine.microcode_snapshot(),
+            })
+        })
+    }
+
+    /// How many distinct runs the cache holds, each simulated once.
+    #[must_use]
+    pub fn simulations(&self) -> usize {
+        self.runs.lock().expect("memo table poisoned").len()
     }
 }
 
@@ -341,18 +407,61 @@ mod tests {
     #[test]
     fn build_cache_memoizes_and_shares_errors() {
         let w = liquid_simd_workloads::smoke();
-        let cache = BuildCache::new(&w, &[2, 8]);
-        let a = cache.liquid(0).unwrap().program.code_bytes();
-        let b = cache.liquid(0).unwrap().program.code_bytes();
-        assert_eq!(a, b);
-        assert!(cache.plain(1).is_ok());
-        assert!(cache.native(2, 8).is_ok());
+        let cache = BuildCache::new(&w);
+        let a = cache.build(0, Binary::Liquid).unwrap();
+        let b = cache.build(0, Binary::Resident).unwrap();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "a resident run shares the liquid build"
+        );
+        assert!(cache.build(1, Binary::Plain).is_ok());
+        assert!(cache.build(2, Binary::Native(8)).is_ok());
         assert!(cache.gold(0).is_ok());
-        // Unregistered width is a deterministic error, not a panic.
+        // An unsupported width is a deterministic error, not a panic.
         assert!(matches!(
-            cache.native(0, 4),
-            Err(VerifyError::Compile(msg)) if msg.contains("not registered")
+            cache.build(0, Binary::Native(3)),
+            Err(VerifyError::Compile(msg)) if msg.contains("no native build at width 3")
         ));
+    }
+
+    #[test]
+    fn run_memo_simulates_each_unit_once() {
+        let w = liquid_simd_workloads::smoke();
+        let cache = BuildCache::new(&w);
+        let liquid = MachineConfig::liquid(8);
+        // The resident run simulates its liquid run first, once.
+        let resident = cache.run(0, Unit::new(Binary::Resident, &liquid)).unwrap();
+        assert_eq!(cache.simulations(), 2);
+        let cold = cache.run(0, Unit::new(Binary::Liquid, &liquid)).unwrap();
+        let again = cache.run(0, Unit::new(Binary::Liquid, &liquid)).unwrap();
+        assert!(Arc::ptr_eq(&cold, &again));
+        assert!(resident.report.cycles < cold.report.cycles);
+        assert!(!cold.microcode.is_empty());
+        assert_eq!(cache.simulations(), 2);
+        // The backend is part of the key; the same units again cost nothing.
+        let interp = liquid.clone().with_backend(BackendKind::Interp);
+        let units = [
+            Unit::new(Binary::Liquid, &interp),
+            Unit::new(Binary::Liquid, &liquid),
+            Unit::new(Binary::Native(8), &MachineConfig::native(8)),
+        ];
+        let run_all = || {
+            let runs: Vec<_> = (0..w.len()).flat_map(|i| units.map(|u| (i, u))).collect();
+            run_tasks(2, runs.len(), |i| cache.run(runs[i].0, runs[i].1)).unwrap()
+        };
+        let runs = run_all();
+        assert_eq!(cache.simulations(), 3 * w.len() + 1);
+        assert_eq!(runs[0].report.cycles, cold.report.cycles);
+        run_all();
+        assert_eq!(cache.simulations(), 3 * w.len() + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a unit's machine")]
+    fn a_unit_rejects_a_machine_it_cannot_key() {
+        let mut config = MachineConfig::liquid(8);
+        config.mcache_entries = 4;
+        let _ = Unit::new(Binary::Liquid, &config);
     }
 
     #[test]

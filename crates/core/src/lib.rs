@@ -52,7 +52,7 @@ pub use diagnose::{
     explain, ledger_region_labels, profile, render_counter_table, ExplainOptions, ExplainReport,
     ProfileReport, RegionOutcome, RegionReport,
 };
-pub use harness::{default_jobs, run_tasks, BuildCache};
+pub use harness::{default_jobs, run_tasks, Binary, BuildCache, Simulated, Unit};
 pub use liquid_simd_compiler::{
     build_liquid, build_native, build_plain, gold, ArrayBuilder, Build, CompileError, DataEnv,
     Kernel, KernelBuilder, OutlinedFn, ReduceInit, Workload,
@@ -70,7 +70,7 @@ pub use liquid_simd_trace::{TraceConfig, TraceEvent, Tracer};
 pub use liquid_simd_translator as translator;
 pub use verify::{verify_against_gold, verify_workload, verify_workloads, VerifyError, F32_RTOL};
 
-use liquid_simd_isa::Program;
+use liquid_simd_isa::{Inst, Program};
 use liquid_simd_mem::Memory;
 
 /// The result of one simulation: measurements plus final memory.
@@ -88,8 +88,7 @@ pub struct RunOutcome {
 ///
 /// Returns [`SimError`] for simulation faults (wild memory, cycle limit).
 pub fn run(program: &Program, config: MachineConfig) -> Result<RunOutcome, SimError> {
-    let mut machine = Machine::new(program, config);
-    let report = machine.run()?;
+    let (report, machine) = simulate(program, config, &[])?;
     Ok(RunOutcome {
         report,
         memory: machine.memory().clone(),
@@ -101,20 +100,31 @@ pub fn run(program: &Program, config: MachineConfig) -> Result<RunOutcome, SimEr
 /// microcode, then a fresh machine executes with that microcode resident
 /// from cycle 0 (no translation warm-up). This is the paper's Figure 6
 /// callout comparator ("the simulator treated outlined functions like
-/// native SIMD code").
+/// native SIMD code"). A [`BuildCache`] runs the second pass alone, from
+/// its memoized liquid run.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] for simulation faults in either pass.
 pub fn run_pretranslated(program: &Program, config: MachineConfig) -> Result<RunOutcome, SimError> {
-    let mut warm = Machine::new(program, config.clone());
-    warm.run()?;
-    let microcode = warm.microcode_snapshot();
-    let mut machine = Machine::new(program, config);
-    machine.preload_microcode(&microcode);
-    let report = machine.run()?;
+    let (_, warm) = simulate(program, config.clone(), &[])?;
+    let (report, machine) = simulate(program, config, &warm.microcode_snapshot())?;
     Ok(RunOutcome {
         report,
         memory: machine.memory().clone(),
     })
+}
+
+/// Runs `program` to `halt` on a fresh machine that starts with
+/// `microcode` resident (none: a cold microcode cache) and returns the
+/// report with the halted machine. Every resident pass goes through here.
+pub(crate) fn simulate<'p>(
+    program: &'p Program,
+    config: MachineConfig,
+    microcode: &[(u32, Vec<Inst>)],
+) -> Result<(RunReport, Machine<'p>), SimError> {
+    let mut machine = Machine::new(program, config);
+    machine.preload_microcode(microcode);
+    let report = machine.run()?;
+    Ok((report, machine))
 }

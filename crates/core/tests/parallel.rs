@@ -1,11 +1,15 @@
 //! Determinism of the parallel experiment harness: any `--jobs` level must
 //! produce byte-identical experiment output, and repeated parallel runs
 //! must be stable. Scheduling decides only *when* a simulation unit runs,
-//! never *what* it computes — these tests pin that invariant.
+//! never *what* it computes, and a run the drivers share through one
+//! [`BuildCache`] is the same run whichever driver asked for it first —
+//! these tests pin that invariant.
 
-use liquid_simd::{experiments, verify_workloads, BackendKind};
+use liquid_simd::{experiments, verify_workloads, BackendKind, BuildCache, Workload};
 
-/// Renders rows exactly as the CLI prints them, one per line.
+const WIDTHS: [usize; 2] = [2, 8];
+
+/// Renders rows one per line, as the CLI prints them.
 fn render<T: std::fmt::Display>(rows: &[T]) -> String {
     rows.iter().map(|r| format!("{r}\n")).collect()
 }
@@ -13,12 +17,12 @@ fn render<T: std::fmt::Display>(rows: &[T]) -> String {
 #[test]
 fn figure6_is_identical_at_any_job_count_and_stable_across_runs() {
     let workloads = liquid_simd_workloads::smoke();
-    let widths = [2usize, 8];
     let sweep = |jobs: usize, backend: BackendKind| {
-        render(&experiments::figure6_jobs(&workloads, &widths, jobs, backend).expect("sweep"))
+        let cache = BuildCache::new(&workloads);
+        render(&experiments::figure6_jobs(&cache, &WIDTHS, jobs, backend).expect("sweep"))
     };
     let serial = sweep(1, BackendKind::default());
-    assert!(!serial.is_empty());
+    assert_eq!(serial.lines().count(), workloads.len());
     for jobs in [2, 8] {
         let parallel = sweep(jobs, BackendKind::default());
         assert_eq!(serial, parallel, "figure6 diverged at jobs={jobs}");
@@ -37,46 +41,68 @@ fn figure6_is_identical_at_any_job_count_and_stable_across_runs() {
 #[test]
 fn table5_and_table6_are_identical_at_any_job_count() {
     let workloads = liquid_simd_workloads::smoke();
-    let t5_serial = render(&experiments::table5_jobs(&workloads, 1).expect("t5 serial"));
-    let t5_parallel = render(&experiments::table5_jobs(&workloads, 8).expect("t5 parallel"));
-    assert_eq!(t5_serial, t5_parallel);
+    let tables = |jobs| {
+        let cache = BuildCache::new(&workloads);
+        let t5 = render(&experiments::table5(&cache).expect("table 5"));
+        let t6 = render(&experiments::table6_jobs(&cache, jobs).expect("table 6"));
+        t5 + &t6
+    };
+    let serial = tables(1);
+    assert_eq!(serial.lines().count(), 2 * workloads.len());
+    for jobs in [2, 8] {
+        assert_eq!(
+            serial,
+            tables(jobs),
+            "tables 5 and 6 diverged at jobs={jobs}"
+        );
+    }
+}
 
-    let t6_serial = render(&experiments::table6_jobs(&workloads, 1).expect("t6 serial"));
-    let t6_parallel = render(&experiments::table6_jobs(&workloads, 8).expect("t6 parallel"));
-    assert_eq!(t6_serial, t6_parallel);
+/// Code size, the microcode-cache table, both ablations and a short
+/// callout at `jobs`. With `after_figure6` they share a cache with a
+/// Figure 6 sweep run first, so the microcode-cache table and the
+/// ablations' 8-lane liquid runs are the sweep's.
+fn remaining(workloads: &[Workload], jobs: usize, after_figure6: bool) -> String {
+    let cache = BuildCache::new(workloads);
+    if after_figure6 {
+        experiments::figure6_jobs(&cache, &WIDTHS, jobs, BackendKind::default()).expect("figure 6");
+    }
+    let mut fir = liquid_simd_workloads::fir();
+    fir.reps = 40;
+    [
+        render(&experiments::code_size(&cache).expect("code size")),
+        render(&experiments::mcache_jobs(&cache, jobs).expect("mcache")),
+        format!(
+            "{:?}\n",
+            experiments::ablation_latency_jobs(&cache, &[1, 40], jobs).expect("A1")
+        ),
+        format!(
+            "{:?}\n",
+            experiments::ablation_jit_jobs(&cache, 40, jobs).expect("A2")
+        ),
+        format!(
+            "{:?}\n",
+            experiments::overhead_callout(&fir, jobs).expect("callout")
+        ),
+    ]
+    .concat()
 }
 
 #[test]
 fn remaining_drivers_are_identical_at_any_job_count() {
     let workloads = liquid_simd_workloads::smoke();
-
-    let serial = render(&experiments::code_size_jobs(&workloads, 1).expect("serial"));
-    let parallel = render(&experiments::code_size_jobs(&workloads, 4).expect("parallel"));
-    assert_eq!(serial, parallel, "code_size diverged");
-
-    let serial = render(&experiments::mcache_jobs(&workloads, 1).expect("serial"));
-    let parallel = render(&experiments::mcache_jobs(&workloads, 4).expect("parallel"));
-    assert_eq!(serial, parallel, "mcache diverged");
-
-    let costs = [1u64, 40];
-    let serial = experiments::ablation_latency_jobs(&workloads, &costs, 1).expect("serial");
-    let parallel = experiments::ablation_latency_jobs(&workloads, &costs, 4).expect("parallel");
-    for (s, p) in serial.iter().zip(&parallel) {
+    let serial = remaining(&workloads, 1, false);
+    assert_eq!(serial.lines().count(), 2 * workloads.len() + 3);
+    for jobs in [2, 8] {
         assert_eq!(
-            s.cycles_by_cost, p.cycles_by_cost,
-            "{} diverged",
-            s.benchmark
+            serial,
+            remaining(&workloads, jobs, false),
+            "drivers diverged at jobs={jobs}"
         );
-    }
-
-    let serial = experiments::ablation_jit_jobs(&workloads, 40, 1).expect("serial");
-    let parallel = experiments::ablation_jit_jobs(&workloads, 40, 4).expect("parallel");
-    for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(
-            (s.hw_cycles, s.jit_cycles),
-            (p.hw_cycles, p.jit_cycles),
-            "{} diverged",
-            s.benchmark
+            serial,
+            remaining(&workloads, jobs, true),
+            "drivers reading Figure 6's runs diverged at jobs={jobs}"
         );
     }
 }

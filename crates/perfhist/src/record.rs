@@ -47,6 +47,24 @@ pub struct WorkloadRow {
     pub ledger: Option<Json>,
 }
 
+impl WorkloadRow {
+    /// The row's cycle fields, without the ledger: the workload rows of
+    /// both a record and the `bench` snapshot.
+    #[must_use]
+    pub fn cycles_json(&self) -> Json {
+        let by_width = self.cycles_by_width.iter();
+        Json::obj([
+            ("name", (&self.name).into()),
+            ("baseline_cycles", self.baseline_cycles.into()),
+            ("sim_cycles", self.sim_cycles.into()),
+            (
+                "cycles_by_width",
+                Json::obj(by_width.map(|&(width, cycles)| (width.to_string(), cycles.into()))),
+            ),
+        ])
+    }
+}
+
 /// Identity fields shared by every record from one bench invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecordMeta {
@@ -93,16 +111,7 @@ pub fn build(
 ) -> Json {
     let mut rec = header(SCHEMA, meta);
     let rows = workloads.iter().map(|w| {
-        let by_width = w.cycles_by_width.iter();
-        let mut row = Json::obj([
-            ("name", (&w.name).into()),
-            ("baseline_cycles", w.baseline_cycles.into()),
-            ("sim_cycles", w.sim_cycles.into()),
-            (
-                "cycles_by_width",
-                Json::obj(by_width.map(|&(width, cycles)| (width.to_string(), cycles.into()))),
-            ),
-        ]);
+        let mut row = w.cycles_json();
         if let Some(ledger) = &w.ledger {
             row.set("ledger", ledger.clone());
         }
