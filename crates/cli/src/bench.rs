@@ -405,9 +405,10 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
             Payload::Kernel(w) => {
                 let plain = liquid_simd::build_plain(w).map_err(|e| err(&e))?;
                 let scalar = MachineConfig::scalar_only().with_backend(backend);
-                let base = liquid_simd::run(&plain.program, scalar).map_err(|e| err(&e))?;
+                let (base, _) =
+                    liquid_simd::simulate(&plain.program, scalar, &[]).map_err(|e| err(&e))?;
                 let liquid = liquid_simd::build_liquid(w).map_err(|e| err(&e))?;
-                (liquid.program, base.report.cycles)
+                (liquid.program, base.cycles)
             }
             Payload::Asm { src, .. } => {
                 let program = asm::assemble(src).map_err(|e| err(&e))?;
@@ -422,14 +423,14 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
             ledger: None,
         };
         for &width in &widths {
-            let out =
-                liquid_simd::run(&program, MachineConfig::liquid(width).with_backend(backend))
-                    .map_err(|e| format!("{}@{width}: {e}", v.name))?;
+            let cfg = MachineConfig::liquid(width).with_backend(backend);
+            let (report, _) = liquid_simd::simulate(&program, cfg, &[])
+                .map_err(|e| format!("{}@{width}: {e}", v.name))?;
             if width == headline {
-                row.sim_cycles = out.report.cycles;
+                row.sim_cycles = report.cycles;
             }
-            row.cycles_by_width.push((width, out.report.cycles));
-            for (tag, &n) in &out.report.translator.aborts {
+            row.cycles_by_width.push((width, report.cycles));
+            for (tag, &n) in &report.translator.aborts {
                 *acc.aborts.entry((*tag).to_string()).or_insert(0) += n;
             }
         }

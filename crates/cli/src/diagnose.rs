@@ -104,13 +104,10 @@ fn diff_snapshot(spec: &str, backend: liquid_simd::BackendKind) -> Result<Snapsh
             let (program, name) = resolve_program(base)?;
             let label = format!("{name}@w{w}");
             let cfg = MachineConfig::liquid(w).with_backend(backend);
-            let out = liquid_simd::run(&program, cfg).map_err(|e| format!("{label}: {e}"))?;
-            let names = liquid_simd::ledger_region_labels(&program, &out.report.ledger);
-            return Ok(perfhist::counters::ledger_snapshot(
-                &label,
-                &out.report,
-                &names,
-            ));
+            let (report, _) =
+                liquid_simd::simulate(&program, cfg, &[]).map_err(|e| format!("{label}: {e}"))?;
+            let names = liquid_simd::ledger_region_labels(&program, &report.ledger);
+            return Ok(perfhist::counters::ledger_snapshot(&label, &report, &names));
         }
     }
     let path = std::path::Path::new(spec);

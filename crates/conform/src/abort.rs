@@ -16,7 +16,7 @@
 //! point, so an injection at `begin_retired` lands before the translator
 //! is active and would be a vacuous no-op.
 
-use liquid_simd::{build_liquid, gold, verify_against_gold, BackendKind, MachineConfig, Workload};
+use liquid_simd::{build_liquid, gold, verify_against_gold, MachineConfig, Workload};
 
 use crate::gen::LegalSpec;
 use crate::oracle::run_reference;
@@ -59,8 +59,8 @@ pub fn sweep_workload(workload: &Workload, lanes: usize) -> SweepOutcome {
         Ok(b) => b,
         Err(e) => return fail(format!("liquid build failed: {e}")),
     };
-    let clean = match run_reference(&build.program, MachineConfig::liquid(lanes)) {
-        Ok((report, _, _)) => report,
+    let clean = match run_reference(&build.program, MachineConfig::liquid(lanes), &[]) {
+        Ok((report, _)) => report,
         Err(e) => return fail(format!("clean run failed: {e}")),
     };
     let windows: Vec<_> = clean.windows.iter().filter(|w| w.completed).collect();
@@ -72,14 +72,11 @@ pub fn sweep_workload(workload: &Workload, lanes: usize) -> SweepOutcome {
     for window in windows {
         for n in window.begin_retired + 1..=window.end_retired {
             points += 1;
-            let mut cfg = MachineConfig::liquid(lanes).with_backend(BackendKind::Interp);
+            let mut cfg = MachineConfig::liquid(lanes);
             cfg.interrupt_at = vec![n];
-            let mut m = liquid_simd::Machine::new(&build.program, cfg);
-            let report = match m.run() {
-                Ok(r) => r,
-                Err(e) => {
-                    return fail(format!("inject@{n}: run failed: {e}"));
-                }
+            let (report, m) = match run_reference(&build.program, cfg, &[]) {
+                Ok(v) => v,
+                Err(e) => return fail(format!("inject@{n}: run failed: {e}")),
             };
             if !crate::oracle::saw_injected_abort(&report) {
                 return fail(format!(

@@ -2,16 +2,18 @@
 //! the results are compared.
 //!
 //! For a **legal** case the oracle closes the paper's conformance
-//! triangle: the gold evaluator, the plain scalar binary, the untranslated
-//! Liquid binary, the dynamically translated Liquid binary at every
-//! supported width, and the native SIMD binary at every width must agree.
-//! On top of the per-array gold check, the final memory image and the
-//! driver's live-out registers (`r0`, `r1`, `r14`) of the translated run
-//! are diffed byte-for-byte against the untranslated scalar run — the
-//! transparency contract of §3: translation must be observationally
-//! invisible. (A sole exception: an `f32` *reduction* cell is compared
-//! with the verifier's relative tolerance, because vector reduction
-//! reassociates — exactly as the paper's SIMD hardware does.)
+//! triangle: the gold evaluator and every run of core's
+//! [`check_units`] list — the plain scalar binary, the untranslated
+//! Liquid binary, and at every supported width the dynamically translated
+//! Liquid binary, the same binary with built-in ISA support and the
+//! native SIMD binary — must agree. On top of the per-array gold check,
+//! the final memory image and the driver's live-out registers (`r0`,
+//! `r1`, `r14`) of every translated run are diffed byte-for-byte against
+//! the untranslated scalar run — the transparency contract of §3:
+//! translation must be observationally invisible. (A sole exception: an
+//! `f32` *reduction* cell is compared with the verifier's relative
+//! tolerance, because vector reduction reassociates — exactly as the
+//! paper's SIMD hardware does.)
 //!
 //! For an **illegal** case the oracle asserts the translator *never*
 //! commits microcode (zero successes at every width), aborts at least
@@ -19,10 +21,10 @@
 //! a translator-less scalar machine — abort, never mistranslate.
 
 use liquid_simd::{
-    build_liquid, build_native, build_plain, gold, verify_against_gold, BackendKind, Machine,
-    MachineConfig, RunReport, SimError, F32_RTOL,
+    check_units, f32_close, simulate, verify_against_gold, BackendKind, Binary, BuildCache,
+    Machine, MachineConfig, RunReport, SimError,
 };
-use liquid_simd_isa::{asm, ElemType, Program, SUPPORTED_WIDTHS};
+use liquid_simd_isa::{asm, ElemType, Inst, Program, SUPPORTED_WIDTHS};
 use liquid_simd_kernelgen::emit_region;
 use liquid_simd_mem::Memory;
 
@@ -98,13 +100,11 @@ pub fn run_full(
     program: &Program,
     config: MachineConfig,
 ) -> Result<(RunReport, Memory, [u32; 16]), SimError> {
-    let mut m = Machine::new(program, config);
-    let report = m.run()?;
-    let regs = m.regs().r;
-    Ok((report, m.memory().clone(), regs))
+    let (report, m) = simulate(program, config, &[])?;
+    Ok((report, m.memory().clone(), m.regs().r))
 }
 
-/// [`run_full`] on the interpreter: the reference run every other
+/// [`simulate`] on the interpreter: the reference run every other
 /// pipeline and the superblock backend are diffed against. Reference runs
 /// never take the default backend (the superblock), or the backend column
 /// would compare the superblock with itself.
@@ -112,19 +112,12 @@ pub fn run_full(
 /// # Errors
 ///
 /// Returns [`SimError`] for simulation faults.
-pub fn run_reference(
-    program: &Program,
+pub fn run_reference<'p>(
+    program: &'p Program,
     config: MachineConfig,
-) -> Result<(RunReport, Memory, [u32; 16]), SimError> {
-    run_full(program, config.with_backend(BackendKind::Interp))
-}
-
-fn f32_close(a: f32, b: f32) -> bool {
-    if a == b {
-        return true;
-    }
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= F32_RTOL * scale
+    microcode: &[(u32, Vec<Inst>)],
+) -> Result<(RunReport, Machine<'p>), SimError> {
+    simulate(program, config.with_backend(BackendKind::Interp), microcode)
 }
 
 /// Byte-for-byte memory diff, with an allowance list of `(addr, len)`
@@ -169,21 +162,24 @@ fn diff_memory(a: &Memory, b: &Memory, rtol_ranges: &[(u32, u32)]) -> Option<Str
     None
 }
 
-/// Re-runs `program` with the same configuration on the superblock
-/// backend and requires bit-exact agreement with the interpreter run that
-/// produced `interp`: the simulated cycle count, the final memory image,
-/// and the full register file. Pre-lowered dispatch is an implementation
-/// detail of the simulator — any observable difference is a backend bug,
-/// so there is no tolerance here (not even the f32-reduction allowance;
-/// identical configs must reassociate identically).
+/// Re-runs `program` with the same configuration and resident
+/// `microcode` on the superblock backend and requires bit-exact agreement
+/// with the interpreter run that produced `interp`: the simulated cycle
+/// count, the translator's statistics (every abort with its cause), the
+/// final memory image, and the full register file. Pre-lowered
+/// dispatch is an implementation detail of the simulator — any observable
+/// difference is a backend bug, so there is no tolerance here (not even
+/// the f32-reduction allowance; identical configs must reassociate
+/// identically).
 fn diff_backend(
     what: &str,
     program: &Program,
     config: MachineConfig,
-    interp: (&RunReport, &Memory, &[u32; 16]),
+    microcode: &[(u32, Vec<Inst>)],
+    interp: (&RunReport, &Machine),
 ) -> Option<String> {
     let sb = config.with_backend(BackendKind::Superblock);
-    let (report, mem, regs) = match run_full(program, sb) {
+    let (report, m) = match simulate(program, sb, microcode) {
         Ok(v) => v,
         Err(e) => return Some(format!("{what} superblock run: {e}")),
     };
@@ -193,14 +189,20 @@ fn diff_backend(
             report.cycles, interp.0.cycles
         ));
     }
-    if let Some(d) = diff_memory(interp.1, &mem, &[]) {
+    if report.translator != interp.0.translator {
+        return Some(format!(
+            "{what}: superblock translator stats differ from the interpreter's"
+        ));
+    }
+    if let Some(d) = diff_memory(interp.1.memory(), m.memory(), &[]) {
         return Some(format!("{what} superblock vs interpreter: {d}"));
     }
-    if &regs != interp.2 {
-        let r = (0..16).find(|&r| regs[r] != interp.2[r]).unwrap_or(0);
+    let (regs, interp_regs) = (m.regs().r, interp.1.regs().r);
+    if regs != interp_regs {
+        let r = (0..16).find(|&r| regs[r] != interp_regs[r]).unwrap_or(0);
         return Some(format!(
             "{what} superblock vs interpreter: r{r} differs ({:#x} vs {:#x})",
-            regs[r], interp.2[r]
+            regs[r], interp_regs[r]
         ));
     }
     None
@@ -228,10 +230,11 @@ pub fn check_legal(spec: &LegalSpec) -> CaseOutcome {
 }
 
 /// The full legal-side differential check for any workload — the
-/// conformance triangle (gold / plain / liquid scalar / translated at
-/// every width / native) plus backend and live-out diffing. This is
-/// the oracle core shared by random legal cases and by generated
-/// kernelgen variants.
+/// conformance triangle (gold and every unit of [`check_units`], each a
+/// reference run checked against gold) plus backend and live-out diffing.
+/// Builds and gold come from a one-workload [`BuildCache`]. This is the
+/// oracle core shared by random legal cases and by generated kernelgen
+/// variants.
 ///
 /// `f32_racc_rtol` widens the comparison of the `racc` reduction cell
 /// to the verifier's f32 tolerance (vector reductions reassociate).
@@ -243,55 +246,15 @@ pub fn check_workload(
     inject_last: bool,
 ) -> CaseOutcome {
     let kind = "legal";
-    let gold_env = match gold::run_gold(w) {
+    let cache = BuildCache::new(std::slice::from_ref(w));
+    let gold_env = match cache.gold(0) {
         Ok(env) => env,
         Err(e) => return fail(name, kind, format!("gold evaluation failed: {e}")),
     };
-
-    macro_rules! try_or_fail {
-        ($expr:expr, $what:literal) => {
-            match $expr {
-                Ok(v) => v,
-                Err(e) => return fail(name, kind, format!(concat!($what, ": {}"), e)),
-            }
-        };
-    }
-
-    let plain = try_or_fail!(build_plain(w), "plain build");
-    let (plain_report, mem, plain_regs) = try_or_fail!(
-        run_reference(&plain.program, MachineConfig::scalar_only()),
-        "plain run"
-    );
-    try_or_fail!(
-        verify_against_gold("plain/scalar", &plain.program, &mem, &gold_env),
-        "plain vs gold"
-    );
-    if let Some(d) = diff_backend(
-        "plain/scalar",
-        &plain.program,
-        MachineConfig::scalar_only(),
-        (&plain_report, &mem, &plain_regs),
-    ) {
-        return fail(name, kind, d);
-    }
-
-    let liquid = try_or_fail!(build_liquid(w), "liquid build");
-    let (scalar_report, scalar_mem, scalar_regs) = try_or_fail!(
-        run_reference(&liquid.program, MachineConfig::scalar_only()),
-        "liquid scalar run"
-    );
-    try_or_fail!(
-        verify_against_gold("liquid/scalar", &liquid.program, &scalar_mem, &gold_env),
-        "liquid scalar vs gold"
-    );
-    if let Some(d) = diff_backend(
-        "liquid/scalar",
-        &liquid.program,
-        MachineConfig::scalar_only(),
-        (&scalar_report, &scalar_mem, &scalar_regs),
-    ) {
-        return fail(name, kind, d);
-    }
+    let liquid = match cache.build(0, Binary::Liquid) {
+        Ok(b) => b,
+        Err(e) => return fail(name, kind, format!("liquid build: {e}")),
+    };
 
     // Reduction cells of f32 kernels legitimately differ between scalar
     // and vector order; everything else must be byte-identical.
@@ -306,57 +269,55 @@ pub fn check_workload(
         Vec::new()
     };
 
+    // The untranslated liquid run's memory and registers, which every
+    // translated run must reproduce, and the microcode of the last
+    // translated run, which the resident run at its width preloads.
+    let mut scalar: Option<(Memory, [u32; 16])> = None;
+    let mut microcode = Vec::new();
     let mut translated = false;
     let mut abort_tags: Vec<String> = Vec::new();
-    for &width in &SUPPORTED_WIDTHS {
-        let (report, t_mem, t_regs) = try_or_fail!(
-            run_reference(&liquid.program, MachineConfig::liquid(width)),
-            "liquid translated run"
-        );
+    for unit in check_units() {
+        let (label, config) = (unit.to_string(), unit.config());
+        let build = match cache.build(0, unit.binary) {
+            Ok(b) => b,
+            Err(e) => return fail(name, kind, format!("{label} build: {e}")),
+        };
+        let program = &build.program;
+        let preload: &[_] = if unit.binary == Binary::Resident {
+            &microcode
+        } else {
+            &[]
+        };
+        let (report, m) = match run_reference(program, config.clone(), preload) {
+            Ok(v) => v,
+            Err(e) => return fail(name, kind, format!("{label} run: {e}")),
+        };
+        if let Err(e) = verify_against_gold(&label, program, m.memory(), &gold_env) {
+            return fail(name, kind, format!("{label} vs gold: {e}"));
+        }
+        if let Some(d) = diff_backend(&label, program, config.clone(), preload, (&report, &m)) {
+            return fail(name, kind, d);
+        }
         translated |= report.translator.successes > 0;
         for tag in report.translator.aborts.keys() {
             if !abort_tags.iter().any(|t| t == tag) {
                 abort_tags.push((*tag).to_string());
             }
         }
-        try_or_fail!(
-            verify_against_gold(
-                &format!("liquid/translated@{width}"),
-                &liquid.program,
-                &t_mem,
-                &gold_env
-            ),
-            "translated vs gold"
-        );
-        if let Some(d) = diff_memory(&scalar_mem, &t_mem, &rtol_ranges) {
-            return fail(name, kind, format!("translated@{width} vs scalar: {d}"));
+        match (unit.binary, config.lanes, &scalar) {
+            (Binary::Liquid, 0, _) => scalar = Some((m.memory().clone(), m.regs().r)),
+            (Binary::Liquid | Binary::Resident, _, Some((mem, regs))) => {
+                let diff = diff_memory(mem, m.memory(), &rtol_ranges)
+                    .or_else(|| diff_live_outs(regs, &m.regs().r));
+                if let Some(d) = diff {
+                    return fail(name, kind, format!("{label} vs untranslated: {d}"));
+                }
+            }
+            _ => {}
         }
-        if let Some(d) = diff_live_outs(&scalar_regs, &t_regs) {
-            return fail(name, kind, format!("translated@{width} vs scalar: {d}"));
+        if unit.binary == Binary::Liquid {
+            microcode = m.microcode_snapshot();
         }
-        if let Some(d) = diff_backend(
-            &format!("liquid/translated@{width}"),
-            &liquid.program,
-            MachineConfig::liquid(width),
-            (&report, &t_mem, &t_regs),
-        ) {
-            return fail(name, kind, d);
-        }
-
-        let native = try_or_fail!(build_native(w, width), "native build");
-        let (_, n_mem, _) = try_or_fail!(
-            run_reference(&native.program, MachineConfig::native(width)),
-            "native run"
-        );
-        try_or_fail!(
-            verify_against_gold(
-                &format!("native@{width}"),
-                &native.program,
-                &n_mem,
-                &gold_env
-            ),
-            "native vs gold"
-        );
     }
 
     if inject_last {
@@ -381,18 +342,17 @@ pub fn check_workload(
 /// abort exactly at the final retired instruction of the first translation
 /// window and require a gold-correct run with the abort accounted.
 fn check_inject_last(program: &Program, gold_env: &liquid_simd::DataEnv) -> Option<String> {
-    let clean = match run_reference(program, MachineConfig::liquid(8)) {
-        Ok((report, _, _)) => report,
+    let clean = match run_reference(program, MachineConfig::liquid(8), &[]) {
+        Ok((report, _)) => report,
         Err(e) => return Some(format!("inject-last clean run: {e}")),
     };
     let Some(window) = clean.windows.iter().find(|w| w.completed) else {
         return Some("inject-last case never completed a translation window".to_string());
     };
-    let mut cfg = MachineConfig::liquid(8).with_backend(BackendKind::Interp);
+    let mut cfg = MachineConfig::liquid(8);
     cfg.interrupt_at = vec![window.end_retired];
-    let mut m = Machine::new(program, cfg);
-    let report = match m.run() {
-        Ok(r) => r,
+    let (report, m) = match run_reference(program, cfg.clone(), &[]) {
+        Ok(v) => v,
         Err(e) => return Some(format!("inject-last run: {e}")),
     };
     if !saw_injected_abort(&report) {
@@ -407,33 +367,9 @@ fn check_inject_last(program: &Program, gold_env: &liquid_simd::DataEnv) -> Opti
 
     // The same injection on the superblock backend: interrupt injection
     // single-steps, so the backend must reach the interpreter's
-    // gold-correct scalar recovery — bit-identically.
-    let mut sb_cfg = MachineConfig::liquid(8).with_backend(BackendKind::Superblock);
-    sb_cfg.interrupt_at = vec![window.end_retired];
-    let mut sb = Machine::new(program, sb_cfg);
-    let sb_report = match sb.run() {
-        Ok(r) => r,
-        Err(e) => return Some(format!("inject-last superblock run: {e}")),
-    };
-    if !saw_injected_abort(&sb_report) {
-        return Some(format!(
-            "inject-last superblock at retire {} raised no injected abort: {:?}",
-            window.end_retired, sb_report.translator.aborts
-        ));
-    }
-    if sb_report.cycles != report.cycles {
-        return Some(format!(
-            "inject-last: superblock simulated {} cycles, interpreter {}",
-            sb_report.cycles, report.cycles
-        ));
-    }
-    if let Some(d) = diff_memory(m.memory(), sb.memory(), &[]) {
-        return Some(format!("inject-last superblock vs interpreter: {d}"));
-    }
-    if sb.regs().r != m.regs().r {
-        return Some("inject-last superblock vs interpreter: register file differs".to_string());
-    }
-    None
+    // gold-correct scalar recovery, injected abort included —
+    // bit-identically.
+    diff_backend("inject-last", program, cfg, &[], (&report, &m))
 }
 
 /// Checks one illegal case: must abort with its idiom's tag at some
@@ -465,19 +401,20 @@ pub fn check_untranslatable(name: &str, src: &str, expected_tag: &str) -> CaseOu
         Ok(p) => p,
         Err(e) => return fail(name, kind, format!("illegal case does not assemble: {e}")),
     };
-    let (ref_mem, ref_regs) = match run_reference(&program, MachineConfig::scalar_only()) {
-        Ok((report, mem, regs)) => {
+    let reference = match run_reference(&program, MachineConfig::scalar_only(), &[]) {
+        Ok((report, m)) => {
             if !report.halted {
                 return fail(name, kind, "reference run did not halt".to_string());
             }
-            (mem, regs)
+            m
         }
         Err(e) => return fail(name, kind, format!("reference run failed: {e}")),
     };
+    let (ref_mem, ref_regs) = (reference.memory(), reference.regs().r);
 
     let mut tags: Vec<String> = Vec::new();
     for &width in &SUPPORTED_WIDTHS {
-        let (report, mem, regs) = match run_reference(&program, MachineConfig::liquid(width)) {
+        let (report, m) = match run_reference(&program, MachineConfig::liquid(width), &[]) {
             Ok(v) => v,
             Err(e) => return fail(name, kind, format!("liquid@{width} run failed: {e}")),
         };
@@ -505,9 +442,10 @@ pub fn check_untranslatable(name: &str, src: &str, expected_tag: &str) -> CaseOu
         }
         // Translation is observational: an aborted region must leave
         // execution bit-identical to the translator-less machine.
-        if let Some(d) = diff_memory(&ref_mem, &mem, &[]) {
+        if let Some(d) = diff_memory(ref_mem, m.memory(), &[]) {
             return fail(name, kind, format!("liquid@{width} vs scalar-only: {d}"));
         }
+        let regs = m.regs().r;
         if regs != ref_regs {
             let r = (0..16).find(|&r| regs[r] != ref_regs[r]).unwrap_or(0);
             return fail(
@@ -525,7 +463,8 @@ pub fn check_untranslatable(name: &str, src: &str, expected_tag: &str) -> CaseOu
             &format!("illegal liquid@{width}"),
             &program,
             MachineConfig::liquid(width),
-            (&report, &mem, &regs),
+            &[],
+            (&report, &m),
         ) {
             return fail(name, kind, d);
         }
@@ -571,9 +510,9 @@ mod tests {
         // cross-checks it if the reference it is diffed against is not.
         assert_eq!(MachineConfig::liquid(8).backend, BackendKind::Superblock);
         let program = asm::assemble(".text\nmain:\n    mov r0, #1\n    halt\n").unwrap();
-        let (report, _, regs) = run_reference(&program, MachineConfig::liquid(8)).unwrap();
+        let (report, m) = run_reference(&program, MachineConfig::liquid(8), &[]).unwrap();
         assert_eq!(report.backend, BackendKind::Interp);
-        assert_eq!(regs[0], 1);
+        assert_eq!(m.regs().r[0], 1);
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub fn explain(
         let mut cfg = MachineConfig::liquid(w).with_backend(opts.backend);
         cfg.interrupt_every = opts.interrupt_every;
         cfg.translation.translate_plain_bl = opts.all_calls;
-        runs.push((w, crate::run(program, cfg)?.report));
+        runs.push((w, crate::simulate(program, cfg, &[])?.0));
     }
 
     let mut entries: BTreeSet<u32> = BTreeSet::new();
@@ -291,7 +291,7 @@ pub fn profile(program: &Program, name: &str, lanes: usize) -> Result<ProfileRep
         MachineConfig::liquid(lanes)
     }
     .with_tracer(tracer.clone());
-    let report = crate::run(program, cfg)?.report;
+    let (report, _) = crate::simulate(program, cfg, &[])?;
 
     let mut targets: Vec<(u32, Option<String>, TargetProfile)> = report
         .target_profiles()

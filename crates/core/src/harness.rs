@@ -4,7 +4,8 @@
 //!   **in task order**, so a parallel run is byte-identical to the serial
 //!   one.
 //! * [`BuildCache`] — the run table: memoized builds and simulation
-//!   [`Unit`]s, each computed once by the first task that needs it.
+//!   [`Unit`]s, each computed once by the first task that needs it and
+//!   gold-checked before its machine drops.
 //!
 //! Determinism: scheduling decides only *when* a task runs, never *what*
 //! it computes. Tasks share nothing mutable but the memo, whose every value
@@ -12,6 +13,7 @@
 //! error of the **lowest-indexed** failing task, as a serial loop would.
 
 use std::any::Any;
+use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -22,7 +24,7 @@ use liquid_simd_compiler::{
 use liquid_simd_isa::{Inst, SUPPORTED_WIDTHS};
 use liquid_simd_sim::{BackendKind, MachineConfig, RunReport, TranslationConfig};
 
-use crate::VerifyError;
+use crate::{verify_against_gold, VerifyError};
 
 /// The scheduler's default degree of parallelism: one worker per available
 /// hardware thread (1 if that cannot be determined).
@@ -173,7 +175,9 @@ impl Unit {
         unit
     }
 
-    pub(crate) fn config(&self) -> MachineConfig {
+    /// The machine this unit runs on.
+    #[must_use]
+    pub fn config(&self) -> MachineConfig {
         MachineConfig {
             lanes: self.lanes,
             translation: self.translation,
@@ -181,6 +185,33 @@ impl Unit {
             backend: self.backend,
             ..MachineConfig::default()
         }
+    }
+}
+
+/// The unit's label, derived from its fields: the binary and, off the
+/// scalar-only machine, its width, with a suffix only for a non-default
+/// translation cost, JIT or backend. Every check names its run by it.
+impl fmt::Display for Unit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (self.binary, self.lanes) {
+            (Binary::Plain, 0) => write!(f, "plain/scalar")?,
+            (Binary::Plain, w) => write!(f, "plain@{w}")?,
+            (Binary::Liquid, 0) => write!(f, "liquid/scalar")?,
+            (Binary::Liquid, w) => write!(f, "liquid/translated@{w}")?,
+            (Binary::Resident, w) => write!(f, "liquid/resident@{w}")?,
+            (Binary::Native(w), _) => write!(f, "native@{w}")?,
+        }
+        let default = TranslationConfig::default();
+        if self.translation.cycles_per_instr != default.cycles_per_instr {
+            write!(f, " cost={}", self.translation.cycles_per_instr)?;
+        }
+        if self.translation.jit {
+            write!(f, " jit={}", self.translation.jit_cycles_per_instr)?;
+        }
+        if self.backend != BackendKind::default() {
+            write!(f, " backend={}", self.backend.name())?;
+        }
+        Ok(())
     }
 }
 
@@ -203,7 +234,8 @@ type Memo<K, T> = Mutex<Vec<(K, Slot<T>)>>;
 /// experiments: each build is compiled, and each [`Unit`] simulated on a
 /// workload, at most once, by whichever task needs it first (racing tasks
 /// block on its [`OnceLock`]). Errors are memoized too, so every task sees
-/// the same [`VerifyError`]. Runs keep their report, not their memory.
+/// the same [`VerifyError`]. Each run is gold-checked before its machine
+/// drops, so runs keep their report, not their memory.
 pub struct BuildCache<'w> {
     workloads: &'w [Workload],
     builds: Memo<(usize, Binary), Build>,
@@ -284,14 +316,17 @@ impl<'w> BuildCache<'w> {
     }
 
     /// The memoized run of `unit` on workload `index`, simulated on first
-    /// use.
+    /// use and checked against the memoized gold before its machine drops.
     ///
     /// # Errors
     ///
-    /// Returns the memoized compile or simulation error.
+    /// Returns the memoized compile, gold or simulation error, or a
+    /// [`VerifyError::Mismatch`] naming the workload and the unit's label
+    /// when the final memory differs from gold.
     pub fn run(&self, index: usize, unit: Unit) -> Result<Arc<Simulated>, VerifyError> {
         memo(&self.runs, (index, unit), || {
             let build = self.build(index, unit.binary)?;
+            let gold = self.gold(index)?;
             let liquid = Unit {
                 binary: Binary::Liquid,
                 ..unit
@@ -301,6 +336,8 @@ impl<'w> BuildCache<'w> {
                 _ => Vec::new(),
             };
             let (report, machine) = crate::simulate(&build.program, unit.config(), &resident)?;
+            let name = format!("{} {unit}", self.workloads[index].name);
+            verify_against_gold(&name, &build.program, machine.memory(), &gold)?;
             Ok(Simulated {
                 report,
                 microcode: machine.microcode_snapshot(),
@@ -454,6 +491,61 @@ mod tests {
         assert_eq!(runs[0].report.cycles, cold.report.cycles);
         run_all();
         assert_eq!(cache.simulations(), 3 * w.len() + 1);
+    }
+
+    #[test]
+    fn check_labels_are_distinct_and_suffixes_name_the_machine() {
+        let units = crate::check_units();
+        let mut labels: Vec<String> = units.iter().map(ToString::to_string).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), units.len(), "{labels:?}");
+        let mut cfg = MachineConfig::liquid(8).with_backend(BackendKind::Interp);
+        cfg.translation.cycles_per_instr = 4;
+        cfg.translation.jit = true;
+        let label = Unit::new(Binary::Liquid, &cfg).to_string();
+        assert!(
+            label.ends_with("@8 cost=4 jit=40 backend=interp"),
+            "{label}"
+        );
+    }
+
+    #[test]
+    fn a_wrong_output_fails_its_run_with_the_workload_and_label() {
+        use crate::experiments::{figure6_baseline, figure6_jobs, figure6_units};
+        let w = liquid_simd_workloads::smoke();
+        let bad = 1;
+        let mut env = gold::run_gold(&w[bad]).unwrap();
+        match &mut env.arrays.values_mut().next().unwrap().1 {
+            liquid_simd_compiler::ArrayData::Int(v) => v[0] += 1,
+            liquid_simd_compiler::ArrayData::F32(v) => v[0] += 1.0 + v[0].abs(),
+        }
+        let cache = BuildCache::new(&w);
+        let slot = OnceLock::from(Ok(Arc::new(env)));
+        cache.gold.lock().unwrap().push((bad, Arc::new(slot)));
+
+        let backend = BackendKind::default();
+        let err = figure6_jobs(&cache, &[8], 2, backend).unwrap_err();
+        let VerifyError::Mismatch { config, .. } = &err else {
+            panic!("expected a mismatch, got {err}");
+        };
+        let first = figure6_baseline(backend);
+        assert_eq!(*config, format!("{} {first}", w[bad].name));
+
+        // Every run of the perturbed workload fails; the others match a
+        // clean cache.
+        let clean = BuildCache::new(&w);
+        for unit in figure6_units(&[8], backend) {
+            for wi in 0..w.len() {
+                let run = cache.run(wi, unit);
+                if wi == bad {
+                    assert!(matches!(run, Err(VerifyError::Mismatch { .. })), "{unit}");
+                } else {
+                    let cycles = clean.run(wi, unit).unwrap().report.cycles;
+                    assert_eq!(run.unwrap().report.cycles, cycles, "{unit}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //!
 //! This crate ties the reproduction together: compile a [`Workload`] three
 //! ways ([`build_liquid`] / [`build_native`] / [`build_plain`]), run the
-//! binaries on the simulated machine ([`run`]), check results against the
-//! reference evaluator ([`verify_against_gold`]), and regenerate every
-//! table and figure of the paper's evaluation ([`experiments`]).
+//! binaries on the simulated machine ([`run`], or [`simulate`] for callers
+//! that read only the report), check results against the reference
+//! evaluator ([`verify_against_gold`]), and regenerate every table and
+//! figure of the paper's evaluation ([`experiments`]) from a [`BuildCache`],
+//! which gold-checks every run before its machine drops. [`check_units`]
+//! lists the labelled runs [`verify_workload`] and the conformance oracle
+//! check.
 //!
 //! # Quickstart
 //!
@@ -27,8 +31,8 @@
 //!     .build();
 //! let w = Workload::new("demo", vec![k.build().unwrap()], data, 4);
 //!
-//! // One call checks all three binaries against the gold evaluator at
-//! // every supported accelerator width.
+//! // One call checks every binary against the gold evaluator at every
+//! // supported accelerator width, built-in ISA support included.
 //! verify_workload(&w).unwrap();
 //!
 //! // And the headline effect: the Liquid binary beats the scalar baseline
@@ -68,7 +72,10 @@ pub use liquid_simd_sim::{
 pub use liquid_simd_trace as trace;
 pub use liquid_simd_trace::{TraceConfig, TraceEvent, Tracer};
 pub use liquid_simd_translator as translator;
-pub use verify::{verify_against_gold, verify_workload, verify_workloads, VerifyError, F32_RTOL};
+pub use verify::{
+    check_units, f32_close, verify_against_gold, verify_workload, verify_workloads, VerifyError,
+    F32_RTOL,
+};
 
 use liquid_simd_isa::{Inst, Program};
 use liquid_simd_mem::Memory;
@@ -117,8 +124,14 @@ pub fn run_pretranslated(program: &Program, config: MachineConfig) -> Result<Run
 
 /// Runs `program` to `halt` on a fresh machine that starts with
 /// `microcode` resident (none: a cold microcode cache) and returns the
-/// report with the halted machine. Every resident pass goes through here.
-pub(crate) fn simulate<'p>(
+/// report with the halted machine, whose memory and registers the caller
+/// reads in place. Report-only callers and every resident pass go through
+/// here; [`run`] adds a copy of the final memory.
+///
+/// # Errors
+///
+/// Returns [`SimError`] for simulation faults (wild memory, cycle limit).
+pub fn simulate<'p>(
     program: &'p Program,
     config: MachineConfig,
     microcode: &[(u32, Vec<Inst>)],

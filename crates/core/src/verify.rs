@@ -4,11 +4,12 @@ use std::error::Error;
 use std::fmt;
 
 use liquid_simd_compiler::{ArrayData, CompileError, DataEnv, Workload};
-use liquid_simd_isa::{ElemType, Program, SUPPORTED_WIDTHS};
+use liquid_simd_isa::{Program, SUPPORTED_WIDTHS};
 use liquid_simd_mem::Memory;
-use liquid_simd_sim::{MachineConfig, SimError};
+use liquid_simd_sim::{BackendKind, MachineConfig, SimError};
 
-use crate::harness::{Binary, BuildCache, Unit};
+use crate::experiments::figure6_units;
+use crate::harness::{run_tasks, Binary, BuildCache, Unit};
 
 /// Relative tolerance for `f32` comparisons. Reductions reassociate under
 /// vectorisation (the paper's SIMD hardware does too), so float results
@@ -24,7 +25,8 @@ pub enum VerifyError {
     Sim(String),
     /// An output array differs from the reference.
     Mismatch {
-        /// Which configuration produced the mismatch.
+        /// Which run produced the mismatch (for a [`BuildCache`] run, the
+        /// workload and the unit's label).
         config: String,
         /// Array name.
         array: String,
@@ -78,7 +80,10 @@ impl From<SimError> for VerifyError {
     }
 }
 
-fn f32_close(a: f32, b: f32) -> bool {
+/// `true` if two `f32` values agree within [`F32_RTOL`] (relative to the
+/// larger magnitude, and absolute below 1).
+#[must_use]
+pub fn f32_close(a: f32, b: f32) -> bool {
     if a == b {
         return true;
     }
@@ -137,19 +142,25 @@ pub fn verify_against_gold(
             }
         }
     }
-    let _ = ElemType::I8; // (symbol used via elem.bytes())
     Ok(())
 }
 
-/// Full differential verification of one workload:
-///
-/// * plain scalar binary on the scalar-only machine;
-/// * Liquid binary on the scalar-only machine (forward compatibility: the
-///   virtualised code runs correctly with no accelerator and no translator);
-/// * Liquid binary under dynamic translation at every supported width;
-/// * native binary at every supported width;
-///
-/// each checked against the gold evaluator.
+/// The runs that check a workload against gold, in check order: the
+/// plain and liquid builds on the scalar-only machine (the liquid one is
+/// forward compatibility: virtualised code runs with no accelerator and
+/// no translator), then at every supported width the liquid build
+/// translated dynamically, the same build with that run's microcode
+/// resident (built-in ISA support) and the native build. Each is named by
+/// its [`Unit`] label.
+#[must_use]
+pub fn check_units() -> Vec<Unit> {
+    let mut units = figure6_units(&SUPPORTED_WIDTHS, BackendKind::default());
+    units.insert(1, Unit::new(Binary::Liquid, &MachineConfig::scalar_only()));
+    units
+}
+
+/// Full differential verification of one workload: every unit of
+/// [`check_units`], each checked against the gold evaluator.
 ///
 /// # Errors
 ///
@@ -158,39 +169,22 @@ pub fn verify_workload(w: &Workload) -> Result<(), VerifyError> {
     verify_workloads(std::slice::from_ref(w), 1)
 }
 
-/// [`verify_workload`] over many workloads, with every
-/// `(workload, configuration)` check fanned over `jobs` worker threads via
-/// [`crate::harness::run_tasks`]. Builds and gold results are memoized in
-/// a [`BuildCache`], so each binary is compiled once no matter how many
-/// configurations exercise it; the checks simulate themselves, because
-/// the cache's runs keep no memory image. On failure the error is the one
-/// a serial [`verify_workload`] loop would have hit first.
+/// [`verify_workload`] over many workloads: every `(workload, unit)` run
+/// of [`check_units`] goes through one [`BuildCache`], which gold-checks
+/// it, fanned over `jobs` worker threads via [`run_tasks`]. On failure
+/// the error is the one a serial [`verify_workload`] loop would have hit
+/// first.
 ///
 /// # Errors
 ///
 /// Returns the first failure (in serial check order).
 pub fn verify_workloads(workloads: &[Workload], jobs: usize) -> Result<(), VerifyError> {
     let cache = BuildCache::new(workloads);
-    let scalar = MachineConfig::scalar_only();
-    let mut checks = vec![("plain/scalar".into(), Unit::new(Binary::Plain, &scalar))];
-    checks.push(("liquid/scalar".into(), Unit::new(Binary::Liquid, &scalar)));
-    for lanes in SUPPORTED_WIDTHS {
-        let liquid = Unit::new(Binary::Liquid, &MachineConfig::liquid(lanes));
-        let native = Unit::new(Binary::Native(lanes), &MachineConfig::native(lanes));
-        checks.push((format!("liquid/translated@{lanes}"), liquid));
-        checks.push((format!("native@{lanes}"), native));
-    }
-    let runs: Vec<(usize, &(String, Unit))> = (0..workloads.len())
-        .flat_map(|wi| checks.iter().map(move |check| (wi, check)))
+    let units = check_units();
+    let runs: Vec<(usize, Unit)> = (0..workloads.len())
+        .flat_map(|wi| units.iter().map(move |&unit| (wi, unit)))
         .collect();
-    crate::harness::run_tasks(jobs, runs.len(), |i| {
-        let (wi, (label, unit)) = runs[i];
-        let gold_env = cache.gold(wi)?;
-        let program = &cache.build(wi, unit.binary)?.program;
-        let out = crate::run(program, unit.config())?;
-        verify_against_gold(label, program, &out.memory, &gold_env)
-    })
-    .map(drop)
+    run_tasks(jobs, runs.len(), |i| cache.run(runs[i].0, runs[i].1)).map(drop)
 }
 
 #[cfg(test)]

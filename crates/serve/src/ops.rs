@@ -261,9 +261,8 @@ pub fn execute_with_backend(
             if let Some(b) = req.budget_cycles {
                 cfg.max_cycles = cfg.max_cycles.min(b);
             }
-            match liquid_simd::run(program, cfg) {
-                Ok(out) => {
-                    let report = out.report;
+            match liquid_simd::simulate(program, cfg, &[]) {
+                Ok((report, _)) => {
                     if let Some(b) = req.budget_aborts {
                         if report.translator.aborted() > b {
                             return OpOutput::err(

@@ -1,7 +1,7 @@
 //! Property-based differential testing: randomly generated kernels must
 //! produce identical results through every pipeline (plain scalar, Liquid
-//! untranslated, Liquid dynamically translated, native SIMD) at a randomly
-//! chosen accelerator width.
+//! untranslated, Liquid dynamically translated, built-in ISA support,
+//! native SIMD) at every supported accelerator width.
 //!
 //! Inputs come from the in-repo xorshift generator (no registry deps);
 //! every case is reproducible from its printed seed. The default run keeps
@@ -9,10 +9,9 @@
 //! for a deeper sweep.
 
 use liquid_simd_repro::compiler::{
-    build_liquid, build_native, build_plain, gold, ArrayBuilder, DataEnv, Kernel, KernelBuilder,
-    ReduceInit, Workload,
+    ArrayBuilder, DataEnv, Kernel, KernelBuilder, ReduceInit, Workload,
 };
-use liquid_simd_repro::facade::{run, verify_against_gold, MachineConfig};
+use liquid_simd_repro::facade::verify_workload;
 use liquid_simd_repro::isa::{ElemType, PermKind, RedOp, VAluOp};
 use liquid_simd_repro::workloads::util::XorShift64;
 
@@ -162,30 +161,8 @@ fn random_workload(seed: u64) -> Workload {
 #[test]
 fn random_kernels_verify_everywhere() {
     for case in 0..CASES {
-        // Decorrelate the seed and derive an accelerator width from it.
         let seed = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xA5A5;
-        let width = [2usize, 4, 8, 16][(case % 4) as usize];
-        let w = random_workload(seed);
-        let ctx = format!("case {case} (seed {seed}, width {width})");
-        let gold_env = gold::run_gold(&w).expect("gold evaluates");
-
-        let plain = build_plain(&w).expect("plain builds");
-        let out = run(&plain.program, MachineConfig::scalar_only()).expect("plain runs");
-        verify_against_gold("plain", &plain.program, &out.memory, &gold_env)
-            .unwrap_or_else(|e| panic!("{ctx}: plain vs gold: {e}"));
-
-        let liquid = build_liquid(&w).expect("liquid builds");
-        let out = run(&liquid.program, MachineConfig::scalar_only()).expect("liquid-scalar runs");
-        verify_against_gold("liquid/scalar", &liquid.program, &out.memory, &gold_env)
-            .unwrap_or_else(|e| panic!("{ctx}: untranslated liquid vs gold: {e}"));
-
-        let out = run(&liquid.program, MachineConfig::liquid(width)).expect("liquid runs");
-        verify_against_gold("liquid/translated", &liquid.program, &out.memory, &gold_env)
-            .unwrap_or_else(|e| panic!("{ctx}: translated liquid vs gold: {e}"));
-
-        let native = build_native(&w, width).expect("native builds");
-        let out = run(&native.program, MachineConfig::native(width)).expect("native runs");
-        verify_against_gold("native", &native.program, &out.memory, &gold_env)
-            .unwrap_or_else(|e| panic!("{ctx}: native vs gold: {e}"));
+        verify_workload(&random_workload(seed))
+            .unwrap_or_else(|e| panic!("case {case} (seed {seed}): {e}"));
     }
 }
