@@ -3,6 +3,8 @@
 
 use std::fs;
 
+use liquid_simd_kernelgen::format::parse_u64;
+
 use crate::args::{flag, opt, Args, Command, JOBS};
 
 #[rustfmt::skip]
@@ -24,14 +26,7 @@ pub static CONFORM: Command = Command {
 fn cmd_conform(args: &Args) -> Result<(), String> {
     let seed = match args.value("--seed") {
         None => 0xC0FFEE,
-        Some(v) => {
-            let parsed = if let Some(hex) = v.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                v.parse()
-            };
-            parsed.map_err(|_| format!("bad --seed `{v}`"))?
-        }
+        Some(v) => parse_u64(v).ok_or_else(|| format!("bad --seed `{v}`"))?,
     };
     let opts = liquid_simd_conform::ConformOptions {
         seed,

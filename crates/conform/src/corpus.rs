@@ -6,6 +6,9 @@
 //! oracle on each `cargo test`. The format is deliberately trivial to
 //! hand-edit: one `key value` line per field, `#` comments, and `f32`
 //! constants stored as IEEE-754 bit patterns so replays are bit-exact.
+//! Every token the format shares with `kernel-v1` (ops, permutations,
+//! reductions, idioms, element types, numbers) is read and written by
+//! `liquid_simd_kernelgen::format`, so both formats spell each one way.
 //!
 //! ```text
 //! # conform-case-v1
@@ -35,9 +38,10 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use liquid_simd_isa::{ElemType, PermKind, VAluOp};
+use liquid_simd_isa::ElemType;
 use liquid_simd_kernelgen::format::{
-    elem_name, elem_value, idiom_text, parse_idiom, red_name, red_value,
+    idiom_text, op_name, op_value, parse_idiom, parse_perm, parse_u64, perm_text, red_name,
+    red_value,
 };
 
 use crate::gen::{CaseSpec, IllegalSpec, InputSpec, LegalSpec, OpSpec, ReduceSpec, Rhs};
@@ -62,56 +66,6 @@ impl std::fmt::Display for CorpusError {
 
 impl std::error::Error for CorpusError {}
 
-fn op_name(op: VAluOp) -> &'static str {
-    match op {
-        VAluOp::Add => "add",
-        VAluOp::Sub => "sub",
-        VAluOp::Mul => "mul",
-        VAluOp::Div => "div",
-        VAluOp::And => "and",
-        VAluOp::Orr => "orr",
-        VAluOp::Eor => "eor",
-        VAluOp::Min => "min",
-        VAluOp::Max => "max",
-        VAluOp::SatAdd => "satadd",
-        VAluOp::SatSub => "satsub",
-        VAluOp::SSatAdd => "ssatadd",
-        VAluOp::SSatSub => "ssatsub",
-        VAluOp::Lsl => "lsl",
-        VAluOp::Lsr => "lsr",
-        VAluOp::Asr => "asr",
-    }
-}
-
-fn op_from_name(s: &str) -> Option<VAluOp> {
-    VAluOp::ALL.into_iter().find(|&op| op_name(op) == s)
-}
-
-fn perm_text(p: PermKind) -> String {
-    match p {
-        PermKind::Bfly { block } => format!("bfly:{block}"),
-        PermKind::Rev { block } => format!("rev:{block}"),
-        PermKind::Rot { block, amt } => format!("rot:{block}:{amt}"),
-    }
-}
-
-fn perm_from_text(s: &str) -> Option<PermKind> {
-    let parts: Vec<&str> = s.split(':').collect();
-    match parts.as_slice() {
-        ["bfly", b] => Some(PermKind::Bfly {
-            block: b.parse().ok()?,
-        }),
-        ["rev", b] => Some(PermKind::Rev {
-            block: b.parse().ok()?,
-        }),
-        ["rot", b, a] => Some(PermKind::Rot {
-            block: b.parse().ok()?,
-            amt: a.parse().ok()?,
-        }),
-        _ => None,
-    }
-}
-
 /// Serialises a case to `conform-case-v1` text.
 #[must_use]
 pub fn to_text(case: &CaseSpec) -> String {
@@ -124,7 +78,7 @@ pub fn to_text(case: &CaseSpec) -> String {
         CaseSpec::Legal(l) => {
             let _ = writeln!(s, "trip {}", l.trip);
             let _ = writeln!(s, "reps {}", l.reps);
-            let _ = writeln!(s, "elem {}", elem_name(l.elem));
+            let _ = writeln!(s, "elem {}", l.elem.suffix());
             let _ = writeln!(s, "data-seed {:#x}", l.data_seed);
             for input in &l.inputs {
                 let mut line = String::from("input");
@@ -178,18 +132,6 @@ pub fn to_text(case: &CaseSpec) -> String {
     s
 }
 
-fn parse_u64(what: &str, v: &str) -> Result<u64, CorpusError> {
-    let parsed = if let Some(hex) = v.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        v.parse()
-    };
-    parsed.map_err(|_| CorpusError {
-        what: what.to_string(),
-        reason: format!("bad number `{v}`"),
-    })
-}
-
 fn parse_vref(what: &str, v: &str) -> Result<usize, CorpusError> {
     v.strip_prefix('v')
         .and_then(|n| n.parse().ok())
@@ -210,6 +152,7 @@ pub fn parse(what: &str, text: &str) -> Result<CaseSpec, CorpusError> {
         what: what.to_string(),
         reason,
     };
+    let number = |v: &str| parse_u64(v).ok_or_else(|| err(format!("bad number `{v}`")));
     let mut lines = text.lines().map(str::trim);
     if lines.next() != Some(MAGIC) {
         return Err(err(format!("first line must be `{MAGIC}`")));
@@ -236,12 +179,15 @@ pub fn parse(what: &str, text: &str) -> Result<CaseSpec, CorpusError> {
         match key {
             "name" => name = Some(rest.to_string()),
             "kind" => kind = Some(rest.to_string()),
-            "trip" => trip = parse_u64(what, rest)? as u32,
-            "reps" => reps = parse_u64(what, rest)? as u32,
+            "trip" => trip = number(rest)? as u32,
+            "reps" => reps = number(rest)? as u32,
             "elem" => {
-                elem = elem_value(rest).ok_or_else(|| err(format!("bad elem `{rest}`")))?;
+                elem = ElemType::ALL
+                    .into_iter()
+                    .find(|e| e.suffix() == rest)
+                    .ok_or_else(|| err(format!("bad elem `{rest}`")))?;
             }
-            "data-seed" => data_seed = parse_u64(what, rest)?,
+            "data-seed" => data_seed = number(rest)?,
             "input" => {
                 let mut input = InputSpec {
                     unsigned: false,
@@ -258,9 +204,8 @@ pub fn parse(what: &str, text: &str) -> Result<CaseSpec, CorpusError> {
                         return Err(err(format!("expected `perm`, got `{t}`")));
                     }
                     let spec = toks.next().ok_or_else(|| err("missing perm spec".into()))?;
-                    input.perm = Some(
-                        perm_from_text(spec).ok_or_else(|| err(format!("bad perm `{spec}`")))?,
-                    );
+                    input.perm =
+                        Some(parse_perm(spec).ok_or_else(|| err(format!("bad perm `{spec}`")))?);
                 }
                 inputs.push(input);
             }
@@ -269,8 +214,7 @@ pub fn parse(what: &str, text: &str) -> Result<CaseSpec, CorpusError> {
                 if toks.len() < 3 {
                     return Err(err(format!("bad op line `{line}`")));
                 }
-                let op =
-                    op_from_name(toks[0]).ok_or_else(|| err(format!("bad op `{}`", toks[0])))?;
+                let op = op_value(toks[0]).ok_or_else(|| err(format!("bad op `{}`", toks[0])))?;
                 let a = parse_vref(what, toks[1])?;
                 let rhs = match toks[2] {
                     "imm" => {
@@ -303,8 +247,7 @@ pub fn parse(what: &str, text: &str) -> Result<CaseSpec, CorpusError> {
                 ops.push(OpSpec { op, a, rhs });
             }
             "mid-perm" => {
-                mid_perm =
-                    Some(perm_from_text(rest).ok_or_else(|| err(format!("bad perm `{rest}`")))?);
+                mid_perm = Some(parse_perm(rest).ok_or_else(|| err(format!("bad perm `{rest}`")))?);
             }
             "reduce" => {
                 let (r, t) = rest
@@ -412,11 +355,35 @@ pub fn save(dir: &Path, case: &CaseSpec) -> Result<std::path::PathBuf, CorpusErr
 mod tests {
     use super::*;
     use crate::gen::generate_case;
+    use liquid_simd_isa::{PermKind, VAluOp};
 
     #[test]
     fn generated_cases_round_trip() {
-        for i in 0..48 {
-            let case = generate_case(0xDECAF, i);
+        let mut cases: Vec<CaseSpec> = (0..48).map(|i| generate_case(0xDECAF, i)).collect();
+        // Every op on an `op` line and every permutation shape on an
+        // `input … perm` line.
+        let mut every = LegalSpec::sweep_sat();
+        every.inputs = [
+            PermKind::Bfly { block: 2 },
+            PermKind::Rev { block: 16 },
+            PermKind::Rot { block: 8, amt: 7 },
+        ]
+        .into_iter()
+        .map(|p| InputSpec {
+            unsigned: false,
+            perm: Some(p),
+        })
+        .collect();
+        every.ops = VAluOp::ALL
+            .into_iter()
+            .map(|op| OpSpec {
+                op,
+                a: 0,
+                rhs: Rhs::Value(1),
+            })
+            .collect();
+        cases.push(CaseSpec::Legal(every));
+        for case in cases {
             let text = to_text(&case);
             let back = parse("t", &text).expect("round-trip parse");
             assert_eq!(back, case, "round-trip mismatch:\n{text}");

@@ -350,7 +350,7 @@ fn cam_missing_offsets(rng: &mut XorShift64) -> [i32; 16] {
 /// case in four is illegal; the rest are random valid kernels.
 #[must_use]
 pub fn generate_case(seed: u64, index: u64) -> CaseSpec {
-    // Decorrelate per-case streams (same mixer as the property suite).
+    // Decorrelate per-case streams.
     let case_seed = (seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(0xA5A5);
     let mut rng = XorShift64::new(case_seed);
     let data_seed = rng.next_u64();

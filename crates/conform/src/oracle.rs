@@ -22,7 +22,7 @@
 
 use liquid_simd::{
     check_units, f32_close, simulate, verify_against_gold, BackendKind, Binary, BuildCache,
-    Machine, MachineConfig, RunReport, SimError,
+    Machine, MachineConfig, RunReport, SimError, Unit,
 };
 use liquid_simd_isa::{asm, ElemType, Inst, Program, SUPPORTED_WIDTHS};
 use liquid_simd_kernelgen::emit_region;
@@ -88,20 +88,6 @@ fn fail(name: &str, kind: &'static str, detail: String) -> CaseOutcome {
         abort_tags: Vec::new(),
         detail,
     }
-}
-
-/// Runs a program and also captures final memory and the scalar register
-/// file (the facade's `run` drops the machine, losing the registers).
-///
-/// # Errors
-///
-/// Returns [`SimError`] for simulation faults.
-pub fn run_full(
-    program: &Program,
-    config: MachineConfig,
-) -> Result<(RunReport, Memory, [u32; 16]), SimError> {
-    let (report, m) = simulate(program, config, &[])?;
-    Ok((report, m.memory().clone(), m.regs().r))
 }
 
 /// [`simulate`] on the interpreter: the reference run every other
@@ -414,9 +400,11 @@ pub fn check_untranslatable(name: &str, src: &str, expected_tag: &str) -> CaseOu
 
     let mut tags: Vec<String> = Vec::new();
     for &width in &SUPPORTED_WIDTHS {
-        let (report, m) = match run_reference(&program, MachineConfig::liquid(width), &[]) {
+        let config = MachineConfig::liquid(width);
+        let label = Unit::new(Binary::Liquid, &config).to_string();
+        let (report, m) = match run_reference(&program, config.clone(), &[]) {
             Ok(v) => v,
-            Err(e) => return fail(name, kind, format!("liquid@{width} run failed: {e}")),
+            Err(e) => return fail(name, kind, format!("{label} run failed: {e}")),
         };
         if report.translator.successes > 0 {
             return fail(
@@ -432,7 +420,7 @@ pub fn check_untranslatable(name: &str, src: &str, expected_tag: &str) -> CaseOu
             return fail(
                 name,
                 kind,
-                format!("liquid@{width} neither translated nor aborted"),
+                format!("{label} neither translated nor aborted"),
             );
         }
         for tag in report.translator.aborts.keys() {
@@ -443,7 +431,7 @@ pub fn check_untranslatable(name: &str, src: &str, expected_tag: &str) -> CaseOu
         // Translation is observational: an aborted region must leave
         // execution bit-identical to the translator-less machine.
         if let Some(d) = diff_memory(ref_mem, m.memory(), &[]) {
-            return fail(name, kind, format!("liquid@{width} vs scalar-only: {d}"));
+            return fail(name, kind, format!("{label} vs scalar-only: {d}"));
         }
         let regs = m.regs().r;
         if regs != ref_regs {
@@ -452,20 +440,14 @@ pub fn check_untranslatable(name: &str, src: &str, expected_tag: &str) -> CaseOu
                 name,
                 kind,
                 format!(
-                    "liquid@{width} vs scalar-only: r{r} differs ({:#x} vs {:#x})",
+                    "{label} vs scalar-only: r{r} differs ({:#x} vs {:#x})",
                     regs[r], ref_regs[r]
                 ),
             );
         }
         // Aborting regions exercise the backend's fallback paths; the
         // superblock run must still be bit-identical to the interpreter.
-        if let Some(d) = diff_backend(
-            &format!("illegal liquid@{width}"),
-            &program,
-            MachineConfig::liquid(width),
-            &[],
-            (&report, &m),
-        ) {
+        if let Some(d) = diff_backend(&label, &program, config, &[], (&report, &m)) {
             return fail(name, kind, d);
         }
     }

@@ -2,6 +2,12 @@
 //! [`FamilySpec`], in the same `key value` style as `conform-case-v1`.
 //! `parse(print(spec)) == spec` is test-pinned.
 //!
+//! This module also holds the token vocabulary both formats share, so
+//! each token has one spelling: ops ([`op_name`]), permutations
+//! ([`perm_text`], `bfly:B` / `rev:B` / `rot:B:A`), reductions
+//! ([`red_name`]), idioms ([`idiom_text`]) and hex-or-decimal numbers
+//! ([`parse_u64`]). Element types are spelled by [`ElemType::suffix`].
+//!
 //! ```text
 //! # kernel-v1
 //! family dot_i32
@@ -22,7 +28,9 @@ use crate::spec::{FamilySpec, Idiom, GATHER_TILE, OVERSIZED_ADDS, WIDE_OFFSET};
 /// First line of every `kernel-v1` file.
 pub const MAGIC: &str = "# kernel-v1";
 
-fn op_name(op: VAluOp) -> &'static str {
+/// An op's token in both formats.
+#[must_use]
+pub fn op_name(op: VAluOp) -> &'static str {
     match op {
         VAluOp::Add => "add",
         VAluOp::Sub => "sub",
@@ -33,42 +41,62 @@ fn op_name(op: VAluOp) -> &'static str {
         VAluOp::Eor => "eor",
         VAluOp::Min => "min",
         VAluOp::Max => "max",
-        VAluOp::SatAdd => "sat-add",
-        VAluOp::SatSub => "sat-sub",
-        VAluOp::SSatAdd => "ssat-add",
-        VAluOp::SSatSub => "ssat-sub",
+        VAluOp::SatAdd => "satadd",
+        VAluOp::SatSub => "satsub",
+        VAluOp::SSatAdd => "ssatadd",
+        VAluOp::SSatSub => "ssatsub",
         VAluOp::Lsl => "lsl",
         VAluOp::Lsr => "lsr",
         VAluOp::Asr => "asr",
     }
 }
 
-fn op_value(name: &str) -> Option<VAluOp> {
-    VAluOp::ALL.iter().copied().find(|&op| op_name(op) == name)
+/// The inverse of [`op_name`].
+#[must_use]
+pub fn op_value(name: &str) -> Option<VAluOp> {
+    VAluOp::ALL.into_iter().find(|&op| op_name(op) == name)
 }
 
-/// Shared with the `conform-case-v1` reader and writer.
-pub fn elem_name(e: ElemType) -> &'static str {
-    match e {
-        ElemType::I8 => "i8",
-        ElemType::I16 => "i16",
-        ElemType::I32 => "i32",
-        ElemType::F32 => "f32",
+/// A permutation's token in both formats: `bfly:B`, `rev:B` or `rot:B:A`.
+#[must_use]
+pub fn perm_text(p: PermKind) -> String {
+    match p {
+        PermKind::Bfly { block } => format!("bfly:{block}"),
+        PermKind::Rev { block } => format!("rev:{block}"),
+        PermKind::Rot { block, amt } => format!("rot:{block}:{amt}"),
     }
 }
 
-/// Shared with the `conform-case-v1` reader and writer.
-pub fn elem_value(name: &str) -> Option<ElemType> {
-    match name {
-        "i8" => Some(ElemType::I8),
-        "i16" => Some(ElemType::I16),
-        "i32" => Some(ElemType::I32),
-        "f32" => Some(ElemType::F32),
+/// The inverse of [`perm_text`].
+#[must_use]
+pub fn parse_perm(s: &str) -> Option<PermKind> {
+    let parts: Vec<&str> = s.split(':').collect();
+    match parts.as_slice() {
+        ["bfly", b] => Some(PermKind::Bfly {
+            block: b.parse().ok()?,
+        }),
+        ["rev", b] => Some(PermKind::Rev {
+            block: b.parse().ok()?,
+        }),
+        ["rot", b, a] => Some(PermKind::Rot {
+            block: b.parse().ok()?,
+            amt: a.parse().ok()?,
+        }),
         _ => None,
     }
 }
 
-/// Shared with the `conform-case-v1` reader and writer.
+/// A `0x`-prefixed hex or a decimal number, in both formats.
+#[must_use]
+pub fn parse_u64(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
+
+/// A reduction's token in both formats.
+#[must_use]
 pub fn red_name(r: RedOp) -> &'static str {
     match r {
         RedOp::Min => "min",
@@ -77,7 +105,8 @@ pub fn red_name(r: RedOp) -> &'static str {
     }
 }
 
-/// Shared with the `conform-case-v1` reader and writer.
+/// The inverse of [`red_name`].
+#[must_use]
 pub fn red_value(name: &str) -> Option<RedOp> {
     match name {
         "min" => Some(RedOp::Min),
@@ -95,11 +124,7 @@ pub fn idiom_text(idiom: Idiom) -> String {
     let kw = idiom.keyword();
     match idiom {
         Idiom::Stencil { taps } => format!("{kw} {taps}"),
-        Idiom::Permute { kind } => match kind {
-            PermKind::Bfly { block } => format!("{kw} bfly {block}"),
-            PermKind::Rev { block } => format!("{kw} rev {block}"),
-            PermKind::Rot { block, amt } => format!("{kw} rot {block} {amt}"),
-        },
+        Idiom::Permute { kind } => format!("{kw} {}", perm_text(kind)),
         Idiom::Strided { stride } => format!("{kw} {stride}"),
         Idiom::Gather { offsets } if offsets != GATHER_TILE => {
             let offs: Vec<String> = offsets.iter().map(i32::to_string).collect();
@@ -121,31 +146,28 @@ pub fn parse_idiom(text: &str) -> Result<Idiom, String> {
         .into_iter()
         .find(|i| i.keyword() == kw)
         .ok_or_else(|| format!("unknown idiom {kw:?}"))?;
-    let arg = |i: usize| -> Result<u32, String> {
-        toks.get(i)
-            .ok_or_else(|| format!("idiom {kw} needs an argument"))?
+    // Every idiom takes at most one argument.
+    let tok = || {
+        toks.get(1)
+            .copied()
+            .ok_or_else(|| format!("idiom {kw} needs an argument"))
+    };
+    let arg = || -> Result<u32, String> {
+        tok()?
             .parse::<u32>()
             .map_err(|_| format!("bad idiom argument in {text:?}"))
     };
-    let byte = |i: usize| u8::try_from(arg(i)?).map_err(|_| format!("{kw} argument out of range"));
     // An optional argument: the default when absent.
-    let or = |default: u32| if toks.len() > 1 { arg(1) } else { Ok(default) };
+    let or = |default: u32| if toks.len() > 1 { arg() } else { Ok(default) };
     let idiom = match proto {
-        Idiom::Stencil { .. } => Idiom::Stencil { taps: arg(1)? },
+        Idiom::Stencil { .. } => Idiom::Stencil { taps: arg()? },
         Idiom::Permute { .. } => {
-            let block = byte(2)?;
-            let kind = match toks.get(1).copied() {
-                Some("bfly") => PermKind::Bfly { block },
-                Some("rev") => PermKind::Rev { block },
-                Some("rot") => PermKind::Rot {
-                    block,
-                    amt: byte(3)?,
-                },
-                other => return Err(format!("unknown permute kind {other:?}")),
-            };
-            Idiom::Permute { kind }
+            let t = tok()?;
+            Idiom::Permute {
+                kind: parse_perm(t).ok_or_else(|| format!("bad permutation {t:?}"))?,
+            }
         }
-        Idiom::Strided { .. } => Idiom::Strided { stride: arg(1)? },
+        Idiom::Strided { .. } => Idiom::Strided { stride: arg()? },
         Idiom::Gather { .. } => match toks.get(1) {
             None => proto,
             Some(list) => {
@@ -170,11 +192,7 @@ pub fn parse_idiom(text: &str) -> Result<Idiom, String> {
         other => other,
     };
     let takes = match idiom {
-        Idiom::Permute {
-            kind: PermKind::Rot { .. },
-        } => 4,
-        Idiom::Permute { .. } => 3,
-        Idiom::Stencil { .. } | Idiom::Strided { .. } => 2,
+        Idiom::Stencil { .. } | Idiom::Permute { .. } | Idiom::Strided { .. } => 2,
         Idiom::Gather { .. } | Idiom::Oversized { .. } | Idiom::WideOffset { .. } => 2,
         _ => 1,
     };
@@ -193,7 +211,7 @@ pub fn print(spec: &FamilySpec) -> String {
     s.push('\n');
     s.push_str(&format!("family {}\n", spec.family));
     s.push_str(&format!("idiom {}\n", idiom_text(spec.idiom)));
-    s.push_str(&format!("elem {}\n", elem_name(spec.elem)));
+    s.push_str(&format!("elem {}\n", spec.elem.suffix()));
     let join = |v: &[u32]| v.iter().map(u32::to_string).collect::<Vec<_>>().join(" ");
     s.push_str(&format!("trips {}\n", join(&spec.trips)));
     s.push_str(&format!("unrolls {}\n", join(&spec.unrolls)));
@@ -243,7 +261,9 @@ pub fn parse(what: &str, text: &str) -> Result<FamilySpec, String> {
             "idiom" => idiom = Some(parse_idiom(&line["idiom".len()..]).map_err(ctx)?),
             "elem" if toks.len() == 2 => {
                 elem = Some(
-                    elem_value(toks[1])
+                    ElemType::ALL
+                        .into_iter()
+                        .find(|e| e.suffix() == toks[1])
                         .ok_or_else(|| ctx(format!("unknown elem {:?}", toks[1])))?,
                 );
             }
@@ -257,13 +277,8 @@ pub fn parse(what: &str, text: &str) -> Result<FamilySpec, String> {
                 );
             }
             "seed" if toks.len() == 2 => {
-                let t = toks[1];
-                let v = if let Some(hex) = t.strip_prefix("0x") {
-                    u64::from_str_radix(hex, 16)
-                } else {
-                    t.parse()
-                };
-                seed = Some(v.map_err(|_| ctx(format!("bad seed {t:?}")))?);
+                seed =
+                    Some(parse_u64(toks[1]).ok_or_else(|| ctx(format!("bad seed {:?}", toks[1])))?);
             }
             "ops" => {
                 ops = toks[1..]
@@ -325,16 +340,35 @@ mod tests {
         assert_eq!(print(&back), text);
     }
 
+    /// Every permutation shape at every block size.
+    fn every_perm() -> Vec<PermKind> {
+        [2u8, 4, 8, 16]
+            .into_iter()
+            .flat_map(|block| {
+                [PermKind::Bfly { block }, PermKind::Rev { block }]
+                    .into_iter()
+                    .chain((1..block).map(move |amt| PermKind::Rot { block, amt }))
+            })
+            .collect()
+    }
+
     #[test]
     fn every_op_and_idiom_round_trips() {
-        for &op in &VAluOp::ALL {
+        for op in VAluOp::ALL {
             assert_eq!(op_value(op_name(op)), Some(op));
         }
+        let mut spec = sample();
+        spec.idiom = Idiom::Map;
+        spec.elem = ElemType::I8;
+        spec.ops = VAluOp::ALL.to_vec();
+        assert_eq!(parse("ops", &print(&spec)).unwrap(), spec);
+
         let mut idioms = Idiom::ALL.to_vec();
+        for kind in every_perm() {
+            assert_eq!(parse_perm(&perm_text(kind)), Some(kind));
+            idioms.push(Idiom::Permute { kind });
+        }
         idioms.extend([
-            Idiom::Permute {
-                kind: PermKind::Rot { block: 4, amt: 1 },
-            },
             Idiom::Gather {
                 offsets: [1, -1, 0, 3, 2, -2, 1, -1, 0, 0, 1, -1, 3, -3, 0, 0],
             },
@@ -361,6 +395,21 @@ mod tests {
         assert!(parse_idiom("gather 1,2")
             .unwrap_err()
             .contains("16 offsets"));
+    }
+
+    #[test]
+    fn retired_spellings_are_rejected_by_name() {
+        let text = print(&sample());
+        let e = parse("x", &text.replace("ops add", "ops sat-add")).unwrap_err();
+        assert!(e.contains("\"sat-add\""), "{e}");
+        let e = parse("x", &text.replace("idiom dot", "idiom permute bfly 4")).unwrap_err();
+        assert!(e.contains("\"bfly\""), "{e}");
+        assert_eq!(
+            parse_idiom("permute bfly:4"),
+            Ok(Idiom::Permute {
+                kind: PermKind::Bfly { block: 4 }
+            })
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! pins it on the named workloads the paper's tables are built from.)
 
 use liquid_simd_repro::conform::gen::generate_case;
-use liquid_simd_repro::conform::oracle::{check_case, run_full};
-use liquid_simd_repro::facade::{build_liquid, build_plain, BackendKind, MachineConfig};
+use liquid_simd_repro::conform::oracle::check_case;
+use liquid_simd_repro::facade::{build_liquid, build_plain, simulate, BackendKind, MachineConfig};
 
 /// Runs a program under both backends and asserts every deterministic
 /// observable matches. Returns the superblock run's block statistics so
@@ -18,11 +18,16 @@ fn assert_equivalent(
     program: &liquid_simd_repro::isa::Program,
     config: &MachineConfig,
 ) -> liquid_simd_repro::sim::BlockStats {
-    let (ri, mem_i, regs_i) =
-        run_full(program, config.clone().with_backend(BackendKind::Interp)).expect("interp run");
-    let (rs, mem_s, regs_s) = run_full(
+    let (ri, mi) = simulate(
+        program,
+        config.clone().with_backend(BackendKind::Interp),
+        &[],
+    )
+    .expect("interp run");
+    let (rs, ms) = simulate(
         program,
         config.clone().with_backend(BackendKind::Superblock),
+        &[],
     )
     .expect("superblock run");
     assert_eq!(ri.cycles, rs.cycles, "{what}: cycles");
@@ -48,7 +53,8 @@ fn assert_equivalent(
         ri.translator.aborts, rs.translator.aborts,
         "{what}: abort tags"
     );
-    assert_eq!(regs_i, regs_s, "{what}: register file");
+    assert_eq!(mi.regs().r, ms.regs().r, "{what}: register file");
+    let (mem_i, mem_s) = (mi.memory(), ms.memory());
     let (base, len) = (mem_i.base(), mem_i.size());
     assert_eq!(
         mem_i.slice(base, len).ok(),
