@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 use std::fs;
 
+use liquid_simd::ledger::Snapshot;
 use liquid_simd::{experiments, BackendKind, Binary, BuildCache, MachineConfig};
 use liquid_simd_isa::asm;
 use liquid_simd_perfhist as perfhist;
@@ -34,7 +35,6 @@ pub static BENCH: Command = Command {
         JOBS,
         flag("--smoke", "3 workloads at widths 2 and 8 (CI-sized)"),
         BACKEND,
-        flag("--ledger", "embed per-workload ledger snapshots in the record"),
         OUT,
         HISTORY,
         NO_HISTORY,
@@ -158,11 +158,7 @@ pub fn width_anomalies(rows: &[perfhist::WorkloadRow]) -> Vec<WidthAnomaly> {
 /// `cycles_by_width`) and carries the top-3 attribution buckets of the
 /// delta plus the dominant cost category — a machine-checked
 /// explanation, not just a flag.
-fn anomaly_entry(
-    a: &WidthAnomaly,
-    row: &perfhist::WorkloadRow,
-    snaps: &[liquid_simd::ledger::Snapshot],
-) -> Json {
+fn anomaly_entry(a: &WidthAnomaly, row: &perfhist::WorkloadRow, snaps: &[Snapshot]) -> Json {
     let ((narrow, narrow_cycles), (wide, wide_cycles)) =
         (row.cycles_by_width[a.pair], row.cycles_by_width[a.pair + 1]);
     let d = liquid_simd::ledger::diff::diff(&snaps[a.pair], &snaps[a.pair + 1]);
@@ -206,14 +202,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let backend = args.backend()?;
     let out_path = args.value_or("--out", SUITE_SNAPSHOT);
     let history_path = args.value_or("--history", DEFAULT_HISTORY);
-    let bench = measure_suite(
-        &workloads,
-        &widths,
-        jobs,
-        backend,
-        args.flag("--ledger"),
-        smoke,
-    )?;
+    let bench = measure_suite(&workloads, &widths, jobs, backend, smoke)?;
     fs::write(out_path, &bench.doc).map_err(|e| format!("{out_path}: {e}"))?;
     println!("{out_path}: written");
 
@@ -261,7 +250,6 @@ pub fn measure_suite(
     widths: &[usize],
     jobs: usize,
     backend: BackendKind,
-    embed_ledger: bool,
     smoke: bool,
 ) -> Result<BenchRun, String> {
     // The serial sweep's cache also serves the per-workload rows; the
@@ -270,7 +258,7 @@ pub fn measure_suite(
     let err = |e: liquid_simd::VerifyError| e.to_string();
     let cache = BuildCache::new(workloads);
     let serial = experiments::figure6_jobs(&cache, widths, 1, backend).map_err(err)?;
-    let run = measure_rows(&cache, widths, backend, embed_ledger, smoke)?;
+    let run = measure_rows(&cache, widths, backend, smoke)?;
     let fresh = BuildCache::new(workloads);
     let parallel = experiments::figure6_jobs(&fresh, widths, jobs, backend).map_err(err)?;
     if serial != parallel {
@@ -292,7 +280,6 @@ pub fn measure_rows(
     cache: &BuildCache,
     widths: &[usize],
     backend: BackendKind,
-    embed_ledger: bool,
     smoke: bool,
 ) -> Result<BenchRun, String> {
     let headline = headline_width(widths);
@@ -319,18 +306,14 @@ pub fn measure_rows(
         for &width in widths {
             let [liquid, ..] = experiments::figure6_width_units(width, backend);
             let out = cache.run(wi, liquid).map_err(err)?;
+            let names = liquid_simd::ledger_region_labels(program, &out.report.ledger);
             if width == headline {
                 row.sim_cycles = out.report.cycles;
                 perfhist::counters::merge(&mut counters, &out.report.counters());
+                row.ledger = Some(Snapshot::from_ledger(&w.name, &out.report.ledger, &names));
             }
-            let names = liquid_simd::ledger_region_labels(program, &out.report.ledger);
             let label = format!("{}@w{width}", w.name);
             let snap = perfhist::counters::ledger_snapshot(&label, &out.report, &names);
-            // Embedded snapshots make a record about four times larger,
-            // so only `--ledger` asks for them.
-            if embed_ledger && width == headline {
-                row.ledger = Some(snap.json());
-            }
             snaps.push(snap);
             row.cycles_by_width.push((width, out.report.cycles));
         }

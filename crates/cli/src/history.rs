@@ -1,6 +1,7 @@
 //! `sentinel` and `dashboard`: the regression gate over the performance
 //! history and its offline HTML rendering.
 
+use std::fmt::Write as _;
 use std::fs;
 
 use liquid_simd_perfhist as perfhist;
@@ -55,35 +56,15 @@ fn cmd_sentinel(args: &Args) -> Result<(), String> {
     let v = &verdict.json;
     if args.flag("--json") {
         println!("{}", v.write());
-    } else if cross {
-        println!(
-            "sentinel --cross-backend: {} (interp {}, superblock {}, {} workloads checked)",
-            text(v, "status"),
-            text(v, "interp_commit"),
-            text(v, "superblock_commit"),
-            num(v, "workloads_checked"),
-        );
-        for d in items(v, "cycle_drift") {
-            println!(
-                "  DRIFT {} {}: interp {} vs superblock {}",
-                text(d, "workload"),
-                text(d, "metric"),
-                raw(d, "interp"),
-                raw(d, "superblock"),
-            );
-        }
     } else {
-        render_verdict(v);
+        print!("{}", verdict_text(v, cross));
     }
     if !verdict.failed {
         return Ok(());
     }
     let why = match (cross, text(v, "status")) {
-        (false, "no-history") => "no history — run `liquid-simd bench` to seed bench/history.jsonl",
-        (false, "no-baseline") => {
-            "no comparable baseline record (config hash, width sweep, or smoke set changed) \
-             — re-seed bench/history.jsonl to acknowledge the change"
-        }
+        (false, "no-history") => perfhist::sentinel::NO_HISTORY,
+        (false, "no-baseline") => perfhist::sentinel::NO_BASELINE,
         (false, _) => {
             "deterministic results drifted from the baseline (bench cycle counts or serve \
              determinism hashes)"
@@ -125,40 +106,67 @@ fn items<'a>(v: &'a Json, key: &str) -> &'a [Json] {
     v.get(key).and_then(Json::as_arr).unwrap_or(&[])
 }
 
-/// Human rendering of a `sentinel-v1` verdict document.
-fn render_verdict(v: &Json) {
-    println!(
-        "sentinel: {} (commit {}, baseline {}, {} workloads checked)",
-        text(v, "status"),
-        text(v, "commit"),
-        text(v, "baseline_commit"),
-        num(v, "workloads_checked"),
-    );
-    for d in items(v, "cycle_drift") {
-        println!(
-            "  DRIFT {} {}: {} -> {}",
-            text(d, "workload"),
-            text(d, "metric"),
-            num(d, "baseline"),
-            num(d, "current"),
+/// Human rendering of a `sentinel-v1` verdict document, or with `cross` of
+/// a `sentinel-cross-v1` one. Each cycle-drift line is followed by the
+/// ledger causes the verdict names for it.
+pub fn verdict_text(v: &Json, cross: bool) -> String {
+    let mut out = String::new();
+    if cross {
+        let _ = writeln!(
+            out,
+            "sentinel --cross-backend: {} (interp {}, superblock {}, {} workloads checked)",
+            text(v, "status"),
+            text(v, "interp_commit"),
+            text(v, "superblock_commit"),
+            num(v, "workloads_checked"),
         );
+    } else {
+        let _ = writeln!(
+            out,
+            "sentinel: {} (commit {}, baseline {}, {} workloads checked)",
+            text(v, "status"),
+            text(v, "commit"),
+            text(v, "baseline_commit"),
+            num(v, "workloads_checked"),
+        );
+    }
+    for d in items(v, "cycle_drift") {
+        let (workload, metric) = (text(d, "workload"), text(d, "metric"));
+        let _ = if cross {
+            let (interp, superblock) = (raw(d, "interp"), raw(d, "superblock"));
+            writeln!(
+                out,
+                "  DRIFT {workload} {metric}: interp {interp} vs superblock {superblock}"
+            )
+        } else {
+            let (baseline, current) = (num(d, "baseline"), num(d, "current"));
+            writeln!(out, "  DRIFT {workload} {metric}: {baseline} -> {current}")
+        };
+        for c in items(d, "ledger") {
+            let delta = raw(c, "delta");
+            let sign = if delta.starts_with('-') { "" } else { "+" };
+            let (region, category) = (text(c, "region"), text(c, "category"));
+            let _ = writeln!(out, "    {sign}{delta} {region} {category}");
+        }
     }
     let deltas = items(v, "counter_deltas");
     if !deltas.is_empty() {
-        println!(
+        let _ = writeln!(
+            out,
             "  {} counter(s) changed vs baseline (informational):",
             deltas.len()
         );
         for d in deltas.iter().take(10) {
             let (counter, baseline) = (text(d, "counter"), num(d, "baseline"));
-            println!("    {counter} {baseline} -> {}", num(d, "current"));
+            let _ = writeln!(out, "    {counter} {baseline} -> {}", num(d, "current"));
         }
         if deltas.len() > 10 {
-            println!("    … and {} more", deltas.len() - 10);
+            let _ = writeln!(out, "    … and {} more", deltas.len() - 10);
         }
     }
     if let Some(serve) = v.get("serve") {
-        println!(
+        let _ = writeln!(
+            out,
             "  serve: {} ({} serve records, requests {})",
             text(serve, "status"),
             num(serve, "records"),
@@ -169,12 +177,14 @@ fn render_verdict(v: &Json) {
         );
         for d in items(serve, "drift") {
             let (metric, baseline) = (text(d, "metric"), raw(d, "baseline"));
-            println!(
+            let _ = writeln!(
+                out,
                 "  SERVE DRIFT {metric}: {baseline} -> {}",
                 raw(d, "current")
             );
         }
     }
+    out
 }
 
 fn cmd_dashboard(args: &Args) -> Result<(), String> {

@@ -246,7 +246,7 @@ mod tests {
             .collect();
         assert_eq!(workloads.len(), 1);
         let doc = |jobs, backend| {
-            bench::measure_suite(&workloads, &[2, 8], jobs, backend, false, true)
+            bench::measure_suite(&workloads, &[2, 8], jobs, backend, true)
                 .unwrap()
                 .doc
         };
@@ -269,7 +269,7 @@ mod tests {
     fn full_bench_reproduces_the_committed_snapshot() {
         let (workloads, widths) = bench::suite(false);
         let backend = liquid_simd::BackendKind::default();
-        let run = bench::measure_suite(&workloads, &widths, 2, backend, false, false).unwrap();
+        let run = bench::measure_suite(&workloads, &widths, 2, backend, false).unwrap();
         let committed = include_str!("../../../BENCH_sim.json");
         assert_eq!(
             run.doc, committed,
@@ -278,14 +278,14 @@ mod tests {
         );
     }
 
-    /// The history record `bench --smoke --backend B [--ledger]` appends.
-    /// It comes from the rows [`bench::measure_suite`] records; its Figure 6
-    /// gate, which adds nothing to the record, is
+    /// The history record `bench --smoke --backend B` appends. It comes
+    /// from the rows [`bench::measure_suite`] records; its Figure 6 gate,
+    /// which adds nothing to the record, is
     /// `bench_snapshot_is_identical_across_jobs_and_backends`'s to run.
-    fn smoke_record(backend: liquid_simd::BackendKind, ledger: bool) -> Json {
+    fn smoke_record(backend: liquid_simd::BackendKind) -> Json {
         let (workloads, widths) = bench::suite(true);
         let cache = liquid_simd::BuildCache::new(&workloads);
-        let run = bench::measure_rows(&cache, &widths, backend, ledger, true).unwrap();
+        let run = bench::measure_rows(&cache, &widths, backend, true).unwrap();
         run.record(&bench::record_meta(&widths, true, backend))
     }
 
@@ -298,7 +298,7 @@ mod tests {
         use liquid_simd::BackendKind::{Interp, Superblock};
         let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/history.jsonl");
         let mut history = perfhist::store::load(std::path::Path::new(committed)).unwrap();
-        history.push(smoke_record(Interp, false));
+        history.push(smoke_record(Interp));
         let v = perfhist::sentinel::check(&history, &perfhist::SentinelOptions::default());
         assert!(!v.failed, "sentinel: {}", v.json.write());
         assert_eq!(v.json.get("status").and_then(Json::as_str), Some("pass"));
@@ -307,7 +307,7 @@ mod tests {
             Some(3)
         );
 
-        history.push(smoke_record(Superblock, false));
+        history.push(smoke_record(Superblock));
         let v = perfhist::cross_check(&history);
         assert!(!v.failed, "sentinel --cross-backend: {}", v.json.write());
         assert_eq!(
@@ -316,14 +316,13 @@ mod tests {
         );
     }
 
-    /// `diff --history` over two `bench --smoke --ledger` records of the
-    /// same code: every delta is zero, and the report is the same bytes
-    /// on two runs.
+    /// `diff --history` over two `bench --smoke` records of the same code:
+    /// every delta is zero, and the report is the same bytes on two runs.
     #[test]
     fn diff_history_of_the_same_code_is_zero_and_stable() {
         let dir = scratch("diff-history");
         let history = dir.join("history.jsonl");
-        let record = smoke_record(liquid_simd::BackendKind::Interp, true);
+        let record = smoke_record(liquid_simd::BackendKind::Interp);
         perfhist::store::append(&history, &record).unwrap();
         perfhist::store::append(&history, &record).unwrap();
         let diff = |name: &str| {
@@ -349,6 +348,130 @@ mod tests {
                 );
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A drift the ledger can explain is named down to its bucket: one
+    /// `(region, category)` bucket of one workload moves, and its row's
+    /// totals with it, and the sentinel fails naming that workload, region
+    /// and category in both its JSON entry and its text.
+    #[test]
+    fn sentinel_names_the_ledger_bucket_behind_a_drift() {
+        const MOVED: u64 = 1000;
+        let base = smoke_record(liquid_simd::BackendKind::Interp);
+        let mut rows = perfhist::record::rows(&base);
+        let row = &mut rows[1];
+        let ledger = row
+            .ledger
+            .as_mut()
+            .expect("every bench row embeds its ledger");
+        let (region, bucket) = ledger
+            .regions
+            .iter_mut()
+            .find(|(_, r)| r.cycles > 0)
+            .unwrap();
+        let region = region.clone();
+        let (category, cycles) = bucket
+            .by_category
+            .iter_mut()
+            .find(|(_, c)| **c > 0)
+            .unwrap();
+        let category = category.clone();
+        *cycles += MOVED;
+        bucket.cycles += MOVED;
+        ledger.categories.get_mut(&category).unwrap().cycles += MOVED;
+        ledger.total_cycles += MOVED;
+        row.sim_cycles += MOVED;
+        for (width, cycles) in &mut row.cycles_by_width {
+            *cycles += if *width == 8 { MOVED } else { 0 };
+        }
+        let workload = row.name.clone();
+        let mut newer = base.clone();
+        let written = rows.iter().map(perfhist::WorkloadRow::json);
+        newer.set("workloads", Json::arr(written));
+
+        let dir = scratch("sentinel-ledger");
+        let path = dir.join("history.jsonl");
+        perfhist::store::append(&path, &base).unwrap();
+        perfhist::store::append(&path, &newer).unwrap();
+        let hist = path.to_str().unwrap();
+        assert!(run_cli(&argv(&["sentinel", "--history", hist])).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let v = perfhist::sentinel::check(&[base, newer], &Default::default());
+        assert!(v.failed);
+        let drift = v.json.get("cycle_drift").and_then(Json::as_arr).unwrap();
+        let sim = drift
+            .iter()
+            .find(|d| d.get("metric").and_then(Json::as_str) == Some("sim_cycles"))
+            .expect("sim_cycles drifts");
+        let at = |j: &Json, key: &str| j.get(key).and_then(Json::as_str).map(str::to_string);
+        assert_eq!(at(sim, "workload"), Some(workload.clone()));
+        let causes = sim.get("ledger").and_then(Json::as_arr).unwrap();
+        assert_eq!(causes.len(), 1, "{}", sim.write());
+        assert_eq!(at(&causes[0], "region"), Some(region.clone()));
+        assert_eq!(at(&causes[0], "category"), Some(category.clone()));
+        assert_eq!(causes[0].get("delta").and_then(Json::as_u64), Some(MOVED));
+        let text = history::verdict_text(&v.json, false);
+        assert!(
+            text.contains(&format!("DRIFT {workload} sim_cycles")),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("+{MOVED} {region} {category}")),
+            "{text}"
+        );
+    }
+
+    /// `diff` with no sides compares the pair the sentinel gates: the
+    /// newest record against its comparable baseline, past interleaved
+    /// superblock and smoke records. With no comparable record it fails
+    /// with the sentinel's reason.
+    #[test]
+    fn diff_without_sides_pairs_the_sentinels_baseline() {
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/history.jsonl");
+        let committed = perfhist::store::load(std::path::Path::new(committed)).unwrap();
+        let commit = |i: usize| committed[i].get("commit").and_then(Json::as_str).unwrap();
+        let dir = scratch("diff-baseline");
+        let (history, out) = (dir.join("history.jsonl"), dir.join("d.json"));
+        let (h, o) = (history.to_str().unwrap(), out.to_str().unwrap());
+        let diff = || {
+            run_cli(&argv(&["diff", "--history", h, "--json", "--out", o]))?;
+            Ok::<_, String>(Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap())
+        };
+        let label = |doc: &Json, side: &str| {
+            let side = doc.get(side).and_then(|s| s.get("label"));
+            side.and_then(Json::as_str).unwrap().to_string()
+        };
+        // Full interp, full superblock, smoke interp, full interp.
+        for i in [5, 4, 0, 7] {
+            perfhist::store::append(&history, &committed[i]).unwrap();
+        }
+        let doc = diff().unwrap();
+        assert_eq!(
+            label(&doc, "a"),
+            format!("history[-4] ({}, interp)", commit(5))
+        );
+        assert_eq!(
+            label(&doc, "b"),
+            format!("history[-1] ({}, interp)", commit(7))
+        );
+        assert_eq!(doc.get("total_delta").and_then(Json::as_u64), Some(0));
+        // A smoke record appended last pairs with the older smoke record.
+        perfhist::store::append(&history, &committed[1]).unwrap();
+        let doc = diff().unwrap();
+        assert_eq!(
+            label(&doc, "a"),
+            format!("history[-3] ({}, interp)", commit(0))
+        );
+        assert_eq!(doc.get("total_delta").and_then(Json::as_u64), Some(0));
+        // A lone superblock record has no baseline.
+        std::fs::remove_file(&history).unwrap();
+        for i in [5, 4] {
+            perfhist::store::append(&history, &committed[i]).unwrap();
+        }
+        let e = diff().unwrap_err();
+        assert!(e.contains(perfhist::sentinel::NO_BASELINE), "{e}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -422,8 +545,8 @@ mod tests {
 
     #[test]
     fn each_bench_mode_rejects_the_other_modes_options() {
-        let e = parse_err(&["bench", "--families", "--ledger"]);
-        assert!(e.contains("unknown option `--ledger`"), "{e}");
+        let e = parse_err(&["bench", "--families", "--jobs", "2"]);
+        assert!(e.contains("unknown option `--jobs`"), "{e}");
         assert!(e.contains("usage: bench --families"), "{e}");
         let e = parse_err(&["bench", "--serve", "--jobs", "2"]);
         assert!(e.contains("unknown option `--jobs`"), "{e}");
@@ -508,7 +631,6 @@ mod tests {
                 "--smoke",
                 "--backend",
                 "interp",
-                "--ledger",
                 "--out",
                 "b.json",
                 "--history",
@@ -631,20 +753,26 @@ mod tests {
         }
     }
 
-    /// Every `liquid-simd` invocation in the CI workflow and the README
-    /// still parses. Nothing runs: continuation lines are joined, `$w`
-    /// becomes a workload name, and each command is cut at the first
-    /// pipe, redirection, background `&` or comment.
+    /// Every `liquid-simd` invocation in the CI workflow, the README and
+    /// the two design documents still parses. Nothing runs: continuation
+    /// lines are joined, `$w` becomes a workload name, and each command is
+    /// cut at the first pipe, redirection, background `&` or comment.
     #[test]
     fn ci_and_readme_invocations_parse() {
-        const CLI: &str = "target/release/liquid-simd ";
+        const CLIS: [&str; 2] = ["target/release/liquid-simd ", "$ liquid-simd "];
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        for file in [".github/workflows/ci.yml", "README.md"] {
+        let docs = [
+            ".github/workflows/ci.yml",
+            "README.md",
+            "EXPERIMENTS.md",
+            "DESIGN.md",
+        ];
+        for file in docs {
             let text = std::fs::read_to_string(format!("{root}/{file}")).unwrap();
             let joined = text.replace("\\\n", " ");
             let mut checked = 0;
             for line in joined.lines() {
-                let Some((_, rest)) = line.split_once(CLI) else {
+                let Some((_, rest)) = CLIS.iter().find_map(|cli| line.split_once(cli)) else {
                     continue;
                 };
                 let rest = rest.replace("\"$w\"", "fir").replace("$w", "fir");
@@ -661,7 +789,9 @@ mod tests {
             assert!(checked > 0, "{file}: no `liquid-simd` invocation");
             assert_eq!(
                 checked,
-                text.matches(CLI).count(),
+                CLIS.iter()
+                    .map(|cli| text.matches(cli).count())
+                    .sum::<usize>(),
                 "{file}: an invocation shares its line with another and was not parsed"
             );
         }

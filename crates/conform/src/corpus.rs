@@ -182,10 +182,8 @@ pub fn parse(what: &str, text: &str) -> Result<CaseSpec, CorpusError> {
             "trip" => trip = number(rest)? as u32,
             "reps" => reps = number(rest)? as u32,
             "elem" => {
-                elem = ElemType::ALL
-                    .into_iter()
-                    .find(|e| e.suffix() == rest)
-                    .ok_or_else(|| err(format!("bad elem `{rest}`")))?;
+                elem =
+                    ElemType::from_suffix(rest).ok_or_else(|| err(format!("bad elem `{rest}`")))?;
             }
             "data-seed" => data_seed = number(rest)?,
             "input" => {

@@ -551,7 +551,7 @@ impl Assembler {
         let elem_part = parts
             .last()
             .ok_or_else(|| perr(lineno, "vector mnemonic needs .elem suffix"))?;
-        let elem = parse_elem(elem_part)
+        let elem = ElemType::from_suffix(elem_part)
             .ok_or_else(|| perr(lineno, format!("bad element type `{elem_part}`")))?;
         let op_str = |i: usize| -> Result<&str, IsaError> {
             ops.get(i)
@@ -816,10 +816,6 @@ fn parse_vreg(t: &str) -> Option<VReg> {
 
 fn parse_cond(suffix: &str) -> Option<Cond> {
     Cond::ALL.into_iter().find(|c| c.suffix() == suffix)
-}
-
-fn parse_elem(s: &str) -> Option<ElemType> {
-    ElemType::ALL.into_iter().find(|e| e.suffix() == s)
 }
 
 #[cfg(test)]

@@ -355,6 +355,12 @@ impl ElemType {
         }
     }
 
+    /// The element type whose [`suffix`](ElemType::suffix) is `s`.
+    #[must_use]
+    pub fn from_suffix(s: &str) -> Option<ElemType> {
+        ElemType::ALL.into_iter().find(|e| e.suffix() == s)
+    }
+
     /// The scalar memory width that loads one element of this type, or
     /// `None` for `f32` (which uses the dedicated `ldf`/`stf` opcodes).
     #[must_use]
@@ -737,7 +743,9 @@ mod tests {
         }
         for &e in &ElemType::ALL {
             assert_eq!(ElemType::from_bits(e.bits()).unwrap(), e);
+            assert_eq!(ElemType::from_suffix(e.suffix()), Some(e));
         }
+        assert_eq!(ElemType::from_suffix("i64"), None);
         for &r in &RedOp::ALL {
             assert_eq!(RedOp::from_bits(r.bits()).unwrap(), r);
         }

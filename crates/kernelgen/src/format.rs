@@ -261,9 +261,7 @@ pub fn parse(what: &str, text: &str) -> Result<FamilySpec, String> {
             "idiom" => idiom = Some(parse_idiom(&line["idiom".len()..]).map_err(ctx)?),
             "elem" if toks.len() == 2 => {
                 elem = Some(
-                    ElemType::ALL
-                        .into_iter()
-                        .find(|e| e.suffix() == toks[1])
+                    ElemType::from_suffix(toks[1])
                         .ok_or_else(|| ctx(format!("unknown elem {:?}", toks[1])))?,
                 );
             }

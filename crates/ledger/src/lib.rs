@@ -260,9 +260,9 @@ pub struct RegionSnap {
 }
 
 /// The compact, diff-able rollup of one run's ledger: per-category and
-/// per-region totals plus corroborating flat counters. This is what gets
-/// embedded in `perfhist-v1` records (behind `bench --ledger`) and what
-/// [`diff::diff`] consumes.
+/// per-region totals plus corroborating flat counters. Its body (no label,
+/// no counters) is embedded in every `perfhist-v1` workload row, and it is
+/// what [`diff::diff`] consumes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Human label for the run ("179.art w8", "BENCH run 4", …).
@@ -341,6 +341,39 @@ impl Snapshot {
         ])
     }
 
+    /// The inverse of [`Snapshot::json`]: the snapshot a `ledger` object
+    /// describes, labelled `label`, with no counters (the body carries
+    /// none). `None` when `json` has no `total_cycles`; missing rollup
+    /// fields read as zero.
+    #[must_use]
+    pub fn from_json(label: &str, json: &Json) -> Option<Snapshot> {
+        fn pairs<'a>(j: &'a Json, key: &str) -> &'a [(String, Json)] {
+            j.get(key).and_then(Json::as_obj).unwrap_or(&[])
+        }
+        let num = |j: &Json| j.as_u64().unwrap_or(0);
+        let field = |j: &Json, key: &str| j.get(key).map_or(0, num);
+        let categories = pairs(json, "categories").iter().map(|(name, b)| {
+            let (cycles, events) = (field(b, "cycles"), field(b, "events"));
+            (name.clone(), Bucket { cycles, events })
+        });
+        let regions = pairs(json, "regions").iter().map(|(name, r)| {
+            let by_category = pairs(r, "by_category").iter();
+            let region = RegionSnap {
+                cycles: field(r, "cycles"),
+                events: field(r, "events"),
+                by_category: by_category.map(|(c, n)| (c.clone(), num(n))).collect(),
+            };
+            (name.clone(), region)
+        });
+        Some(Snapshot {
+            label: label.to_string(),
+            total_cycles: json.get("total_cycles")?.as_u64()?,
+            categories: categories.collect(),
+            regions: regions.collect(),
+            counters: BTreeMap::new(),
+        })
+    }
+
     /// [`Snapshot::json`] written compactly on one line.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -414,5 +447,10 @@ mod tests {
         let json = snap.to_json();
         assert!(json.starts_with("{\"total_cycles\":180,\"categories\":{"));
         assert!(json.contains("\"kernel @10\":{\"cycles\":150"));
+        assert_eq!(Snapshot::from_json("t w8", &snap.json()), Some(snap));
+        assert_eq!(
+            Snapshot::from_json("t w8", &Json::obj([("regions", Json::Null)])),
+            None
+        );
     }
 }
