@@ -6,7 +6,7 @@
 //! ```json
 //! {"schema":"metrics-v1","backend":"interp","shards":4,"uptime_us":…,
 //!  "requests":{"total":…,"errors":…,"by_op":{…}},
-//!  "determinism":{"requests_hash":…,"responses_hash":…,"sim_cycles_total":…},
+//!  "determinism":{"requests_hash":"<hex>","responses_hash":"<hex>","sim_cycles_total":…},
 //!  "cache":{"builds":…,"translations":{"entries":…,"capacity":…,
 //!           "generation":…,"evictions":…,"hits":…,"misses":…,"hit_rate":…}},
 //!  "flight":{"capacity":…,"events":…,"dropped":…,"contended":…},

@@ -118,6 +118,24 @@ impl Tally {
         self.sim_cycles_total += other.sim_cycles_total;
     }
 
+    /// The `determinism` object of `inspect` replies and batch records:
+    /// both hashes as 16-digit hex strings (JSON numbers above 2^53 lose
+    /// digits in most readers) and the cycle total.
+    #[must_use]
+    pub fn determinism_json(&self) -> Json {
+        Json::obj([
+            (
+                "requests_hash",
+                format!("{:016x}", self.requests_hash).into(),
+            ),
+            (
+                "responses_hash",
+                format!("{:016x}", self.responses_hash).into(),
+            ),
+            ("sim_cycles_total", self.sim_cycles_total.into()),
+        ])
+    }
+
     /// Hits as a fraction of all lookups (0.0 before the first lookup).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
@@ -165,20 +183,7 @@ pub(crate) fn build(shards: usize, totals: &Tally, flushed: &Tally, entries: u64
                 ("hit_rate", Json::f64(totals.hit_rate())),
             ]),
         ),
-        (
-            "determinism",
-            Json::obj([
-                (
-                    "requests_hash",
-                    format!("{:016x}", totals.requests_hash).into(),
-                ),
-                (
-                    "responses_hash",
-                    format!("{:016x}", totals.responses_hash).into(),
-                ),
-                ("sim_cycles_total", totals.sim_cycles_total.into()),
-            ]),
-        ),
+        ("determinism", totals.determinism_json()),
     ])
 }
 

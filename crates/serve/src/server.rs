@@ -321,14 +321,7 @@ impl State {
                     ("by_op", by_op),
                 ]),
             ),
-            (
-                "determinism",
-                Json::obj([
-                    ("requests_hash", totals.requests_hash.into()),
-                    ("responses_hash", totals.responses_hash.into()),
-                    ("sim_cycles_total", totals.sim_cycles_total.into()),
-                ]),
-            ),
+            ("determinism", totals.determinism_json()),
             (
                 "cache",
                 Json::obj([

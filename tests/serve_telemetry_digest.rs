@@ -23,7 +23,7 @@ use std::time::Duration;
 use liquid_simd_repro::serve::{fnv1a, ServeOptions, ServeSummary};
 use liquid_simd_repro::trace::Json;
 
-const PINNED: u64 = 0x45cc_1616_e954_c7b3;
+const PINNED: u64 = 0x6a72_e649_253e_3e32;
 
 fn history_file(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
