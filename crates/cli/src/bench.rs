@@ -368,6 +368,12 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
     let history_path = args.value_or("--history", DEFAULT_HISTORY);
     let variants = crate::gen::variants(smoke)?;
 
+    /// How a variant runs: a kernel through the run memo, an abort
+    /// witness (assembly, no workload) directly.
+    enum Runs<'w> {
+        Memo(BuildCache<'w>),
+        Direct(liquid_simd_isa::Program),
+    }
     #[derive(Default)]
     struct FamAcc {
         variants: u64,
@@ -379,24 +385,22 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
     for v in &variants {
         let acc = fams.entry(v.family.clone()).or_default();
         acc.variants += 1;
-        // Kernels get the full scalar-baseline + per-width sweep; the
-        // untranslatable assembly idioms run per width only for their
-        // abort tallies (their speedup is 1 by construction — they
-        // always fall back to the scalar loop).
+        // Kernels get the full scalar-baseline + per-width sweep through
+        // the run memo, so every run is gold-checked; the untranslatable
+        // assembly idioms have no workload (and no gold) and run per width
+        // only for their abort tallies (their speedup is 1 by construction
+        // — they always fall back to the scalar loop).
         let err = |e: &dyn std::fmt::Display| format!("{}: {e}", v.name);
-        let (program, baseline_cycles) = match &v.payload {
-            Payload::Kernel(w) => {
-                let plain = liquid_simd::build_plain(w).map_err(|e| err(&e))?;
-                let scalar = MachineConfig::scalar_only().with_backend(backend);
-                let (base, _) =
-                    liquid_simd::simulate(&plain.program, scalar, &[]).map_err(|e| err(&e))?;
-                let liquid = liquid_simd::build_liquid(w).map_err(|e| err(&e))?;
-                (liquid.program, base.cycles)
+        let runs = match &v.payload {
+            Payload::Kernel(w) => Runs::Memo(BuildCache::new(std::slice::from_ref(&**w))),
+            Payload::Asm { src, .. } => Runs::Direct(asm::assemble(src).map_err(|e| err(&e))?),
+        };
+        let baseline_cycles = match &runs {
+            Runs::Memo(cache) => {
+                let base = cache.run(0, experiments::figure6_baseline(backend));
+                base.map_err(|e| err(&e))?.report.cycles
             }
-            Payload::Asm { src, .. } => {
-                let program = asm::assemble(src).map_err(|e| err(&e))?;
-                (program, 0)
-            }
+            Runs::Direct(_) => 0,
         };
         let mut row = perfhist::WorkloadRow {
             name: v.name.clone(),
@@ -406,9 +410,20 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
             ledger: None,
         };
         for &width in &widths {
-            let cfg = MachineConfig::liquid(width).with_backend(backend);
-            let (report, _) = liquid_simd::simulate(&program, cfg, &[])
-                .map_err(|e| format!("{}@{width}: {e}", v.name))?;
+            let at = |e: &dyn std::fmt::Display| format!("{}@{width}: {e}", v.name);
+            let (memo, direct);
+            let report = match &runs {
+                Runs::Memo(cache) => {
+                    let [liquid, ..] = experiments::figure6_width_units(width, backend);
+                    memo = cache.run(0, liquid).map_err(|e| at(&e))?;
+                    &memo.report
+                }
+                Runs::Direct(program) => {
+                    let cfg = MachineConfig::liquid(width).with_backend(backend);
+                    (direct, _) = liquid_simd::simulate(program, cfg, &[]).map_err(|e| at(&e))?;
+                    &direct
+                }
+            };
             if width == headline {
                 row.sim_cycles = report.cycles;
             }

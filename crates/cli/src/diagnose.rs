@@ -4,12 +4,12 @@
 use std::fs;
 
 use liquid_simd::ledger::Snapshot;
-use liquid_simd::MachineConfig;
+use liquid_simd::{MachineConfig, TraceConfig};
 use liquid_simd_perfhist as perfhist;
 use liquid_simd_trace::export;
 
 use crate::args::{flag, opt, Args, Command, Opt, BACKEND, DEFAULT_HISTORY, HISTORY};
-use crate::run::resolve_program;
+use crate::run::{config_from, resolve_program, JIT, LANES, NATIVE};
 
 const JSON: Opt = flag("--json", "emit the JSON document instead of text");
 
@@ -30,12 +30,16 @@ pub static EXPLAIN: Command = Command {
 #[rustfmt::skip]
 pub static PROFILE: Command = Command {
     usage: "profile <prog|workload>",
-    about: "cycle breakdown: phases, spans, hottest call targets, microcode cache",
+    about: "traced run: counters, spans, hottest call targets, microcode cache",
     opts: &[
-        opt("--lanes", "N", "SIMD width (default 8; 0 = scalar only)"),
+        LANES,
+        BACKEND,
+        NATIVE,
+        JIT,
         JSON,
         opt("--top", "N", "rows per table (default 10)"),
-        opt("--trace-out", "FILE", "also write the Chrome trace with spans"),
+        opt("--trace-out", "FILE", "also write the events (.json: Chrome trace with spans)"),
+        flag("--instructions", "also record every retired instruction"),
     ],
     run: cmd_profile,
 };
@@ -70,18 +74,31 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `profile`: the one traced run. Prints the run's counters and its span,
+/// call-target and microcode-cache tables; `--trace-out` also writes the
+/// recorded events, as a Chrome trace with the run's spans for `.json`
+/// paths (loadable in Perfetto / chrome://tracing), JSON lines otherwise.
 fn cmd_profile(args: &Args) -> Result<(), String> {
     let (program, name) = resolve_program(args.input())?;
-    let lanes = args.lanes()?;
     let top = args.count("--top", 10, 1)?;
-    let report = liquid_simd::profile(&program, &name, lanes).map_err(|e| e.to_string())?;
+    let trace = TraceConfig {
+        instructions: args.flag("--instructions"),
+        ..TraceConfig::default()
+    };
+    let report = liquid_simd::profile(&program, &name, config_from(args)?, trace)
+        .map_err(|e| e.to_string())?;
     if let Some(path) = args.value("--trace-out") {
-        let text = export::chrome_trace(&report.records, &report.spans);
+        let (text, spans) = if path.ends_with(".json") {
+            let text = export::chrome_trace(&report.records, &report.spans);
+            (text, report.spans.len())
+        } else {
+            (export::json_lines(&report.records), 0)
+        };
         fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
         eprintln!(
-            "{path}: {} events, {} spans written",
+            "{path}: {} events and {spans} spans written, {} events dropped by ring capacity",
             report.records.len(),
-            report.spans.len()
+            report.dropped
         );
     }
     if args.flag("--json") {
@@ -94,8 +111,12 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 
 /// One side of a `diff`: `<prog|workload>@wN` simulates now and rolls the
 /// run's ledger into a counter-corroborated snapshot; anything else must be
-/// a history file, whose newest perfhist-v1 record is rolled into one.
-fn diff_snapshot(spec: &str, backend: liquid_simd::BackendKind) -> Result<Snapshot, String> {
+/// a history file, whose newest perfhist-v1 record is rolled into one and
+/// returned beside it.
+fn diff_snapshot(
+    spec: &str,
+    backend: liquid_simd::BackendKind,
+) -> Result<(Snapshot, Option<perfhist::Json>), String> {
     if let Some((base, width)) = spec.rsplit_once("@w") {
         if let Ok(w) = width.parse::<usize>() {
             if !liquid_simd_isa::SUPPORTED_WIDTHS.contains(&w) {
@@ -107,7 +128,8 @@ fn diff_snapshot(spec: &str, backend: liquid_simd::BackendKind) -> Result<Snapsh
             let (report, _) =
                 liquid_simd::simulate(&program, cfg, &[]).map_err(|e| format!("{label}: {e}"))?;
             let names = liquid_simd::ledger_region_labels(&program, &report.ledger);
-            return Ok(perfhist::counters::ledger_snapshot(&label, &report, &names));
+            let snap = perfhist::counters::ledger_snapshot(&label, &report, &names);
+            return Ok((snap, None));
         }
     }
     let path = std::path::Path::new(spec);
@@ -120,7 +142,7 @@ fn diff_snapshot(spec: &str, backend: liquid_simd::BackendKind) -> Result<Snapsh
     let rec = perfhist::record::bench_records(&records)
         .pop()
         .ok_or_else(|| format!("{spec}: no perfhist-v1 record"))?;
-    Ok(perfhist::record::snapshot(rec, spec))
+    Ok((perfhist::record::snapshot(rec, spec), Some(rec.clone())))
 }
 
 /// `liquid-simd diff`: explain a performance delta from the cycle ledger.
@@ -148,7 +170,23 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
                 perfhist::record::snapshot(records[records.len() - 1], "history[-1]"),
             )
         }
-        [a, b] => (diff_snapshot(a, backend)?, diff_snapshot(b, backend)?),
+        // Two records must be comparable by the rule the sentinel picks
+        // its baseline with.
+        [a, b] => {
+            let (sa, ra) = diff_snapshot(a, backend)?;
+            let (sb, rb) = diff_snapshot(b, backend)?;
+            if let (Some(ra), Some(rb)) = (ra, rb) {
+                let keys = perfhist::sentinel::incomparable_keys(&ra, &rb);
+                if !keys.is_empty() {
+                    return Err(format!(
+                        "`{a}` and `{b}`: the newest records differ in {}, so they \
+                         are not comparable",
+                        keys.join(", ")
+                    ));
+                }
+            }
+            (sa, sb)
+        }
         _ => {
             return Err(format!(
                 "diff takes zero or two sides, got one\nusage: {}",

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::fs;
 
 use liquid_simd_perfhist as perfhist;
-use liquid_simd_trace::{export, Json};
+use liquid_simd_trace::{export, Json, TraceConfig};
 
 use crate::args::{flag, opt, Args, Command, DEFAULT_HISTORY, HISTORY};
 use crate::run::resolve_program;
@@ -199,7 +199,9 @@ fn cmd_dashboard(args: &Args) -> Result<(), String> {
     // A traced run of one workload supplies the flamegraph: its span
     // records fold into `track;parent;child self_cycles` stacks.
     let (program, name) = resolve_program(flame_workload)?;
-    let prof = liquid_simd::profile(&program, &name, 8).map_err(|e| e.to_string())?;
+    let cfg = liquid_simd::MachineConfig::liquid(8);
+    let prof = liquid_simd::profile(&program, &name, cfg, TraceConfig::default())
+        .map_err(|e| e.to_string())?;
     let folded = export::folded_stacks(&prof.spans);
     // Optional observability panels: every flight-v1 dump under
     // --flight-dir (sorted by file name, i.e. dump order) and one

@@ -26,7 +26,6 @@ static COMMANDS: &[&Command] = &[
     &run::DISASM,
     &run::RUN,
     &run::TRANSLATE,
-    &run::TRACE,
     &diagnose::EXPLAIN,
     &diagnose::PROFILE,
     &diagnose::DIFF,
@@ -475,6 +474,65 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `diff FILE FILE` compares the newest records of two histories only
+    /// when the sentinel could pair them: a full record against a smoke one
+    /// is refused naming the keys that differ, and a comparable pair diffs.
+    #[test]
+    fn diff_of_two_files_refuses_incomparable_records() {
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/history.jsonl");
+        let records = perfhist::store::load(std::path::Path::new(committed)).unwrap();
+        let dir = scratch("diff-files");
+        let side = |name: &str, i: usize| {
+            let path = dir.join(name);
+            perfhist::store::append(&path, &records[i]).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let (smoke, full) = (side("smoke.jsonl", 0), side("full.jsonl", 5));
+        let out = dir.join("d.json");
+        let diff = |b: &str| {
+            let o = out.to_str().unwrap();
+            run_cli(&argv(&["diff", committed, b, "--json", "--out", o]))
+        };
+        let e = diff(&smoke).unwrap_err();
+        assert!(e.contains("differ in smoke, widths"), "{e}");
+        diff(&full).unwrap();
+        let doc = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        assert_eq!(doc.get("total_delta").and_then(Json::as_u64), Some(0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `profile --trace-out` picks the format by suffix: a `.json` path
+    /// gets a Chrome trace carrying the run's span `B`/`E` edges, any other
+    /// path JSON lines.
+    #[test]
+    fn profile_trace_out_follows_the_suffix_rule() {
+        let dir = scratch("profile-trace-out");
+        let (chrome, lines) = (dir.join("x.json"), dir.join("x.jsonl"));
+        for path in [&chrome, &lines] {
+            let words = ["profile", "fir", "--lanes", "4", "--trace-out"];
+            let path = path.to_str().unwrap().to_string();
+            run_cli(&[argv(&words), vec![path]].concat()).unwrap();
+        }
+        let doc = Json::parse(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let span_edges = |ph: &str| {
+            let is = |e: &Json, key: &str, v: &str| e.get(key).and_then(Json::as_str) == Some(v);
+            events
+                .iter()
+                .filter(|e| is(e, "cat", "span") && is(e, "ph", ph))
+                .count()
+        };
+        assert!(span_edges("B") > 0, "no span edges");
+        assert_eq!(span_edges("B"), span_edges("E"));
+        let text = std::fs::read_to_string(&lines).unwrap();
+        assert!(!text.is_empty());
+        for line in text.lines() {
+            let event = Json::parse(line).unwrap();
+            assert!(event.get("kind").is_some(), "{line}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// `bench --families --smoke` holds no host facts, so two runs write
     /// the same snapshot bytes.
     #[test]
@@ -576,19 +634,6 @@ mod tests {
             ],
             &["translate", "t.s", "--lanes", "4"],
             &[
-                "trace",
-                "t.s",
-                "--lanes",
-                "4",
-                "--backend",
-                "interp",
-                "--native",
-                "--jit",
-                "--out",
-                "t.json",
-                "--instructions",
-            ],
-            &[
                 "explain",
                 "fir",
                 "--widths",
@@ -605,6 +650,11 @@ mod tests {
                 "fir",
                 "--lanes",
                 "8",
+                "--backend",
+                "interp",
+                "--native",
+                "--jit",
+                "--instructions",
                 "--json",
                 "--top",
                 "5",
@@ -753,10 +803,11 @@ mod tests {
         }
     }
 
-    /// Every `liquid-simd` invocation in the CI workflow, the README and
-    /// the two design documents still parses. Nothing runs: continuation
-    /// lines are joined, `$w` becomes a workload name, and each command is
-    /// cut at the first pipe, redirection, background `&` or comment.
+    /// Every `liquid-simd` invocation in the CI workflow, the README, the
+    /// two design documents and the verify notes still parses. Nothing
+    /// runs: continuation lines are joined, `$w` becomes a workload name,
+    /// and each command is cut at the first pipe, redirection, background
+    /// `&`, comment or closing backtick.
     #[test]
     fn ci_and_readme_invocations_parse() {
         const CLIS: [&str; 2] = ["target/release/liquid-simd ", "$ liquid-simd "];
@@ -766,6 +817,7 @@ mod tests {
             "README.md",
             "EXPERIMENTS.md",
             "DESIGN.md",
+            ".claude/skills/verify/SKILL.md",
         ];
         for file in docs {
             let text = std::fs::read_to_string(format!("{root}/{file}")).unwrap();
@@ -776,7 +828,8 @@ mod tests {
                     continue;
                 };
                 let rest = rest.replace("\"$w\"", "fir").replace("$w", "fir");
-                let cmd = rest.split(['|', '>', '&', '#']).next().unwrap_or_default();
+                let cut = ['|', '>', '&', '#', '`'];
+                let cmd = rest.split(cut).next().unwrap_or_default();
                 let words: Vec<String> = cmd
                     .split_whitespace()
                     .map(|w| w.trim_matches(|c| c == '"' || c == '\'').to_string())

@@ -1,18 +1,17 @@
-//! `asm`, `disasm`, `run`, `translate` and `trace`: one program file
-//! through the assembler, the simulator or the translator.
+//! `asm`, `disasm`, `run` and `translate`: one program file through the
+//! assembler, the simulator or the translator.
 
 use std::fs;
 
-use liquid_simd::{diagnose, Machine, MachineConfig};
+use liquid_simd::{Machine, MachineConfig};
 use liquid_simd_isa::{asm, object, Program};
 use liquid_simd_serve as serve;
-use liquid_simd_trace::{export, TraceConfig, Tracer};
 
 use crate::args::{flag, opt, Args, Command, Opt, BACKEND};
 
-const LANES: Opt = opt("--lanes", "N", "SIMD width (default 8; 0 = scalar only)");
-const NATIVE: Opt = flag("--native", "no dynamic translation (vector binaries)");
-const JIT: Opt = flag("--jit", "software-JIT translation (stalls the CPU)");
+pub const LANES: Opt = opt("--lanes", "N", "SIMD width (default 8; 0 = scalar only)");
+pub const NATIVE: Opt = flag("--native", "no dynamic translation (vector binaries)");
+pub const JIT: Opt = flag("--jit", "software-JIT translation (stalls the CPU)");
 
 #[rustfmt::skip]
 pub static ASM: Command = Command {
@@ -52,21 +51,6 @@ pub static TRANSLATE: Command = Command {
     run: cmd_translate,
 };
 
-#[rustfmt::skip]
-pub static TRACE: Command = Command {
-    usage: "trace <prog.s|prog.lsim>",
-    about: "traced run: write the event stream; print the run's counters and the trace summary",
-    opts: &[
-        LANES,
-        BACKEND,
-        NATIVE,
-        JIT,
-        opt("--out", "FILE", "events (default trace.json; .json: Chrome trace with spans)"),
-        flag("--instructions", "also record every retired instruction"),
-    ],
-    run: cmd_trace,
-};
-
 /// Loads a program from either assembly text or an object file, by
 /// extension (falling back to content sniffing).
 pub fn load_program(path: &str) -> Result<Program, String> {
@@ -88,21 +72,9 @@ pub fn resolve_program(input: &str) -> Result<(Program, String), String> {
     if std::path::Path::new(input).exists() {
         return Ok((load_program(input)?, input.to_string()));
     }
-    let wanted = input.to_ascii_lowercase();
-    for w in liquid_simd_workloads::all() {
-        if w.name.to_ascii_lowercase() == wanted {
-            let b = liquid_simd::build_liquid(&w).map_err(|e| format!("{}: {e}", w.name))?;
-            return Ok((b.program, w.name));
-        }
-    }
-    let names: Vec<String> = liquid_simd_workloads::all()
-        .into_iter()
-        .map(|w| w.name)
-        .collect();
-    Err(format!(
-        "`{input}` is neither a file nor a workload (workloads: {})",
-        names.join(", ")
-    ))
+    let w = serve::ops::resolve_workload(input).map_err(|e| format!("no such file; {e}"))?;
+    let b = liquid_simd::build_liquid(&w).map_err(|e| format!("{}: {e}", w.name))?;
+    Ok((b.program, w.name))
 }
 
 fn cmd_asm(args: &Args) -> Result<(), String> {
@@ -134,7 +106,7 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
 /// Maps the CLI's `--lanes 0` / `--native` / `--jit` flag triage onto the
 /// shared renderer's [`machine_config`](serve::ops::machine_config), so
 /// one-shot runs and the serve daemon configure machines identically.
-fn config_from(args: &Args) -> Result<MachineConfig, String> {
+pub fn config_from(args: &Args) -> Result<MachineConfig, String> {
     let lanes = args.lanes()?;
     let mode = if lanes == 0 {
         serve::proto::Mode::Scalar
@@ -155,43 +127,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     } else {
         print!("{}", serve::ops::run_summary(&report));
     }
-    Ok(())
-}
-
-/// `trace`: runs with a tracer attached and writes the recorded event
-/// stream — Chrome trace-event JSON with the run's spans for `.json`
-/// paths (loadable in Perfetto / chrome://tracing), JSON-lines otherwise.
-/// Then prints the run's counters and the tracer's ring and span summary.
-fn cmd_trace(args: &Args) -> Result<(), String> {
-    let program = load_program(args.input())?;
-    let tracer = Tracer::with_config(TraceConfig {
-        instructions: args.flag("--instructions"),
-        ..TraceConfig::default()
-    });
-    let cfg = config_from(args)?.with_tracer(tracer.clone());
-    let report = Machine::new(&program, cfg)
-        .run()
-        .map_err(|e| e.to_string())?;
-    let path = args.value_or("--out", "trace.json");
-    let records = tracer.records();
-    let text = if path.ends_with(".json") {
-        export::chrome_trace(&records, &tracer.spans())
-    } else {
-        export::json_lines(&records)
-    };
-    fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-    println!(
-        "{path}: {} events written{}",
-        records.len(),
-        if tracer.dropped() > 0 {
-            format!(" ({} dropped by ring capacity)", tracer.dropped())
-        } else {
-            String::new()
-        }
-    );
-    println!("counters:");
-    print!("{}", diagnose::render_counter_table(&report.counters()));
-    print!("{}", export::summary(&tracer));
     Ok(())
 }
 

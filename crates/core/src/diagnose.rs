@@ -27,11 +27,13 @@ use std::fmt::Write as _;
 use liquid_simd_isa::{Program, SUPPORTED_WIDTHS};
 use liquid_simd_ledger::{Ledger, Snapshot as LedgerSnapshot, TOP_REGION};
 use liquid_simd_sim::{
-    BackendKind, BlockStats, CallMode, MachineConfig, McacheEntryStats, McacheStats,
-    PhaseBreakdown, SimError, TargetProfile,
+    BackendKind, BlockStats, CallMode, MachineConfig, McacheStats, RunReport, SimError,
+    TargetProfile,
 };
-use liquid_simd_trace::{span, Json, SpanAgg, SpanRecord, TraceRecord, Tracer};
-use liquid_simd_translator::{AbortRecord, RegClass, TranslatorStats};
+use liquid_simd_trace::{
+    export, span, Json, SpanAgg, SpanRecord, TraceConfig, TraceRecord, Tracer,
+};
+use liquid_simd_translator::{AbortRecord, RegClass};
 
 /// Knobs for an [`explain`] sweep.
 #[derive(Clone, Debug)]
@@ -249,51 +251,46 @@ pub struct ProfileReport {
     pub program: String,
     /// Accelerator width of the run (0 = scalar only).
     pub lanes: usize,
-    /// Total cycles.
-    pub cycles: u64,
-    /// Total retired instructions.
-    pub retired: u64,
-    /// Exact cycle partition (the three fields sum to `cycles`).
-    pub phases: PhaseBreakdown,
-    /// Translator statistics (attempts, successes, abort tallies).
-    pub translator: TranslatorStats,
-    /// Aggregate microcode-cache statistics.
-    pub mcache: McacheStats,
-    /// Per-function microcode-cache statistics, with evictor identity.
-    pub mcache_entries: BTreeMap<u32, McacheEntryStats>,
+    /// The traced run's report. Its [`RunReport::counters`] are the run's
+    /// counts in both renderings; its `mcache_entries` feed the per-entry
+    /// table.
+    pub run: RunReport,
     /// Per-call-target cycle attribution `(entry, label, profile)` from
-    /// [`liquid_simd_sim::RunReport::target_profiles`] (ledger self cycles),
-    /// sorted by total attributed cycles, heaviest first.
+    /// [`RunReport::target_profiles`] (ledger self cycles), sorted by total
+    /// attributed cycles, heaviest first.
     pub targets: Vec<(u32, Option<String>, TargetProfile)>,
     /// Per-span-name aggregation, heaviest first. The `exec:*` spans tile
-    /// the run, so their cycle totals sum to `cycles`.
+    /// the run, so their cycle totals sum to the run's cycles.
     pub span_summary: Vec<SpanAgg>,
     /// Raw span records (for Chrome-trace export).
     pub spans: Vec<SpanRecord>,
-    /// Raw event records (for Chrome-trace export; ring-capacity bounded).
+    /// Raw event records (for trace export; ring-capacity bounded).
     pub records: Vec<TraceRecord>,
+    /// Event records the ring dropped at capacity.
+    pub dropped: u64,
     /// Cycle-ledger snapshot of the run: category and region rollups of
     /// the exact per-cycle attribution.
     pub ledger: LedgerSnapshot,
 }
 
-/// Runs `program` once with a tracer attached and assembles the cycle
-/// breakdown: phases, spans, call targets, microcode-cache entries.
+/// Runs `program` once on `config` with a tracer built from `trace`
+/// attached, and assembles the cycle breakdown: counters, spans, call
+/// targets, microcode-cache entries.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if the run faults.
-pub fn profile(program: &Program, name: &str, lanes: usize) -> Result<ProfileReport, SimError> {
-    let tracer = Tracer::new();
-    let cfg = if lanes == 0 {
-        MachineConfig::scalar_only()
-    } else {
-        MachineConfig::liquid(lanes)
-    }
-    .with_tracer(tracer.clone());
-    let (report, _) = crate::simulate(program, cfg, &[])?;
+pub fn profile(
+    program: &Program,
+    name: &str,
+    config: MachineConfig,
+    trace: TraceConfig,
+) -> Result<ProfileReport, SimError> {
+    let tracer = Tracer::with_config(trace);
+    let lanes = config.lanes;
+    let (run, _) = crate::simulate(program, config.with_tracer(tracer.clone()), &[])?;
 
-    let mut targets: Vec<(u32, Option<String>, TargetProfile)> = report
+    let mut targets: Vec<(u32, Option<String>, TargetProfile)> = run
         .target_profiles()
         .into_iter()
         .map(|(pc, t)| (pc, program.label_at(pc).map(str::to_string), t))
@@ -304,23 +301,19 @@ pub fn profile(program: &Program, name: &str, lanes: usize) -> Result<ProfileRep
             .then(a.0.cmp(&b.0))
     });
 
-    let labels = ledger_region_labels(program, &report.ledger);
-    let ledger = LedgerSnapshot::from_ledger(name, &report.ledger, &labels);
+    let labels = ledger_region_labels(program, &run.ledger);
+    let ledger = LedgerSnapshot::from_ledger(name, &run.ledger, &labels);
 
     let spans = tracer.spans();
     Ok(ProfileReport {
         program: name.to_string(),
         lanes,
-        cycles: report.cycles,
-        retired: report.retired,
-        phases: report.phases,
-        translator: report.translator,
-        mcache: report.mcache,
-        mcache_entries: report.mcache_entries,
+        run,
         targets,
         span_summary: span::aggregate(&spans),
         spans,
         records: tracer.records(),
+        dropped: tracer.dropped(),
         ledger,
     })
 }
@@ -548,11 +541,16 @@ pub fn render_explain(report: &ExplainReport) -> String {
     out
 }
 
-/// Renders a [`ProfileReport`] as JSON (schema `liquid-simd-profile-v1`),
-/// keeping the `top` heaviest targets and microcode-cache entries.
+/// Renders a [`ProfileReport`] as JSON (schema `liquid-simd-profile-v2`),
+/// keeping the `top` heaviest targets and microcode-cache entries. Its
+/// `counters` object is the run's [`RunReport::counters`].
 #[must_use]
 pub fn profile_json(report: &ProfileReport, top: usize) -> String {
-    let phases = &report.phases;
+    let counters = report
+        .run
+        .counters()
+        .into_iter()
+        .map(|(k, v)| (k, v.into()));
     let spans = report.span_summary.iter().map(|a| {
         Json::obj([
             ("name", (&a.name).into()),
@@ -574,11 +572,10 @@ pub fn profile_json(report: &ProfileReport, top: usize) -> String {
             ("micro_cycles", t.micro_cycles.into()),
         ])
     });
-    let m = &report.mcache;
-    let entries = report.mcache_entries.iter().take(top).map(|(pc, e)| {
+    let entries = report.run.mcache_entries.iter().take(top).map(|(pc, e)| {
         Json::obj([
             ("entry", (*pc).into()),
-            ("label", Json::Null),
+            ("label", report_label(report, *pc).into()),
             ("hits", e.hits.into()),
             ("misses", e.misses.into()),
             ("pending", e.pending.into()),
@@ -588,50 +585,21 @@ pub fn profile_json(report: &ProfileReport, top: usize) -> String {
             ("uops", e.uops.into()),
         ])
     });
-    let tr = &report.translator;
     Json::obj([
-        ("schema", "liquid-simd-profile-v1".into()),
+        ("schema", "liquid-simd-profile-v2".into()),
         ("program", (&report.program).into()),
         ("lanes", report.lanes.into()),
-        ("cycles", report.cycles.into()),
-        ("retired", report.retired.into()),
-        (
-            "phases",
-            Json::obj([
-                ("scalar_cycles", phases.scalar_cycles.into()),
-                ("micro_cycles", phases.micro_cycles.into()),
-                ("jit_stall_cycles", phases.jit_stall_cycles.into()),
-            ]),
-        ),
+        ("counters", Json::obj(counters)),
         ("ledger", report.ledger.json()),
         ("spans", Json::arr(spans)),
         ("targets", Json::arr(targets)),
-        (
-            "mcache",
-            Json::obj([
-                ("lookups", m.lookups.into()),
-                ("hits", m.hits.into()),
-                ("pending", m.pending.into()),
-                ("inserts", m.inserts.into()),
-                ("evictions", m.evictions.into()),
-            ]),
-        ),
         ("mcache_entries", Json::arr(entries)),
-        (
-            "translator",
-            Json::obj([
-                ("attempts", tr.attempts.into()),
-                ("successes", tr.successes.into()),
-                ("aborted", tr.aborted().into()),
-                ("aborts", tally_json(&tr.aborts)),
-            ]),
-        ),
     ])
     .write_rows()
 }
 
 /// Cycles covered by the run-tiling `exec:*` spans (scalar + microcode
-/// execution segments). Equals [`ProfileReport::cycles`] for a halted run.
+/// execution segments). Equals the run's cycles for a halted run.
 #[must_use]
 pub fn exec_span_cycles(report: &ProfileReport) -> u64 {
     report
@@ -642,8 +610,9 @@ pub fn exec_span_cycles(report: &ProfileReport) -> u64 {
         .sum()
 }
 
-/// Renders a [`ProfileReport`] as aligned human-readable text, keeping the
-/// `top` heaviest rows per table.
+/// Renders a [`ProfileReport`] as aligned human-readable text: the run's
+/// counter table, then the `top` heaviest rows of each of the span, call
+/// target and microcode-cache entry tables.
 #[must_use]
 pub fn render_profile(report: &ProfileReport, top: usize) -> String {
     let mut out = String::new();
@@ -653,51 +622,18 @@ pub fn render_profile(report: &ProfileReport, top: usize) -> String {
         format!("{} lanes", report.lanes)
     };
     let _ = writeln!(out, "{} — profile at {lanes}", report.program);
-    let _ = writeln!(
-        out,
-        "cycles {} (scalar {}, microcode {}, jit stall {})   retired {}",
-        report.cycles,
-        report.phases.scalar_cycles,
-        report.phases.micro_cycles,
-        report.phases.jit_stall_cycles,
-        report.retired
-    );
-    let _ = writeln!(out, "translator {}", report.translator);
-    let cats: Vec<String> = report
-        .ledger
-        .categories
-        .iter()
-        .filter(|(_, b)| b.cycles > 0)
-        .map(|(name, b)| format!("{name} {}", b.cycles))
-        .collect();
-    if !cats.is_empty() {
-        let _ = writeln!(out, "ledger {}", cats.join(", "));
-    }
+    out.push_str("\ncounters:\n");
+    out.push_str(&render_counter_table(&report.run.counters()));
 
     if !report.span_summary.is_empty() {
-        let _ = writeln!(out, "\nspans (by total simulated cycles)");
-        let _ = writeln!(
-            out,
-            "  {:<22} {:>6} {:>10} {:>10} {:>10} {:>10}",
-            "name", "count", "cycles", "mean", "max", "wall-ms"
-        );
-        for a in report.span_summary.iter().take(top) {
-            let _ = writeln!(
-                out,
-                "  {:<22} {:>6} {:>10} {:>10.1} {:>10} {:>10.3}",
-                a.name,
-                a.count,
-                a.total_cycles,
-                a.mean_cycles(),
-                a.max_cycles,
-                a.total_wall_ns as f64 / 1e6
-            );
-        }
+        let shown = &report.span_summary[..top.min(report.span_summary.len())];
+        out.push('\n');
+        out.push_str(&export::span_summary(shown));
         let _ = writeln!(
             out,
             "  exec:* spans cover {} / {} cycles",
             exec_span_cycles(report),
-            report.cycles
+            report.run.cycles
         );
     }
 
@@ -716,9 +652,9 @@ pub fn render_profile(report: &ProfileReport, top: usize) -> String {
         }
     }
 
-    if !report.mcache_entries.is_empty() {
+    if !report.run.mcache_entries.is_empty() {
         let _ = writeln!(out, "\nmicrocode cache entries");
-        for (pc, e) in report.mcache_entries.iter().take(top) {
+        for (pc, e) in report.run.mcache_entries.iter().take(top) {
             let evictors = if e.evicted_by.is_empty() {
                 String::new()
             } else {
@@ -951,25 +887,79 @@ top:
         );
     }
 
+    fn profile_at(p: &Program, backend: BackendKind) -> ProfileReport {
+        let cfg = MachineConfig::liquid(4).with_backend(backend);
+        profile(p, "add_one", cfg, TraceConfig::default()).unwrap()
+    }
+
     #[test]
     fn profile_exec_spans_tile_the_run() {
         let p = asm::assemble(ADD_ONE).unwrap();
-        let report = profile(&p, "add_one", 4).unwrap();
-        assert_eq!(report.phases.total(), report.cycles);
+        let report = profile_at(&p, BackendKind::Superblock);
+        let run = &report.run;
+        assert_eq!(run.phases.total(), run.cycles);
         assert_eq!(
             exec_span_cycles(&report),
-            report.cycles,
+            run.cycles,
             "exec:* spans must cover every cycle: {:?}",
             report.span_summary
         );
-        assert!(report.phases.micro_cycles > 0);
+        assert!(run.phases.micro_cycles > 0);
         assert!(!report.targets.is_empty());
-        assert!(!report.mcache_entries.is_empty());
+        assert!(!run.mcache_entries.is_empty());
         let json = profile_json(&report, 10);
-        assert!(json.contains("\"schema\": \"liquid-simd-profile-v1\""));
+        assert!(json.contains("\"schema\": \"liquid-simd-profile-v2\""));
         let human = render_profile(&report, 10);
-        assert!(human.contains("spans (by total simulated cycles)"));
+        assert!(human.contains("translator.successes"), "{human}");
+        assert!(human.contains("spans:"), "{human}");
+        let cover = format!("exec:* spans cover {0} / {0} cycles", run.cycles);
+        assert!(human.contains(&cover), "{human}");
         assert!(human.contains("hottest call targets"));
+    }
+
+    /// `profile --json`'s `counters` object is the run's counter map, the
+    /// same one an untraced run of the same machine reports, and each
+    /// microcode-cache entry carries its target's label.
+    #[test]
+    fn profile_json_counters_are_the_runs_counters() {
+        let p = asm::assemble(ADD_ONE).unwrap();
+        let report = profile_at(&p, BackendKind::Superblock);
+        let doc = Json::parse(&profile_json(&report, 10)).unwrap();
+        let counters: BTreeMap<String, u64> = doc
+            .get("counters")
+            .and_then(Json::as_obj)
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.as_u64().unwrap()))
+            .collect();
+        assert_eq!(counters, report.run.counters());
+        let cfg = MachineConfig::liquid(4).with_backend(BackendKind::Superblock);
+        let (untraced, _) = crate::simulate(&p, cfg, &[]).unwrap();
+        assert_eq!(counters, untraced.counters());
+        assert!(counters.contains_key("mcache.conflicts"));
+        let entries = doc.get("mcache_entries").and_then(Json::as_arr).unwrap();
+        let label = entries[0].get("label").and_then(Json::as_str);
+        assert_eq!(label, Some("kernel"));
+    }
+
+    /// Either backend profiles the same run: equal counters apart from the
+    /// backend's own `backend.*` and `blocks.*` keys, and equal cycles,
+    /// phases and ledger.
+    #[test]
+    fn profile_is_the_same_run_on_either_backend() {
+        let p = asm::assemble(ADD_ONE).unwrap();
+        let [interp, sb] =
+            [BackendKind::Interp, BackendKind::Superblock].map(|b| profile_at(&p, b));
+        let shared = |r: &ProfileReport| {
+            let mut c = r.run.counters();
+            c.retain(|k, _| !k.starts_with("backend.") && !k.starts_with("blocks."));
+            c
+        };
+        assert_eq!(shared(&interp), shared(&sb));
+        assert!(sb.run.counters().keys().any(|k| k.starts_with("blocks.")));
+        assert_eq!(interp.run.cycles, sb.run.cycles);
+        assert_eq!(interp.run.phases, sb.run.phases);
+        assert_eq!(interp.ledger, sb.ledger);
     }
 
     #[test]

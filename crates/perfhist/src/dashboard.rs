@@ -112,10 +112,17 @@ fn header_section(out: &mut String, newest: &Json, rows: &[WorkloadRow], n_recor
     );
 }
 
-/// Per-workload cycle trend across records: 2px line, end dot with a 2px
+/// Per-workload cycle trend across the newest record and the older
+/// records comparable with it (the sentinel's rule, so a trend never spans
+/// a backend, smoke-set or config change): 2px line, end dot with a 2px
 /// surface ring, no legend (single series), native tooltips per point.
 fn sparkline_section(out: &mut String, records: &[&Json]) {
-    let history: Vec<Vec<WorkloadRow>> = records.iter().map(|r| record::rows(r)).collect();
+    let Some(&last) = records.last() else { return };
+    let history: Vec<Vec<WorkloadRow>> = records
+        .iter()
+        .filter(|r| sentinel::comparable(last, r))
+        .map(|r| record::rows(r))
+        .collect();
     let Some(newest) = history.last() else { return };
     out.push_str("<section><h2>Cycle trend per workload</h2><div class=\"sparks\">");
     let (w, h, pad) = (180.0, 44.0, 6.0);

@@ -107,16 +107,30 @@ fn pass_fail(failed: bool) -> Json {
     if failed { "fail" } else { "pass" }.into()
 }
 
-fn comparable(newest: &Json, candidate: &Json) -> bool {
+/// The keys on which two `perfhist-v1` records differ among those a
+/// baseline must share with the record it gates: `backend`,
+/// `config_hash`, `smoke` and `widths`. Empty means comparable.
+#[must_use]
+pub fn incomparable_keys(a: &Json, b: &Json) -> Vec<&'static str> {
     // Backends must agree cycle-for-cycle, and [`cross_check`] is the gate
     // that says whether they do. Baselines pair within a backend so that
     // `check` only ever reports code drift: a backend divergence shows up
     // once, in `cross_check`, naming both backends, rather than as drift
     // against whichever backend happened to run last.
-    record::backend(newest) == record::backend(candidate)
-        && ["config_hash", "smoke", "widths"]
-            .into_iter()
-            .all(|key| newest.get(key) == candidate.get(key))
+    let backend = (record::backend(a) != record::backend(b)).then_some("backend");
+    let keys = ["config_hash", "smoke", "widths"];
+    backend
+        .into_iter()
+        .chain(keys.into_iter().filter(|key| a.get(key) != b.get(key)))
+        .collect()
+}
+
+/// Whether `candidate` may serve as `newest`'s baseline: no
+/// [`incomparable_keys`]. The sentinel, `diff` and the dashboard's trend
+/// and counter panels all pair records through this.
+#[must_use]
+pub fn comparable(newest: &Json, candidate: &Json) -> bool {
+    incomparable_keys(newest, candidate).is_empty()
 }
 
 /// The baseline the newest of `records` (`perfhist-v1` records, oldest

@@ -238,7 +238,7 @@ impl RunReport {
     /// Flattens the report into dotted counter names: the one place a
     /// run's counts are named. This map is the `counters` object of a
     /// `perfhist-v1` record and of a serve reply's telemetry, the evidence
-    /// in a ledger snapshot, and what `liquid-simd trace` prints.
+    /// in a ledger snapshot, and what `liquid-simd profile` prints.
     ///
     /// Everything is a monotonic count, so maps from several runs can be
     /// summed. The backend that executed the run is a

@@ -1,12 +1,12 @@
-//! Exporters: JSON-lines, Chrome trace-event format, and a human-readable
-//! summary. Both JSON forms are written compactly through [`crate::json`].
+//! Exporters: JSON-lines, Chrome trace-event format, folded stacks and a
+//! span table. Both JSON forms are written compactly through
+//! [`crate::json`].
 
 use std::fmt::Write as _;
 
 use crate::event::{TraceEvent, TraceRecord, Track};
 use crate::json::Json;
-use crate::span::{self, SpanRecord};
-use crate::tracer::Tracer;
+use crate::span::{SpanAgg, SpanRecord};
 
 /// The event-specific payload fields, e.g. `func_pc: 12, reason:
 /// "cam-miss"`.
@@ -217,29 +217,11 @@ pub fn folded_stacks(spans: &[SpanRecord]) -> String {
     out
 }
 
-/// Renders a human-readable summary of what the tracer recorded: the
-/// ring's emitted/buffered/dropped record counts, then the span table.
-/// A run's counts are its report's (`RunReport::counters`), not the
-/// tracer's.
+/// Renders span aggregates ([`crate::span::aggregate`]) as a table: one row per
+/// span name with call count, total/mean/max simulated cycles, and total
+/// wall time, in the order given.
 #[must_use]
-pub fn summary(tracer: &Tracer) -> String {
-    let mut out = format!(
-        "trace: {} events emitted, {} buffered, {} dropped (last cycle {})\n",
-        tracer.emitted(),
-        tracer.len(),
-        tracer.dropped(),
-        tracer.now()
-    );
-    out.push_str(&span_summary(&tracer.spans()));
-    out
-}
-
-/// Renders the span-aggregation table: one row per span name with call
-/// count, total/mean/max simulated cycles, and total wall time, sorted by
-/// total cycles descending.
-#[must_use]
-pub fn span_summary(spans: &[SpanRecord]) -> String {
-    let aggs = span::aggregate(spans);
+pub fn span_summary(aggs: &[SpanAgg]) -> String {
     if aggs.is_empty() {
         return String::new();
     }
@@ -321,19 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_the_ring_and_spans() {
-        let t = Tracer::with_config(crate::TraceConfig {
-            capacity: 1,
-            ..crate::TraceConfig::default()
-        });
-        t.emit(TraceEvent::McacheHit { func_pc: 4 });
-        t.emit(TraceEvent::McacheHit { func_pc: 4 });
-        let text = summary(&t);
-        assert!(text.contains("2 events emitted, 1 buffered, 1 dropped"));
-        assert!(!text.contains("spans:"), "no spans, no table");
-    }
-
-    #[test]
     fn chrome_trace_spans_nest_in_order() {
         let t = Tracer::new();
         t.set_now(10);
@@ -394,10 +363,10 @@ mod tests {
             t.set_now(start + 100);
             t.span_end(id);
         }
-        let text = span_summary(&t.spans());
+        let text = span_summary(&crate::span::aggregate(&t.spans()));
+        assert!(text.starts_with("spans:"));
         assert!(text.contains("translate"));
         assert!(text.contains("300"));
-        // And the tracer summary embeds the same table.
-        assert!(summary(&t).contains("spans:"));
+        assert_eq!(span_summary(&[]), "", "no spans, no table");
     }
 }

@@ -19,8 +19,9 @@
 //!   and wall-clock deltas ([`Tracer::span_begin`]/[`Tracer::span_end`] or
 //!   the RAII [`Tracer::span`]), aggregated by name for profile reports.
 //! * [`export`] — JSON-lines, Chrome trace-event format (one track per
-//!   subsystem, loadable in Perfetto / `chrome://tracing`), and a
-//!   human-readable summary.
+//!   subsystem, loadable in Perfetto / `chrome://tracing`), folded stacks
+//!   and a span table; `liquid-simd profile` prints the table and writes
+//!   either trace format.
 //! * [`flight`] — the always-on service flight recorder: per-shard
 //!   bounded rings of request-lifecycle events with a never-blocking
 //!   hot path, drained into `flight-v1` JSONL black-box dumps.
@@ -47,7 +48,7 @@
 //!     .filter(|r| r.event.kind() == "translation-commit")
 //!     .count();
 //! assert_eq!(commits, 1);
-//! println!("{}", liquid_simd_trace::export::summary(&tracer));
+//! print!("{}", liquid_simd_trace::export::json_lines(&tracer.records()));
 //! ```
 
 #![forbid(unsafe_code)]

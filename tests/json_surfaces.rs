@@ -10,7 +10,9 @@
 use std::collections::BTreeMap;
 
 use liquid_simd_repro::conform::{self, ConformOptions};
-use liquid_simd_repro::facade::{self as liquid, diagnose, ExplainOptions, MachineConfig};
+use liquid_simd_repro::facade::{
+    self as liquid, diagnose, ExplainOptions, MachineConfig, TraceConfig,
+};
 use liquid_simd_repro::isa::Program;
 use liquid_simd_repro::ledger::{diff, Snapshot};
 use liquid_simd_repro::perfhist::store;
@@ -67,13 +69,16 @@ fn explain_and_profile_reports_hold_their_invariants() {
             .count();
         assert!(translated > 0, "{name}: no translated region in explain");
 
-        let report = liquid::profile(&program, &display, 8).expect("profile runs");
+        let cfg = MachineConfig::liquid(8);
+        let report =
+            liquid::profile(&program, &display, cfg, TraceConfig::default()).expect("profile runs");
         let profile = Json::parse(&diagnose::profile_json(&report, 10)).expect("profile parses");
-        assert_eq!(str_at(&profile, "schema"), "liquid-simd-profile-v1");
-        let cycles = u64_at(&profile, &["cycles"]);
+        assert_eq!(str_at(&profile, "schema"), "liquid-simd-profile-v2");
+        let counter = |key: &str| u64_at(&profile, &["counters", key]);
+        let cycles = counter("cycles");
         let phases: u64 = ["scalar_cycles", "micro_cycles", "jit_stall_cycles"]
             .iter()
-            .map(|k| u64_at(&profile, &["phases", k]))
+            .map(|k| counter(&format!("phases.{k}")))
             .sum();
         assert_eq!(phases, cycles, "{name}: phases must sum to cycles");
         assert_eq!(u64_at(&profile, &["ledger", "total_cycles"]), cycles);

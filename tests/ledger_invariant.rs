@@ -269,13 +269,15 @@ fn nested_calls_and_program_stream_vectors_split_by_region() {
         assert!(targets[&pc("scale")].micro_calls > 0);
     }
     // `profile` shows the same split.
-    let prof = liquid::profile(&program, "nested", 8).expect("profiles");
+    let trace = liquid::TraceConfig::default();
+    let prof =
+        liquid::profile(&program, "nested", MachineConfig::liquid(8), trace).expect("profiles");
     let targets = ri.target_profiles();
     assert_eq!(prof.targets.len(), targets.len());
     for (entry, _, t) in &prof.targets {
         assert_eq!(t, &targets[entry]);
     }
-    assert_eq!(prof.phases, ri.phases);
+    assert_eq!(prof.run.phases, ri.phases);
 }
 
 /// The committed fixture is exactly what `liquid-simd diff 179.art@w8

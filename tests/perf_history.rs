@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use liquid_simd_repro::facade::trace::export;
-use liquid_simd_repro::facade::{build_liquid, profile, run, MachineConfig};
+use liquid_simd_repro::facade::{build_liquid, profile, run, MachineConfig, TraceConfig};
 use liquid_simd_repro::perfhist::{self, Json, RecordMeta, WorkloadRow};
 
 fn tmpfile(name: &str) -> PathBuf {
@@ -136,10 +136,26 @@ fn dashboard_is_single_file_with_real_data() {
         *v = Json::u64(bumped);
     }
     history[1].set("counters", Json::Obj(counters));
+    // An older record of another smoke set, at other cycle counts, is not
+    // comparable with the newest: no trend may include it.
+    let mut other = measure();
+    other.set("smoke", false.into());
+    let mut rows = perfhist::record::rows(&other);
+    for row in &mut rows {
+        row.sim_cycles *= 3;
+    }
+    other.set("workloads", Json::arr(rows.iter().map(WorkloadRow::json)));
+    history.insert(0, other);
     // Real span records from a traced run feed the flamegraph.
     let w = &liquid_simd_repro::workloads::smoke()[0];
     let b = build_liquid(w).unwrap();
-    let prof = profile(&b.program, &w.name, 8).unwrap();
+    let prof = profile(
+        &b.program,
+        &w.name,
+        MachineConfig::liquid(8),
+        TraceConfig::default(),
+    )
+    .unwrap();
     let folded = export::folded_stacks(&prof.spans);
     assert!(!folded.is_empty(), "traced run produced folded stacks");
 
@@ -154,8 +170,13 @@ fn dashboard_is_single_file_with_real_data() {
     for section in ["Cycle trend", "Figure 6", "Counter deltas", "flamegraph"] {
         assert!(html.contains(section), "missing section `{section}`");
     }
-    // Every smoke workload appears.
+    // Every smoke workload appears, its trend over the two comparable
+    // records only.
     for w in liquid_simd_repro::workloads::smoke() {
         assert!(html.contains(&w.name), "missing workload {}", w.name);
+        let title = format!("<title>{}: ", w.name);
+        let trend = &html[html.find(&title).expect("trend title")..];
+        let trend = &trend[..trend.find("</title>").unwrap()];
+        assert!(trend.ends_with("cycles across 2 records"), "{trend}");
     }
 }
