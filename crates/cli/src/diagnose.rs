@@ -9,7 +9,7 @@ use liquid_simd_perfhist as perfhist;
 use liquid_simd_trace::export;
 
 use crate::args::{flag, opt, Args, Command, Opt, BACKEND, DEFAULT_HISTORY, HISTORY};
-use crate::run::{config_from, resolve_program, JIT, LANES, NATIVE};
+use crate::run::{config_from, native_lanes, resolve_program, JIT, LANES, NATIVE};
 
 const JSON: Opt = flag("--json", "emit the JSON document instead of text");
 
@@ -58,7 +58,7 @@ pub static DIFF: Command = Command {
 };
 
 fn cmd_explain(args: &Args) -> Result<(), String> {
-    let (program, name) = resolve_program(args.input())?;
+    let (program, name) = resolve_program(args.input(), None)?;
     let opts = liquid_simd::ExplainOptions {
         widths: args.widths()?,
         interrupt_every: args.parse_or("--interrupt-every", 0, "an integer", |_| true)?,
@@ -79,14 +79,8 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
 /// recorded events, as a Chrome trace with the run's spans for `.json`
 /// paths (loadable in Perfetto / chrome://tracing), JSON lines otherwise.
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    let (program, name) = resolve_program(args.input())?;
     let top = args.count("--top", 10, 1)?;
-    let trace = TraceConfig {
-        instructions: args.flag("--instructions"),
-        ..TraceConfig::default()
-    };
-    let report = liquid_simd::profile(&program, &name, config_from(args)?, trace)
-        .map_err(|e| e.to_string())?;
+    let report = traced_run(args)?;
     if let Some(path) = args.value("--trace-out") {
         let (text, spans) = if path.ends_with(".json") {
             let text = export::chrome_trace(&report.records, &report.spans);
@@ -109,6 +103,17 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The traced run behind `profile`: a workload name with `--native`
+/// runs its native build.
+pub fn traced_run(args: &Args) -> Result<liquid_simd::ProfileReport, String> {
+    let (program, name) = resolve_program(args.input(), native_lanes(args)?)?;
+    let trace = TraceConfig {
+        instructions: args.flag("--instructions"),
+        ..TraceConfig::default()
+    };
+    liquid_simd::profile(&program, &name, config_from(args)?, trace).map_err(|e| e.to_string())
+}
+
 /// One side of a `diff`: `<prog|workload>@wN` simulates now and rolls the
 /// run's ledger into a counter-corroborated snapshot; anything else must be
 /// a history file, whose newest perfhist-v1 record is rolled into one and
@@ -122,7 +127,7 @@ fn diff_snapshot(
             if !liquid_simd_isa::SUPPORTED_WIDTHS.contains(&w) {
                 return Err(format!("bad width in `{spec}` (powers of two in 2..=16)"));
             }
-            let (program, name) = resolve_program(base)?;
+            let (program, name) = resolve_program(base, None)?;
             let label = format!("{name}@w{w}");
             let cfg = MachineConfig::liquid(w).with_backend(backend);
             let (report, _) =

@@ -198,7 +198,7 @@ fn cmd_dashboard(args: &Args) -> Result<(), String> {
     };
     // A traced run of one workload supplies the flamegraph: its span
     // records fold into `track;parent;child self_cycles` stacks.
-    let (program, name) = resolve_program(flame_workload)?;
+    let (program, name) = resolve_program(flame_workload, None)?;
     let cfg = liquid_simd::MachineConfig::liquid(8);
     let prof = liquid_simd::profile(&program, &name, cfg, TraceConfig::default())
         .map_err(|e| e.to_string())?;

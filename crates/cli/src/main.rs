@@ -533,6 +533,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A workload name with `--native` runs the native build: its vector
+    /// instructions retire, and no call goes to translated microcode.
+    #[test]
+    fn profile_native_runs_the_native_build() {
+        let profile = |words: &[&str]| {
+            let words = argv(words);
+            diagnose::traced_run(&args::parse(COMMANDS, &words).unwrap()).unwrap()
+        };
+        let micro_calls = |r: &liquid_simd::ProfileReport| {
+            r.targets.iter().map(|(_, _, t)| t.micro_calls).sum::<u64>()
+        };
+        let native = profile(&["profile", "fir", "--native", "--lanes", "4"]);
+        assert!(
+            native.run.vector_retired > 0,
+            "no vector instruction retired"
+        );
+        assert_eq!(micro_calls(&native), 0);
+        let liquid = profile(&["profile", "fir", "--lanes", "4"]);
+        assert!(micro_calls(&liquid) > 0, "the Liquid build translates");
+    }
+
     /// `bench --families --smoke` holds no host facts, so two runs write
     /// the same snapshot bytes.
     #[test]

@@ -66,14 +66,19 @@ pub fn load_program(path: &str) -> Result<Program, String> {
 
 /// Resolves an input that is either a program file (by path) or a
 /// benchmark workload name (case-insensitive match against the suite, in
-/// which case the Liquid build's program is used). Returns the program and
-/// a display name.
-pub fn resolve_program(input: &str) -> Result<(Program, String), String> {
+/// which case the Liquid build's program is used, or with `native:
+/// Some(lanes)` the native build for `lanes`-wide hardware). Returns the
+/// program and a display name.
+pub fn resolve_program(input: &str, native: Option<usize>) -> Result<(Program, String), String> {
     if std::path::Path::new(input).exists() {
         return Ok((load_program(input)?, input.to_string()));
     }
     let w = serve::ops::resolve_workload(input).map_err(|e| format!("no such file; {e}"))?;
-    let b = liquid_simd::build_liquid(&w).map_err(|e| format!("{}: {e}", w.name))?;
+    let b = match native {
+        Some(lanes) => liquid_simd::build_native(&w, lanes),
+        None => liquid_simd::build_liquid(&w),
+    };
+    let b = b.map_err(|e| format!("{}: {e}", w.name))?;
     Ok((b.program, w.name))
 }
 
@@ -116,6 +121,14 @@ pub fn config_from(args: &Args) -> Result<MachineConfig, String> {
         serve::proto::Mode::Liquid
     };
     Ok(serve::ops::machine_config(mode, lanes, args.flag("--jit")).with_backend(args.backend()?))
+}
+
+/// The width of the native machine [`config_from`] picks (`--native` with
+/// `--lanes` above 0), for [`resolve_program`]; `None` for any other
+/// machine.
+pub fn native_lanes(args: &Args) -> Result<Option<usize>, String> {
+    let lanes = args.lanes()?;
+    Ok((lanes > 0 && args.flag("--native")).then_some(lanes))
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {

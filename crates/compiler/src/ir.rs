@@ -286,6 +286,17 @@ impl Kernel {
         Ok(k)
     }
 
+    /// Builds a kernel from parts *without* validation, so tests can hand
+    /// the evaluators malformed dataflow.
+    #[cfg(test)]
+    pub(crate) fn unvalidated(name: &str, trip: u32, nodes: Vec<Node>) -> Kernel {
+        Kernel {
+            name: name.to_string(),
+            trip,
+            nodes,
+        }
+    }
+
     fn invalid(&self, reason: impl Into<String>) -> CompileError {
         CompileError::Invalid {
             kernel: self.name.clone(),

@@ -62,7 +62,7 @@ pub use builder::{Label, ProgramBuilder};
 pub use cond::{Cond, Flags};
 pub use error::IsaError;
 pub use inst::Inst;
-pub use op::{AluOp, Base, ElemType, FpOp, MemWidth, Operand2, RedOp, VAluOp};
+pub use op::{AluOp, Base, ElemType, FpOp, LaneLoop, MemWidth, Operand2, RedOp, VAluOp};
 pub use perm::PermKind;
 pub use program::{Program, SymId, Symbol};
 pub use reg::{FReg, Reg, VReg};

@@ -194,15 +194,34 @@ impl FpOp {
     }
 
     /// Evaluates the operation on `f32` values.
+    ///
+    /// Which NaN a NaN operand produces is fixed here: Rust leaves open which
+    /// NaN operand's sign and payload an arithmetic result carries, and code
+    /// generation may commute the operands, so without a rule the scalar
+    /// FPU, the interpreter's vector lanes and specialised lanes could
+    /// disagree. Arithmetic returns its first NaN operand, quieted (x86's
+    /// rule); `min` and `max` return the non-NaN operand, or `b` when both
+    /// are NaN.
     #[must_use]
     pub fn eval(self, a: f32, b: f32) -> f32 {
+        self.apply(a, b)
+    }
+
+    /// The body of [`eval`](FpOp::eval), always inlined so that a
+    /// specialised vector lane folds it (see [`VAluOp::specialize`]).
+    #[inline(always)]
+    fn apply(self, a: f32, b: f32) -> f32 {
+        let quiet = |x: f32| f32::from_bits(x.to_bits() | 0x0040_0000);
         match self {
+            FpOp::Min | FpOp::Max if a.is_nan() && b.is_nan() => b,
+            FpOp::Min => a.min(b),
+            FpOp::Max => a.max(b),
+            _ if a.is_nan() => quiet(a),
+            _ if b.is_nan() => quiet(b),
             FpOp::Add => a + b,
             FpOp::Sub => a - b,
             FpOp::Mul => a * b,
             FpOp::Div => a / b,
-            FpOp::Min => a.min(b),
-            FpOp::Max => a.max(b),
         }
     }
 
@@ -319,7 +338,7 @@ impl ElemType {
 
     /// Whether the elements are floating point.
     #[must_use]
-    pub fn is_float(self) -> bool {
+    pub const fn is_float(self) -> bool {
         matches!(self, ElemType::F32)
     }
 
@@ -538,21 +557,29 @@ impl VAluOp {
     /// representation lossless.
     #[must_use]
     pub fn eval_lane(self, elem: ElemType, a: u32, b: u32) -> u32 {
+        self.lane(elem, a, b)
+    }
+
+    /// The body of [`eval_lane`](VAluOp::eval_lane), always inlined so that
+    /// [`specialize`](VAluOp::specialize) folds it for a constant pair.
+    #[inline(always)]
+    fn lane(self, elem: ElemType, a: u32, b: u32) -> u32 {
         if elem == ElemType::F32 {
-            let fa = f32::from_bits(a);
-            let fb = f32::from_bits(b);
-            let r = match self {
-                VAluOp::Add => fa + fb,
-                VAluOp::Sub => fa - fb,
-                VAluOp::Mul => fa * fb,
-                VAluOp::Div => fa / fb,
-                VAluOp::Min => fa.min(fb),
-                VAluOp::Max => fa.max(fb),
-                // Undefined combinations are rejected by `valid_for`; fall
-                // back to integer semantics for robustness.
-                _ => return self.eval_lane(ElemType::I32, a, b),
+            // An `f32` lane is the scalar FPU's operation, bit for bit.
+            let fp = match self {
+                VAluOp::Add => Some(FpOp::Add),
+                VAluOp::Sub => Some(FpOp::Sub),
+                VAluOp::Mul => Some(FpOp::Mul),
+                VAluOp::Div => Some(FpOp::Div),
+                VAluOp::Min => Some(FpOp::Min),
+                VAluOp::Max => Some(FpOp::Max),
+                // Undefined combinations are rejected by `valid_for`; they
+                // fall through to integer semantics for robustness.
+                _ => None,
             };
-            return r.to_bits();
+            if let Some(fp) = fp {
+                return fp.apply(f32::from_bits(a), f32::from_bits(b)).to_bits();
+            }
         }
         let ai = a as i32;
         let bi = b as i32;
@@ -567,8 +594,8 @@ impl VAluOp {
             VAluOp::Sub => ai.wrapping_sub(bi) as u32,
             VAluOp::Mul => ai.wrapping_mul(bi) as u32,
             VAluOp::Div => {
-                // f32-only op; integer fallback mirrors eval_lane's float
-                // branch never reaching here through valid instructions.
+                // f32-only op; integer fallback mirrors the float branch,
+                // which valid instructions never leave.
                 (f32::from_bits(a) / f32::from_bits(b)).to_bits()
             }
             VAluOp::And => a & b,
@@ -591,6 +618,62 @@ impl VAluOp {
         }
     }
 
+    /// Runs `lanes` with this operation's lane function for `elem`.
+    ///
+    /// The `(op, elem)` match happens once, here. Each pair that
+    /// [`valid_for`](VAluOp::valid_for) accepts gets its own instance of the
+    /// loop, with [`eval_lane`](VAluOp::eval_lane)'s body inlined for that
+    /// constant pair, so no lane pays for the dispatch. Any other pair
+    /// shares one instance that calls `eval_lane` per lane. Either way each
+    /// lane computes `eval_lane`; only which NaN an `f32` lane with two NaN
+    /// operands returns may differ, which Rust leaves unspecified.
+    pub fn specialize<L: LaneLoop>(self, elem: ElemType, lanes: L) -> L::Output {
+        macro_rules! pairs {
+            ($($op:ident: $($elem:ident),+;)+) => {{
+                // The list is exactly the pairs `valid_for` accepts: each
+                // listed pair is valid, and there are as many as valid
+                // pairs (a duplicate is an unreachable-pattern warning).
+                const _: () = {
+                    let mut listed = 0;
+                    $($(
+                        assert!(VAluOp::$op.valid_for(ElemType::$elem));
+                        listed += 1;
+                    )+)+
+                    let (mut valid, mut i, n) = (0, 0, ElemType::ALL.len());
+                    while i < VAluOp::ALL.len() * n {
+                        valid += VAluOp::ALL[i / n].valid_for(ElemType::ALL[i % n]) as usize;
+                        i += 1;
+                    }
+                    assert!(listed == valid);
+                };
+                match (self, elem) {
+                    $($((VAluOp::$op, ElemType::$elem) => {
+                        lanes.run(|a, b| VAluOp::$op.lane(ElemType::$elem, a, b))
+                    })+)+
+                    _ => lanes.run(|a, b| self.eval_lane(elem, a, b)),
+                }
+            }};
+        }
+        pairs! {
+            Add: I8, I16, I32, F32;
+            Sub: I8, I16, I32, F32;
+            Mul: I8, I16, I32, F32;
+            Div: F32;
+            And: I8, I16, I32;
+            Orr: I8, I16, I32;
+            Eor: I8, I16, I32;
+            Min: I8, I16, I32, F32;
+            Max: I8, I16, I32, F32;
+            SatAdd: I8, I16;
+            SatSub: I8, I16;
+            SSatAdd: I8, I16;
+            SSatSub: I8, I16;
+            Lsl: I8, I16, I32;
+            Lsr: I8, I16, I32;
+            Asr: I8, I16, I32;
+        }
+    }
+
     /// Whether `op(a, b) == op(b, a)` for all lanes.
     #[must_use]
     pub fn is_commutative(self) -> bool {
@@ -608,10 +691,10 @@ impl VAluOp {
 
     /// Whether this operation is defined for the given element type.
     #[must_use]
-    pub fn valid_for(self, elem: ElemType) -> bool {
+    pub const fn valid_for(self, elem: ElemType) -> bool {
         match self {
             VAluOp::Add | VAluOp::Sub | VAluOp::Mul | VAluOp::Min | VAluOp::Max => true,
-            VAluOp::Div => elem == ElemType::F32,
+            VAluOp::Div => elem.is_float(),
             VAluOp::And | VAluOp::Orr | VAluOp::Eor | VAluOp::Lsl | VAluOp::Lsr | VAluOp::Asr => {
                 !elem.is_float()
             }
@@ -684,6 +767,16 @@ impl VAluOp {
             AluOp::Rsb | AluOp::Bic => None,
         }
     }
+}
+
+/// A loop over vector lanes, run by [`VAluOp::specialize`] with a lane
+/// function whose operation and element type are already fixed.
+pub trait LaneLoop {
+    /// What the loop returns.
+    type Output;
+
+    /// Runs the loop, computing each lane as `lane(a, b)`.
+    fn run(self, lane: impl Fn(u32, u32) -> u32) -> Self::Output;
 }
 
 impl fmt::Display for VAluOp {
@@ -759,6 +852,93 @@ mod tests {
             if let Some(s) = v.scalar_equivalent() {
                 assert_eq!(VAluOp::from_scalar(s), Some(v));
             }
+        }
+    }
+
+    /// Collects one lane per `(a, b)` pair.
+    struct Collect<'a>(&'a [(u32, u32)]);
+
+    impl LaneLoop for Collect<'_> {
+        type Output = Vec<u32>;
+
+        fn run(self, lane: impl Fn(u32, u32) -> u32) -> Vec<u32> {
+            self.0.iter().map(|&(a, b)| lane(a, b)).collect()
+        }
+    }
+
+    #[test]
+    fn specialize_matches_eval_lane_on_edge_lanes() {
+        let ints = [
+            0,
+            1,
+            -1,
+            i32::from(i8::MIN),
+            i32::from(i8::MAX),
+            i32::from(u8::MAX),
+            i32::from(i16::MIN),
+            i32::from(i16::MAX),
+            i32::from(u16::MAX),
+            i32::MIN,
+            i32::MAX,
+            31,
+            32,
+        ]
+        .map(|x| x as u32);
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fa0_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+        ]
+        .map(f32::to_bits);
+        let edges: Vec<u32> = ints.iter().chain(&floats).copied().collect();
+        let pairs: Vec<(u32, u32)> = edges
+            .iter()
+            .flat_map(|&a| edges.iter().map(move |&b| (a, b)))
+            .collect();
+        for op in VAluOp::ALL {
+            for elem in ElemType::ALL {
+                let got = op.specialize(elem, Collect(&pairs));
+                for (&(a, b), got) in pairs.iter().zip(got) {
+                    let want = op.eval_lane(elem, a, b);
+                    assert_eq!(
+                        got, want,
+                        "{op}.{elem}({a:#x}, {b:#x}): specialized {got:#x}, eval_lane {want:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_results_follow_one_rule() {
+        let (snan, nan, one) = (0x7fa0_0001, 0xffff_ffff, 1.0f32.to_bits());
+        let eval = |op: FpOp, a: u32, b: u32| {
+            let scalar = op.eval(f32::from_bits(a), f32::from_bits(b)).to_bits();
+            let v = VAluOp::ALL
+                .into_iter()
+                .find(|v| v.mnemonic()[1..] == op.mnemonic()[1..]);
+            assert_eq!(v.unwrap().eval_lane(ElemType::F32, a, b), scalar, "{op}");
+            scalar
+        };
+        for op in [FpOp::Add, FpOp::Sub, FpOp::Mul, FpOp::Div] {
+            // The first NaN operand, quieted.
+            assert_eq!(eval(op, snan, nan), 0x7fe0_0001, "{op}");
+            assert_eq!(eval(op, nan, snan), nan, "{op}");
+            assert_eq!(eval(op, one, snan), 0x7fe0_0001, "{op}");
+        }
+        for op in [FpOp::Min, FpOp::Max] {
+            // The non-NaN operand, else the second.
+            assert_eq!(eval(op, snan, one), one, "{op}");
+            assert_eq!(eval(op, snan, nan), nan, "{op}");
+            assert_eq!(eval(op, nan, snan), snan, "{op}");
         }
     }
 

@@ -51,7 +51,7 @@
 //! mid-block is seen by the block's next retire, which is then batched.
 
 use liquid_simd_isa::{
-    AluOp, Base, Cond, ElemType, Flags, FpOp, Inst, Operand2, Program, RedOp, ScalarInst,
+    AluOp, Base, Cond, ElemType, Flags, FpOp, Inst, LaneLoop, Operand2, Program, RedOp, ScalarInst,
     ScalarSrc, VAluOp, VectorInst,
 };
 use liquid_simd_mem::Memory;
@@ -740,48 +740,75 @@ struct Fx {
 
 /// Element-wise loop over two vector sources into `vd`, handling every
 /// aliasing pattern with bounds-check-free zips. Lane `i` reads only lane
-/// `i` of each source, so in-place update is safe.
-#[inline(always)]
-fn vloop2(regs: &mut RegFile, vd: usize, vn: usize, vm: usize, f: impl Fn(u32, u32) -> u32) {
-    let mut d = std::mem::take(&mut regs.v[vd]);
-    if vn == vd && vm == vd {
-        for x in &mut d {
-            *x = f(*x, *x);
-        }
-    } else if vn == vd {
-        for (x, &b) in d.iter_mut().zip(&regs.v[vm]) {
-            *x = f(*x, b);
-        }
-    } else if vm == vd {
-        for (x, &a) in d.iter_mut().zip(&regs.v[vn]) {
-            *x = f(a, *x);
-        }
-    } else if vn == vm {
-        for (x, &a) in d.iter_mut().zip(&regs.v[vn]) {
-            *x = f(a, a);
-        }
-    } else {
-        for ((x, &a), &b) in d.iter_mut().zip(&regs.v[vn]).zip(&regs.v[vm]) {
-            *x = f(a, b);
-        }
-    }
-    regs.v[vd] = d;
+/// `i` of each source, so in-place update is safe. Run through
+/// [`VAluOp::specialize`], so each valid `(op, elem)` pair gets its own
+/// copy with the lane function inlined.
+struct VLoop2<'r> {
+    regs: &'r mut RegFile,
+    vd: usize,
+    vn: usize,
+    vm: usize,
 }
 
-/// Element-wise loop against a broadcast second operand.
-#[inline(always)]
-fn vloop_b(regs: &mut RegFile, vd: usize, vn: usize, b: u32, f: impl Fn(u32, u32) -> u32) {
-    let mut d = std::mem::take(&mut regs.v[vd]);
-    if vn == vd {
-        for x in &mut d {
-            *x = f(*x, b);
+impl LaneLoop for VLoop2<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self, f: impl Fn(u32, u32) -> u32) {
+        let VLoop2 { regs, vd, vn, vm } = self;
+        let mut d = std::mem::take(&mut regs.v[vd]);
+        if vn == vd && vm == vd {
+            for x in &mut d {
+                *x = f(*x, *x);
+            }
+        } else if vn == vd {
+            for (x, &b) in d.iter_mut().zip(&regs.v[vm]) {
+                *x = f(*x, b);
+            }
+        } else if vm == vd {
+            for (x, &a) in d.iter_mut().zip(&regs.v[vn]) {
+                *x = f(a, *x);
+            }
+        } else if vn == vm {
+            for (x, &a) in d.iter_mut().zip(&regs.v[vn]) {
+                *x = f(a, a);
+            }
+        } else {
+            for ((x, &a), &b) in d.iter_mut().zip(&regs.v[vn]).zip(&regs.v[vm]) {
+                *x = f(a, b);
+            }
         }
-    } else {
-        for (x, &a) in d.iter_mut().zip(&regs.v[vn]) {
-            *x = f(a, b);
-        }
+        regs.v[vd] = d;
     }
-    regs.v[vd] = d;
+}
+
+/// Element-wise loop against a broadcast second operand `b`, specialized
+/// like [`VLoop2`].
+struct VLoopB<'r> {
+    regs: &'r mut RegFile,
+    vd: usize,
+    vn: usize,
+    b: u32,
+}
+
+impl LaneLoop for VLoopB<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self, f: impl Fn(u32, u32) -> u32) {
+        let VLoopB { regs, vd, vn, b } = self;
+        let mut d = std::mem::take(&mut regs.v[vd]);
+        if vn == vd {
+            for x in &mut d {
+                *x = f(*x, b);
+            }
+        } else {
+            for (x, &a) in d.iter_mut().zip(&regs.v[vn]) {
+                *x = f(a, b);
+            }
+        }
+        regs.v[vd] = d;
+    }
 }
 
 /// Executes one lowered instruction functionally. Mirrors
@@ -1018,9 +1045,15 @@ fn exec_lowered(
             vn,
             vm,
         } => {
-            vloop2(regs, vd as usize, vn as usize, vm as usize, |a, b| {
-                op.eval_lane(elem, a, b)
-            });
+            op.specialize(
+                elem,
+                VLoop2 {
+                    regs,
+                    vd: vd as usize,
+                    vn: vn as usize,
+                    vm: vm as usize,
+                },
+            );
         }
         Lowered::VAluImm {
             op,
@@ -1029,9 +1062,15 @@ fn exec_lowered(
             vn,
             imm,
         } => {
-            vloop_b(regs, vd as usize, vn as usize, imm, |a, b| {
-                op.eval_lane(elem, a, b)
-            });
+            op.specialize(
+                elem,
+                VLoopB {
+                    regs,
+                    vd: vd as usize,
+                    vn: vn as usize,
+                    b: imm,
+                },
+            );
         }
         Lowered::VAluScalar {
             op,
@@ -1044,9 +1083,15 @@ fn exec_lowered(
                 ScalarSrc::R(r) => regs.r[r.index() as usize],
                 ScalarSrc::F(fr) => regs.f[fr.index() as usize],
             };
-            vloop_b(regs, vd as usize, vn as usize, broadcast, |a, b| {
-                op.eval_lane(elem, a, b)
-            });
+            op.specialize(
+                elem,
+                VLoopB {
+                    regs,
+                    vd: vd as usize,
+                    vn: vn as usize,
+                    b: broadcast,
+                },
+            );
         }
         Lowered::VRedI { op, rd, vn } => {
             let mut acc = regs.r[rd as usize] as i32;

@@ -9,6 +9,7 @@
 use liquid_simd_repro::conform::gen::generate_case;
 use liquid_simd_repro::conform::oracle::check_case;
 use liquid_simd_repro::facade::{build_liquid, build_plain, simulate, BackendKind, MachineConfig};
+use liquid_simd_repro::isa::asm::assemble;
 
 /// Runs a program under both backends and asserts every deterministic
 /// observable matches. Returns the superblock run's block statistics so
@@ -104,4 +105,35 @@ fn random_cases_pass_the_oracle_backend_column() {
         let outcome = check_case(&spec);
         assert!(outcome.passed, "{}: {}", outcome.name, outcome.detail);
     }
+}
+
+/// Which NaN an `f32` op on two NaN operands returns is left open by Rust,
+/// and code generation may commute the operands, so the interpreter's
+/// per-lane calls and the superblock's specialised lanes could each pick a
+/// different one. The lane's NaN rule makes them agree.
+#[test]
+fn nan_operands_give_the_same_bits_on_both_backends() {
+    // 0xffffffff and 0x7fa00001 (signalling) are NaNs with distinct
+    // payloads; 0x3f800000 is 1.0.
+    let mut src = String::from(
+        ".data\n\
+         .i32 A: -1, 2141192193, -1, 1065353216, 2141192193, -1, 0, -128\n\
+         .i32 B: 2141192193, -1, 1065353216, -1, -128, -1, -1, 2141192193\n",
+    );
+    let ops = ["vadd", "vsub", "vmul", "vdiv", "vmin", "vmax"];
+    for op in ops {
+        src.push_str(&format!(".i32 {op}: 0, 0, 0, 0, 0, 0, 0, 0\n"));
+    }
+    src.push_str(
+        ".text\nmain:\n    mov r0, #0\n    vld.i32 v0, [A + r0]\n    vld.i32 v1, [B + r0]\n",
+    );
+    for op in ops {
+        src.push_str(&format!(
+            "    {op}.f32 v2, v0, v1\n    vst.i32 [{op} + r0], v2\n"
+        ));
+    }
+    src.push_str("    halt\n");
+    let program = assemble(&src).expect("probe assembles");
+    let blocks = assert_equivalent("nan lanes", &program, &MachineConfig::native(8));
+    assert!(blocks.lowered > 0, "the vector ops were not lowered");
 }
