@@ -253,13 +253,13 @@ pub fn measure_suite(
     smoke: bool,
 ) -> Result<BenchRun, String> {
     // The serial sweep's cache also serves the per-workload rows; the
-    // parallel sweep gets a cache of its own, so the gate compares two
-    // independent computations.
+    // parallel sweep shares its builds and gold but simulates every run
+    // again, so the gate compares two independent computations.
     let err = |e: liquid_simd::VerifyError| e.to_string();
     let cache = BuildCache::new(workloads);
     let serial = experiments::figure6_jobs(&cache, widths, 1, backend).map_err(err)?;
     let run = measure_rows(&cache, widths, backend, smoke)?;
-    let fresh = BuildCache::new(workloads);
+    let fresh = cache.fresh_runs();
     let parallel = experiments::figure6_jobs(&fresh, widths, jobs, backend).map_err(err)?;
     if serial != parallel {
         return Err("parallel figure6 sweep diverged from the serial sweep".into());

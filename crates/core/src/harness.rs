@@ -238,8 +238,10 @@ type Memo<K, T> = Mutex<Vec<(K, Slot<T>)>>;
 /// drops, so runs keep their report, not their memory.
 pub struct BuildCache<'w> {
     workloads: &'w [Workload],
-    builds: Memo<(usize, Binary), Build>,
-    gold: Memo<usize, DataEnv>,
+    /// Shared with every [`BuildCache::fresh_runs`] cache.
+    builds: Arc<Memo<(usize, Binary), Build>>,
+    /// Shared like `builds`.
+    gold: Arc<Memo<usize, DataEnv>>,
     runs: Memo<(usize, Unit), Simulated>,
 }
 
@@ -269,8 +271,22 @@ impl<'w> BuildCache<'w> {
     pub fn new(workloads: &'w [Workload]) -> BuildCache<'w> {
         BuildCache {
             workloads,
-            builds: Memo::default(),
-            gold: Memo::default(),
+            builds: Arc::default(),
+            gold: Arc::default(),
+            runs: Memo::default(),
+        }
+    }
+
+    /// A cache over the same workloads that shares this one's builds and
+    /// gold but none of its runs: each run it is asked for is simulated
+    /// again. `bench` checks its parallel Figure 6 sweep on one against
+    /// the serial sweep's runs, so the two stay independent computations.
+    #[must_use]
+    pub fn fresh_runs(&self) -> BuildCache<'w> {
+        BuildCache {
+            workloads: self.workloads,
+            builds: Arc::clone(&self.builds),
+            gold: Arc::clone(&self.gold),
             runs: Memo::default(),
         }
     }
@@ -491,6 +507,29 @@ mod tests {
         assert_eq!(runs[0].report.cycles, cold.report.cycles);
         run_all();
         assert_eq!(cache.simulations(), 3 * w.len() + 1);
+    }
+
+    #[test]
+    fn fresh_runs_share_builds_and_gold_but_simulate_again() {
+        let w = liquid_simd_workloads::smoke();
+        let cache = BuildCache::new(&w);
+        let unit = Unit::new(Binary::Liquid, &MachineConfig::liquid(8));
+        let first = cache.run(0, unit).unwrap();
+        let fresh = cache.fresh_runs();
+        assert_eq!(fresh.simulations(), 0);
+        let again = fresh.run(0, unit).unwrap();
+        assert!(!Arc::ptr_eq(&first, &again), "the run is simulated again");
+        assert_eq!(again.report.cycles, first.report.cycles);
+        assert_eq!(fresh.simulations(), 1);
+        assert!(Arc::ptr_eq(
+            &cache.build(0, Binary::Liquid).unwrap(),
+            &fresh.build(0, Binary::Liquid).unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            &cache.gold(0).unwrap(),
+            &fresh.gold(0).unwrap()
+        ));
+        assert_eq!(cache.builds.lock().unwrap().len(), 1);
     }
 
     #[test]

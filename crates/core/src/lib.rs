@@ -103,19 +103,34 @@ pub fn run(program: &Program, config: MachineConfig) -> Result<RunOutcome, SimEr
 }
 
 /// Runs a Liquid binary as if the processor had *built-in ISA support* for
-/// its SIMD loops: a first run harvests the dynamically translated
-/// microcode, then a fresh machine executes with that microcode resident
-/// from cycle 0 (no translation warm-up). This is the paper's Figure 6
-/// callout comparator ("the simulator treated outlined functions like
-/// native SIMD code"). A [`BuildCache`] runs the second pass alone, from
-/// its memoized liquid run.
+/// its SIMD loops: a warm pass harvests the dynamically translated
+/// microcode, then a fresh machine runs the whole program with that
+/// microcode resident from cycle 0 (no translation warm-up). This is the
+/// paper's Figure 6 callout comparator ("the simulator treated outlined
+/// functions like native SIMD code"). A [`BuildCache`] runs the resident
+/// pass alone, from its memoized liquid run.
+///
+/// The warm pass ([`Machine::harvest_microcode`]) stops as soon as the
+/// microcode can no longer change: once every candidate target (each
+/// `bl.v` target, plus each plain `bl` target under `translate_plain_bl`)
+/// is resident or has failed translation permanently. A translation
+/// window opens only on a microcode-cache miss for a candidate that has
+/// not failed, and the run loop changes the cache only by committing such
+/// a translation, so from that point to halt no entry is added, replaced,
+/// evicted or reordered: the early snapshot is the snapshot at halt,
+/// entry for entry. A program that never reaches that point (a candidate
+/// never called, or more candidates than cache entries) runs its warm
+/// pass to halt.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for simulation faults in either pass.
+/// Returns [`SimError`] for simulation faults in the resident pass, and in
+/// the warm pass up to the point its microcode settles: a fault or cycle
+/// limit the warm pass would reach only after that point is not reported
+/// by it. The resident pass still runs the whole program.
 pub fn run_pretranslated(program: &Program, config: MachineConfig) -> Result<RunOutcome, SimError> {
-    let (_, warm) = simulate(program, config.clone(), &[])?;
-    let (report, machine) = simulate(program, config, &warm.microcode_snapshot())?;
+    let microcode = Machine::new(program, config.clone()).harvest_microcode()?;
+    let (report, machine) = simulate(program, config, &microcode)?;
     Ok(RunOutcome {
         report,
         memory: machine.memory().clone(),

@@ -25,10 +25,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use liquid_simd_isa::{object, Inst, Program};
+use liquid_simd_isa::{object, Program};
 
 use crate::fnv1a;
-use crate::ops::OpOutput;
+use crate::ops::{Microcode, OpOutput};
 
 /// A compiled program plus its identity hash (FNV-1a over the object-file
 /// bytes for workloads, over the source text for inline programs).
@@ -116,10 +116,10 @@ impl BuildCache {
 pub struct CacheEntry {
     /// The id-less response body (see [`crate::proto::with_id`]).
     pub output: OpOutput,
-    /// For `translate` requests: the translated microcode blocks, exactly
-    /// as [`Machine::microcode_snapshot`](liquid_simd::Machine) returned
-    /// them — the cached microcode a future execution layer could preload.
-    pub microcode: Vec<(u32, Vec<Inst>)>,
+    /// For `translate` requests: the microcode the request's run left
+    /// resident — the cached microcode a future execution layer could
+    /// preload.
+    pub microcode: Microcode,
 }
 
 /// The map plus its FIFO insertion order — one lock covers both so an

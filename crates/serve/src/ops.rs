@@ -10,8 +10,9 @@
 //! identity holds by construction.
 
 use liquid_simd::{BackendKind, Machine, MachineConfig, RunReport, SimError};
-use liquid_simd_isa::{asm, Program};
+use liquid_simd_isa::{asm, Inst, Program};
 
+use crate::cache::CacheEntry;
 use crate::proto::{self, Mode, Op, Request};
 
 /// Builds the [`MachineConfig`] for a mode/width/jit triple exactly as the
@@ -101,11 +102,17 @@ pub fn run_summary(report: &RunReport) -> String {
 ///
 /// Propagates the simulation fault, if any.
 pub fn translate_text(program: &Program, lanes: usize) -> Result<(String, RunReport), SimError> {
-    translate_text_with(program, lanes, BackendKind::Interp)
+    let (text, report, _) = translate_text_with(program, lanes, BackendKind::Interp)?;
+    Ok((text, report))
 }
 
+/// Translated microcode blocks, as [`Machine::microcode_snapshot`] returns
+/// them: `(function pc, code)` in cache order.
+pub type Microcode = Vec<(u32, Vec<Inst>)>;
+
 /// [`translate_text`] on a chosen execution backend (identical output by
-/// the backend contract; only throughput differs).
+/// the backend contract; only throughput differs), also returning the
+/// microcode the run left resident, which it renders.
 ///
 /// # Errors
 ///
@@ -114,7 +121,7 @@ pub fn translate_text_with(
     program: &Program,
     lanes: usize,
     backend: BackendKind,
-) -> Result<(String, RunReport), SimError> {
+) -> Result<(String, RunReport, Microcode), SimError> {
     // Every run records the cycle ledger (DESIGN.md §16 gives its measured
     // cost); its category totals surface in the shard's merged
     // `sim.ledger.*` counters (scrub-stable at any shard count, since
@@ -125,22 +132,22 @@ pub fn translate_text_with(
     let mut out = String::new();
     if micro.is_empty() {
         out.push_str(&format!("no loops translated ({})\n", report.translator));
-        return Ok((out, report));
+        return Ok((out, report, micro));
     }
-    for (pc, code) in micro {
+    for (pc, code) in &micro {
         let name = program
-            .label_at(pc)
+            .label_at(*pc)
             .map_or_else(|| format!("@{pc}"), str::to_string);
         out.push_str(&format!(
             "── {name} → {} microcode instructions at {lanes} lanes ──\n",
             code.len()
         ));
-        out.push_str(&asm::disassemble_microcode(&code, program));
+        out.push_str(&asm::disassemble_microcode(code, program));
     }
     if report.translator.aborted() > 0 {
         out.push_str(&format!("aborts: {:?}\n", report.translator.aborts));
     }
-    Ok((out, report))
+    Ok((out, report, micro))
 }
 
 /// The result of executing one request: the id-less response body (the
@@ -233,27 +240,44 @@ pub fn execute_with_backend(
     display_name: &str,
     backend: BackendKind,
 ) -> OpOutput {
+    execute_entry(req, program, display_name, backend).output
+}
+
+/// [`execute_with_backend`], returning the translation-cache entry: the
+/// output and, for a successful `translate`, the microcode its one run
+/// left resident.
+#[must_use]
+pub fn execute_entry(
+    req: &Request,
+    program: &Program,
+    display_name: &str,
+    backend: BackendKind,
+) -> CacheEntry {
     if req.inject_panic {
         // Test-only fault injection (`serve --inject-faults`): die inside
         // the worker exactly as an organic bug would, so the panic
         // containment + flight-dump path is exercised end to end.
         panic!("injected worker panic (inject:\"panic\")");
     }
-    match req.op {
+    let mut microcode = Vec::new();
+    let output = match req.op {
         Op::Translate => match translate_text_with(program, req.lanes, backend) {
-            Ok((text, report)) => OpOutput::from_report(
-                proto::ok_body(
-                    Op::Translate,
-                    vec![
-                        ("name", display_name.into()),
-                        ("output", text.into()),
-                        ("cycles", report.cycles.into()),
-                        ("regions", report.translations.len().into()),
-                        ("aborted", report.translator.aborted().into()),
-                    ],
-                ),
-                &report,
-            ),
+            Ok((text, report, resident)) => {
+                microcode = resident;
+                OpOutput::from_report(
+                    proto::ok_body(
+                        Op::Translate,
+                        vec![
+                            ("name", display_name.into()),
+                            ("output", text.into()),
+                            ("cycles", report.cycles.into()),
+                            ("regions", report.translations.len().into()),
+                            ("aborted", report.translator.aborted().into()),
+                        ],
+                    ),
+                    &report,
+                )
+            }
             Err(e) => sim_error_output(Op::Translate, req.budget_cycles, &e),
         },
         Op::Run => {
@@ -262,37 +286,35 @@ pub fn execute_with_backend(
                 cfg.max_cycles = cfg.max_cycles.min(b);
             }
             match liquid_simd::simulate(program, cfg, &[]) {
-                Ok((report, _)) => {
-                    if let Some(b) = req.budget_aborts {
-                        if report.translator.aborted() > b {
-                            return OpOutput::err(
-                                Op::Run,
-                                "abort-budget-exceeded",
-                                &format!(
-                                    "abort budget {b} exceeded ({} aborts)",
-                                    report.translator.aborted()
-                                ),
-                            );
-                        }
-                    }
-                    let text = if req.report {
-                        report_text(&report)
-                    } else {
-                        run_summary(&report)
-                    };
-                    OpOutput::from_report(
-                        proto::ok_body(
-                            Op::Run,
-                            vec![
-                                ("name", display_name.into()),
-                                ("output", text.into()),
-                                ("cycles", report.cycles.into()),
-                                ("retired", report.retired.into()),
-                            ],
+                Ok((report, _)) => match req.budget_aborts {
+                    Some(b) if report.translator.aborted() > b => OpOutput::err(
+                        Op::Run,
+                        "abort-budget-exceeded",
+                        &format!(
+                            "abort budget {b} exceeded ({} aborts)",
+                            report.translator.aborted()
                         ),
-                        &report,
-                    )
-                }
+                    ),
+                    _ => {
+                        let text = if req.report {
+                            report_text(&report)
+                        } else {
+                            run_summary(&report)
+                        };
+                        OpOutput::from_report(
+                            proto::ok_body(
+                                Op::Run,
+                                vec![
+                                    ("name", display_name.into()),
+                                    ("output", text.into()),
+                                    ("cycles", report.cycles.into()),
+                                    ("retired", report.retired.into()),
+                                ],
+                            ),
+                            &report,
+                        )
+                    }
+                },
                 Err(e) => sim_error_output(Op::Run, req.budget_cycles, &e),
             }
         }
@@ -351,7 +373,8 @@ pub fn execute_with_backend(
         Op::Stats | Op::Inspect | Op::Dump | Op::Shutdown => {
             OpOutput::err(req.op, "bad-request", "not a shard op")
         }
-    }
+    };
+    CacheEntry { output, microcode }
 }
 
 /// Assembles an inline program from request text.

@@ -607,39 +607,21 @@ fn answer(job: &Job, shard: usize, state: &State) -> (Arc<CacheEntry>, Lookup) {
     state
         .recorder
         .record(shard, FlightEvent::new(&id, op, FlightStage::Translate));
+    // A `translate` entry keeps the microcode its run left resident: the
+    // entry *is* the service's microcode cache line, preloadable by a
+    // future execution layer. Conform carries no program; execute() never
+    // reads the placeholder.
     let computed = contain(|| match &job.program {
         Some(entry) => {
-            let output = ops::execute_with_backend(
-                &job.req,
-                &entry.program,
-                &entry.name,
-                state.opts.backend,
-            );
-            // Retain the translated microcode alongside the rendered
-            // response: this entry *is* the service's microcode cache
-            // line, preloadable by a future execution layer.
-            let micro = if job.req.op == Op::Translate && output.ok {
-                snapshot_microcode(&entry.program, job.req.lanes, state.opts.backend)
-            } else {
-                Vec::new()
-            };
-            CacheEntry {
-                output,
-                microcode: micro,
-            }
+            ops::execute_entry(&job.req, &entry.program, &entry.name, state.opts.backend)
         }
-        // Conform carries no program; execute() never reads the
-        // placeholder.
-        None => CacheEntry {
-            output: ops::execute_with_backend(
-                &job.req,
-                &ops::assemble_inline(".text\nmain:\n    halt\n")
-                    .expect("placeholder program assembles"),
-                "<none>",
-                state.opts.backend,
-            ),
-            microcode: Vec::new(),
-        },
+        None => ops::execute_entry(
+            &job.req,
+            &ops::assemble_inline(".text\nmain:\n    halt\n")
+                .expect("placeholder program assembles"),
+            "<none>",
+            state.opts.backend,
+        ),
     });
     let entry = match computed {
         Ok(entry) => {
@@ -673,19 +655,6 @@ fn answer(job: &Job, shard: usize, state: &State) -> (Arc<CacheEntry>, Lookup) {
     };
     let (arc, inserted, evicted) = state.cache.insert(&job.key, entry);
     (arc, Lookup::Miss { inserted, evicted })
-}
-
-fn snapshot_microcode(
-    program: &liquid_simd_isa::Program,
-    lanes: usize,
-    backend: liquid_simd::BackendKind,
-) -> Vec<(u32, Vec<liquid_simd_isa::Inst>)> {
-    let config = liquid_simd::MachineConfig::liquid(lanes).with_backend(backend);
-    let mut machine = liquid_simd::Machine::new(program, config);
-    match machine.run() {
-        Ok(_) => machine.microcode_snapshot(),
-        Err(_) => Vec::new(),
-    }
 }
 
 /// Reads request lines, resolves programs, dispatches to shards, and
@@ -981,6 +950,31 @@ mod tests {
         let summary = handle.join().unwrap();
         assert_eq!(summary.requests, 4);
         assert_eq!(summary.errors, 0);
+    }
+
+    #[test]
+    fn a_translate_entry_caches_the_microcode_of_its_one_run() {
+        let state = State::new(ServeOptions::default());
+        let program = state.builds.workload("fir").unwrap();
+        let (reply, _replies) = mpsc::channel();
+        let job = Job {
+            seq: 0,
+            req: proto::parse_request(r#"{"op":"translate","workload":"fir","width":8}"#).unwrap(),
+            program: Some(Arc::clone(&program)),
+            key: "translate-fir-8".to_string(),
+            arrived: Instant::now(),
+            reply,
+        };
+        let (entry, lookup) = answer(&job, 0, &state);
+        assert!(matches!(lookup, Lookup::Miss { .. }));
+        let config = liquid_simd::MachineConfig::liquid(8).with_backend(state.opts.backend);
+        let mut fresh = liquid_simd::Machine::new(&program.program, config);
+        fresh.run().unwrap();
+        assert!(!entry.microcode.is_empty());
+        assert_eq!(entry.microcode, fresh.microcode_snapshot());
+        let (hit, lookup) = answer(&job, 0, &state);
+        assert_eq!(lookup, Lookup::Hit);
+        assert!(Arc::ptr_eq(&hit, &entry));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::collections::HashSet;
 
-use liquid_simd_isa::{Inst, Program};
+use liquid_simd_isa::{Inst, Program, ScalarInst};
 use liquid_simd_ledger::{Category, Recorder, TOP_REGION};
 use liquid_simd_mem::{Cache, Memory};
 use liquid_simd_trace::{CacheKind, CallMode as TraceCallMode, SpanId, TraceEvent, Tracer, Track};
@@ -208,17 +208,7 @@ impl<'p> Machine<'p> {
     ///
     /// Returns [`SimError`] exactly as [`Machine::run`] does.
     pub fn run_with(&mut self, backend: &mut dyn ExecBackend) -> Result<RunReport, SimError> {
-        loop {
-            if backend.dispatch(self)? {
-                break;
-            }
-        }
-        if let Some(t) = &self.tracer {
-            t.set_now(self.cycle);
-            if let Some((span, _)) = self.exec_span.take() {
-                t.span_end(span);
-            }
-        }
+        self.drive(backend, |_| false)?;
         let mut report = std::mem::take(&mut self.report);
         report.cycles = self.cycle;
         report.icache = self.icache.stats();
@@ -233,6 +223,79 @@ impl<'p> Machine<'p> {
         report.ledger = ledger.finish();
         report.phases = PhaseBreakdown::of(&report.ledger);
         Ok(report)
+    }
+
+    /// Runs until the resident microcode can no longer change and returns
+    /// its snapshot: the same entries, in the same order, that
+    /// [`Machine::microcode_snapshot`] would return after [`Machine::run`].
+    ///
+    /// The microcode is final once every *candidate target* (the target of
+    /// each call this machine translates: every `bl.v`, plus every plain
+    /// `bl` under `translate_plain_bl`) is resident or has failed
+    /// permanently. The run loop changes the microcode cache only by
+    /// inserting a finished translation, and a translation window opens
+    /// only on a lookup miss for a candidate that has not failed, so from
+    /// then on nothing is inserted, evicted or reordered. The condition is
+    /// checked whenever the cache epoch or the failed set moves. A program
+    /// that never settles (a candidate never called, or more candidates
+    /// than cache entries) runs to halt. The machine is left mid-run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] exactly as [`Machine::run`] does, for faults
+    /// before the microcode settles. Later faults are never reached.
+    pub fn harvest_microcode(&mut self) -> Result<Vec<(u32, Vec<Inst>)>, SimError> {
+        let mut targets: Vec<u32> = self
+            .prog
+            .code
+            .iter()
+            .filter_map(|inst| match *inst {
+                Inst::S(ScalarInst::Bl {
+                    target,
+                    vectorizable,
+                }) if self.translates(vectorizable) => Some(target),
+                _ => None,
+            })
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
+        let mut seen = None;
+        let settled = |m: &Machine<'p>| {
+            let state = (m.mcache.epoch(), m.failed.len());
+            if seen == Some(state) {
+                return false;
+            }
+            seen = Some(state);
+            targets
+                .iter()
+                .all(|t| m.failed.contains(t) || m.mcache.contains(*t))
+        };
+        match self.config.backend {
+            BackendKind::Interp => self.drive(&mut InterpBackend, settled)?,
+            BackendKind::Superblock => self.drive(&mut SuperblockBackend::new(), settled)?,
+        }
+        Ok(self.microcode_snapshot())
+    }
+
+    /// The run loop: dispatches until halt or until `done` (asked before
+    /// every dispatch) holds, then closes the open execution-phase span.
+    fn drive(
+        &mut self,
+        backend: &mut dyn ExecBackend,
+        mut done: impl FnMut(&Machine<'p>) -> bool,
+    ) -> Result<(), SimError> {
+        while !done(self) {
+            if backend.dispatch(self)? {
+                break;
+            }
+        }
+        if let Some(t) = &self.tracer {
+            t.set_now(self.cycle);
+            if let Some((span, _)) = self.exec_span.take() {
+                t.span_end(span);
+            }
+        }
+        Ok(())
     }
 
     pub(crate) fn current_pc(&self) -> u32 {
@@ -581,12 +644,17 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn handle_call(&mut self, pc: u32, target: u32, vectorizable: bool) -> Result<(), SimError> {
+    /// Whether this machine translates the target of a call of this kind
+    /// (unless that target has failed): the one rule behind
+    /// [`Machine::handle_call`]'s lookup and the candidate targets of
+    /// [`Machine::harvest_microcode`].
+    fn translates(&self, vectorizable: bool) -> bool {
         let t = &self.config.translation;
-        let candidate = t.enabled
-            && self.config.lanes >= 2
-            && (vectorizable || t.translate_plain_bl)
-            && !self.failed.contains(&target);
+        t.enabled && self.config.lanes >= 2 && (vectorizable || t.translate_plain_bl)
+    }
+
+    fn handle_call(&mut self, pc: u32, target: u32, vectorizable: bool) -> Result<(), SimError> {
+        let candidate = self.translates(vectorizable) && !self.failed.contains(&target);
         let mut mode = CallMode::Scalar;
         if candidate {
             let lookup = self.mcache.lookup(target, self.cycle);

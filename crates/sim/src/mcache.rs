@@ -175,6 +175,13 @@ impl Mcache {
         Lookup::Miss
     }
 
+    /// Whether microcode for `func_pc` is resident, ready or not. Unlike
+    /// [`Mcache::lookup`], this counts nothing and touches no LRU state.
+    #[must_use]
+    pub fn contains(&self, func_pc: u32) -> bool {
+        self.entries.iter().any(|e| e.func_pc == func_pc)
+    }
+
     /// The microcode of entry `idx` (from [`Lookup::Hit`]).
     #[must_use]
     pub fn code(&self, idx: usize) -> &[Inst] {
