@@ -447,14 +447,17 @@ impl RedOp {
         }
     }
 
-    /// Folds one `f32` lane into an accumulator.
+    /// Folds one `f32` lane into an accumulator: the scalar `fmin`,
+    /// `fmax` or `fadd` of `acc` and `lane`, NaN rule included, so a
+    /// reduction gives the bits of its scalar loop.
     #[must_use]
     pub fn eval_f(self, acc: f32, lane: f32) -> f32 {
         match self {
-            RedOp::Min => acc.min(lane),
-            RedOp::Max => acc.max(lane),
-            RedOp::Sum => acc + lane,
+            RedOp::Min => FpOp::Min,
+            RedOp::Max => FpOp::Max,
+            RedOp::Sum => FpOp::Add,
         }
+        .eval(acc, lane)
     }
 
     /// The assembler mnemonic stem (`vredmin`, ...).

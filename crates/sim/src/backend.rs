@@ -2,14 +2,17 @@
 //!
 //! A backend is an *implementation strategy* for the fetch/issue/exec/
 //! retire loop, never an architectural choice: every backend must produce
-//! bit-identical architectural state, cycle counts, and reports. Two
-//! backends ship:
+//! bit-identical architectural state, cycle counts, and reports. Both
+//! execute every instruction through the one executor in [`crate::exec`],
+//! so they differ only in timing shortcuts: hoisted readiness checks,
+//! batched counters and chained branch terminators. Two backends ship:
 //!
 //! - [`InterpBackend`] — the reference interpreter, one
 //!   [`Machine::step`] per instruction.
-//! - [`SuperblockBackend`] — pre-lowers straight-line runs (program stream
-//!   and microcode alike) into threaded-code blocks (see [`crate::block`])
-//!   and replays them from dense block tables indexed by start PC, so a
+//! - [`SuperblockBackend`] — gathers straight-line runs of lowered ops
+//!   (program stream and microcode alike) into threaded-code blocks (see
+//!   [`crate::block`]) and replays them from dense block tables indexed by
+//!   start PC, so a
 //!   lookup is one bounds-checked load. Program code is immutable, so the
 //!   program table lives forever. Each resident microcode entry has its
 //!   own table, tagged with the microcode cache's per-insert generation;
@@ -146,16 +149,12 @@ impl ExecBackend for SuperblockBackend {
         loop {
             self.sync_invalidations(m);
 
-            let (code, meta, start, in_micro, table) = match m.stream {
-                Stream::Prog { pc } => (
-                    &m.prog.code[..],
-                    &m.prog_meta[..],
-                    pc,
-                    false,
-                    &mut self.prog,
-                ),
+            let (ops, meta, start, in_micro, table) = match m.stream {
+                Stream::Prog { pc } => {
+                    (&m.prog_ops[..], &m.prog_meta[..], pc, false, &mut self.prog)
+                }
                 Stream::Micro { idx, pos, .. } => (
-                    m.mcache.code(idx),
+                    m.mcache.ops(idx),
                     m.mcache.meta(idx),
                     pos,
                     true,
@@ -166,15 +165,15 @@ impl ExecBackend for SuperblockBackend {
             // always the interpreter's job. Direct branches are not: a block
             // starting on one lowers to an empty body plus a branch
             // terminator.
-            match code.get(start as usize) {
-                Some(inst) if !needs_interp(inst) => {}
+            match ops.get(start as usize) {
+                Some(op) if !needs_interp(op) => {}
                 _ => {
                     self.stats.fallback_control += 1;
                     return checked_step(m);
                 }
             }
-            if table.len() < code.len() {
-                table.resize(code.len(), None);
+            if table.len() < ops.len() {
+                table.resize(ops.len(), None);
             }
             let slot = &mut table[start as usize];
             let block = if let Some(b) = slot {
@@ -182,14 +181,7 @@ impl ExecBackend for SuperblockBackend {
                 Rc::clone(b)
             } else {
                 self.stats.misses += 1;
-                let b = Rc::new(discover(
-                    code,
-                    meta,
-                    start,
-                    in_micro,
-                    m.prog,
-                    m.config.lanes,
-                ));
+                let b = Rc::new(discover(meta, ops, start, in_micro));
                 self.stats.lowered += 1;
                 self.stats.lowered_instrs += b.insts.len() as u64;
                 Rc::clone(slot.insert(b))

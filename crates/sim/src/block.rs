@@ -1,18 +1,19 @@
-//! Superblock lowering: straight-line instruction runs pre-lowered into a
-//! flat threaded-code form and replayed without per-step dispatch.
+//! Superblocks: straight-line runs of lowered ops, replayed without
+//! per-step dispatch.
 //!
 //! The interpreter ([`crate::machine::Machine::step`]) pays a fixed toll on
 //! every retire: stream match, bounds-checked fetch, a 56-byte `InstMeta`
-//! copy, the two-level `Inst` enum dispatch, per-lane `Vec` double
-//! indexing, and the tracer/interrupt/translator checks. None of that work
-//! changes between executions of the same straight-line run, so the
-//! superblock backend performs it once per *block*: [`discover`] scans from
-//! a start PC to the next control-flow instruction, resolves symbols,
-//! flattens each instruction into a [`Lowered`] op, and pre-computes which
-//! operand-readiness checks are statically satisfiable inside the block.
-//! [`exec_block`] then replays the lowered run with scoreboard timing that
-//! is bit-exact with the interpreter — the conformance oracle and the perf
-//! sentinel's cross-backend gate both enforce that equivalence.
+//! copy, the control-flow match, and the tracer/interrupt/translator
+//! checks. None of that work changes between executions of the same
+//! straight-line run, so the superblock backend performs it once per
+//! *block*: [`discover`] scans a code image's lowered ops (see
+//! [`crate::exec`]) from a start PC to the next control-flow op, copies
+//! them into the block, and pre-computes which operand-readiness checks
+//! are statically satisfiable inside it. [`exec_block`] then replays the
+//! run through the same executor the interpreter uses, with scoreboard
+//! timing that is bit-exact with the interpreter — the conformance oracle
+//! and the perf sentinel's cross-backend gate both enforce that
+//! equivalence.
 //!
 //! # Cycle-accounting equivalence
 //!
@@ -45,202 +46,58 @@
 //! A retire that something watches — any retire under an attached tracer,
 //! or a program-stream retire while a translation window is open — skips
 //! the batching and goes through [`Machine::post_retire`], the same hook
-//! [`crate::machine::Machine::step`] ends with. A tapped instruction runs
-//! through [`exec`] rather than its lowered form, because the translator
-//! reads the retired value that only `exec` reports. A window that ends
-//! mid-block is seen by the block's next retire, which is then batched.
+//! [`crate::machine::Machine::step`] ends with, carrying the same tap
+//! record ([`tap_record`]). A window that ends mid-block is seen by the
+//! block's next retire, which is then batched.
 
-use liquid_simd_isa::{
-    AluOp, Base, Cond, ElemType, Flags, FpOp, Inst, LaneLoop, Operand2, Program, RedOp, ScalarInst,
-    ScalarSrc, VAluOp, VectorInst,
-};
-use liquid_simd_mem::Memory;
+use liquid_simd_isa::{Cond, ScalarInst};
 use liquid_simd_translator::Retired;
 
-use crate::exec::{exec, load_extend, SimError};
-use crate::machine::{tap_record, Machine};
+use crate::exec::{exec_lowered, tap_record, Lowered, SimError};
+use crate::machine::Machine;
 use crate::meta::{InstMeta, RegRef};
-use crate::regfile::RegFile;
 
-/// A resolved memory-base operand: register or absolute (symbol) address.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum LBase {
-    /// Base register index.
-    Reg(u8),
-    /// Symbol resolved at lowering time (the symbol table is immutable).
-    Abs(u32),
+/// Whether a lowered op ends a straight-line run (any control flow).
+fn is_terminator(op: &Lowered) -> bool {
+    matches!(
+        op,
+        Lowered::B { .. } | Lowered::Bl { .. } | Lowered::Ret | Lowered::Halt
+    )
 }
 
-impl LBase {
-    #[inline(always)]
-    fn value(self, regs: &RegFile) -> u32 {
-        match self {
-            LBase::Reg(r) => regs.r[r as usize],
-            LBase::Abs(a) => a,
-        }
-    }
+/// Control flow the backend cannot lower and must hand to the interpreter:
+/// calls (translation begins, microcode entry), returns (stream switches),
+/// and halt. Direct branches are lowered as block terminators instead.
+pub(crate) fn needs_interp(op: &Lowered) -> bool {
+    matches!(op, Lowered::Bl { .. } | Lowered::Ret | Lowered::Halt)
 }
 
-/// One pre-lowered instruction: operands decoded, symbols resolved,
-/// predicates split into dedicated conditional variants so the common
-/// unconditional forms carry no predicate test at all.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Lowered {
-    Nop,
-    MovImm {
-        rd: u8,
-        imm: u32,
-    },
-    CondMovImm {
-        cond: Cond,
-        rd: u8,
-        imm: u32,
-    },
-    Mov {
-        rd: u8,
-        rm: u8,
-    },
-    CondMov {
-        cond: Cond,
-        rd: u8,
-        rm: u8,
-    },
-    AluRR {
-        op: AluOp,
-        rd: u8,
-        rn: u8,
-        rm: u8,
-    },
-    AluRI {
-        op: AluOp,
-        rd: u8,
-        rn: u8,
-        imm: i32,
-    },
-    CondAluRR {
-        cond: Cond,
-        op: AluOp,
-        rd: u8,
-        rn: u8,
-        rm: u8,
-    },
-    CondAluRI {
-        cond: Cond,
-        op: AluOp,
-        rd: u8,
-        rn: u8,
-        imm: i32,
-    },
-    CmpRR {
-        rn: u8,
-        rm: u8,
-    },
-    CmpRI {
-        rn: u8,
-        imm: i32,
-    },
-    FAlu {
-        op: FpOp,
-        fd: u8,
-        fn_: u8,
-        fm: u8,
-    },
-    FMov {
-        fd: u8,
-        fm: u8,
-    },
-    CondFMov {
-        cond: Cond,
-        fd: u8,
-        fm: u8,
-    },
-    Ld {
-        width: u32,
-        signed: bool,
-        rd: u8,
-        base: LBase,
-        index: u8,
-    },
-    St {
-        width: u32,
-        rs: u8,
-        base: LBase,
-        index: u8,
-    },
-    LdF {
-        fd: u8,
-        base: LBase,
-        index: u8,
-    },
-    StF {
-        fs: u8,
-        base: LBase,
-        index: u8,
-    },
-    VLd {
-        esz: u32,
-        signed: bool,
-        vd: u8,
-        base: LBase,
-        index: u8,
-    },
-    VSt {
-        esz: u32,
-        vs: u8,
-        base: LBase,
-        index: u8,
-    },
-    VAlu {
-        op: VAluOp,
-        elem: ElemType,
-        vd: u8,
-        vn: u8,
-        vm: u8,
-    },
-    VAluImm {
-        op: VAluOp,
-        elem: ElemType,
-        vd: u8,
-        vn: u8,
-        imm: u32,
-    },
-    VAluScalar {
-        op: VAluOp,
-        elem: ElemType,
-        vd: u8,
-        vn: u8,
-        src: ScalarSrc,
-    },
-    VRedI {
-        op: RedOp,
-        rd: u8,
-        vn: u8,
-    },
-    VRedF {
-        op: RedOp,
-        fd: u8,
-        vn: u8,
-    },
-    VPerm {
-        vd: u8,
-        vn: u8,
-        map: [u8; 16],
-    },
-    VSplat {
-        vd: u8,
-        imm: u32,
-    },
-    /// Anything rare or stateful (constant-vector ops re-read memory,
-    /// unresolvable symbols and invalid permutes must fault exactly,
-    /// vector ops without an accelerator must fault exactly): execute
-    /// through the interpreter's `exec`.
-    Generic(Inst),
+/// Whether the cycle an op's result is ready is unknown at lowering time:
+/// a predicated def, a def fed by memory (its miss penalty is dynamic), or
+/// a fault.
+fn dynamic_done(op: &Lowered) -> bool {
+    matches!(
+        op,
+        Lowered::CondMovImm { .. }
+            | Lowered::CondMov { .. }
+            | Lowered::CondAluRR { .. }
+            | Lowered::CondAluRI { .. }
+            | Lowered::CondFMov { .. }
+            | Lowered::Ld { .. }
+            | Lowered::St { .. }
+            | Lowered::LdF { .. }
+            | Lowered::StF { .. }
+            | Lowered::VLd { .. }
+            | Lowered::VSt { .. }
+            | Lowered::VAluConst { .. }
+            | Lowered::Fault(_)
+    )
 }
 
 /// One instruction inside a lowered block, with the static scoreboard facts
 /// it retires under. `srcs` holds only the readiness checks that could not
 /// be hoisted (see the module docs), packed front-to-back.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct LoweredInst {
     pub kind: Lowered,
     pub pc: u32,
@@ -286,49 +143,6 @@ impl Block {
     pub fn end(&self) -> u32 {
         self.start + self.insts.len() as u32
     }
-}
-
-/// Whether an instruction ends a straight-line run (any control flow).
-pub(crate) fn is_terminator(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::S(ScalarInst::B { .. } | ScalarInst::Bl { .. } | ScalarInst::Ret | ScalarInst::Halt)
-    )
-}
-
-/// Control flow the backend cannot lower and must hand to the interpreter:
-/// calls (translation begins, microcode entry), returns (stream switches),
-/// and halt. Direct branches are lowered as block terminators instead.
-pub(crate) fn needs_interp(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::S(ScalarInst::Bl { .. } | ScalarInst::Ret | ScalarInst::Halt)
-    )
-}
-
-fn cond_of(inst: &Inst) -> Cond {
-    match inst {
-        Inst::S(
-            ScalarInst::MovImm { cond, .. }
-            | ScalarInst::Mov { cond, .. }
-            | ScalarInst::Alu { cond, .. }
-            | ScalarInst::FMov { cond, .. }
-            | ScalarInst::B { cond, .. },
-        ) => *cond,
-        _ => Cond::Al,
-    }
-}
-
-fn has_mem(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::S(
-            ScalarInst::LdInt { .. }
-                | ScalarInst::StInt { .. }
-                | ScalarInst::LdF { .. }
-                | ScalarInst::StF { .. }
-        ) | Inst::V(VectorInst::VLd { .. } | VectorInst::VSt { .. } | VectorInst::VAluConst { .. })
-    )
 }
 
 /// Per-register knowledge while scanning a block, for readiness hoisting.
@@ -396,295 +210,17 @@ impl Hoist {
     }
 }
 
-fn lbase(base: Base, prog: &Program) -> Option<LBase> {
-    match base {
-        Base::Reg(r) => Some(LBase::Reg(r.index())),
-        Base::Sym(s) => prog.symbol(s).ok().map(|sym| LBase::Abs(sym.addr)),
-    }
-}
-
-/// Lowers one (non-terminator) instruction. Anything that cannot be proven
-/// equivalent in flattened form falls back to [`Lowered::Generic`].
-#[allow(clippy::too_many_lines)]
-fn lower_inst(inst: &Inst, prog: &Program, lanes: usize) -> Lowered {
-    match *inst {
-        Inst::S(s) => match s {
-            ScalarInst::Nop => Lowered::Nop,
-            ScalarInst::MovImm { cond, rd, imm } => {
-                if cond == Cond::Al {
-                    Lowered::MovImm {
-                        rd: rd.index(),
-                        imm: imm as u32,
-                    }
-                } else {
-                    Lowered::CondMovImm {
-                        cond,
-                        rd: rd.index(),
-                        imm: imm as u32,
-                    }
-                }
-            }
-            ScalarInst::Mov { cond, rd, rm } => {
-                if cond == Cond::Al {
-                    Lowered::Mov {
-                        rd: rd.index(),
-                        rm: rm.index(),
-                    }
-                } else {
-                    Lowered::CondMov {
-                        cond,
-                        rd: rd.index(),
-                        rm: rm.index(),
-                    }
-                }
-            }
-            ScalarInst::Alu {
-                cond,
-                op,
-                rd,
-                rn,
-                op2,
-            } => match (cond == Cond::Al, op2) {
-                (true, Operand2::Reg(rm)) => Lowered::AluRR {
-                    op,
-                    rd: rd.index(),
-                    rn: rn.index(),
-                    rm: rm.index(),
-                },
-                (true, Operand2::Imm(imm)) => Lowered::AluRI {
-                    op,
-                    rd: rd.index(),
-                    rn: rn.index(),
-                    imm,
-                },
-                (false, Operand2::Reg(rm)) => Lowered::CondAluRR {
-                    cond,
-                    op,
-                    rd: rd.index(),
-                    rn: rn.index(),
-                    rm: rm.index(),
-                },
-                (false, Operand2::Imm(imm)) => Lowered::CondAluRI {
-                    cond,
-                    op,
-                    rd: rd.index(),
-                    rn: rn.index(),
-                    imm,
-                },
-            },
-            ScalarInst::Cmp { rn, op2 } => match op2 {
-                Operand2::Reg(rm) => Lowered::CmpRR {
-                    rn: rn.index(),
-                    rm: rm.index(),
-                },
-                Operand2::Imm(imm) => Lowered::CmpRI {
-                    rn: rn.index(),
-                    imm,
-                },
-            },
-            ScalarInst::FAlu { op, fd, fn_, fm } => Lowered::FAlu {
-                op,
-                fd: fd.index(),
-                fn_: fn_.index(),
-                fm: fm.index(),
-            },
-            ScalarInst::FMov { cond, fd, fm } => {
-                if cond == Cond::Al {
-                    Lowered::FMov {
-                        fd: fd.index(),
-                        fm: fm.index(),
-                    }
-                } else {
-                    Lowered::CondFMov {
-                        cond,
-                        fd: fd.index(),
-                        fm: fm.index(),
-                    }
-                }
-            }
-            ScalarInst::LdInt {
-                width,
-                signed,
-                rd,
-                base,
-                index,
-            } => match lbase(base, prog) {
-                Some(base) => Lowered::Ld {
-                    width: width.bytes(),
-                    signed,
-                    rd: rd.index(),
-                    base,
-                    index: index.index(),
-                },
-                None => Lowered::Generic(*inst),
-            },
-            ScalarInst::StInt {
-                width,
-                rs,
-                base,
-                index,
-            } => match lbase(base, prog) {
-                Some(base) => Lowered::St {
-                    width: width.bytes(),
-                    rs: rs.index(),
-                    base,
-                    index: index.index(),
-                },
-                None => Lowered::Generic(*inst),
-            },
-            ScalarInst::LdF { fd, base, index } => match lbase(base, prog) {
-                Some(base) => Lowered::LdF {
-                    fd: fd.index(),
-                    base,
-                    index: index.index(),
-                },
-                None => Lowered::Generic(*inst),
-            },
-            ScalarInst::StF { fs, base, index } => match lbase(base, prog) {
-                Some(base) => Lowered::StF {
-                    fs: fs.index(),
-                    base,
-                    index: index.index(),
-                },
-                None => Lowered::Generic(*inst),
-            },
-            // Terminators never reach lowering (discover stops first); be
-            // safe rather than unreachable.
-            ScalarInst::B { .. } | ScalarInst::Bl { .. } | ScalarInst::Ret | ScalarInst::Halt => {
-                Lowered::Generic(*inst)
-            }
-        },
-        Inst::V(v) => {
-            if lanes < 2 {
-                // Must fault exactly like the interpreter.
-                return Lowered::Generic(*inst);
-            }
-            match v {
-                VectorInst::VLd {
-                    elem,
-                    signed,
-                    vd,
-                    base,
-                    index,
-                } => match lbase(base, prog) {
-                    Some(base) => Lowered::VLd {
-                        esz: elem.bytes(),
-                        signed,
-                        vd: vd.index(),
-                        base,
-                        index: index.index(),
-                    },
-                    None => Lowered::Generic(*inst),
-                },
-                VectorInst::VSt {
-                    elem,
-                    vs,
-                    base,
-                    index,
-                } => match lbase(base, prog) {
-                    Some(base) => Lowered::VSt {
-                        esz: elem.bytes(),
-                        vs: vs.index(),
-                        base,
-                        index: index.index(),
-                    },
-                    None => Lowered::Generic(*inst),
-                },
-                VectorInst::VAlu {
-                    op,
-                    elem,
-                    vd,
-                    vn,
-                    vm,
-                } => Lowered::VAlu {
-                    op,
-                    elem,
-                    vd: vd.index(),
-                    vn: vn.index(),
-                    vm: vm.index(),
-                },
-                VectorInst::VAluImm {
-                    op,
-                    elem,
-                    vd,
-                    vn,
-                    imm,
-                } => Lowered::VAluImm {
-                    op,
-                    elem,
-                    vd: vd.index(),
-                    vn: vn.index(),
-                    imm: imm as u32,
-                },
-                // Re-reads the constant region from memory every execution;
-                // keep the interpreter's code path.
-                VectorInst::VAluConst { .. } => Lowered::Generic(*inst),
-                VectorInst::VAluScalar {
-                    op,
-                    elem,
-                    vd,
-                    vn,
-                    src,
-                } => Lowered::VAluScalar {
-                    op,
-                    elem,
-                    vd: vd.index(),
-                    vn: vn.index(),
-                    src,
-                },
-                VectorInst::VRedI { op, rd, vn, .. } => Lowered::VRedI {
-                    op,
-                    rd: rd.index(),
-                    vn: vn.index(),
-                },
-                VectorInst::VRedF { op, fd, vn } => Lowered::VRedF {
-                    op,
-                    fd: fd.index(),
-                    vn: vn.index(),
-                },
-                VectorInst::VPerm { kind, vd, vn, .. } => {
-                    let block = usize::from(kind.block());
-                    if block > lanes || !lanes.is_multiple_of(block) || lanes > 16 {
-                        // Invalid combinations fault through the interpreter.
-                        Lowered::Generic(*inst)
-                    } else {
-                        let mut map = [0u8; 16];
-                        for (i, m) in map.iter_mut().enumerate().take(lanes) {
-                            *m = ((i - (i % block)) + kind.source_index(i)) as u8;
-                        }
-                        Lowered::VPerm {
-                            vd: vd.index(),
-                            vn: vn.index(),
-                            map,
-                        }
-                    }
-                }
-                VectorInst::VSplat { vd, imm, .. } => Lowered::VSplat {
-                    vd: vd.index(),
-                    imm: imm as u32,
-                },
-            }
-        }
-    }
-}
-
-/// Scans a straight-line run starting at `start` and lowers it into a
-/// [`Block`]. Stops at the first control-flow instruction or the end of the
-/// code (both are handled by the interpreter afterwards).
-pub(crate) fn discover(
-    code: &[Inst],
-    meta: &[InstMeta],
-    start: u32,
-    in_micro: bool,
-    prog: &Program,
-    lanes: usize,
-) -> Block {
+/// Scans a straight-line run of a code image's lowered ops starting at
+/// `start` and copies it into a [`Block`]. Stops at the first control-flow
+/// op or the end of the code (both are handled by the interpreter
+/// afterwards).
+pub(crate) fn discover(meta: &[InstMeta], ops: &[Lowered], start: u32, in_micro: bool) -> Block {
     let mut insts = Vec::new();
     let mut hoist = Hoist::new();
     let mut pc = start;
     let mut j = 0u32;
-    while let Some(inst) = code.get(pc as usize) {
-        if is_terminator(inst) {
+    while let Some(op) = ops.get(pc as usize) {
+        if is_terminator(op) {
             break;
         }
         let m = &meta[pc as usize];
@@ -696,12 +232,9 @@ pub(crate) fn discover(
                 n += 1;
             }
         }
-        let kind = lower_inst(inst, prog, lanes);
-        let dynamic_done =
-            matches!(kind, Lowered::Generic(_)) || cond_of(inst) != Cond::Al || has_mem(inst);
-        hoist.record(m, dynamic_done, j);
+        hoist.record(m, dynamic_done(op), j);
         insts.push(LoweredInst {
-            kind,
+            kind: op.clone(),
             pc,
             srcs,
             def: m.def,
@@ -713,8 +246,8 @@ pub(crate) fn discover(
         pc += 1;
         j += 1;
     }
-    let term = match code.get(pc as usize) {
-        Some(&Inst::S(ScalarInst::B { cond, target })) => Terminator::Branch {
+    let term = match ops.get(pc as usize) {
+        Some(&Lowered::B { cond, target }) => Terminator::Branch {
             pc,
             target,
             cond,
@@ -728,405 +261,6 @@ pub(crate) fn discover(
         insts,
         term,
     }
-}
-
-/// Functional result of a lowered instruction — the subset of
-/// [`crate::exec::Outcome`] that straight-line code can produce (no control
-/// disposition, no taken branches, no translator value).
-struct Fx {
-    executed: bool,
-    mem: Option<(u32, u32, bool)>,
-}
-
-/// Element-wise loop over two vector sources into `vd`, handling every
-/// aliasing pattern with bounds-check-free zips. Lane `i` reads only lane
-/// `i` of each source, so in-place update is safe. Run through
-/// [`VAluOp::specialize`], so each valid `(op, elem)` pair gets its own
-/// copy with the lane function inlined.
-struct VLoop2<'r> {
-    regs: &'r mut RegFile,
-    vd: usize,
-    vn: usize,
-    vm: usize,
-}
-
-impl LaneLoop for VLoop2<'_> {
-    type Output = ();
-
-    #[inline(always)]
-    fn run(self, f: impl Fn(u32, u32) -> u32) {
-        let VLoop2 { regs, vd, vn, vm } = self;
-        let mut d = std::mem::take(&mut regs.v[vd]);
-        if vn == vd && vm == vd {
-            for x in &mut d {
-                *x = f(*x, *x);
-            }
-        } else if vn == vd {
-            for (x, &b) in d.iter_mut().zip(&regs.v[vm]) {
-                *x = f(*x, b);
-            }
-        } else if vm == vd {
-            for (x, &a) in d.iter_mut().zip(&regs.v[vn]) {
-                *x = f(a, *x);
-            }
-        } else if vn == vm {
-            for (x, &a) in d.iter_mut().zip(&regs.v[vn]) {
-                *x = f(a, a);
-            }
-        } else {
-            for ((x, &a), &b) in d.iter_mut().zip(&regs.v[vn]).zip(&regs.v[vm]) {
-                *x = f(a, b);
-            }
-        }
-        regs.v[vd] = d;
-    }
-}
-
-/// Element-wise loop against a broadcast second operand `b`, specialized
-/// like [`VLoop2`].
-struct VLoopB<'r> {
-    regs: &'r mut RegFile,
-    vd: usize,
-    vn: usize,
-    b: u32,
-}
-
-impl LaneLoop for VLoopB<'_> {
-    type Output = ();
-
-    #[inline(always)]
-    fn run(self, f: impl Fn(u32, u32) -> u32) {
-        let VLoopB { regs, vd, vn, b } = self;
-        let mut d = std::mem::take(&mut regs.v[vd]);
-        if vn == vd {
-            for x in &mut d {
-                *x = f(*x, b);
-            }
-        } else {
-            for (x, &a) in d.iter_mut().zip(&regs.v[vn]) {
-                *x = f(a, b);
-            }
-        }
-        regs.v[vd] = d;
-    }
-}
-
-/// Executes one lowered instruction functionally. Mirrors
-/// [`crate::exec::exec`] exactly for the specialized forms and delegates to
-/// it for [`Lowered::Generic`].
-#[allow(clippy::too_many_lines)]
-fn exec_lowered(
-    kind: &Lowered,
-    pc: u32,
-    regs: &mut RegFile,
-    mem: &mut Memory,
-    prog: &Program,
-    lanes: usize,
-) -> Result<Fx, SimError> {
-    let mut fx = Fx {
-        executed: true,
-        mem: None,
-    };
-    match *kind {
-        Lowered::Nop => {}
-        Lowered::MovImm { rd, imm } => {
-            regs.r[rd as usize] = imm;
-        }
-        Lowered::CondMovImm { cond, rd, imm } => {
-            fx.executed = cond.eval(regs.flags);
-            if fx.executed {
-                regs.r[rd as usize] = imm;
-            }
-        }
-        Lowered::Mov { rd, rm } => {
-            regs.r[rd as usize] = regs.r[rm as usize];
-        }
-        Lowered::CondMov { cond, rd, rm } => {
-            fx.executed = cond.eval(regs.flags);
-            if fx.executed {
-                regs.r[rd as usize] = regs.r[rm as usize];
-            }
-        }
-        Lowered::AluRR { op, rd, rn, rm } => {
-            let v = op.eval(regs.r[rn as usize] as i32, regs.r[rm as usize] as i32);
-            regs.r[rd as usize] = v as u32;
-        }
-        Lowered::AluRI { op, rd, rn, imm } => {
-            let v = op.eval(regs.r[rn as usize] as i32, imm);
-            regs.r[rd as usize] = v as u32;
-        }
-        Lowered::CondAluRR {
-            cond,
-            op,
-            rd,
-            rn,
-            rm,
-        } => {
-            fx.executed = cond.eval(regs.flags);
-            if fx.executed {
-                let v = op.eval(regs.r[rn as usize] as i32, regs.r[rm as usize] as i32);
-                regs.r[rd as usize] = v as u32;
-            }
-        }
-        Lowered::CondAluRI {
-            cond,
-            op,
-            rd,
-            rn,
-            imm,
-        } => {
-            fx.executed = cond.eval(regs.flags);
-            if fx.executed {
-                let v = op.eval(regs.r[rn as usize] as i32, imm);
-                regs.r[rd as usize] = v as u32;
-            }
-        }
-        Lowered::CmpRR { rn, rm } => {
-            regs.flags = Flags::from_cmp(regs.r[rn as usize] as i32, regs.r[rm as usize] as i32);
-        }
-        Lowered::CmpRI { rn, imm } => {
-            regs.flags = Flags::from_cmp(regs.r[rn as usize] as i32, imm);
-        }
-        Lowered::FAlu { op, fd, fn_, fm } => {
-            let v = op.eval(regs.f32(fn_), regs.f32(fm));
-            regs.set_f32(fd, v);
-        }
-        Lowered::FMov { fd, fm } => {
-            regs.f[fd as usize] = regs.f[fm as usize];
-        }
-        Lowered::CondFMov { cond, fd, fm } => {
-            fx.executed = cond.eval(regs.flags);
-            if fx.executed {
-                regs.f[fd as usize] = regs.f[fm as usize];
-            }
-        }
-        Lowered::Ld {
-            width,
-            signed,
-            rd,
-            base,
-            index,
-        } => {
-            let b = base.value(regs);
-            let addr = b.wrapping_add(regs.r[index as usize].wrapping_mul(width));
-            let (raw, _) = load_extend(mem, addr, width, signed)?;
-            regs.r[rd as usize] = raw;
-            fx.mem = Some((addr, width, false));
-        }
-        Lowered::St {
-            width,
-            rs,
-            base,
-            index,
-        } => {
-            let b = base.value(regs);
-            let addr = b.wrapping_add(regs.r[index as usize].wrapping_mul(width));
-            mem.write(addr, width, regs.r[rs as usize])?;
-            fx.mem = Some((addr, width, true));
-        }
-        Lowered::LdF { fd, base, index } => {
-            let b = base.value(regs);
-            let addr = b.wrapping_add(regs.r[index as usize].wrapping_mul(4));
-            regs.f[fd as usize] = mem.read(addr, 4)?;
-            fx.mem = Some((addr, 4, false));
-        }
-        Lowered::StF { fs, base, index } => {
-            let b = base.value(regs);
-            let addr = b.wrapping_add(regs.r[index as usize].wrapping_mul(4));
-            mem.write(addr, 4, regs.f[fs as usize])?;
-            fx.mem = Some((addr, 4, true));
-        }
-        Lowered::VLd {
-            esz,
-            signed,
-            vd,
-            base,
-            index,
-        } => {
-            let b = base.value(regs);
-            let start = b.wrapping_add(regs.r[index as usize].wrapping_mul(esz));
-            let total = esz * lanes as u32;
-            let vd = vd as usize;
-            let mut bulk = false;
-            if start.checked_add(total).is_some() {
-                if let Ok(bytes) = mem.slice(start, total as usize) {
-                    match esz {
-                        1 => {
-                            for (d, &raw) in regs.v[vd].iter_mut().zip(bytes) {
-                                *d = if signed {
-                                    i32::from(raw as i8) as u32
-                                } else {
-                                    u32::from(raw)
-                                };
-                            }
-                        }
-                        2 => {
-                            for (i, d) in regs.v[vd].iter_mut().enumerate() {
-                                let w = u16::from_le_bytes([bytes[2 * i], bytes[2 * i + 1]]);
-                                *d = if signed {
-                                    i32::from(w as i16) as u32
-                                } else {
-                                    u32::from(w)
-                                };
-                            }
-                        }
-                        _ => {
-                            for (i, d) in regs.v[vd].iter_mut().enumerate() {
-                                *d = u32::from_le_bytes([
-                                    bytes[4 * i],
-                                    bytes[4 * i + 1],
-                                    bytes[4 * i + 2],
-                                    bytes[4 * i + 3],
-                                ]);
-                            }
-                        }
-                    }
-                    bulk = true;
-                }
-            }
-            if !bulk {
-                // Byte-exact fallback: per-lane accesses with the
-                // interpreter's exact address expression, fault, and
-                // partial-write behaviour.
-                for i in 0..lanes {
-                    let addr = start + i as u32 * esz;
-                    let (raw, _) = load_extend(mem, addr, esz, signed)?;
-                    regs.v[vd][i] = raw;
-                }
-            }
-            fx.mem = Some((start, total, false));
-        }
-        Lowered::VSt {
-            esz,
-            vs,
-            base,
-            index,
-        } => {
-            let b = base.value(regs);
-            let start = b.wrapping_add(regs.r[index as usize].wrapping_mul(esz));
-            let total = esz * lanes as u32;
-            let vs = vs as usize;
-            let mut bulk = false;
-            if start.checked_add(total).is_some() {
-                if let Ok(bytes) = mem.slice_mut(start, total as usize) {
-                    match esz {
-                        1 => {
-                            for (b, &lane) in bytes.iter_mut().zip(&regs.v[vs]) {
-                                *b = lane as u8;
-                            }
-                        }
-                        2 => {
-                            for (i, &lane) in regs.v[vs].iter().enumerate() {
-                                bytes[2 * i..2 * i + 2]
-                                    .copy_from_slice(&(lane as u16).to_le_bytes());
-                            }
-                        }
-                        _ => {
-                            for (i, &lane) in regs.v[vs].iter().enumerate() {
-                                bytes[4 * i..4 * i + 4].copy_from_slice(&lane.to_le_bytes());
-                            }
-                        }
-                    }
-                    bulk = true;
-                }
-            }
-            if !bulk {
-                for i in 0..lanes {
-                    let addr = start + i as u32 * esz;
-                    mem.write(addr, esz, regs.v[vs][i])?;
-                }
-            }
-            fx.mem = Some((start, total, true));
-        }
-        Lowered::VAlu {
-            op,
-            elem,
-            vd,
-            vn,
-            vm,
-        } => {
-            op.specialize(
-                elem,
-                VLoop2 {
-                    regs,
-                    vd: vd as usize,
-                    vn: vn as usize,
-                    vm: vm as usize,
-                },
-            );
-        }
-        Lowered::VAluImm {
-            op,
-            elem,
-            vd,
-            vn,
-            imm,
-        } => {
-            op.specialize(
-                elem,
-                VLoopB {
-                    regs,
-                    vd: vd as usize,
-                    vn: vn as usize,
-                    b: imm,
-                },
-            );
-        }
-        Lowered::VAluScalar {
-            op,
-            elem,
-            vd,
-            vn,
-            src,
-        } => {
-            let broadcast = match src {
-                ScalarSrc::R(r) => regs.r[r.index() as usize],
-                ScalarSrc::F(fr) => regs.f[fr.index() as usize],
-            };
-            op.specialize(
-                elem,
-                VLoopB {
-                    regs,
-                    vd: vd as usize,
-                    vn: vn as usize,
-                    b: broadcast,
-                },
-            );
-        }
-        Lowered::VRedI { op, rd, vn } => {
-            let mut acc = regs.r[rd as usize] as i32;
-            for &lane in &regs.v[vn as usize] {
-                acc = op.eval_i(acc, lane as i32);
-            }
-            regs.r[rd as usize] = acc as u32;
-        }
-        Lowered::VRedF { op, fd, vn } => {
-            let mut acc = regs.f32(fd);
-            for &lane in &regs.v[vn as usize] {
-                acc = op.eval_f(acc, f32::from_bits(lane));
-            }
-            regs.set_f32(fd, acc);
-        }
-        Lowered::VPerm { vd, vn, map } => {
-            regs.scratch.copy_from_slice(&regs.v[vn as usize]);
-            let scratch = std::mem::take(&mut regs.scratch);
-            for (d, &mi) in regs.v[vd as usize].iter_mut().zip(map.iter()) {
-                *d = scratch[mi as usize];
-            }
-            regs.scratch = scratch;
-        }
-        Lowered::VSplat { vd, imm } => {
-            for lane in &mut regs.v[vd as usize] {
-                *lane = imm;
-            }
-        }
-        Lowered::Generic(ref inst) => {
-            let o = exec(inst, pc, regs, mem, prog, lanes)?;
-            fx.executed = o.executed;
-            fx.mem = o.mem;
-        }
-    }
-    Ok(fx)
 }
 
 fn cycle_limit(pc: u32, max_cycles: u64) -> SimError {
@@ -1151,9 +285,9 @@ fn observed(m: &Machine<'_>, in_micro: bool) -> bool {
 /// interpreter would have left them.
 ///
 /// Observed retires (see [`observed`]) go through the interpreter's own
-/// post-retire hook one at a time; a tapped instruction executes through
-/// [`exec`], whose outcome carries the value and branch direction the
-/// translator reads. Unobserved retires batch their counters.
+/// post-retire hook one at a time, with the translator tap's record built
+/// from the retired instruction and the registers it left. Unobserved
+/// retires batch their counters.
 ///
 /// Returns `true` when the block's lowered branch terminator executed (the
 /// machine already advanced to the branch's destination); `false` when the
@@ -1196,20 +330,7 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
             issue += i_penalty;
         }
         // ---- execute ------------------------------------------------------
-        let mut tap = None;
-        let executed = if observe && !block.in_micro && m.translator.is_active() {
-            let inst = m.prog.code[li.pc as usize];
-            exec(&inst, li.pc, &mut m.regs, &mut m.mem, m.prog, lanes).map(|o| {
-                tap = tap_record(li.pc, inst, &o);
-                Fx {
-                    executed: o.executed,
-                    mem: o.mem,
-                }
-            })
-        } else {
-            exec_lowered(&li.kind, li.pc, &mut m.regs, &mut m.mem, m.prog, lanes)
-        };
-        let fx = match executed {
+        let fx = match exec_lowered(&li.kind, li.pc, &mut m.regs, &mut m.mem, lanes) {
             Ok(fx) => fx,
             Err(e) => {
                 result = Err(e);
@@ -1251,6 +372,11 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
             // Observation only ever stops inside a block, so no batched
             // retire precedes this one.
             debug_assert_eq!(retired, 0);
+            let tap = if !block.in_micro && m.translator.is_active() {
+                tap_record(li.pc, &m.prog.code[li.pc as usize], &fx, &m.regs)
+            } else {
+                None
+            };
             m.post_retire(li.pc, li.vector, li.active_lanes, tap);
             observe = observed(m, block.in_micro);
         } else {
@@ -1319,6 +445,7 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
 mod tests {
     use super::*;
     use crate::config::LatencyModel;
+    use crate::exec::lower_code;
     use crate::meta::meta_of_code;
     use liquid_simd_isa::asm;
 
@@ -1339,12 +466,12 @@ done:
         )
         .unwrap();
         let meta = meta_of_code(&p.code, &LatencyModel::default(), 0);
-        let b = discover(&p.code, &meta, 0, false, &p, 0);
+        let b = discover(&meta, &lower_code(&p.code, &p, 0), 0, false);
         assert_eq!(b.start, 0);
         assert_eq!(b.insts.len(), 3); // mov, add, cmp — beq terminates
         assert_eq!(b.end(), 3);
         // Restarting on the branch itself yields an empty block.
-        let b2 = discover(&p.code, &meta, 3, false, &p, 0);
+        let b2 = discover(&meta, &lower_code(&p.code, &p, 0), 3, false);
         assert!(b2.insts.is_empty());
     }
 
@@ -1370,7 +497,7 @@ main:
         )
         .unwrap();
         let meta = meta_of_code(&p.code, &LatencyModel::default(), 0);
-        let b = discover(&p.code, &meta, 0, false, &p, 0);
+        let b = discover(&meta, &lower_code(&p.code, &p, 0), 0, false);
         assert_eq!(b.insts.len(), 5);
         // mov r0: no in-block defs before it, but r0 was never written in
         // the block, so its (nonexistent) srcs are empty anyway.
@@ -1399,7 +526,7 @@ main:
         )
         .unwrap();
         let meta = meta_of_code(&p.code, &LatencyModel::default(), 0);
-        let b = discover(&p.code, &meta, 0, false, &p, 0);
+        let b = discover(&meta, &lower_code(&p.code, &p, 0), 0, false);
         // movgt's flags read is hoisted (cmp precedes it in-block)...
         assert!(b.insts[1].srcs.iter().flatten().next().is_none());
         // ...but r1's conditional def keeps the consumer's check.

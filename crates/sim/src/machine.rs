@@ -11,7 +11,7 @@ use liquid_simd_translator::{Progress, Retired, Translator, TranslatorConfig};
 
 use crate::backend::{ExecBackend, InterpBackend, SuperblockBackend};
 use crate::config::{BackendKind, MachineConfig};
-use crate::exec::{exec, Control, Outcome, SimError};
+use crate::exec::{exec_lowered, lower_code, tap_record, Control, Lowered, SimError};
 use crate::mcache::{Lookup, Mcache};
 use crate::meta::{meta_of_code, InstMeta, RegRef};
 use crate::regfile::RegFile;
@@ -34,6 +34,9 @@ pub struct Machine<'p> {
     /// Predecoded static metadata for `prog.code`, indexed by PC — the
     /// step-loop fast path (see `crate::meta`).
     pub(crate) prog_meta: Vec<InstMeta>,
+    /// The lowered ops of `prog.code`, indexed by PC: what both backends
+    /// execute (see `crate::exec`).
+    pub(crate) prog_ops: Vec<Lowered>,
     pub(crate) config: MachineConfig,
     pub(crate) regs: RegFile,
     pub(crate) mem: Memory,
@@ -99,6 +102,7 @@ impl<'p> Machine<'p> {
         Machine {
             prog,
             prog_meta: meta_of_code(&prog.code, &config.lat, config.lanes),
+            prog_ops: lower_code(&prog.code, prog, config.lanes),
             regs: RegFile::new(config.lanes.max(1)),
             mem,
             icache,
@@ -143,24 +147,33 @@ impl<'p> Machine<'p> {
     /// from a prior run of the same binary.
     pub fn preload_microcode(&mut self, entries: &[(u32, Vec<liquid_simd_isa::Inst>)]) {
         for (pc, code) in entries {
-            let meta = meta_of_code(code, &self.config.lat, self.config.lanes);
-            let _ = self.mcache.insert(*pc, code.clone(), meta, 0);
+            let decoded = self.decode(code);
+            let _ = self.mcache.insert(*pc, code.clone(), decoded, 0);
         }
     }
 
-    /// Test hook: checks every predecoded metadata table (program and
-    /// resident microcode) against fresh recomputation. The metadata-
-    /// equivalence property test calls this after runs that insert and
-    /// evict microcode.
+    /// The predecoded metadata and lowered ops of one microcode image.
+    fn decode(&self, code: &[Inst]) -> (Vec<InstMeta>, Vec<Lowered>) {
+        (
+            meta_of_code(code, &self.config.lat, self.config.lanes),
+            lower_code(code, self.prog, self.config.lanes),
+        )
+    }
+
+    /// Test hook: checks every predecoded table (metadata and lowered ops,
+    /// program and resident microcode) against fresh recomputation. The
+    /// metadata-equivalence property test calls this after runs that
+    /// insert and evict microcode.
     #[doc(hidden)]
     #[must_use]
     pub fn metadata_consistent(&self) -> bool {
-        if self.prog_meta != meta_of_code(&self.prog.code, &self.config.lat, self.config.lanes) {
+        let (meta, ops) = self.decode(&self.prog.code);
+        if self.prog_meta != meta || self.prog_ops != ops {
             return false;
         }
         (0..self.mcache.len()).all(|idx| {
-            self.mcache.meta(idx)
-                == meta_of_code(self.mcache.code(idx), &self.config.lat, self.config.lanes)
+            let (meta, ops) = self.decode(self.mcache.code(idx));
+            self.mcache.meta(idx) == meta && self.mcache.ops(idx) == ops
         })
     }
 
@@ -307,35 +320,38 @@ impl<'p> Machine<'p> {
 
     /// Executes one instruction; returns `true` on halt.
     ///
-    /// The hot path reads predecoded [`InstMeta`] (uses/def/flags/latency)
-    /// from the side tables built at construction and at microcode insert,
-    /// instead of re-deriving them from the `Inst` enum on every retire.
-    /// The tracer clock is stamped once per step, at retire; emission sites
-    /// between retires reuse that stamp, which matches the cycle the old
-    /// start-of-step stamp would have produced (machine time only advances
-    /// at retire).
+    /// The hot path reads the instruction's lowered op and predecoded
+    /// [`InstMeta`] (uses/def/flags/latency) by PC from the side tables
+    /// built at construction and at microcode insert, and executes it
+    /// through the one executor, [`exec_lowered`], that the superblock
+    /// backend uses too. The tracer clock is stamped once per step, at
+    /// retire; emission sites between retires reuse that stamp, which
+    /// matches the cycle the old start-of-step stamp would have produced
+    /// (machine time only advances at retire).
     #[allow(clippy::too_many_lines)]
     pub(crate) fn step(&mut self) -> Result<bool, SimError> {
         // ---- fetch -------------------------------------------------------
-        let (inst, meta, pc, in_micro) = match self.stream {
+        let (meta, pc, in_micro) = match self.stream {
             Stream::Prog { pc } => {
-                let inst = *self
-                    .prog
-                    .code
+                let meta = self
+                    .prog_meta
                     .get(pc as usize)
                     .ok_or_else(|| SimError::Fault {
                         pc,
                         what: "fell off the end of the code section".to_string(),
                     })?;
-                (inst, self.prog_meta[pc as usize], pc, false)
+                (*meta, pc, false)
             }
             Stream::Micro { idx, pos, .. } => {
-                let code = self.mcache.code(idx);
-                let inst = *code.get(pos as usize).ok_or_else(|| SimError::Fault {
-                    pc: pos,
-                    what: "fell off the end of microcode".to_string(),
-                })?;
-                (inst, self.mcache.meta(idx)[pos as usize], pos, true)
+                let meta =
+                    self.mcache
+                        .meta(idx)
+                        .get(pos as usize)
+                        .ok_or_else(|| SimError::Fault {
+                            pc: pos,
+                            what: "fell off the end of microcode".to_string(),
+                        })?;
+                (*meta, pos, true)
             }
         };
 
@@ -361,12 +377,15 @@ impl<'p> Machine<'p> {
         }
 
         // ---- execute ------------------------------------------------------
-        let outcome = exec(
-            &inst,
+        let ops = match self.stream {
+            Stream::Prog { .. } => &self.prog_ops[..],
+            Stream::Micro { idx, .. } => self.mcache.ops(idx),
+        };
+        let outcome = exec_lowered(
+            &ops[pc as usize],
             pc,
             &mut self.regs,
             &mut self.mem,
-            self.prog,
             self.config.lanes,
         )?;
 
@@ -399,7 +418,7 @@ impl<'p> Machine<'p> {
         if is_store {
             busy += mem_extra; // write-allocate fill occupies the interface
         }
-        if outcome.taken {
+        if outcome.taken() {
             busy += u64::from(self.config.lat.branch_taken);
         }
         self.cycle = busy;
@@ -408,7 +427,7 @@ impl<'p> Machine<'p> {
 
         // ---- retire: counters, tracer, interrupts, translator tap -----------
         let tap = if !in_micro && self.translator.is_active() {
-            tap_record(pc, inst, &outcome)
+            tap_record(pc, &self.prog.code[pc as usize], &outcome, &self.regs)
         } else {
             None
         };
@@ -420,11 +439,7 @@ impl<'p> Machine<'p> {
                 self.advance(pc + 1);
             }
             Control::Jump(t) => {
-                if outcome.taken {
-                    self.advance(t);
-                } else {
-                    self.advance(pc + 1);
-                }
+                self.advance(t);
             }
             Control::Call {
                 target,
@@ -589,8 +604,8 @@ impl<'p> Machine<'p> {
                 let valid_at = self.cycle + latency;
                 self.report.translations.push((tr.func_pc, tr.code.len()));
                 let uops = tr.code.len() as u64;
-                let meta = meta_of_code(&tr.code, &self.config.lat, self.config.lanes);
-                let evicted = self.mcache.insert(tr.func_pc, tr.code, meta, valid_at);
+                let decoded = self.decode(&tr.code);
+                let evicted = self.mcache.insert(tr.func_pc, tr.code, decoded, valid_at);
                 if let Some(t) = &self.tracer {
                     if let Some(victim) = evicted {
                         t.emit(TraceEvent::McacheEvict { func_pc: victim });
@@ -727,21 +742,6 @@ impl<'p> Machine<'p> {
         self.enter_region();
         self.stream = Stream::Prog { pc: target };
         Ok(())
-    }
-}
-
-/// The translator tap's record of one executed program-stream instruction
-/// (`None` for vector instructions, which the tap never sees).
-pub(crate) fn tap_record(pc: u32, inst: Inst, outcome: &Outcome) -> Option<Retired> {
-    match inst {
-        Inst::S(s) => Some(Retired {
-            pc,
-            inst: s,
-            executed: outcome.executed,
-            value: outcome.value,
-            taken: outcome.taken,
-        }),
-        Inst::V(_) => None,
     }
 }
 

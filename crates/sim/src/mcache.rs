@@ -8,6 +8,7 @@ use std::collections::BTreeMap;
 
 use liquid_simd_isa::Inst;
 
+use crate::exec::Lowered;
 use crate::meta::InstMeta;
 
 /// Microcode-cache statistics.
@@ -62,6 +63,8 @@ struct Entry {
     /// Predecoded static metadata, parallel to `code` (the simulator's
     /// fast path; computed once at insert, never per retire).
     meta: Vec<InstMeta>,
+    /// The lowered ops the simulator executes, parallel to `code`.
+    ops: Vec<Lowered>,
     valid_at: u64,
     last_use: u64,
     /// Monotonic code generation: bumped on every insert, including
@@ -201,20 +204,25 @@ impl Mcache {
         &self.entries[idx].meta
     }
 
-    /// Inserts translated microcode with its predecoded metadata, evicting
-    /// the LRU entry if full; returns the evicted function's entry PC, if
-    /// any.
+    /// The lowered ops of entry `idx`, parallel to [`Mcache::code`].
+    pub(crate) fn ops(&self, idx: usize) -> &[Lowered] {
+        &self.entries[idx].ops
+    }
+
+    /// Inserts translated microcode with its predecoded metadata and
+    /// lowered ops, evicting the LRU entry if full; returns the evicted
+    /// function's entry PC, if any.
     ///
     /// # Panics
     ///
     /// Panics if `code` exceeds the per-entry capacity (the translator's
     /// buffer enforces the same limit, so this indicates a logic error) or
-    /// if `meta` is not parallel to `code`.
-    pub fn insert(
+    /// if `meta` or `ops` is not parallel to `code`.
+    pub(crate) fn insert(
         &mut self,
         func_pc: u32,
         code: Vec<Inst>,
-        meta: Vec<InstMeta>,
+        (meta, ops): (Vec<InstMeta>, Vec<Lowered>),
         valid_at: u64,
     ) -> Option<u32> {
         assert!(
@@ -224,6 +232,7 @@ impl Mcache {
             self.max_uops
         );
         assert_eq!(code.len(), meta.len(), "metadata must be parallel to code");
+        assert_eq!(code.len(), ops.len(), "ops must be parallel to code");
         self.tick += 1;
         self.stats.inserts += 1;
         self.epoch += 1;
@@ -239,6 +248,7 @@ impl Mcache {
             self.per_entry.entry(func_pc).or_default().conflicts += 1;
             e.code = code;
             e.meta = meta;
+            e.ops = ops;
             e.valid_at = valid_at;
             e.last_use = self.tick;
             e.gen = gen;
@@ -264,6 +274,7 @@ impl Mcache {
             func_pc,
             code,
             meta,
+            ops,
             valid_at,
             last_use: self.tick,
             gen,
@@ -317,8 +328,9 @@ mod tests {
         vec![Inst::S(ScalarInst::Nop); n]
     }
 
-    fn meta(code: &[Inst]) -> Vec<InstMeta> {
-        meta_of_code(code, &LatencyModel::default(), 8)
+    fn decoded(code: &[Inst]) -> (Vec<InstMeta>, Vec<Lowered>) {
+        let meta = meta_of_code(code, &LatencyModel::default(), 8);
+        (meta, vec![Lowered::Nop; code.len()])
     }
 
     /// The generation of the resident entry for `func_pc`, if any.
@@ -329,8 +341,8 @@ mod tests {
     }
 
     fn insert(mc: &mut Mcache, pc: u32, code: Vec<Inst>, valid_at: u64) -> Option<u32> {
-        let m = meta(&code);
-        mc.insert(pc, code, m, valid_at)
+        let d = decoded(&code);
+        mc.insert(pc, code, d, valid_at)
     }
 
     #[test]

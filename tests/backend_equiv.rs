@@ -132,8 +132,46 @@ fn nan_operands_give_the_same_bits_on_both_backends() {
             "    {op}.f32 v2, v0, v1\n    vst.i32 [{op} + r0], v2\n"
         ));
     }
+    // Float reductions fold with the scalar ops' NaN rule: each one, from
+    // a signalling-NaN accumulator over lanes holding both NaN payloads,
+    // stores the bits of its scalar `fadd`/`fmin`/`fmax` loop.
+    src = src.replacen(
+        ".text\n",
+        ".i32 N: -1, 2141192193, 2141192193, -1, -1, 2141192193, -1, 2141192193\n\
+         .i32 I: 2141192193\n\
+         .i32 vredsum: 0\n.i32 fadd: 0\n.i32 vredmin: 0\n.i32 fmin: 0\n\
+         .i32 vredmax: 0\n.i32 fmax: 0\n.text\n",
+        1,
+    );
+    src.push_str("    vld.i32 v3, [N + r0]\n");
+    let reductions = [
+        ("vredsum", "fadd"),
+        ("vredmin", "fmin"),
+        ("vredmax", "fmax"),
+    ];
+    for (red, fop) in reductions {
+        src.push_str(&format!(
+            "    ldf f1, [I + r0]\n    {red}.f32 f1, v3\n    stf [{red} + r0], f1\n\
+             \x20   ldf f2, [I + r0]\n    mov r1, #0\n{red}_loop:\n\
+             \x20   ldf f3, [N + r1]\n    {fop} f2, f2, f3\n    add r1, r1, #1\n\
+             \x20   cmp r1, #8\n    blt {red}_loop\n    stf [{fop} + r0], f2\n"
+        ));
+    }
     src.push_str("    halt\n");
     let program = assemble(&src).expect("probe assembles");
     let blocks = assert_equivalent("nan lanes", &program, &MachineConfig::native(8));
     assert!(blocks.lowered > 0, "the vector ops were not lowered");
+    let (_, machine) = simulate(&program, MachineConfig::native(8), &[]).expect("probe runs");
+    let word = |name: &str| {
+        let (_, sym) = program.symbol_by_name(name).expect("result symbol");
+        machine.memory().read(sym.addr, 4).expect("result word")
+    };
+    for (red, fop) in reductions {
+        let (vector, scalar) = (word(red), word(fop));
+        assert!(f32::from_bits(vector).is_nan(), "{red}: {vector:#010x}");
+        assert_eq!(
+            vector, scalar,
+            "{red} {vector:#010x} vs {fop} loop {scalar:#010x}"
+        );
+    }
 }
