@@ -47,13 +47,12 @@
 //! or a program-stream retire while a translation window is open — skips
 //! the batching and goes through [`Machine::post_retire`], the same hook
 //! [`crate::machine::Machine::step`] ends with, carrying the same tap
-//! record ([`tap_record`]). A window that ends mid-block is seen by the
+//! record ([`Machine::tap`]). A window that ends mid-block is seen by the
 //! block's next retire, which is then batched.
 
-use liquid_simd_isa::{Cond, ScalarInst};
-use liquid_simd_translator::Retired;
+use liquid_simd_isa::Cond;
 
-use crate::exec::{exec_lowered, tap_record, Lowered, SimError};
+use crate::exec::{exec_lowered, Control, Lowered, Outcome, SimError};
 use crate::machine::Machine;
 use crate::meta::{InstMeta, RegRef};
 
@@ -372,11 +371,7 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
             // Observation only ever stops inside a block, so no batched
             // retire precedes this one.
             debug_assert_eq!(retired, 0);
-            let tap = if !block.in_micro && m.translator.is_active() {
-                tap_record(li.pc, &m.prog.code[li.pc as usize], &fx, &m.regs)
-            } else {
-                None
-            };
+            let tap = m.tap(block.in_micro, li.pc, &fx);
             m.post_retire(li.pc, li.vector, li.active_lanes, tap);
             observe = observed(m, block.in_micro);
         } else {
@@ -417,13 +412,16 @@ pub(crate) fn exec_block(m: &mut Machine<'_>, block: &Block) -> Result<bool, Sim
                 // Branches are scalar: no def, no flag write.
                 if observe {
                     debug_assert_eq!(retired, 0);
-                    let tap = (!block.in_micro && m.translator.is_active()).then_some(Retired {
-                        pc,
-                        inst: ScalarInst::B { cond, target },
+                    let out = Outcome {
+                        control: if taken {
+                            Control::Jump(target)
+                        } else {
+                            Control::Next
+                        },
                         executed: true,
-                        value: None,
-                        taken,
-                    });
+                        mem: None,
+                    };
+                    let tap = m.tap(block.in_micro, pc, &out);
                     m.post_retire(pc, false, 0, tap);
                 } else {
                     retired += 1;

@@ -313,8 +313,7 @@ pub(crate) fn lower_code(code: &[Inst], prog: &Program, lanes: usize) -> Vec<Low
 }
 
 /// Lowers one instruction.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn lower(inst: &Inst, prog: &Program, lanes: usize) -> Lowered {
+fn lower(inst: &Inst, prog: &Program, lanes: usize) -> Lowered {
     let lowered = match *inst {
         Inst::S(s) => lower_scalar(s, prog),
         Inst::V(v) if lanes < 2 => Err(Lowered::Fault(

@@ -11,7 +11,7 @@ use liquid_simd_translator::{Progress, Retired, Translator, TranslatorConfig};
 
 use crate::backend::{ExecBackend, InterpBackend, SuperblockBackend};
 use crate::config::{BackendKind, MachineConfig};
-use crate::exec::{exec_lowered, lower_code, tap_record, Control, Lowered, SimError};
+use crate::exec::{exec_lowered, lower_code, tap_record, Control, Lowered, Outcome, SimError};
 use crate::mcache::{Lookup, Mcache};
 use crate::meta::{meta_of_code, InstMeta, RegRef};
 use crate::regfile::RegFile;
@@ -426,11 +426,7 @@ impl<'p> Machine<'p> {
             .retire(in_micro, pc, meta.vector, self.cycle - cycle_before);
 
         // ---- retire: counters, tracer, interrupts, translator tap -----------
-        let tap = if !in_micro && self.translator.is_active() {
-            tap_record(pc, &self.prog.code[pc as usize], &outcome, &self.regs)
-        } else {
-            None
-        };
+        let tap = self.tap(in_micro, pc, &outcome);
         self.post_retire(pc, meta.vector, meta.active_lanes, tap);
 
         // ---- control flow ----------------------------------------------------
@@ -560,6 +556,17 @@ impl<'p> Machine<'p> {
                 self.translator_tap(&retired);
             }
         }
+    }
+
+    /// The translator tap's record of a retire, built from the retired
+    /// instruction, its outcome and the registers it left: only
+    /// program-stream retires while a translation window is open are
+    /// tapped. Both backends build it here.
+    pub(crate) fn tap(&self, in_micro: bool, pc: u32, outcome: &Outcome) -> Option<Retired> {
+        if in_micro || !self.translator.is_active() {
+            return None;
+        }
+        tap_record(pc, &self.prog.code[pc as usize], outcome, &self.regs)
     }
 
     /// Injects an interrupt at the current retire: any open translation
