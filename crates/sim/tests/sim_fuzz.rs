@@ -3,19 +3,23 @@
 //!
 //! Each program has a small data segment, random instructions from the
 //! shared generator in `common`, extra conditional branches and calls,
-//! and sometimes a return through a clobbered link register. Its calls
-//! may land in preloaded microcode, which can name a symbol the program
-//! lacks. Each run has a random latency model and a small cycle limit.
-//! The two backends share one instruction executor and differ only in
-//! timing shortcuts, so each run must end the same way on both: an equal
-//! report (or an equal `SimError`), equal `ledger-v1` bytes, and equal
-//! registers and memory. A faulting run publishes no ledger, so its
-//! ledger is compared through the cycles and state it leaves instead.
+//! and sometimes a return through a clobbered link register. Half of them
+//! first call an outlined counted loop through `bl.v`, so translation
+//! windows open and commit or abort mid-block. Calls may land in
+//! preloaded microcode, which can name a symbol the program lacks. Each
+//! run has a random latency model and a small cycle limit. The two
+//! backends share one instruction executor and differ only in timing
+//! shortcuts, so each run must end the same way on both: an equal report
+//! (or an equal `SimError`), equal `ledger-v1` bytes, and equal registers
+//! and memory, and the same resident microcode. A faulting run publishes
+//! no report or ledger, so only its fault, registers, memory and
+//! microcode are compared.
 //!
 //! The sweep must also reach every fault a lowered op or the run loop can
 //! raise: a vector op at fewer than 2 lanes, a permute block that does not
 //! fit, memory out of range, a wild return, the cycle limit, and a missing
-//! symbol in preloaded microcode. Tier-1 runs a short fixed-seed sweep;
+//! symbol in preloaded microcode; and some runs must commit a
+//! translation. Tier-1 runs a short fixed-seed sweep;
 //! `--features fuzz` runs a long one. Every case is reproducible from its
 //! printed seed and index.
 
@@ -24,7 +28,10 @@ mod common;
 use std::collections::BTreeMap;
 
 use common::{random_inst, random_latency_model};
-use liquid_simd_isa::{Base, Inst, Program, Reg, ScalarInst, SymId, Symbol, VectorInst};
+use liquid_simd_isa::{
+    AluOp, Base, Cond, Inst, MemWidth, Operand2, Program, Reg, ScalarInst, SymId, Symbol,
+    VectorInst,
+};
 use liquid_simd_sim::{BackendKind, BlockStats, Machine, MachineConfig, SimError};
 use liquid_simd_workloads::util::XorShift64;
 
@@ -79,6 +86,74 @@ fn valid_inst(rng: &mut XorShift64) -> Inst {
     }
 }
 
+/// An outlined counted loop at code index `at` over the 16 words of
+/// symbol 0, in the shape the translator recognises: load, a few ALU ops
+/// (mostly on the loaded value, so some translate and some abort), store,
+/// increment, compare, backedge, return.
+fn kernel(rng: &mut XorShift64, at: u32) -> Vec<Inst> {
+    let low = |rng: &mut XorShift64| {
+        if rng.range_usize(0, 4) == 0 {
+            Reg::of(rng.range_usize(2, 4) as u8)
+        } else {
+            Reg::R1
+        }
+    };
+    let s0 = Base::Sym(SymId::new(0));
+    let mut k = vec![
+        ScalarInst::MovImm {
+            cond: Cond::Al,
+            rd: Reg::R0,
+            imm: 0,
+        },
+        ScalarInst::LdInt {
+            width: MemWidth::W,
+            signed: true,
+            rd: Reg::R1,
+            base: s0,
+            index: Reg::R0,
+        },
+    ];
+    for _ in 0..rng.range_usize(1, 5) {
+        let ops = [AluOp::Add, AluOp::Sub, AluOp::Mul, AluOp::And, AluOp::Eor];
+        k.push(ScalarInst::Alu {
+            cond: Cond::Al,
+            op: rng.pick(&ops),
+            rd: low(rng),
+            rn: low(rng),
+            op2: if rng.coin() {
+                Operand2::Reg(low(rng))
+            } else {
+                Operand2::Imm(rng.range_usize(0, 64) as i32)
+            },
+        });
+    }
+    k.extend([
+        ScalarInst::StInt {
+            width: MemWidth::W,
+            rs: Reg::R1,
+            base: s0,
+            index: Reg::R0,
+        },
+        ScalarInst::Alu {
+            cond: Cond::Al,
+            op: AluOp::Add,
+            rd: Reg::R0,
+            rn: Reg::R0,
+            op2: Operand2::Imm(1),
+        },
+        ScalarInst::Cmp {
+            rn: Reg::R0,
+            op2: Operand2::Imm(16),
+        },
+        ScalarInst::B {
+            cond: Cond::Lt,
+            target: at + 1,
+        },
+        ScalarInst::Ret,
+    ]);
+    k.into_iter().map(Inst::S).collect()
+}
+
 /// Draws a program and the microcode preloaded for some of its call
 /// targets.
 fn draw(rng: &mut XorShift64) -> (Program, Vec<(u32, Vec<Inst>)>) {
@@ -88,8 +163,14 @@ fn draw(rng: &mut XorShift64) -> (Program, Vec<(u32, Vec<Inst>)>) {
     let nsyms = rng.range_usize(1, 5);
     let mut data = Vec::new();
     let mut symbols = Vec::new();
+    let outlined = rng.coin();
     for s in 0..nsyms {
-        let size = rng.range_usize(2, 65);
+        // The kernel's loop runs over all 16 words of symbol 0.
+        let size = if outlined && s == 0 {
+            64
+        } else {
+            rng.range_usize(2, 65)
+        };
         symbols.push(Symbol {
             name: format!("s{s}"),
             addr: data_base + data.len() as u32,
@@ -101,12 +182,23 @@ fn draw(rng: &mut XorShift64) -> (Program, Vec<(u32, Vec<Inst>)>) {
     let in_program = |s: SymId| SymId::new((s.index() % nsyms) as u16);
 
     let len = rng.range_usize(4, 40);
-    let mut code = Vec::with_capacity(len + 1);
+    let halt = rng.range_usize(0, 4) != 0;
+    let mut code = Vec::with_capacity(len + 20);
+    if outlined {
+        // Call the kernel (placed after the body) a few times up front.
+        let at = (len + usize::from(halt)) as u32;
+        for _ in 0..rng.range_usize(1, 4) {
+            code.push(Inst::S(ScalarInst::Bl {
+                target: at,
+                vectorizable: true,
+            }));
+        }
+    }
     while code.len() < len {
         match rng.range_usize(0, 16) {
             // Branchy: conditional branches anywhere, loops included.
             0 | 1 => code.push(Inst::S(ScalarInst::B {
-                cond: rng.pick(&liquid_simd_isa::Cond::ALL),
+                cond: rng.pick(&Cond::ALL),
                 target: rng.range_usize(0, len) as u32,
             })),
             2 => code.push(Inst::S(ScalarInst::Bl {
@@ -116,7 +208,7 @@ fn draw(rng: &mut XorShift64) -> (Program, Vec<(u32, Vec<Inst>)>) {
             // A return through a link register the program just set.
             3 => {
                 code.push(Inst::S(ScalarInst::MovImm {
-                    cond: liquid_simd_isa::Cond::Al,
+                    cond: Cond::Al,
                     rd: Reg::of(14),
                     imm: rng.range_usize(0, 128) as i32 - 64,
                 }));
@@ -126,8 +218,11 @@ fn draw(rng: &mut XorShift64) -> (Program, Vec<(u32, Vec<Inst>)>) {
         }
     }
     code.truncate(len);
-    if rng.range_usize(0, 4) != 0 {
+    if halt {
         code.push(Inst::S(ScalarInst::Halt));
+    }
+    if outlined {
+        code.extend(kernel(rng, code.len() as u32));
     }
     let program = Program {
         code,
@@ -189,6 +284,8 @@ struct End {
     result: Result<(String, String), SimError>,
     regs: String,
     memory: Vec<u8>,
+    /// The microcode resident at the end.
+    microcode: Vec<(u32, Vec<Inst>)>,
 }
 
 fn run(
@@ -213,6 +310,7 @@ fn run(
             .slice(memory.base(), memory.size())
             .expect("whole image")
             .to_vec(),
+        microcode: m.microcode_snapshot(),
     }
 }
 
@@ -254,7 +352,11 @@ fn random_programs_end_identically_on_both_backends() {
             assert_eq!(interp.result, superblock.result, "{}", what());
             assert_eq!(interp.regs, superblock.regs, "{}", what());
             assert!(interp.memory == superblock.memory, "memory: {}", what());
+            assert_eq!(interp.microcode, superblock.microcode, "{}", what());
             *seen.entry(kind(&interp.result)).or_default() += 1;
+            if interp.microcode != microcode {
+                *seen.entry("translated").or_default() += 1;
+            }
         }
     }
     for required in [
@@ -265,6 +367,7 @@ fn random_programs_end_identically_on_both_backends() {
         "wild-return",
         "cycle-limit",
         "missing-symbol",
+        "translated",
     ] {
         assert!(
             seen.contains_key(required),
