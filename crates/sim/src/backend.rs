@@ -12,14 +12,13 @@
 //! - [`SuperblockBackend`] — gathers straight-line runs of lowered ops
 //!   (program stream and microcode alike) into threaded-code blocks (see
 //!   [`crate::block`]) and replays them from dense block tables indexed by
-//!   start PC, so a
-//!   lookup is one bounds-checked load. Program code is immutable, so the
-//!   program table lives forever. Each resident microcode entry has its
-//!   own table, tagged with the microcode cache's per-insert generation;
-//!   when the mcache epoch moves, the tables are re-paired with the
-//!   entries by generation, and a table whose generation was evicted,
-//!   overwritten, or flushed is dropped, so translation/abort/retry
-//!   semantics are untouched.
+//!   start PC, so a lookup is one bounds-checked load. Program code is
+//!   immutable, so the program table lives forever. Each resident
+//!   microcode entry has its own table, tagged with the microcode cache's
+//!   per-insert generation; when the mcache epoch moves, the tables are
+//!   re-paired with the entries by generation, and a table whose
+//!   generation was evicted, overwritten, or flushed is dropped, so
+//!   translation/abort/retry semantics are untouched.
 //!
 //! Tracers and translation windows do not leave the superblock backend:
 //! [`crate::block::exec_block`] hands every retire they observe to

@@ -152,7 +152,7 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// The predecoded metadata and lowered ops of one microcode image.
+    /// The predecoded metadata and lowered ops of one code image.
     fn decode(&self, code: &[Inst]) -> (Vec<InstMeta>, Vec<Lowered>) {
         (
             meta_of_code(code, &self.config.lat, self.config.lanes),
